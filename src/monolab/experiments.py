@@ -76,14 +76,15 @@ class HiringConfig:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         if self.n_candidates < 1:
             raise ValueError(f"need at least one candidate, got {self.n_candidates}")
-        if self.mode == "sequential":
-            need = max(self.firm_grid) * self.capacity
-            if self.n_candidates < need:
-                raise ValueError(
-                    f"sequential mode needs at least {need} candidates for "
-                    f"{max(self.firm_grid)} firms with capacity {self.capacity}, "
-                    f"got {self.n_candidates}"
-                )
+        # When every candidate is hired, the best and worst groups of the
+        # hired size coincide and normalized performance is undefined.
+        seats = max(self.firm_grid) * self.capacity
+        if self.n_candidates <= seats:
+            raise ValueError(
+                f"{self.mode} mode needs candidates > firms x capacity = "
+                f"{max(self.firm_grid)} x {self.capacity} = {seats}, "
+                f"got candidates {self.n_candidates}"
+            )
 
     @property
     def kind(self) -> str:
@@ -211,7 +212,14 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
                     outcome = hiring.sequential_hire(scores, order, cfg.capacity)
                 else:
                     prefs = hiring.generate_prefs(cfg.n_candidates, f, stream)
-                    outcome = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
+                    if regime == "poly":
+                        outcome = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
+                    else:
+                        # Every firm row is identical, so deferred acceptance
+                        # reduces to serial dictatorship on the shared row.
+                        outcome = hiring.serial_dictatorship(
+                            scores[0], prefs, cfg.capacity
+                        )
                 out[(f, regime)][i] = hiring.normalized_performance(outcome, market)
     return out
 
@@ -257,7 +265,9 @@ def _range_task(args):
 
 
 def _split_ranges(n_runs: int, workers: int) -> list[tuple[int, int]]:
-    n_chunks = 1 if workers <= 1 else min(n_runs, workers * 4)
+    # One chunk per worker: every chunk repeats the per-call fixed cost of a
+    # lockstep simulator such as bandit2.simulate_failures.
+    n_chunks = min(n_runs, workers)
     bounds = np.linspace(0, n_runs, n_chunks + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
@@ -399,25 +409,33 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _csv_field(text: str) -> str:
+    """Quote a field that holds a comma, quote or line break (RFC 4180).
+
+    Unlike ``csv.writer`` with a ``"\\n"`` line terminator, this also quotes
+    a bare carriage return, which ``csv.reader`` would otherwise split on.
+    """
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def rows_to_csv_text(rows: list[ResultRow]) -> str:
     lines = [",".join(CSV_HEADER)]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    row.kind,
-                    row.regime,
-                    row.param_name,
-                    _fmt(row.param_value),
-                    row.metric,
-                    _fmt(row.value),
-                    _fmt(row.stderr),
-                    str(row.n_runs),
-                    str(row.seed),
-                    row.exact,
-                )
-            )
+        fields = (
+            row.kind,
+            row.regime,
+            row.param_name,
+            _fmt(row.param_value),
+            row.metric,
+            _fmt(row.value),
+            _fmt(row.stderr),
+            str(row.n_runs),
+            str(row.seed),
+            row.exact,
         )
+        lines.append(",".join(_csv_field(field) for field in fields))
     return "\n".join(lines) + "\n"
 
 

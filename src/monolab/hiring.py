@@ -23,6 +23,7 @@ candidate index wins.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,14 +123,12 @@ def sequential_hire(
 def generate_prefs(n_candidates: int, n_firms: int, stream: RngStream) -> np.ndarray:
     """Per-candidate uniform random preference order over firms, best first.
 
-    Drawn one candidate at a time in candidate order.
+    Drawn as one block, in the same stream order as one permutation per
+    candidate in candidate order.
     """
     if n_candidates < 1 or n_firms < 1:
         raise ValueError("need at least one candidate and one firm")
-    prefs = np.empty((n_candidates, n_firms), dtype=np.int64)
-    for c in range(n_candidates):
-        prefs[c] = stream.permutation(n_firms)
-    return prefs
+    return stream.permutations(n_candidates, n_firms)
 
 
 def _validate_prefs(prefs: np.ndarray, n_firms: int) -> np.ndarray:
@@ -155,7 +154,11 @@ def deferred_acceptance(
     Candidates propose down their preference lists; a firm holds its best
     proposers so far, ranked by score with ties to the lowest candidate
     index, and rejects the excess.  The result is the candidate-optimal
-    stable matching and does not depend on the proposal processing order.
+    stable matching and does not depend on the proposal processing order
+    (Gale & Shapley 1962; Roth & Sotomayor 1990).
+
+    Each firm keeps its held candidates in a min-heap keyed on that
+    desirability, so the candidate to evict is always at the root.
     """
     scores = np.asarray(scores, dtype=float)
     n_firms, n_candidates = scores.shape
@@ -165,33 +168,31 @@ def deferred_acceptance(
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
 
-    assignment = np.full(n_candidates, UNMATCHED, dtype=np.int64)
-    next_choice = np.zeros(n_candidates, dtype=np.int64)
-    held: list[list[int]] = [[] for _ in range(n_firms)]
+    score_rows = scores.tolist()
+    pref_rows = prefs.tolist()
+    assignment = [UNMATCHED] * n_candidates
+    next_choice = [0] * n_candidates
     # Desirability key: higher score wins, equal scores prefer the lower index.
-    key = lambda f, c: (scores[f, c], -c)
+    held: list[list[tuple[float, int]]] = [[] for _ in range(n_firms)]
 
-    pending = list(range(n_candidates - 1, -1, -1))
-    while pending:
-        c = pending.pop()
-        if next_choice[c] >= n_firms:
-            continue  # exhausted every firm, stays unmatched
-        f = int(prefs[c, next_choice[c]])
-        next_choice[c] += 1
-        if len(held[f]) < capacity:
-            held[f].append(c)
-            assignment[c] = f
-            continue
-        worst = min(held[f], key=lambda x: key(f, x))
-        if key(f, c) > key(f, worst):
-            held[f].remove(worst)
-            assignment[worst] = UNMATCHED
-            pending.append(worst)
-            held[f].append(c)
-            assignment[c] = f
-        else:
-            pending.append(c)
-    return HiringOutcome(assignment)
+    for proposer in range(n_candidates):
+        c = proposer
+        # c proposes until held or out of firms; an evicted candidate
+        # takes over as the proposer.
+        while next_choice[c] < n_firms:
+            f = pref_rows[c][next_choice[c]]
+            next_choice[c] += 1
+            key = (score_rows[f][c], -c)
+            heap = held[f]
+            if len(heap) < capacity:
+                heapq.heappush(heap, key)
+                assignment[c] = f
+                break
+            if key > heap[0]:
+                assignment[c] = f
+                c = -heapq.heapreplace(heap, key)[1]
+                assignment[c] = UNMATCHED
+    return HiringOutcome(np.array(assignment, dtype=np.int64))
 
 
 def serial_dictatorship(
@@ -202,25 +203,33 @@ def serial_dictatorship(
     """Candidates pick firms in descending shared-score order.
 
     Each candidate takes their most preferred firm with spare capacity.
-    Under a shared ranking (the mono regime) this reproduces the deferred
-    acceptance outcome.
+    Under a shared ranking (every firm row identical, as in the mono and
+    ensemble regimes) this reproduces the deferred acceptance outcome.
     """
     shared_scores = np.asarray(shared_scores, dtype=float)
     n_candidates = len(shared_scores)
-    n_firms = prefs.shape[1]
+    prefs = np.asarray(prefs)
+    n_firms = prefs.shape[-1]
     prefs = _validate_prefs(prefs, n_firms)
+    if prefs.shape[0] != n_candidates:
+        raise ValueError("preference matrix row count must equal candidate count")
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
     assignment = np.full(n_candidates, UNMATCHED, dtype=np.int64)
-    spare = np.full(n_firms, capacity, dtype=np.int64)
+    spare = [capacity] * n_firms
+    seats = n_firms * capacity
+    pref_rows = prefs.tolist()
     # Descending score; equal scores give the lower index the earlier turn.
     order = np.lexsort((np.arange(n_candidates), -shared_scores))
-    for c in order:
-        for f in prefs[c]:
-            if spare[f] > 0:
+    for c in order.tolist():
+        for f in pref_rows[c]:
+            if spare[f]:
                 assignment[c] = f
                 spare[f] -= 1
+                seats -= 1
                 break
+        if not seats:
+            break  # every firm is full; the rest stay unmatched
     return HiringOutcome(assignment)
 
 

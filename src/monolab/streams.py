@@ -104,6 +104,18 @@ class RngStream:
     def uniforms(self, shape) -> np.ndarray:
         return self.gen.random(shape)
 
+    def permutations(self, n_rows: int, n: int) -> np.ndarray:
+        """``n_rows`` permutations of 0..n-1, one per row.
+
+        Row i and the stream state afterwards equal those of the i-th of
+        ``n_rows`` successive ``permutation(n)`` calls.
+        """
+        if n_rows < 0 or n < 0:
+            raise ValueError(
+                f"permutation block shape must be >= 0, got ({n_rows}, {n})"
+            )
+        return self.gen.permuted(np.tile(np.arange(n), (n_rows, 1)), axis=1)
+
 
 def derive_stream(master_seed: int, stream_id: int) -> RngStream:
     """Derive the stream keyed by (master_seed, stream_id)."""

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately use different algorithms from the library (exhaustive
-search instead of deferred acceptance, forward scan instead of backward)
-so agreement is evidence, not tautology.
+search instead of deferred acceptance, forward scan instead of backward,
+a list scan for each firm's worst held candidate instead of a heap) so
+agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -44,6 +45,43 @@ def is_stable(assignment, scores, prefs, capacity: int) -> bool:
             if any(firm_prefers(scores, f, c, held_c) for held_c in held):
                 return False
     return True
+
+
+def deferred_acceptance_list_scan(scores, prefs, capacity: int):
+    """Candidate-proposing deferred acceptance; returns the assignment list.
+
+    Each firm holds a plain list and finds its worst held candidate by a
+    linear scan on every full-firm proposal.
+    """
+    n_firms, n_candidates = scores.shape
+    assignment = [-1] * n_candidates
+    next_choice = [0] * n_candidates
+    held: list[list[int]] = [[] for _ in range(n_firms)]
+
+    def key(f, c):
+        return (scores[f, c], -c)
+
+    pending = list(range(n_candidates - 1, -1, -1))
+    while pending:
+        c = pending.pop()
+        if next_choice[c] >= n_firms:
+            continue  # exhausted every firm, stays unmatched
+        f = int(prefs[c, next_choice[c]])
+        next_choice[c] += 1
+        if len(held[f]) < capacity:
+            held[f].append(c)
+            assignment[c] = f
+            continue
+        worst = min(held[f], key=lambda x: key(f, x))
+        if key(f, c) > key(f, worst):
+            held[f].remove(worst)
+            assignment[worst] = -1
+            pending.append(worst)
+            held[f].append(c)
+            assignment[c] = f
+        else:
+            pending.append(c)
+    return assignment
 
 
 def brute_force_stable_matchings(scores, prefs, capacity: int = 1):

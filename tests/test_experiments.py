@@ -9,8 +9,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from monolab import cli, experiments
+from monolab import cli, experiments, hiring
 from monolab.experiments import (
     Bandit2Config,
     EnumerateConfig,
@@ -23,6 +25,7 @@ from monolab.experiments import (
     run,
     write_csv,
 )
+from monolab.streams import derive_stream
 
 SMALL_HIRING = HiringConfig(
     mode="sequential", n_candidates=30, firm_grid=(2, 4), n_runs=12, master_seed=41
@@ -71,6 +74,26 @@ def test_row_aggregation_matches_kept_values():
         assert row.metric == "normalized_performance"
 
 
+def test_simultaneous_driver_matches_deferred_acceptance_for_every_regime():
+    # the driver routes mono and ensemble to serial dictatorship; the tight
+    # market (28 seats for 30 candidates at 7 firms) forces long rejection chains
+    cfg = HiringConfig(
+        mode="simultaneous", n_candidates=30, firm_grid=(1, 4, 7), capacity=4,
+        n_runs=6, master_seed=45,
+    )
+    _, values = experiments.run_hiring(cfg, keep_values=True)
+    for r in range(cfg.n_runs):
+        for f in cfg.firm_grid:
+            for regime in experiments.HIRING_REGIMES:
+                stream = derive_stream(cfg.master_seed, r)
+                market = hiring.generate_market(cfg.n_candidates, stream)
+                scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
+                prefs = hiring.generate_prefs(cfg.n_candidates, f, stream)
+                outcome = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
+                expected = hiring.normalized_performance(outcome, market)
+                assert values[(f, regime)][r] == expected, (r, f, regime)
+
+
 def test_bandit2_rows_use_binomial_stderr():
     rows, values = experiments.run_bandit2(SMALL_BANDIT2, keep_values=True)
     assert len(rows) == 2 * 2
@@ -95,6 +118,14 @@ def test_config_validation_messages():
         HiringConfig(mode="parallel")
     with pytest.raises(ValueError, match="sequential mode needs"):
         HiringConfig(mode="sequential", n_candidates=10, firm_grid=(16,))
+    # every candidate hired (candidates == firms x capacity) is rejected up front
+    with pytest.raises(ValueError, match="sequential mode needs"):
+        HiringConfig(mode="sequential", n_candidates=4, firm_grid=(4,))
+    with pytest.raises(ValueError, match=r"simultaneous mode needs candidates > "
+                       r"firms x capacity = 2 x 10 = 20, got candidates 20"):
+        HiringConfig(mode="simultaneous", n_candidates=20, firm_grid=(1, 2), capacity=10)
+    HiringConfig(mode="sequential", n_candidates=5, firm_grid=(4,))
+    HiringConfig(mode="simultaneous", n_candidates=21, firm_grid=(2,), capacity=10)
     with pytest.raises(ValueError, match="runs"):
         Bandit2Config(n_runs=0)
     with pytest.raises(ValueError, match="grid"):
@@ -125,6 +156,21 @@ def test_csv_round_trip_preserves_floats_exactly(tmp_path):
     back = read_csv(str(path))[0]
     assert back.value == row.value
     assert back.stderr == row.stderr
+
+
+_LABELS = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@given(kind=_LABELS, regime=_LABELS, param_name=_LABELS, metric=_LABELS, exact=_LABELS)
+@settings(
+    deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_csv_round_trip_any_labels(tmp_path, kind, regime, param_name, metric, exact):
+    row = ResultRow(kind, regime, param_name, 2.0, metric, 0.25, 0.0, 1, 7, exact)
+    path = tmp_path / "labels.csv"
+    write_csv([row], str(path))
+    assert read_csv(str(path)) == [row]
 
 
 def test_read_csv_reports_line_numbers(tmp_path):
@@ -241,6 +287,16 @@ def test_cli_order_sensitivity(capsys):
     assert ",B" in printed and ",C" in printed
 
 
+def test_cli_order_sensitivity_labels_with_commas_read_back(tmp_path):
+    out = tmp_path / "order.csv"
+    code = cli.main(
+        ["order-sensitivity", "--rankings", "w>z>x,y;z>w>x,y", "--out", str(out)]
+    )
+    assert code == 0
+    cfg = OrderSensitivityConfig(rankings=(("w", "z", "x,y"), ("z", "w", "x,y")))
+    assert read_csv(str(out)) == run(cfg)
+
+
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["bandit2", "--runs", "0", "--agents", "10", "--n0", "1", "--k", "1"]) == 2
     assert "runs" in capsys.readouterr().err
@@ -250,6 +306,10 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
     assert cli.main(["enumerate", "--candidates", "9", "--firms", "2"]) == 2
     assert "enumeration" in capsys.readouterr().err
+    args = ["hiring", "--mode", "simultaneous", "--candidates", "20", "--firms", "2",
+            "--capacity", "10", "--runs", "1"]
+    assert cli.main(args) == 2
+    assert "candidates > firms x capacity" in capsys.readouterr().err
     assert cli.main(["order-sensitivity"]) == 2
     assert "rankings" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 2

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolab.hiring import (
     HiringOutcome,
@@ -18,7 +20,12 @@ from monolab.hiring import (
 )
 from monolab.streams import derive_stream
 
-from oracles import brute_force_stable_matchings, is_stable, random_small_instance
+from oracles import (
+    brute_force_stable_matchings,
+    deferred_acceptance_list_scan,
+    is_stable,
+    random_small_instance,
+)
 
 
 def test_market_deterministic_and_standard_normal():
@@ -165,6 +172,20 @@ def test_deferred_acceptance_validation():
         deferred_acceptance(scores, good, capacity=0)
 
 
+def test_serial_dictatorship_validation():
+    shared = np.array([2.0, 1.0, 0.0])
+    out = serial_dictatorship(shared, [[1, 0], [0, 1], [1, 0]], capacity=1)
+    assert out.assignment.tolist() == [1, 0, UNMATCHED]  # list prefs accepted
+    with pytest.raises(ValueError):
+        serial_dictatorship(shared, np.array([[0, 1], [1, 0]]), capacity=1)
+    with pytest.raises(ValueError):
+        serial_dictatorship(shared, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
+    with pytest.raises(ValueError):
+        serial_dictatorship(shared, np.array([0, 1, 0]), capacity=1)
+    with pytest.raises(ValueError):
+        serial_dictatorship(shared, np.array([[0], [0], [0]]), capacity=0)
+
+
 def test_deferred_acceptance_stable_on_random_instances():
     stream = derive_stream(10, 0)
     for _ in range(150):
@@ -185,6 +206,40 @@ def test_mono_deferred_acceptance_is_serial_dictatorship():
         da = deferred_acceptance(mono, prefs, capacity)
         sd = serial_dictatorship(shared, prefs, capacity)
         assert np.array_equal(da.assignment, sd.assignment)
+
+
+@st.composite
+def small_markets(draw):
+    """Scores on a coarse grid (many ties), capacity 1-4, sometimes one shared row."""
+    n_firms = draw(st.integers(1, 4))
+    n_candidates = draw(st.integers(1, 12))
+    capacity = draw(st.integers(1, 4))
+    row = st.lists(
+        st.integers(-3, 3).map(lambda v: v / 2),
+        min_size=n_candidates, max_size=n_candidates,
+    )
+    if draw(st.booleans()):
+        scores = np.tile(draw(row), (n_firms, 1))
+    else:
+        scores = np.array([draw(row) for _ in range(n_firms)])
+    prefs = np.array(
+        [draw(st.permutations(range(n_firms))) for _ in range(n_candidates)]
+    ).reshape(n_candidates, n_firms)
+    return scores, prefs, capacity
+
+
+@given(small_markets())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_deferred_acceptance_matches_list_scan_reference(market):
+    scores, prefs, capacity = market
+    out = deferred_acceptance(scores, prefs, capacity)
+    assert out.assignment.tolist() == deferred_acceptance_list_scan(
+        scores, prefs, capacity
+    )
+    assert is_stable(out.assignment.tolist(), scores, prefs, capacity)
+    if (scores == scores[0]).all():
+        sd = serial_dictatorship(scores[0], prefs, capacity)
+        assert sd.assignment.tolist() == out.assignment.tolist()
 
 
 def test_normalized_performance_anchor_values():

@@ -141,3 +141,19 @@ def test_streams_uncorrelated():
     ys = derive_stream(16, 1).gaussians(n)
     r = np.corrcoef(xs, ys)[0, 1]
     assert abs(r) < 3.0 / np.sqrt(n)
+
+
+def test_permutation_block_matches_successive_draws():
+    for n_rows, n in [(0, 3), (1, 1), (5, 0), (300, 2), (40, 16)]:
+        block_stream = derive_stream(17, n_rows)
+        row_stream = derive_stream(17, n_rows)
+        block = block_stream.permutations(n_rows, n)
+        rows = [row_stream.permutation(n) for _ in range(n_rows)]
+        assert block.shape == (n_rows, n)
+        assert block.tolist() == [row.tolist() for row in rows]
+        # the stream is left in the same state: the next draw agrees too
+        assert block_stream.uniforms(4).tolist() == row_stream.uniforms(4).tolist()
+    with pytest.raises(ValueError):
+        derive_stream(17, 0).permutations(-1, 3)
+    with pytest.raises(ValueError):
+        derive_stream(17, 0).permutations(3, -1)
