@@ -15,23 +15,12 @@ plus :mod:`monolab.experiments` (sweeps, CSV, figures) and the ``monolab``
 command-line entry point.
 """
 
-from .streams import (
-    RngStream,
-    derive_stream,
-    random_permutation,
-    sample_bernoulli,
-    sample_beta,
-    sample_gaussian,
-)
+from .streams import RngStream, derive_stream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RngStream",
     "derive_stream",
-    "sample_gaussian",
-    "sample_beta",
-    "sample_bernoulli",
-    "random_permutation",
     "__version__",
 ]

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bandit2, exact, hiring, hiring_bandit
-from .streams import derive_stream, random_permutation
+from .streams import derive_stream
 from .svg import Series, render_line_chart
 
 CSV_HEADER = (
@@ -127,6 +127,8 @@ class HiringBanditConfig:
     def __post_init__(self):
         _check_grid(self.agent_grid, "agents")
         _check_common(self.n_runs, self.workers)
+        if self.n_rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.n_rounds}")
         if self.n0 < 0:
             raise ValueError(f"n0 must be >= 0, got {self.n0}")
         if max(self.agent_grid) >= self.n_arms:
@@ -208,7 +210,7 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
                 market = hiring.generate_market(cfg.n_candidates, stream)
                 scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
                 if cfg.mode == "sequential":
-                    order = random_permutation(stream, f)
+                    order = stream.permutation(f)
                     outcome = hiring.sequential_hire(scores, order, cfg.capacity)
                 else:
                     prefs = hiring.generate_prefs(cfg.n_candidates, f, stream)

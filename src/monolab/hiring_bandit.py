@@ -5,7 +5,10 @@ are drawn Beta(2, 2).  Each round the agents move in sequence and take the
 unclaimed arm with the highest posterior mean (Beta-Bernoulli beliefs,
 ties to the lowest arm index); an arm claimed earlier in the round is gone
 for everyone after.  Pull results are public: at the end of each round all
-agents update on every pull.
+agents update on every pull.  So a belief is the agent's initial counts plus
+one public count vector, and under mono and ensemble, where the initial
+counts are shared, all agents hold one posterior and a round is the top-n
+arms of one ranking.
 
 Regimes differ only in the initial n0 samples per arm and the move order:
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import RngStream, derive_stream
+from .streams import RngStream
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
 
@@ -56,13 +59,26 @@ class RegimeConfig:
 
 @dataclass
 class BeliefState:
-    """Per-agent Beta(alpha, beta) beliefs over every arm."""
+    """Beta-Bernoulli beliefs: initial counts plus the public pull record.
 
-    alpha: np.ndarray  # shape (n_agents, n_arms), integer counts
-    beta: np.ndarray
+    Every pull is public, so agent i's posterior on arm j is
+    Beta(alpha0[i, j] + heads[j], beta0[i, j] + pulls[j] - heads[j]).  The
+    initial counts are ``(n_arms,)`` when every agent holds the same ones
+    (mono, ensemble) and ``(n_agents, n_arms)`` otherwise (poly).
+    """
+
+    alpha0: np.ndarray  # Beta(2, 2) prior plus initial successes, int64
+    beta0: np.ndarray  # Beta(2, 2) prior plus initial failures, int64
+    heads: np.ndarray  # shape (n_arms,), int64 successes among public pulls
+    pulls: np.ndarray  # shape (n_arms,), int64 public pulls
+
+    @property
+    def shared(self) -> bool:
+        """True when every agent holds the same posterior."""
+        return self.alpha0.ndim == 1
 
     def posterior_means(self) -> np.ndarray:
-        return self.alpha / (self.alpha + self.beta)
+        return (self.alpha0 + self.heads) / (self.alpha0 + self.beta0 + self.pulls)
 
 
 @dataclass(frozen=True)
@@ -93,115 +109,113 @@ def init_beliefs(
 
     The full independent-per-agent tensor is drawn under every regime (one
     binomial block, agent-major), which keeps identically derived streams
-    aligned: mono keeps agent 0's row for everyone, ensemble pools all rows.
+    aligned: mono shares agent 0's row, ensemble shares the pool of all rows
+    (both as one ``(n_arms,)`` row of counts), poly keeps one row per agent.
     """
     n, k = config.n_agents, config.n_arms
     p = np.broadcast_to(np.asarray(true_means, dtype=float), (n, k))
     heads = stream.binomials(config.n0, p)
 
     if config.regime == "mono":
-        agent_heads = np.repeat(heads[:1], n, axis=0)
+        agent_heads = heads[0]
         per_agent_total = config.n0
         observer = ObserverPrior(heads[0].copy(), config.n0)
     elif config.regime == "ensemble":
-        pooled = heads.sum(axis=0)
-        agent_heads = np.tile(pooled, (n, 1))
+        agent_heads = heads.sum(axis=0)
         per_agent_total = n * config.n0
-        observer = ObserverPrior(pooled, n * config.n0)
+        observer = ObserverPrior(agent_heads, n * config.n0)
     else:
         agent_heads = heads
         per_agent_total = config.n0
         observer = ObserverPrior(heads.sum(axis=0), n * config.n0)
 
-    alpha = 2 + agent_heads.astype(np.int64)
-    beta = 2 + per_agent_total - agent_heads.astype(np.int64)
-    return BeliefState(alpha, beta), observer
+    alpha0 = 2 + agent_heads.astype(np.int64)
+    beta0 = 2 + per_agent_total - agent_heads.astype(np.int64)
+    public = np.zeros(k, dtype=np.int64)
+    return BeliefState(alpha0, beta0, public, public.copy()), observer
 
 
-def play_round(beliefs: BeliefState, order: np.ndarray) -> list[tuple[int, int]]:
-    """Claims for one round: (agent, arm) in move order.
+def _ranking(values: np.ndarray) -> np.ndarray:
+    """Arm indices by descending value along the last axis, ties to the lower arm."""
+    return np.argsort(-values, axis=-1, kind="stable")
+
+
+def play_round(beliefs: BeliefState, order: np.ndarray) -> np.ndarray:
+    """Claimed arms for one round, in move order (``order[i]`` takes ``arms[i]``).
 
     Each agent takes the unclaimed arm with the highest posterior mean;
     exact ties go to the lowest arm index.  Beliefs are read, not updated:
-    information propagates only between rounds.
+    information propagates only between rounds.  Under a shared posterior
+    the round is the top-n arms of one ranking, whatever the order.
     """
-    means = beliefs.posterior_means()
-    claimed = np.zeros(means.shape[1], dtype=bool)
-    pulls = []
-    for agent in order:
-        row = np.where(claimed, -1.0, means[agent])
-        arm = int(np.argmax(row))
-        claimed[arm] = True
-        pulls.append((int(agent), arm))
-    return pulls
+    n = len(order)
+    ranking = _ranking(beliefs.posterior_means())
+    if beliefs.shared:
+        return ranking[:n]
+    # At most n - 1 arms are claimed before any agent moves, so each agent's
+    # pick lies among its own top n.
+    rows = ranking[:, :n].tolist()
+    claimed = set()
+    arms = []
+    for agent in order.tolist():
+        for arm in rows[agent]:
+            if arm not in claimed:
+                break
+        claimed.add(arm)
+        arms.append(arm)
+    return np.array(arms, dtype=np.int64)
 
 
-def realize_rewards(
-    pulls: list[tuple[int, int]],
-    true_means: np.ndarray,
-    stream: RngStream,
-) -> list[tuple[int, int, int]]:
+def realize_rewards(arms: np.ndarray, true_means: np.ndarray, stream: RngStream) -> np.ndarray:
     """Bernoulli reward per claim, drawn as one uniform block in pull order."""
-    draws = stream.uniforms(len(pulls))
-    return [
-        (agent, arm, int(draws[i] < true_means[arm]))
-        for i, (agent, arm) in enumerate(pulls)
-    ]
+    draws = stream.uniforms(len(arms))
+    return (draws < true_means[arms]).astype(np.int64)
 
 
-def observe_and_update(beliefs: BeliefState, round_log: list[tuple[int, int, int]]) -> None:
-    """Public information: every agent updates on every pull of the round."""
-    for _, arm, reward in round_log:
-        if reward:
-            beliefs.alpha[:, arm] += 1
-        else:
-            beliefs.beta[:, arm] += 1
+def observe_and_update(beliefs: BeliefState, arms: np.ndarray, rewards: np.ndarray) -> None:
+    """Public information: the round's pulls enter every agent's posterior.
+
+    The arms of one round are distinct, so fancy-index increments are safe.
+    """
+    beliefs.heads[arms] += rewards
+    beliefs.pulls[arms] += 1
 
 
-def _top_n(values: np.ndarray, n: int) -> set[int]:
-    # Descending value, ties broken toward the lower arm index.
-    order = np.lexsort((np.arange(len(values)), -np.asarray(values, dtype=float)))
-    return set(int(i) for i in order[:n])
+def total_bayesian_regret(true_means: np.ndarray, arm_log: np.ndarray) -> float:
+    """Shortfall of realized true means against always claiming the top n arms.
 
-
-def total_bayesian_regret(
-    true_means: np.ndarray,
-    logs: list[list[tuple[int, int, int]]],
-    n_agents: int,
-    n_rounds: int,
-) -> float:
-    """Shortfall of realized true means against always claiming the top n arms."""
-    best = np.sort(np.asarray(true_means, dtype=float))[-n_agents:].sum()
-    actual = 0.0
-    for round_log in logs:
-        for _, arm, _ in round_log:
-            actual += float(true_means[arm])
+    ``arm_log`` is ``(n_rounds, n_agents)`` in pull order.  The realized means
+    are added one at a time in pull order (``cumsum``): numpy's pairwise
+    ``sum`` rounds differently and would change the CSV bytes.
+    """
+    true_means = np.asarray(true_means, dtype=float)
+    n_rounds, n_agents = arm_log.shape
+    best = np.sort(true_means)[-n_agents:].sum()
+    realized = true_means[arm_log].ravel()
+    actual = float(np.cumsum(realized)[-1]) if realized.size else 0.0
     return n_rounds * float(best) - actual
 
 
 def impartial_observer_misclassification(
     true_means: np.ndarray,
     observer: ObserverPrior,
-    logs: list[list[tuple[int, int, int]]],
+    reward_heads: np.ndarray,
+    reward_pulls: np.ndarray,
     n_agents: int,
 ) -> int:
     """How many of the observer's top-n arms are not truly top-n.
 
     The observer starts from Beta(2, 2), sees the initial samples (distinct
-    sets counted once) and every round reward, and ranks arms by posterior
-    mean with ties to the lower index.
+    sets counted once) and every round reward (``reward_heads`` successes
+    in ``reward_pulls`` pulls per arm), and ranks arms by posterior mean
+    with ties to the lower index.
     """
-    k = len(true_means)
-    reward_heads = np.zeros(k, dtype=np.int64)
-    reward_total = np.zeros(k, dtype=np.int64)
-    for round_log in logs:
-        for _, arm, reward in round_log:
-            reward_heads[arm] += reward
-            reward_total[arm] += 1
     alpha = 2 + observer.heads + reward_heads
-    beta = 2 + (observer.total - observer.heads) + (reward_total - reward_heads)
+    beta = 2 + (observer.total - observer.heads) + (reward_pulls - reward_heads)
     means = alpha / (alpha + beta)
-    return len(_top_n(means, n_agents) - _top_n(true_means, n_agents))
+    observed = set(_ranking(means)[:n_agents].tolist())
+    truth = set(_ranking(np.asarray(true_means, dtype=float))[:n_agents].tolist())
+    return len(observed - truth)
 
 
 @dataclass(frozen=True)
@@ -220,42 +234,19 @@ def simulate_run(config: RegimeConfig, stream: RngStream) -> RunResult:
     true_means = draw_arm_means(config.n_arms, stream)
     beliefs, observer = init_beliefs(true_means, config, stream)
     fixed_order = np.arange(config.n_agents)
-    logs = []
-    for _ in range(config.n_rounds):
+    arm_log = np.empty((config.n_rounds, config.n_agents), dtype=np.int64)
+    for t in range(config.n_rounds):
         if config.regime == "poly_random":
             order = stream.permutation(config.n_agents)
         else:
             order = fixed_order
-        pulls = play_round(beliefs, order)
-        round_log = realize_rewards(pulls, true_means, stream)
-        observe_and_update(beliefs, round_log)
-        logs.append(round_log)
-    regret = total_bayesian_regret(true_means, logs, config.n_agents, config.n_rounds)
-    mis = impartial_observer_misclassification(true_means, observer, logs, config.n_agents)
-    return RunResult(regret, mis)
-
-
-@dataclass(frozen=True)
-class RegimeSummary:
-    regret_mean: float
-    regret_se: float
-    misclassification_mean: float
-    misclassification_se: float
-    n_runs: int
-
-
-def run_experiment(config: RegimeConfig, n_runs: int, master_seed: int) -> RegimeSummary:
-    """n_runs replicates of one regime; replicate r derives stream (master_seed, r)."""
-    if n_runs < 1:
-        raise ValueError(f"need at least one run, got {n_runs}")
-    regrets = np.empty(n_runs)
-    mis = np.empty(n_runs)
-    for r in range(n_runs):
-        result = simulate_run(config, derive_stream(master_seed, r))
-        regrets[r] = result.regret
-        mis[r] = result.misclassification
-    def _se(x: np.ndarray) -> float:
-        return float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
-    return RegimeSummary(
-        float(regrets.mean()), _se(regrets), float(mis.mean()), _se(mis), n_runs
+        arms = play_round(beliefs, order)
+        rewards = realize_rewards(arms, true_means, stream)
+        observe_and_update(beliefs, arms, rewards)
+        arm_log[t] = arms
+    regret = total_bayesian_regret(true_means, arm_log)
+    # The public vectors hold exactly the per-arm reward counts of the run.
+    mis = impartial_observer_misclassification(
+        true_means, observer, beliefs.heads, beliefs.pulls, config.n_agents
     )
+    return RunResult(regret, mis)

@@ -121,19 +121,3 @@ def derive_stream(master_seed: int, stream_id: int) -> RngStream:
     """Derive the stream keyed by (master_seed, stream_id)."""
     return RngStream(master_seed, stream_id)
 
-
-def sample_gaussian(stream: RngStream, mean: float, sd: float) -> float:
-    return stream.gaussian(mean, sd)
-
-
-def sample_beta(stream: RngStream, a: float, b: float) -> float:
-    return stream.beta(a, b)
-
-
-def sample_bernoulli(stream: RngStream, p: float) -> int:
-    return stream.bernoulli(p)
-
-
-def random_permutation(stream: RngStream, n: int) -> np.ndarray:
-    """Uniform random permutation of 0..n-1."""
-    return stream.permutation(n)

@@ -2,8 +2,9 @@
 
 These deliberately use different algorithms from the library (exhaustive
 search instead of deferred acceptance, forward scan instead of backward,
-a list scan for each firm's worst held candidate instead of a heap) so
-agreement is evidence, not tautology.
+a list scan for each firm's worst held candidate instead of a heap,
+per-agent belief matrices and argmax claims instead of one public count
+vector and one sort per round) so agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -125,3 +126,80 @@ def random_small_instance(stream, max_firms: int = 4, max_candidates: int = 4):
         scores = np.round(scores)
     prefs = np.vstack([stream.permutation(n_firms) for _ in range(n_candidates)])
     return scores, prefs
+
+
+def claim_game_reference(config, stream):
+    """The claim game with per-agent alpha/beta matrices; (regret, misclassification).
+
+    Every agent holds its own ``(n_arms,)`` Beta counts, rewritten for every
+    public pull; each agent claims by ``argmax`` over its row with claimed
+    arms masked out; logs are ``(agent, arm, reward)`` tuples; regret and
+    the observer's reward counts are summed in Python loops.  Consumes the
+    stream in the library's documented order.
+    """
+    n, k, n0 = config.n_agents, config.n_arms, config.n0
+    true_means = stream.betas(k, 2.0, 2.0)
+    heads = stream.binomials(n0, np.broadcast_to(true_means, (n, k)))
+    if config.regime == "mono":
+        agent_heads = np.repeat(heads[:1], n, axis=0)
+        per_agent_total = n0
+        observer_heads, observer_total = heads[0].copy(), n0
+    elif config.regime == "ensemble":
+        pooled = heads.sum(axis=0)
+        agent_heads = np.tile(pooled, (n, 1))
+        per_agent_total = n * n0
+        observer_heads, observer_total = pooled, n * n0
+    else:
+        agent_heads = heads
+        per_agent_total = n0
+        observer_heads, observer_total = heads.sum(axis=0), n * n0
+    alpha = 2 + agent_heads.astype(np.int64)
+    beta = 2 + per_agent_total - agent_heads.astype(np.int64)
+
+    logs = []
+    for _ in range(config.n_rounds):
+        if config.regime == "poly_random":
+            order = stream.permutation(n)
+        else:
+            order = np.arange(n)
+        means = alpha / (alpha + beta)
+        claimed = np.zeros(k, dtype=bool)
+        pulls = []
+        for agent in order:
+            arm = int(np.argmax(np.where(claimed, -1.0, means[agent])))
+            claimed[arm] = True
+            pulls.append((int(agent), arm))
+        draws = stream.uniforms(len(pulls))
+        round_log = [
+            (agent, arm, int(draws[i] < true_means[arm]))
+            for i, (agent, arm) in enumerate(pulls)
+        ]
+        for _, arm, reward in round_log:
+            if reward:
+                alpha[:, arm] += 1
+            else:
+                beta[:, arm] += 1
+        logs.append(round_log)
+
+    best = np.sort(true_means)[-n:].sum()
+    actual = 0.0
+    for round_log in logs:
+        for _, arm, _ in round_log:
+            actual += float(true_means[arm])
+    regret = config.n_rounds * float(best) - actual
+
+    reward_heads = np.zeros(k, dtype=np.int64)
+    reward_total = np.zeros(k, dtype=np.int64)
+    for round_log in logs:
+        for _, arm, reward in round_log:
+            reward_heads[arm] += reward
+            reward_total[arm] += 1
+    obs_alpha = 2 + observer_heads + reward_heads
+    obs_beta = 2 + (observer_total - observer_heads) + (reward_total - reward_heads)
+
+    def top_n(values):
+        order = np.lexsort((np.arange(len(values)), -np.asarray(values, dtype=float)))
+        return set(int(i) for i in order[:n])
+
+    misclassification = len(top_n(obs_alpha / (obs_alpha + obs_beta)) - top_n(true_means))
+    return regret, misclassification

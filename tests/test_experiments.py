@@ -134,6 +134,11 @@ def test_config_validation_messages():
         Bandit2Config(total_agents=4, k_grid=(8,))
     with pytest.raises(ValueError, match="more arms than agents"):
         HiringBanditConfig(n_arms=8, agent_grid=(8,))
+    with pytest.raises(ValueError, match=r"rounds must be >= 1, got 0"):
+        HiringBanditConfig(n_rounds=0)
+    with pytest.raises(ValueError, match=r"rounds must be >= 1, got -3"):
+        HiringBanditConfig(n_rounds=-3)
+    HiringBanditConfig(n_rounds=1)
     with pytest.raises(TypeError):
         run(object())
 
@@ -310,6 +315,11 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
             "--capacity", "10", "--runs", "1"]
     assert cli.main(args) == 2
     assert "candidates > firms x capacity" in capsys.readouterr().err
+    # rejected when the config is built, before any pool worker starts
+    args = ["hiring-bandit", "--rounds", "0", "--arms", "8", "--agents", "2",
+            "--runs", "4", "--workers", "2"]
+    assert cli.main(args) == 2
+    assert "rounds must be >= 1, got 0" in capsys.readouterr().err
     assert cli.main(["order-sensitivity"]) == 2
     assert "rankings" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 2

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monolab import experiments
+from monolab.experiments import HiringBanditConfig
 from monolab.hiring_bandit import (
+    REGIMES,
     BeliefState,
     ObserverPrior,
     RegimeConfig,
@@ -15,15 +20,35 @@ from monolab.hiring_bandit import (
     observe_and_update,
     play_round,
     realize_rewards,
-    run_experiment,
     simulate_run,
     total_bayesian_regret,
 )
 from monolab.streams import derive_stream
 
+from oracles import claim_game_reference
+
 
 def config_for(regime, n_agents=4, n_arms=12, n_rounds=3, n0=5):
     return RegimeConfig(regime, n_agents, n_arms, n_rounds, n0)
+
+
+def beliefs_from(alpha0, beta0):
+    """Beliefs before any public pull."""
+    k = np.shape(alpha0)[-1]
+    return BeliefState(
+        np.asarray(alpha0, dtype=np.int64), np.asarray(beta0, dtype=np.int64),
+        np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64),
+    )
+
+
+def best_unclaimed_in_move_order(beliefs, order, arms):
+    """Each agent in move order took its best unclaimed arm (ties low)."""
+    means = np.broadcast_to(beliefs.posterior_means(), (len(order), len(beliefs.heads)))
+    for i, agent in enumerate(order):
+        row = np.where(np.isin(np.arange(means.shape[1]), arms[:i]), -1.0, means[agent])
+        if arms[i] != int(np.argmax(row)):
+            return False
+    return True
 
 
 def test_config_validation():
@@ -58,50 +83,65 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
     mono_beliefs, mono_obs = results["mono"]
     ens_beliefs, ens_obs = results["ensemble"]
 
-    # mono replicates the first independent sample row for every agent
-    for row in results["mono"][0].alpha:
-        assert np.array_equal(row, poly_beliefs.alpha[0])
-    assert np.array_equal(mono_obs.heads, poly_beliefs.alpha[0] - 2)
+    # mono shares the first independent sample row among all agents
+    assert mono_beliefs.shared and not poly_beliefs.shared
+    assert poly_beliefs.alpha0.shape == (4, 12)
+    assert np.array_equal(mono_beliefs.alpha0, poly_beliefs.alpha0[0])
+    assert np.array_equal(mono_obs.heads, poly_beliefs.alpha0[0] - 2)
     assert mono_obs.total == 5
 
     # ensemble pools all rows; observer sees the same pool as under poly
-    pooled = (poly_beliefs.alpha - 2).sum(axis=0)
-    for row in ens_beliefs.alpha:
-        assert np.array_equal(row - 2, pooled)
+    pooled = (poly_beliefs.alpha0 - 2).sum(axis=0)
+    assert ens_beliefs.shared
+    assert np.array_equal(ens_beliefs.alpha0 - 2, pooled)
     assert np.array_equal(ens_obs.heads, pooled)
     assert np.array_equal(poly_obs.heads, pooled)
     assert ens_obs.total == poly_obs.total == 4 * 5
 
     # Beta(2, 2) prior plus per-agent sample budget
-    assert np.all(mono_beliefs.alpha + mono_beliefs.beta == 4 + 5)
-    assert np.all(poly_beliefs.alpha + poly_beliefs.beta == 4 + 5)
-    assert np.all(ens_beliefs.alpha + ens_beliefs.beta == 4 + 4 * 5)
+    assert np.all(mono_beliefs.alpha0 + mono_beliefs.beta0 == 4 + 5)
+    assert np.all(poly_beliefs.alpha0 + poly_beliefs.beta0 == 4 + 5)
+    assert np.all(ens_beliefs.alpha0 + ens_beliefs.beta0 == 4 + 4 * 5)
 
     # poly_random shares poly_fixed's initial state exactly
-    assert np.array_equal(results["poly_random"][0].alpha, poly_beliefs.alpha)
+    assert np.array_equal(results["poly_random"][0].alpha0, poly_beliefs.alpha0)
+
+    # no public pull yet
+    for beliefs, _ in results.values():
+        assert beliefs.heads.shape == beliefs.pulls.shape == (12,)
+        assert not beliefs.heads.any() and not beliefs.pulls.any()
 
 
 def test_init_beliefs_zero_samples():
     means = draw_arm_means(6, derive_stream(33, 0))
     beliefs, observer = init_beliefs(means, config_for("poly_fixed", n_arms=6, n_agents=2, n0=0), derive_stream(33, 1))
-    assert np.all(beliefs.alpha == 2) and np.all(beliefs.beta == 2)
+    assert np.all(beliefs.alpha0 == 2) and np.all(beliefs.beta0 == 2)
     assert observer.total == 0 and np.all(observer.heads == 0)
 
 
 def test_play_round_takes_best_then_next_best():
-    alpha = np.full((2, 10), 2, dtype=np.int64)
-    beta = np.full((2, 10), 2, dtype=np.int64)
-    alpha[:, 3] = 50  # clear best arm
-    alpha[:, 7] = 20  # clear runner-up
-    beliefs = BeliefState(alpha, beta)
-    pulls = play_round(beliefs, np.array([0, 1]))
-    assert pulls == [(0, 3), (1, 7)]
+    alpha = np.full(10, 2, dtype=np.int64)
+    alpha[3] = 50  # clear best arm
+    alpha[7] = 20  # clear runner-up
+    beta = np.full(10, 2, dtype=np.int64)
+    per_agent = beliefs_from(np.tile(alpha, (2, 1)), np.tile(beta, (2, 1)))
+    shared = beliefs_from(alpha, beta)
+    for beliefs in (per_agent, shared):
+        assert play_round(beliefs, np.array([0, 1])).tolist() == [3, 7]
+        assert play_round(beliefs, np.array([1, 0])).tolist() == [3, 7]
 
 
 def test_play_round_breaks_ties_toward_lower_arm():
-    beliefs = BeliefState(np.full((3, 5), 2, dtype=np.int64), np.full((3, 5), 2, dtype=np.int64))
-    pulls = play_round(beliefs, np.array([2, 0, 1]))
-    assert pulls == [(2, 0), (0, 1), (1, 2)]
+    per_agent = beliefs_from(np.full((3, 5), 2), np.full((3, 5), 2))
+    shared = beliefs_from(np.full(5, 2), np.full(5, 2))
+    for beliefs in (per_agent, shared):
+        # agents 2, 0, 1 move in that order and take arms 0, 1, 2
+        assert play_round(beliefs, np.array([2, 0, 1])).tolist() == [0, 1, 2]
+    # a public record that ties two arms again also resolves to the lower one
+    tied = beliefs_from(np.full((2, 4), 2), np.full((2, 4), 2))
+    tied.heads[:] = [0, 3, 3, 0]
+    tied.pulls[:] = [0, 3, 3, 0]
+    assert play_round(tied, np.array([1, 0])).tolist() == [1, 2]
 
 
 def test_play_round_claims_distinct_arms():
@@ -110,47 +150,75 @@ def test_play_round_claims_distinct_arms():
         alpha = gen.integers(2, 30, size=(5, 9)).astype(np.int64)
         beta = gen.integers(2, 30, size=(5, 9)).astype(np.int64)
         order = gen.permutation(5)
-        pulls = play_round(BeliefState(alpha, beta), order)
-        arms = [arm for _, arm in pulls]
-        assert len(set(arms)) == 5
-        assert [a for a, _ in pulls] == list(order)
+        beliefs = beliefs_from(alpha, beta)
+        arms = play_round(beliefs, order)
+        assert arms.shape == (5,)
+        assert len(set(arms.tolist())) == 5
+        # arms[i] belongs to order[i]: agents claim in move order
+        assert best_unclaimed_in_move_order(beliefs, order, arms)
 
 
 def test_identical_beliefs_claim_same_arm_set_in_any_order():
     gen = np.random.default_rng(6)
     row_alpha = gen.integers(2, 40, size=8).astype(np.int64)
     row_beta = gen.integers(2, 40, size=8).astype(np.int64)
-    beliefs = BeliefState(np.tile(row_alpha, (4, 1)), np.tile(row_beta, (4, 1)))
-    base = {arm for _, arm in play_round(beliefs, np.arange(4))}
+    per_agent = beliefs_from(np.tile(row_alpha, (4, 1)), np.tile(row_beta, (4, 1)))
+    shared = beliefs_from(row_alpha, row_beta)
+    base = play_round(per_agent, np.arange(4)).tolist()
+    assert play_round(shared, np.arange(4)).tolist() == base
     for seed in range(5):
         order = np.random.default_rng(seed).permutation(4)
-        assert {arm for _, arm in play_round(beliefs, order)} == base
+        assert set(play_round(per_agent, order).tolist()) == set(base)
+        assert play_round(shared, order).tolist() == base
 
 
 def test_observe_and_update_is_public_and_keeps_shared_rows_shared():
-    alpha = np.full((3, 6), 4, dtype=np.int64)
-    beta = np.full((3, 6), 4, dtype=np.int64)
-    beliefs = BeliefState(alpha, beta)
-    observe_and_update(beliefs, [(0, 2, 1), (1, 5, 0), (2, 2, 1)])
-    assert np.all(beliefs.alpha[:, 2] == 6)
-    assert np.all(beliefs.beta[:, 5] == 5)
-    for row_a, row_b in zip(beliefs.alpha[1:], beliefs.beta[1:]):
-        assert np.array_equal(row_a, beliefs.alpha[0])
-        assert np.array_equal(row_b, beliefs.beta[0])
+    beliefs = beliefs_from(np.full((3, 6), 4), np.full((3, 6), 4))
+    observe_and_update(beliefs, np.array([2, 5, 0]), np.array([1, 0, 1]))
+    observe_and_update(beliefs, np.array([2]), np.array([1]))
+    assert beliefs.heads.tolist() == [1, 0, 2, 0, 0, 0]
+    assert beliefs.pulls.tolist() == [1, 0, 2, 0, 0, 1]
+    # every agent's posterior moved: arm 2 is Beta(6, 4), arm 5 Beta(4, 5)
+    means = beliefs.posterior_means()
+    assert np.all(means[:, 2] == 6 / 10)
+    assert np.all(means[:, 5] == 4 / 9)
+    for row in means[1:]:
+        assert np.array_equal(row, means[0])
+    # the initial counts are left alone
+    assert np.all(beliefs.alpha0 == 4) and np.all(beliefs.beta0 == 4)
 
 
 def test_realize_rewards_degenerate_means():
     means = np.array([1.0, 0.0, 1.0])
-    log = realize_rewards([(0, 0), (1, 1), (2, 2)], means, derive_stream(34, 0))
-    assert log == [(0, 0, 1), (1, 1, 0), (2, 2, 1)]
+    rewards = realize_rewards(np.array([0, 1, 2]), means, derive_stream(34, 0))
+    assert rewards.tolist() == [1, 0, 1]
+    rewards = realize_rewards(np.array([1, 2, 0]), means, derive_stream(34, 0))
+    assert rewards.tolist() == [0, 1, 1]
 
 
 def test_total_bayesian_regret_zero_when_top_arms_always_claimed():
     means = np.array([0.9, 0.7, 0.3, 0.1])
-    logs = [[(0, 0, 1), (1, 1, 0)], [(1, 0, 1), (0, 1, 1)]]
-    assert total_bayesian_regret(means, logs, 2, 2) == pytest.approx(0.0)
-    worse = [[(0, 0, 1), (1, 2, 0)], [(0, 0, 1), (1, 1, 1)]]
-    assert total_bayesian_regret(means, worse, 2, 2) == pytest.approx(0.4)
+    arm_log = np.array([[0, 1], [0, 1]])
+    assert total_bayesian_regret(means, arm_log) == pytest.approx(0.0)
+    worse = np.array([[0, 2], [0, 1]])
+    assert total_bayesian_regret(means, worse) == pytest.approx(0.4)
+
+
+def test_total_bayesian_regret_adds_in_pull_order():
+    gen = np.random.default_rng(1)
+    means = gen.random(40)
+    arm_log = gen.integers(0, 40, size=(10, 4))
+    realized = 0.0
+    for arm in arm_log.ravel().tolist():
+        realized += float(means[arm])
+    # numpy's pairwise sum rounds differently on this log, so it is no substitute
+    assert realized != float(np.sum(means[arm_log]))
+    best = float(np.sort(means)[-4:].sum())
+    assert total_bayesian_regret(means, arm_log) == 10 * best - realized
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 round differently
+    means = np.array([0.1, 0.2, 0.3, 0.0])
+    assert total_bayesian_regret(means, np.array([[0, 1, 2]])) == 0.0
+    assert total_bayesian_regret(means, np.array([[2, 1, 0]])) != 0.0
 
 
 def test_regret_nonnegative_on_random_runs():
@@ -161,21 +229,23 @@ def test_regret_nonnegative_on_random_runs():
 
 def test_observer_misclassification_hand_cases():
     means = np.array([0.9, 0.5, 0.1])
+    none = np.zeros(3, dtype=np.int64)
     sharp = ObserverPrior(np.array([45, 25, 5]), 50)
-    assert impartial_observer_misclassification(means, sharp, [], 1) == 0
+    assert impartial_observer_misclassification(means, sharp, none, none, 1) == 0
     fooled = ObserverPrior(np.array([5, 25, 45]), 50)
-    assert impartial_observer_misclassification(means, fooled, [], 1) == 1
+    assert impartial_observer_misclassification(means, fooled, none, none, 1) == 1
     # round rewards enter the posterior: arm 0 redeemed by ten straight wins
-    redeeming = [[(0, 0, 1)] for _ in range(10)]
-    assert impartial_observer_misclassification(means, fooled, redeeming, 1) == 1
-    redeeming = [[(0, 0, 1)] for _ in range(500)]
-    assert impartial_observer_misclassification(means, fooled, redeeming, 1) == 0
+    wins = np.array([10, 0, 0])
+    assert impartial_observer_misclassification(means, fooled, wins, wins, 1) == 1
+    wins = np.array([500, 0, 0])
+    assert impartial_observer_misclassification(means, fooled, wins, wins, 1) == 0
 
 
 def test_observer_full_slate_never_misclassifies():
     means = np.array([0.8, 0.6, 0.4])
     observer = ObserverPrior(np.array([0, 3, 1]), 4)
-    assert impartial_observer_misclassification(means, observer, [], 3) == 0
+    none = np.zeros(3, dtype=np.int64)
+    assert impartial_observer_misclassification(means, observer, none, none, 3) == 0
 
 
 def test_single_agent_regimes_coincide():
@@ -195,16 +265,42 @@ def test_simulate_run_deterministic():
     assert a != c
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    regime=st.sampled_from(REGIMES),
+    n_agents=st.integers(1, 8),
+    extra_arms=st.integers(1, 12),
+    n_rounds=st.integers(1, 30),
+    n0=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_run_matches_reference(regime, n_agents, extra_arms, n_rounds, n0, seed):
+    # n0 = 0 starts every agent at Beta(2, 2): round one is all ties.
+    config = RegimeConfig(regime, n_agents, n_agents + extra_arms, n_rounds, n0)
+    result = simulate_run(config, derive_stream(seed, 0))
+    regret, misclassification = claim_game_reference(config, derive_stream(seed, 0))
+    assert result.regret == regret
+    assert result.misclassification == misclassification
+
+
 def test_run_experiment_aggregates():
-    config = config_for("mono", n_agents=2, n_arms=6, n_rounds=4, n0=2)
-    summary = run_experiment(config, 50, 38)
-    again = run_experiment(config, 50, 38)
-    assert summary == again
-    assert summary.n_runs == 50
+    cfg = HiringBanditConfig(
+        n_arms=6, n_rounds=4, agent_grid=(2,), n0=2, n_runs=50, master_seed=38
+    )
+    rows, values = experiments.run_hiring_bandit(cfg, keep_values=True)
+    again_rows, again_values = experiments.run_hiring_bandit(cfg, keep_values=True)
+    assert rows == again_rows
+    assert values.keys() == again_values.keys()
+    assert all(np.array_equal(values[key], again_values[key]) for key in values)
+    by = {(r.regime, r.metric): r for r in rows}
+    regret = by[("mono", "total_bayesian_regret")]
+    assert regret.n_runs == 50
+    config = RegimeConfig("mono", 2, 6, 4, 2)
     regrets = np.array(
         [simulate_run(config, derive_stream(38, r)).regret for r in range(50)]
     )
-    assert summary.regret_mean == pytest.approx(regrets.mean())
-    assert summary.regret_se == pytest.approx(regrets.std(ddof=1) / np.sqrt(50))
+    assert np.array_equal(values[(2, "mono", "total_bayesian_regret")], regrets)
+    assert regret.value == pytest.approx(regrets.mean())
+    assert regret.stderr == pytest.approx(regrets.std(ddof=1) / np.sqrt(50))
     with pytest.raises(ValueError):
-        run_experiment(config, 0, 38)
+        HiringBanditConfig(n_runs=0)

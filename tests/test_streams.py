@@ -5,21 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from monolab.streams import (
-    RngStream,
-    derive_stream,
-    random_permutation,
-    sample_bernoulli,
-    sample_beta,
-    sample_gaussian,
-)
+from monolab.streams import RngStream, derive_stream
 
 
 def test_same_key_same_sequence():
     a = derive_stream(42, 0)
     b = derive_stream(42, 0)
-    xs = [sample_gaussian(a, 0.0, 1.0) for _ in range(100)]
-    ys = [sample_gaussian(b, 0.0, 1.0) for _ in range(100)]
+    xs = [a.gaussian(0.0, 1.0) for _ in range(100)]
+    ys = [b.gaussian(0.0, 1.0) for _ in range(100)]
     assert xs == ys
 
 
@@ -38,10 +31,10 @@ def test_different_master_seeds_diverge():
 def test_mixed_draw_kinds_stay_deterministic():
     def consume(stream: RngStream):
         return (
-            sample_gaussian(stream, 1.0, 2.0),
-            sample_beta(stream, 2.0, 2.0),
-            sample_bernoulli(stream, 0.3),
-            tuple(random_permutation(stream, 5).tolist()),
+            stream.gaussian(1.0, 2.0),
+            stream.beta(2.0, 2.0),
+            stream.bernoulli(0.3),
+            tuple(stream.permutation(5).tolist()),
             stream.binomial(10, 0.5),
         )
 
@@ -50,22 +43,22 @@ def test_mixed_draw_kinds_stay_deterministic():
 
 def test_zero_sd_returns_mean_exactly():
     s = derive_stream(0, 0)
-    assert sample_gaussian(s, 0.0, 0.0) == 0.0
-    assert sample_gaussian(s, 5.0, 0.0) == 5.0
+    assert s.gaussian(0.0, 0.0) == 0.0
+    assert s.gaussian(5.0, 0.0) == 5.0
 
 
 def test_invalid_parameters_rejected():
     s = derive_stream(0, 0)
     with pytest.raises(ValueError):
-        sample_gaussian(s, 0.0, -1.0)
+        s.gaussian(0.0, -1.0)
     with pytest.raises(ValueError):
-        sample_beta(s, 0.0, 1.0)
+        s.beta(0.0, 1.0)
     with pytest.raises(ValueError):
-        sample_beta(s, 1.0, -2.0)
+        s.beta(1.0, -2.0)
     with pytest.raises(ValueError):
-        sample_bernoulli(s, -0.1)
+        s.bernoulli(-0.1)
     with pytest.raises(ValueError):
-        sample_bernoulli(s, 1.1)
+        s.bernoulli(1.1)
     with pytest.raises(ValueError):
         s.permutation(-1)
     with pytest.raises(ValueError):
@@ -85,8 +78,8 @@ def test_seed_bounds_enforced():
 
 def test_bernoulli_degenerate_probabilities():
     s = derive_stream(3, 0)
-    assert all(sample_bernoulli(s, 1.0) == 1 for _ in range(200))
-    assert all(sample_bernoulli(s, 0.0) == 0 for _ in range(200))
+    assert all(s.bernoulli(1.0) == 1 for _ in range(200))
+    assert all(s.bernoulli(0.0) == 0 for _ in range(200))
 
 
 def test_gaussian_moments():
@@ -120,7 +113,7 @@ def test_permutations_uniform():
     n_draws = 60_000
     counts = {}
     for _ in range(n_draws):
-        key = tuple(random_permutation(s, 3).tolist())
+        key = tuple(s.permutation(3).tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     p = 1.0 / 6.0
@@ -132,7 +125,7 @@ def test_permutations_uniform():
 def test_permutation_is_permutation():
     s = derive_stream(15, 0)
     for n in (0, 1, 2, 17):
-        assert sorted(random_permutation(s, n).tolist()) == list(range(n))
+        assert sorted(s.permutation(n).tolist()) == list(range(n))
 
 
 def test_streams_uncorrelated():
