@@ -275,31 +275,3 @@ def simulate_failures(
     failures = (s2 + pooled_z2) * (n0 + pooled_n1) > (s1 + pooled_z1) * (n0 + pooled_n2)
     return failures.astype(np.int64)
 
-
-@dataclass(frozen=True)
-class SweepCell:
-    n0: int
-    k_groups: int
-    failure_rate: float
-    stderr: float
-    n_runs: int
-
-
-def failure_rate_sweep(
-    n0_grid,
-    k_grid,
-    total_agents: int,
-    n_runs: int,
-    master_seed: int,
-) -> list[SweepCell]:
-    """Failure rate with binomial standard error for every (n0, k) cell."""
-    if n_runs < 1:
-        raise ValueError(f"need at least one run, got {n_runs}")
-    cells = []
-    for n0 in n0_grid:
-        for k in k_grid:
-            fails = simulate_failures(n0, k, total_agents, master_seed, 0, n_runs)
-            rate = float(fails.mean())
-            se = float(np.sqrt(rate * (1.0 - rate) / n_runs))
-            cells.append(SweepCell(n0, k, rate, se, n_runs))
-    return cells

@@ -2,6 +2,9 @@
 
 Subcommands mirror the experiment families; every run is reproducible from
 ``--seed`` and the printed CSV is byte-stable across ``--workers`` choices.
+Each experiment subcommand is generated from its config dataclass: a field's
+metadata names its flag (``noise_sd`` is ``--noise-sd``), which is also its
+config-file key, and the field default is the built-in default.
 Parameter precedence: command-line flag, then ``--config`` JSON file, then
 the built-in default.  Exit codes: 0 success, 2 usage or validation error,
 3 I/O failure.
@@ -10,6 +13,7 @@ the built-in default.  Exit codes: 0 success, 2 usage or validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,15 +22,17 @@ from . import experiments
 
 ENV_WORKERS = "MONOLAB_WORKERS"
 
-_ALLOWED_KEYS = {
-    "hiring": ("mode", "candidates", "firms", "noise_sd", "capacity",
-               "runs", "seed", "workers", "out"),
-    "bandit2": ("agents", "n0", "k", "runs", "seed", "workers", "out"),
-    "hiring-bandit": ("arms", "rounds", "agents", "n0",
-                      "runs", "seed", "workers", "out"),
-    "enumerate": ("candidates", "firms", "seed", "out"),
-    "order-sensitivity": ("rankings", "seed", "out"),
-    "plot": ("csv", "kind", "out", "metric"),
+COMMANDS = {
+    "hiring": (experiments.HiringConfig,
+               "noisy-score hiring market sweep over firm counts"),
+    "bandit2": (experiments.Bandit2Config,
+                "two-arm greedy bandit failure-rate sweep"),
+    "hiring-bandit": (experiments.HiringBanditConfig,
+                      "many-arm bandit with hiring externalities"),
+    "enumerate": (experiments.EnumerateConfig,
+                  "exact joblessness probabilities by enumeration"),
+    "order-sensitivity": (experiments.OrderSensitivityConfig,
+                          "does the unmatched set depend on the firm order?"),
 }
 
 
@@ -52,136 +58,75 @@ def _parse_rankings(value):
     return tuple(rankings)
 
 
-def _merge_params(args, command: str) -> dict:
+# Field annotation -> parser of a flag or config-file value.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _parse_grid,
+    "tuple[tuple[str, ...], ...]": _parse_rankings,
+}
+
+
+def _parser_of(f: dataclasses.Field):
+    return _PARSERS[f.type.removesuffix(" | None")]
+
+
+def _merge_params(args, allowed) -> dict:
     """File values under CLI flags; unknown file keys are rejected."""
-    allowed = _ALLOWED_KEYS[command]
     params = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as err:
-                raise ValueError(f"{config_path}: not valid JSON: {err}") from None
+                raise ValueError(f"{args.config}: not valid JSON: {err}") from None
         if not isinstance(data, dict):
-            raise ValueError(f"{config_path}: config must be a JSON object")
+            raise ValueError(f"{args.config}: config must be a JSON object")
         for key, value in data.items():
             if key not in allowed:
                 raise ValueError(
-                    f"{config_path}: unknown config key {key!r} for "
-                    f"command {command!r} (allowed: {', '.join(allowed)})"
+                    f"{args.config}: unknown config key {key!r} for "
+                    f"command {args.command!r} (allowed: {', '.join(allowed)})"
                 )
             params[key] = value
     for key in allowed:
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             params[key] = flag_value
     return params
 
 
-def _resolve_workers(params: dict) -> int:
-    if "workers" in params:
-        workers = int(params["workers"])
-    elif os.environ.get(ENV_WORKERS):
+def _cmd_experiment(args) -> int:
+    config_cls = COMMANDS[args.command][0]
+    fields = dataclasses.fields(config_cls)
+    keys = [f.metadata["flag"] for f in fields]
+    params = _merge_params(args, keys)
+    if "workers" in keys and params.get("workers") is None and os.environ.get(ENV_WORKERS):
         raw = os.environ[ENV_WORKERS]
         try:
-            workers = int(raw)
+            params["workers"] = int(raw)
         except ValueError:
             raise ValueError(f"{ENV_WORKERS}={raw!r} is not an integer") from None
-    else:
-        workers = 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def _emit(rows, out_path: str | None) -> None:
-    if out_path:
-        experiments.write_csv(rows, out_path)
-        print(f"wrote {out_path} ({len(rows)} rows)")
+    kwargs = {}
+    for f in fields:
+        key = f.metadata["flag"]
+        if params.get(key) is not None:
+            kwargs[f.name] = _parser_of(f)(params[key])
+        elif f.default is dataclasses.MISSING:
+            raise ValueError(f"{args.command} requires --{key} ({f.metadata['help']})")
+    cfg = config_cls(**kwargs)
+    rows = experiments.run(cfg)
+    if cfg.out:
+        experiments.write_csv(rows, cfg.out)
+        print(f"wrote {cfg.out} ({len(rows)} rows)")
     else:
         sys.stdout.write(experiments.rows_to_csv_text(rows))
-
-
-def _cmd_hiring(args) -> int:
-    params = _merge_params(args, "hiring")
-    mode = params.get("mode", "sequential")
-    capacity = params.get("capacity")
-    if capacity is None:
-        capacity = 1 if mode == "sequential" else 10
-    cfg = experiments.HiringConfig(
-        mode=mode,
-        n_candidates=int(params.get("candidates", 1000)),
-        firm_grid=_parse_grid(params.get("firms", "2,4,8,16,32,64")),
-        noise_sd=float(params.get("noise_sd", 0.5)),
-        capacity=int(capacity),
-        n_runs=int(params.get("runs", 1000)),
-        master_seed=int(params.get("seed", 0)),
-        workers=_resolve_workers(params),
-        out=params.get("out"),
-    )
-    _emit(experiments.run(cfg), cfg.out)
-    return 0
-
-
-def _cmd_bandit2(args) -> int:
-    params = _merge_params(args, "bandit2")
-    cfg = experiments.Bandit2Config(
-        total_agents=int(params.get("agents", 1000)),
-        n0_grid=_parse_grid(params.get("n0", "1,5,10")),
-        k_grid=_parse_grid(params.get("k", "1,2,4,8")),
-        n_runs=int(params.get("runs", 10000)),
-        master_seed=int(params.get("seed", 0)),
-        workers=_resolve_workers(params),
-        out=params.get("out"),
-    )
-    _emit(experiments.run(cfg), cfg.out)
-    return 0
-
-
-def _cmd_hiring_bandit(args) -> int:
-    params = _merge_params(args, "hiring-bandit")
-    cfg = experiments.HiringBanditConfig(
-        n_arms=int(params.get("arms", 100)),
-        n_rounds=int(params.get("rounds", 200)),
-        agent_grid=_parse_grid(params.get("agents", "2,4,8,16,32")),
-        n0=int(params.get("n0", 5)),
-        n_runs=int(params.get("runs", 1000)),
-        master_seed=int(params.get("seed", 0)),
-        workers=_resolve_workers(params),
-        out=params.get("out"),
-    )
-    _emit(experiments.run(cfg), cfg.out)
-    return 0
-
-
-def _cmd_enumerate(args) -> int:
-    params = _merge_params(args, "enumerate")
-    cfg = experiments.EnumerateConfig(
-        n_candidates=int(params.get("candidates", 3)),
-        n_firms=int(params.get("firms", 2)),
-        master_seed=int(params.get("seed", 0)),
-        out=params.get("out"),
-    )
-    _emit(experiments.run(cfg), cfg.out)
-    return 0
-
-
-def _cmd_order_sensitivity(args) -> int:
-    params = _merge_params(args, "order-sensitivity")
-    if "rankings" not in params:
-        raise ValueError("order-sensitivity requires --rankings (e.g. 'A>B>C;A>C>B')")
-    cfg = experiments.OrderSensitivityConfig(
-        rankings=_parse_rankings(params["rankings"]),
-        master_seed=int(params.get("seed", 0)),
-        out=params.get("out"),
-    )
-    _emit(experiments.run(cfg), cfg.out)
     return 0
 
 
 def _cmd_plot(args) -> int:
-    params = _merge_params(args, "plot")
+    params = _merge_params(args, ("csv", "kind", "out", "metric"))
     for required in ("csv", "kind", "out"):
         if not params.get(required):
             raise ValueError(f"plot requires --{required}")
@@ -201,53 +146,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, grids=True):
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        if grids:
-            p.add_argument("--runs", type=int, default=None, help="replicates per cell")
-            p.add_argument("--workers", type=int, default=None,
-                           help=f"worker processes (default ${ENV_WORKERS} or 1)")
-        p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    for command, (config_cls, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for f in dataclasses.fields(config_cls):
+            key = f.metadata["flag"]
+            parse = _parser_of(f)
+            # Grids and rankings stay strings here so that a bad value is
+            # reported the same way from a flag and from a config file.
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=parse if parse in (int, float) else None,
+                           choices=f.metadata["choices"], default=None,
+                           help=f.metadata["help"])
         p.add_argument("--config", default=None, help="JSON config file")
-
-    p = sub.add_parser("hiring", help="noisy-score hiring market sweep over firm counts")
-    p.add_argument("--mode", choices=("sequential", "simultaneous"), default=None,
-                   help="sequential picks or deferred acceptance (default sequential)")
-    p.add_argument("--candidates", type=int, default=None)
-    p.add_argument("--firms", default=None, help="comma-separated firm counts")
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
-    p.add_argument("--capacity", type=int, default=None,
-                   help="hires per firm (default 1 sequential, 10 simultaneous)")
-    add_common(p)
-    p.set_defaults(func=_cmd_hiring)
-
-    p = sub.add_parser("bandit2", help="two-arm greedy bandit failure-rate sweep")
-    p.add_argument("--agents", type=int, default=None, help="total decision budget")
-    p.add_argument("--n0", default=None, help="comma-separated initial sample counts")
-    p.add_argument("--k", default=None, help="comma-separated group counts")
-    add_common(p)
-    p.set_defaults(func=_cmd_bandit2)
-
-    p = sub.add_parser("hiring-bandit", help="many-arm bandit with hiring externalities")
-    p.add_argument("--arms", type=int, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--agents", default=None, help="comma-separated agent counts")
-    p.add_argument("--n0", type=int, default=None, help="initial samples per arm")
-    add_common(p)
-    p.set_defaults(func=_cmd_hiring_bandit)
-
-    p = sub.add_parser("enumerate", help="exact joblessness probabilities by enumeration")
-    p.add_argument("--candidates", type=int, default=None)
-    p.add_argument("--firms", type=int, default=None)
-    add_common(p, grids=False)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("order-sensitivity",
-                       help="does the unmatched set depend on the firm order?")
-    p.add_argument("--rankings", default=None,
-                   help="per-firm rankings, e.g. 'A>B>C;A>C>B'")
-    add_common(p, grids=False)
-    p.set_defaults(func=_cmd_order_sensitivity)
+        p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("plot", help="render a results CSV as an SVG line chart")
     p.add_argument("--csv", default=None, help="input results CSV")

@@ -17,9 +17,37 @@ MAX_CANDIDATES = 6
 MAX_FIRMS = 4
 
 
-def _hire_one_each(rankings: tuple, n_candidates: int) -> set:
+def check_enumeration_size(n_candidates: int, n_firms: int) -> None:
+    """Reject a market that enumeration cannot fill or cannot finish."""
+    if n_candidates < 1 or n_firms < 1:
+        raise ValueError("need at least one candidate and one firm")
+    if n_firms > n_candidates:
+        raise ValueError("more firms than candidates leaves firms unfilled")
+    if n_candidates > MAX_CANDIDATES or n_firms > MAX_FIRMS:
+        raise ValueError(
+            f"instance too large for enumeration "
+            f"(max {MAX_CANDIDATES} candidates, {MAX_FIRMS} firms)"
+        )
+
+
+def check_rankings(rankings) -> set:
+    """Reject anything but 1-6 strict rankings of one candidate set; return the set."""
+    if not rankings:
+        raise ValueError("need at least one firm ranking")
+    if len(rankings) > 6:
+        raise ValueError("order sensitivity enumerates firm orders; max 6 firms")
+    labels = set(rankings[0])
+    for r in rankings:
+        if set(r) != labels or len(r) != len(labels):
+            raise ValueError("every ranking must be a strict order over the same candidates")
+    if len(rankings) > len(labels):
+        raise ValueError("more firms than candidates leaves firms unfilled")
+    return labels
+
+
+def _hire_one_each(rankings, candidates) -> set:
     """Firms in list order each hire the top remaining candidate of their ranking."""
-    remaining = set(range(n_candidates))
+    remaining = set(candidates)
     for ranking in rankings:
         for cand in ranking:
             if cand in remaining:
@@ -41,15 +69,7 @@ def enumerate_sequential_outcomes(
     """
     if regime not in ("mono", "poly"):
         raise ValueError(f"enumeration is defined for 'mono' and 'poly', got {regime!r}")
-    if n_candidates < 1 or n_firms < 1:
-        raise ValueError("need at least one candidate and one firm")
-    if n_firms > n_candidates:
-        raise ValueError("more firms than candidates leaves firms unfilled")
-    if n_candidates > MAX_CANDIDATES or n_firms > MAX_FIRMS:
-        raise ValueError(
-            f"instance too large for enumeration "
-            f"(max {MAX_CANDIDATES} candidates, {MAX_FIRMS} firms)"
-        )
+    check_enumeration_size(n_candidates, n_firms)
 
     rankings_pool = list(permutations(range(n_candidates)))
     if regime == "mono":
@@ -61,7 +81,7 @@ def enumerate_sequential_outcomes(
 
     jobless_counts = [0] * n_candidates
     for profile in profiles:
-        for cand in _hire_one_each(profile, n_candidates):
+        for cand in _hire_one_each(profile, range(n_candidates)):
             jobless_counts[cand] += 1
     return [Fraction(count, total) for count in jobless_counts]
 
@@ -103,25 +123,10 @@ def hiring_order_sensitivity(rankings) -> OrderSensitivity:
     same candidate labels.  Firms hire one candidate each.
     """
     rankings = [tuple(r) for r in rankings]
-    if not rankings:
-        raise ValueError("need at least one firm ranking")
-    if len(rankings) > 6:
-        raise ValueError("order sensitivity enumerates firm orders; max 6 firms")
-    labels = set(rankings[0])
-    for r in rankings:
-        if set(r) != labels or len(r) != len(labels):
-            raise ValueError("every ranking must be a strict order over the same candidates")
-    if len(rankings) > len(labels):
-        raise ValueError("more firms than candidates leaves firms unfilled")
-
-    by_order = {}
-    for order in permutations(range(len(rankings))):
-        remaining = set(labels)
-        for firm in order:
-            for cand in rankings[firm]:
-                if cand in remaining:
-                    remaining.discard(cand)
-                    break
-        by_order[order] = frozenset(remaining)
+    labels = check_rankings(rankings)
+    by_order = {
+        order: frozenset(_hire_one_each([rankings[f] for f in order], labels))
+        for order in permutations(range(len(rankings)))
+    }
     sensitive = len(set(by_order.values())) > 1
     return OrderSensitivity(by_order, sensitive)

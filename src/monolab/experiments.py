@@ -22,8 +22,8 @@ import csv
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import MISSING, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,30 +44,61 @@ CSV_HEADER = (
     "exact",
 )
 
-HIRING_REGIMES = ("mono", "poly", "ensemble")
+HIRING_MODES = ("sequential", "simultaneous")
 
 
 # ---------------------------------------------------------------------------
 # configs
 
 
+def _param(flag: str, default=MISSING, help: str | None = None, choices=None):
+    """A field set by ``--flag`` on the command line or ``flag`` in a config file."""
+    return field(default=default, metadata={"flag": flag, "help": help, "choices": choices})
+
+
+def _runs(default: int):
+    return _param("runs", default, "replicates per cell")
+
+
+def _seed():
+    return _param("seed", 0, "master seed (default 0)")
+
+
+def _workers():
+    return _param("workers", 1, "worker processes (default $MONOLAB_WORKERS or 1)")
+
+
+def _out():
+    return _param("out", None, "output CSV path (default: stdout)")
+
+
 @dataclass(frozen=True)
 class HiringConfig:
-    mode: str  # "sequential" or "simultaneous"
-    n_candidates: int = 1000
-    firm_grid: tuple = (2, 4, 8, 16, 32, 64)
-    noise_sd: float = 0.5
-    capacity: int = 1
-    n_runs: int = 1000
-    master_seed: int = 0
-    workers: int = 1
-    out: str | None = None
+    mode: str = _param(
+        "mode", "sequential",
+        "sequential picks or deferred acceptance (default sequential)",
+        choices=HIRING_MODES,
+    )
+    n_candidates: int = _param("candidates", 1000)
+    firm_grid: tuple[int, ...] = _param(
+        "firms", (2, 4, 8, 16, 32, 64), "comma-separated firm counts"
+    )
+    noise_sd: float = _param("noise_sd", 0.5)
+    capacity: int | None = _param(
+        "capacity", None, "hires per firm (default 1 sequential, 10 simultaneous)"
+    )
+    n_runs: int = _runs(1000)
+    master_seed: int = _seed()
+    workers: int = _workers()
+    out: str | None = _out()
 
     def __post_init__(self):
-        if self.mode not in ("sequential", "simultaneous"):
+        if self.mode not in HIRING_MODES:
             raise ValueError(
                 f"mode must be 'sequential' or 'simultaneous', got {self.mode!r}"
             )
+        if self.capacity is None:
+            object.__setattr__(self, "capacity", 1 if self.mode == "sequential" else 10)
         _check_grid(self.firm_grid, "firms")
         _check_common(self.n_runs, self.workers)
         if self.noise_sd < 0:
@@ -93,14 +124,16 @@ class HiringConfig:
 
 @dataclass(frozen=True)
 class Bandit2Config:
-    total_agents: int = 1000
-    n0_grid: tuple = (1, 5, 10)
-    k_grid: tuple = (1, 2, 4, 8)
-    n_runs: int = 10000
-    master_seed: int = 0
-    workers: int = 1
-    out: str | None = None
-    kind: str = "bandit2"
+    total_agents: int = _param("agents", 1000, "total decision budget")
+    n0_grid: tuple[int, ...] = _param(
+        "n0", (1, 5, 10), "comma-separated initial sample counts"
+    )
+    k_grid: tuple[int, ...] = _param("k", (1, 2, 4, 8), "comma-separated group counts")
+    n_runs: int = _runs(10000)
+    master_seed: int = _seed()
+    workers: int = _workers()
+    out: str | None = _out()
+    kind: ClassVar[str] = "bandit2"
 
     def __post_init__(self):
         _check_grid(self.n0_grid, "n0")
@@ -114,15 +147,17 @@ class Bandit2Config:
 
 @dataclass(frozen=True)
 class HiringBanditConfig:
-    n_arms: int = 100
-    n_rounds: int = 200
-    agent_grid: tuple = (2, 4, 8, 16, 32)
-    n0: int = 5
-    n_runs: int = 1000
-    master_seed: int = 0
-    workers: int = 1
-    out: str | None = None
-    kind: str = "hiring-bandit"
+    n_arms: int = _param("arms", 100)
+    n_rounds: int = _param("rounds", 200)
+    agent_grid: tuple[int, ...] = _param(
+        "agents", (2, 4, 8, 16, 32), "comma-separated agent counts"
+    )
+    n0: int = _param("n0", 5, "initial samples per arm")
+    n_runs: int = _runs(1000)
+    master_seed: int = _seed()
+    workers: int = _workers()
+    out: str | None = _out()
+    kind: ClassVar[str] = "hiring-bandit"
 
     def __post_init__(self):
         _check_grid(self.agent_grid, "agents")
@@ -140,19 +175,28 @@ class HiringBanditConfig:
 
 @dataclass(frozen=True)
 class EnumerateConfig:
-    n_candidates: int = 3
-    n_firms: int = 2
-    master_seed: int = 0
-    out: str | None = None
-    kind: str = "enumerate"
+    n_candidates: int = _param("candidates", 3)
+    n_firms: int = _param("firms", 2)
+    master_seed: int = _seed()
+    out: str | None = _out()
+    kind: ClassVar[str] = "enumerate"
+
+    def __post_init__(self):
+        exact.check_enumeration_size(self.n_candidates, self.n_firms)
 
 
 @dataclass(frozen=True)
 class OrderSensitivityConfig:
-    rankings: tuple  # tuple of per-firm rankings over shared candidate labels
-    master_seed: int = 0
-    out: str | None = None
-    kind: str = "order-sensitivity"
+    # one ranking per firm over shared candidate labels, best first
+    rankings: tuple[tuple[str, ...], ...] = _param(
+        "rankings", help="per-firm rankings, e.g. 'A>B>C;A>C>B'"
+    )
+    master_seed: int = _seed()
+    out: str | None = _out()
+    kind: ClassVar[str] = "order-sensitivity"
+
+    def __post_init__(self):
+        exact.check_rankings(self.rankings)
 
 
 def _check_grid(grid, name: str) -> None:
@@ -160,6 +204,8 @@ def _check_grid(grid, name: str) -> None:
         raise ValueError(f"{name} grid must not be empty")
     if any(int(v) != v or v < 1 for v in grid):
         raise ValueError(f"{name} grid entries must be positive integers, got {grid}")
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"{name} grid entries must be distinct, got {grid}")
 
 
 def _check_common(n_runs: int, workers: int) -> None:
@@ -193,19 +239,28 @@ def _sample_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
+def _binomial_se(values: np.ndarray) -> float:
+    rate = float(values.mean())
+    return float(np.sqrt(rate * (1.0 - rate) / len(values)))
+
+
 # ---------------------------------------------------------------------------
 # replicate-range simulators (top level so worker processes can import them)
+#
+# Each maps (cfg, start, stop) to {(regime, param_value, metric): values of
+# replicates start..stop-1}, with keys in CSV row order.
 
 
 def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
+    metric = "normalized_performance"
     out = {
-        (f, regime): np.empty(stop - start)
+        (regime, f, metric): np.empty(stop - start)
         for f in cfg.firm_grid
-        for regime in HIRING_REGIMES
+        for regime in hiring.REGIMES
     }
     for i, r in enumerate(range(start, stop)):
         for f in cfg.firm_grid:
-            for regime in HIRING_REGIMES:
+            for regime in hiring.REGIMES:
                 stream = derive_stream(cfg.master_seed, r)
                 market = hiring.generate_market(cfg.n_candidates, stream)
                 scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
@@ -222,13 +277,15 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
                         outcome = hiring.serial_dictatorship(
                             scores[0], prefs, cfg.capacity
                         )
-                out[(f, regime)][i] = hiring.normalized_performance(outcome, market)
+                out[(regime, f, metric)][i] = hiring.normalized_performance(
+                    outcome, market
+                )
     return out
 
 
 def _bandit2_range(cfg: Bandit2Config, start: int, stop: int) -> dict:
     return {
-        (n0, k): bandit2.simulate_failures(
+        (f"k={k}", n0, "failure_rate"): bandit2.simulate_failures(
             n0, k, cfg.total_agents, cfg.master_seed, start, stop
         ).astype(float)
         for n0 in cfg.n0_grid
@@ -237,11 +294,12 @@ def _bandit2_range(cfg: Bandit2Config, start: int, stop: int) -> dict:
 
 
 def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict:
-    out = {}
-    for agents in cfg.agent_grid:
-        for regime in hiring_bandit.REGIMES:
-            out[(agents, regime, "total_bayesian_regret")] = np.empty(stop - start)
-            out[(agents, regime, "misclassification")] = np.empty(stop - start)
+    out = {
+        (regime, agents, metric): np.empty(stop - start)
+        for agents in cfg.agent_grid
+        for regime in hiring_bandit.REGIMES
+        for metric in ("total_bayesian_regret", "misclassification")
+    }
     for i, r in enumerate(range(start, stop)):
         for agents in cfg.agent_grid:
             for regime in hiring_bandit.REGIMES:
@@ -249,21 +307,17 @@ def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict
                     regime, agents, cfg.n_arms, cfg.n_rounds, cfg.n0
                 )
                 result = hiring_bandit.simulate_run(rc, derive_stream(cfg.master_seed, r))
-                out[(agents, regime, "total_bayesian_regret")][i] = result.regret
-                out[(agents, regime, "misclassification")][i] = result.misclassification
+                out[(regime, agents, "total_bayesian_regret")][i] = result.regret
+                out[(regime, agents, "misclassification")][i] = result.misclassification
     return out
 
 
-_RANGE_FNS = {
-    "hiring": _hiring_range,
-    "bandit2": _bandit2_range,
-    "hiring-bandit": _hiring_bandit_range,
+# config type -> (replicate-range simulator, param_name, stderr rule)
+_MONTE_CARLO = {
+    HiringConfig: (_hiring_range, "firms", _sample_se),
+    Bandit2Config: (_bandit2_range, "n0", _binomial_se),
+    HiringBanditConfig: (_hiring_bandit_range, "agents", _sample_se),
 }
-
-
-def _range_task(args):
-    fn_name, cfg, start, stop = args
-    return _RANGE_FNS[fn_name](cfg, start, stop)
 
 
 def _split_ranges(n_runs: int, workers: int) -> list[tuple[int, int]]:
@@ -274,74 +328,20 @@ def _split_ranges(n_runs: int, workers: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _collect(fn_name: str, cfg, n_runs: int, workers: int) -> dict:
+def _collect(simulate, cfg) -> dict:
     """Run all replicates, possibly across processes, and reassemble in order."""
-    tasks = [(fn_name, cfg, a, b) for a, b in _split_ranges(n_runs, workers)]
-    if len(tasks) == 1 or workers <= 1:
-        parts = [_range_task(t) for t in tasks]
+    ranges = _split_ranges(cfg.n_runs, cfg.workers)
+    if len(ranges) == 1:
+        parts = [simulate(cfg, *ranges[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_range_task, tasks))
-    keys = parts[0].keys()
-    return {key: np.concatenate([p[key] for p in parts]) for key in keys}
+        starts, stops = zip(*ranges)
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(simulate, [cfg] * len(ranges), starts, stops))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 # ---------------------------------------------------------------------------
 # experiment entry points
-
-
-def run_hiring(cfg: HiringConfig, keep_values: bool = False):
-    values = _collect("hiring", cfg, cfg.n_runs, cfg.workers)
-    rows = [
-        ResultRow(
-            cfg.kind,
-            regime,
-            "firms",
-            float(f),
-            "normalized_performance",
-            float(values[(f, regime)].mean()),
-            _sample_se(values[(f, regime)]),
-            cfg.n_runs,
-            cfg.master_seed,
-        )
-        for f in cfg.firm_grid
-        for regime in HIRING_REGIMES
-    ]
-    return (rows, values) if keep_values else rows
-
-
-def run_bandit2(cfg: Bandit2Config, keep_values: bool = False):
-    values = _collect("bandit2", cfg, cfg.n_runs, cfg.workers)
-    rows = []
-    for n0 in cfg.n0_grid:
-        for k in cfg.k_grid:
-            fails = values[(n0, k)]
-            rate = float(fails.mean())
-            se = float(np.sqrt(rate * (1.0 - rate) / cfg.n_runs))
-            rows.append(
-                ResultRow(
-                    cfg.kind, f"k={k}", "n0", float(n0), "failure_rate",
-                    rate, se, cfg.n_runs, cfg.master_seed,
-                )
-            )
-    return (rows, values) if keep_values else rows
-
-
-def run_hiring_bandit(cfg: HiringBanditConfig, keep_values: bool = False):
-    values = _collect("hiring-bandit", cfg, cfg.n_runs, cfg.workers)
-    rows = []
-    for agents in cfg.agent_grid:
-        for regime in hiring_bandit.REGIMES:
-            for metric in ("total_bayesian_regret", "misclassification"):
-                vals = values[(agents, regime, metric)]
-                rows.append(
-                    ResultRow(
-                        cfg.kind, regime, "agents", float(agents), metric,
-                        float(vals.mean()), _sample_se(vals),
-                        cfg.n_runs, cfg.master_seed,
-                    )
-                )
-    return (rows, values) if keep_values else rows
 
 
 def run_enumerate(cfg: EnumerateConfig):
@@ -389,18 +389,28 @@ def run_order_sensitivity(cfg: OrderSensitivityConfig):
 
 
 def run(config, keep_values: bool = False):
-    """Dispatch a config to its experiment; returns result rows."""
-    if isinstance(config, HiringConfig):
-        return run_hiring(config, keep_values)
-    if isinstance(config, Bandit2Config):
-        return run_bandit2(config, keep_values)
-    if isinstance(config, HiringBanditConfig):
-        return run_hiring_bandit(config, keep_values)
+    """Run a config's experiment and return its result rows.
+
+    With ``keep_values`` a Monte Carlo experiment returns ``(rows, values)``,
+    where ``values[(regime, param_value, metric)]`` holds the per-replicate
+    values behind each row, in replicate order.
+    """
     if isinstance(config, EnumerateConfig):
         return run_enumerate(config)
     if isinstance(config, OrderSensitivityConfig):
         return run_order_sensitivity(config)
-    raise TypeError(f"unknown config type {type(config).__name__}")
+    if type(config) not in _MONTE_CARLO:
+        raise TypeError(f"unknown config type {type(config).__name__}")
+    simulate, param_name, stderr = _MONTE_CARLO[type(config)]
+    values = _collect(simulate, config)
+    rows = [
+        ResultRow(
+            config.kind, regime, param_name, float(param_value), metric,
+            float(vals.mean()), stderr(vals), config.n_runs, config.master_seed,
+        )
+        for (regime, param_value, metric), vals in values.items()
+    ]
+    return (rows, values) if keep_values else rows
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from monolab import experiments
 from monolab.bandit2 import (
     BanditTrace,
     InitialHistory,
     TwoArmEnv,
     draw_environment,
     draw_initial_history,
-    failure_rate_sweep,
     greedy_step,
     group_sizes,
     lock_in_time,
@@ -23,6 +23,7 @@ from monolab.bandit2 import (
     run_regime,
     simulate_failures,
 )
+from monolab.experiments import Bandit2Config
 from monolab.streams import derive_stream
 
 from oracles import lock_in_forward_scan
@@ -324,14 +325,20 @@ def test_simulate_failures_chunk_invariant():
 
 
 def test_failure_rate_sweep_shape_and_determinism():
-    cells = failure_rate_sweep([1, 5], [1, 2], 20, 200, 57)
-    again = failure_rate_sweep([1, 5], [1, 2], 20, 200, 57)
-    assert [(c.n0, c.k_groups) for c in cells] == [(1, 1), (1, 2), (5, 1), (5, 2)]
-    for c, d in zip(cells, again):
-        assert c == d
-        assert 0.0 <= c.failure_rate <= 1.0
-        assert c.stderr == pytest.approx(
-            np.sqrt(c.failure_rate * (1 - c.failure_rate) / c.n_runs)
+    cfg = Bandit2Config(
+        total_agents=20, n0_grid=(1, 5), k_grid=(1, 2), n_runs=200, master_seed=57
+    )
+    rows, values = experiments.run(cfg, keep_values=True)
+    again = experiments.run(cfg)
+    assert [(r.param_value, r.regime) for r in rows] == [
+        (1, "k=1"), (1, "k=2"), (5, "k=1"), (5, "k=2")
+    ]
+    assert list(values) == [(r.regime, r.param_value, r.metric) for r in rows]
+    assert rows == again
+    for row in rows:
+        assert 0.0 <= row.value <= 1.0
+        assert row.stderr == pytest.approx(
+            np.sqrt(row.value * (1 - row.value) / row.n_runs)
         )
     with pytest.raises(ValueError):
-        failure_rate_sweep([1], [1], 20, 0, 57)
+        Bandit2Config(total_agents=20, n0_grid=(1,), k_grid=(1,), n_runs=0)

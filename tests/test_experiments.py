@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -63,10 +65,10 @@ def test_split_ranges_cover_all_replicates():
 
 
 def test_row_aggregation_matches_kept_values():
-    rows, values = experiments.run_hiring(SMALL_HIRING, keep_values=True)
+    rows, values = run(SMALL_HIRING, keep_values=True)
     assert len(rows) == 2 * 3  # firm grid x regimes
     for row in rows:
-        vals = values[(int(row.param_value), row.regime)]
+        vals = values[(row.regime, row.param_value, row.metric)]
         assert len(vals) == SMALL_HIRING.n_runs
         assert row.value == pytest.approx(vals.mean())
         assert row.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(len(vals)))
@@ -81,32 +83,32 @@ def test_simultaneous_driver_matches_deferred_acceptance_for_every_regime():
         mode="simultaneous", n_candidates=30, firm_grid=(1, 4, 7), capacity=4,
         n_runs=6, master_seed=45,
     )
-    _, values = experiments.run_hiring(cfg, keep_values=True)
+    _, values = run(cfg, keep_values=True)
     for r in range(cfg.n_runs):
         for f in cfg.firm_grid:
-            for regime in experiments.HIRING_REGIMES:
+            for regime in hiring.REGIMES:
                 stream = derive_stream(cfg.master_seed, r)
                 market = hiring.generate_market(cfg.n_candidates, stream)
                 scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
                 prefs = hiring.generate_prefs(cfg.n_candidates, f, stream)
                 outcome = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
                 expected = hiring.normalized_performance(outcome, market)
-                assert values[(f, regime)][r] == expected, (r, f, regime)
+                key = (regime, f, "normalized_performance")
+                assert values[key][r] == expected, (r, f, regime)
 
 
 def test_bandit2_rows_use_binomial_stderr():
-    rows, values = experiments.run_bandit2(SMALL_BANDIT2, keep_values=True)
+    rows, values = run(SMALL_BANDIT2, keep_values=True)
     assert len(rows) == 2 * 2
     for row in rows:
-        k = int(row.regime.removeprefix("k="))
-        vals = values[(int(row.param_value), k)]
+        vals = values[(row.regime, row.param_value, row.metric)]
         rate = vals.mean()
         assert row.value == pytest.approx(rate)
         assert row.stderr == pytest.approx(np.sqrt(rate * (1 - rate) / len(vals)))
 
 
 def test_hiring_bandit_rows_cover_both_metrics():
-    rows = experiments.run_hiring_bandit(SMALL_HB)
+    rows = run(SMALL_HB)
     assert len(rows) == 2 * 4 * 2  # agent grid x regimes x metrics
     metrics = {(r.regime, r.metric) for r in rows}
     assert ("mono", "total_bayesian_regret") in metrics
@@ -130,6 +132,8 @@ def test_config_validation_messages():
         Bandit2Config(n_runs=0)
     with pytest.raises(ValueError, match="grid"):
         Bandit2Config(k_grid=())
+    with pytest.raises(ValueError, match="k grid entries must be distinct"):
+        Bandit2Config(k_grid=(1, 2, 1))
     with pytest.raises(ValueError, match="cannot split"):
         Bandit2Config(total_agents=4, k_grid=(8,))
     with pytest.raises(ValueError, match="more arms than agents"):
@@ -141,6 +145,33 @@ def test_config_validation_messages():
     HiringBanditConfig(n_rounds=1)
     with pytest.raises(TypeError):
         run(object())
+
+
+def test_exact_configs_are_validated_when_built():
+    with pytest.raises(ValueError, match="too large for enumeration"):
+        EnumerateConfig(n_candidates=9)
+    with pytest.raises(ValueError, match="more firms than candidates"):
+        EnumerateConfig(n_candidates=2, n_firms=3)
+    with pytest.raises(ValueError, match="strict order"):
+        OrderSensitivityConfig(rankings=(("A", "B"), ("A", "A")))
+    with pytest.raises(ValueError, match="at least one firm ranking"):
+        OrderSensitivityConfig(rankings=())
+
+
+def test_hiring_config_defaults_by_mode():
+    assert HiringConfig().mode == "sequential"
+    assert HiringConfig().capacity == 1
+    assert HiringConfig(mode="simultaneous").capacity == 10
+    assert HiringConfig(mode="simultaneous", capacity=3).capacity == 3
+    assert HiringConfig(mode="sequential", capacity=2).capacity == 2
+
+
+def test_kind_is_fixed_by_the_config_type():
+    configs = [SMALL_HIRING, SMALL_BANDIT2, SMALL_HB, EnumerateConfig(),
+               OrderSensitivityConfig(rankings=(("A",),))]
+    for cfg in configs:
+        with pytest.raises(TypeError):
+            type(cfg)(**cfg.__dict__, kind="relabelled")
 
 
 def test_csv_round_trip(tmp_path):
@@ -336,6 +367,14 @@ def test_cli_config_file_precedence(tmp_path, capsys):
         assert fields[7] == "7"  # flag beats file
         assert fields[8] == "3"  # file beats default
 
+    # null in the file counts as unset: the default applies
+    config.write_text(json.dumps({"runs": 5, "seed": None, "k": "1", "n0": "1",
+                                  "agents": "12", "workers": None}))
+    assert cli.main(["bandit2", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == rows_to_csv_text(
+        run(Bandit2Config(total_agents=12, n0_grid=(1,), k_grid=(1,), n_runs=5))
+    )
+
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "cfg.json"
@@ -347,6 +386,74 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     config.write_text("{not json")
     assert cli.main(["bandit2", "--config", str(config)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+# Per command: a config file setting every key the command accepts except
+# "out", each away from its default, and the config it stands for.
+CLI_FILE_CASES = {
+    "hiring": (
+        {"mode": "simultaneous", "candidates": 25, "firms": "2,3", "noise_sd": 0.25,
+         "capacity": 2, "runs": 5, "seed": 9, "workers": 2},
+        HiringConfig(mode="simultaneous", n_candidates=25, firm_grid=(2, 3),
+                     noise_sd=0.25, capacity=2, n_runs=5, master_seed=9, workers=2),
+    ),
+    "bandit2": (
+        {"agents": 12, "n0": [1, 3], "k": "1,2", "runs": 20, "seed": 9, "workers": 2},
+        Bandit2Config(total_agents=12, n0_grid=(1, 3), k_grid=(1, 2), n_runs=20,
+                      master_seed=9, workers=2),
+    ),
+    "hiring-bandit": (
+        {"arms": 6, "rounds": 3, "agents": "2,3", "n0": 1, "runs": 4, "seed": 9,
+         "workers": 2},
+        HiringBanditConfig(n_arms=6, n_rounds=3, agent_grid=(2, 3), n0=1, n_runs=4,
+                           master_seed=9, workers=2),
+    ),
+    "enumerate": (
+        {"candidates": 4, "firms": 3, "seed": 9},
+        EnumerateConfig(n_candidates=4, n_firms=3, master_seed=9),
+    ),
+    "order-sensitivity": (
+        {"rankings": [["A", "B", "C"], ["C", "A", "B"]], "seed": 9},
+        OrderSensitivityConfig(rankings=(("A", "B", "C"), ("C", "A", "B")), master_seed=9),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_FILE_CASES))
+def test_cli_config_file_with_every_key_matches_library(command, tmp_path, capsys):
+    data, cfg = CLI_FILE_CASES[command]
+    assert cli.main([command, "--help"]) == 0
+    flags = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+    assert flags - {"help", "config"} == {key.replace("_", "-") for key in data} | {"out"}
+    for f in dataclasses.fields(cfg):
+        if f.name != "out":
+            assert getattr(cfg, f.name) != f.default, f.name
+    out = tmp_path / "res.csv"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**data, "out": str(out)}))
+    assert cli.main([command, "--config", str(config)]) == 0
+    assert out.read_text() == rows_to_csv_text(run(cfg))
+
+
+# Per command: the fewest flags that keep a run quick (or that are required),
+# and the config holding the same values, every other field at its default.
+CLI_DEFAULT_CASES = {
+    "hiring": (["--runs", "2"], HiringConfig(n_runs=2)),
+    "bandit2": (["--runs", "10"], Bandit2Config(n_runs=10)),
+    "hiring-bandit": (["--runs", "1"], HiringBanditConfig(n_runs=1)),
+    "enumerate": ([], EnumerateConfig()),
+    "order-sensitivity": (
+        ["--rankings", "A>B;B>A"], OrderSensitivityConfig(rankings=(("A", "B"), ("B", "A")))
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_DEFAULT_CASES))
+def test_cli_defaults_are_the_config_defaults(command, monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+    flags, cfg = CLI_DEFAULT_CASES[command]
+    assert cli.main([command, *flags]) == 0
+    assert capsys.readouterr().out == rows_to_csv_text(run(cfg))
 
 
 def test_cli_missing_config_file_exits_3(tmp_path, capsys):

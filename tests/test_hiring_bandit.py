@@ -287,8 +287,8 @@ def test_run_experiment_aggregates():
     cfg = HiringBanditConfig(
         n_arms=6, n_rounds=4, agent_grid=(2,), n0=2, n_runs=50, master_seed=38
     )
-    rows, values = experiments.run_hiring_bandit(cfg, keep_values=True)
-    again_rows, again_values = experiments.run_hiring_bandit(cfg, keep_values=True)
+    rows, values = experiments.run(cfg, keep_values=True)
+    again_rows, again_values = experiments.run(cfg, keep_values=True)
     assert rows == again_rows
     assert values.keys() == again_values.keys()
     assert all(np.array_equal(values[key], again_values[key]) for key in values)
@@ -299,7 +299,7 @@ def test_run_experiment_aggregates():
     regrets = np.array(
         [simulate_run(config, derive_stream(38, r)).regret for r in range(50)]
     )
-    assert np.array_equal(values[(2, "mono", "total_bayesian_regret")], regrets)
+    assert np.array_equal(values[("mono", 2, "total_bayesian_regret")], regrets)
     assert regret.value == pytest.approx(regrets.mean())
     assert regret.stderr == pytest.approx(regrets.std(ddof=1) / np.sqrt(50))
     with pytest.raises(ValueError):
