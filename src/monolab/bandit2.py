@@ -14,15 +14,22 @@ and sum every group's pulls.
 
 Rewards are realized through per-arm pre-drawn schedules (the j-th pull of
 an arm reads the j-th entry of that arm's schedule), which is
-distributionally identical to drawing per pull and lets the sweep engine
-replay many replicates in lockstep.  Empirical-mean comparisons use exact
-integer cross-multiplication, so ties are exact and the documented
-tie-break (arm 1, or a fair coin under ``tie_rule="random"``) is hit
-reliably.
+distributionally identical to drawing per pull.  Empirical-mean comparisons
+use exact integer cross-multiplication, so ties are exact and the
+documented tie-break (arm 1, or a fair coin under ``tie_rule="random"``) is
+hit reliably.
+
+``run_group``/``run_regime`` are the scalar reference.  The sweep engine,
+``simulate_failures``, reproduces them for a whole grid of k at once: the
+schedules of every group of every k are slices of one block of
+``2 * total_agents`` uniforms per (n0, replicate), kept as 2-bit codes
+(bit 0: u < mu1, bit 1: u < mu2), and all groups of all replicates walk
+the greedy rule in one lockstep.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,64 +221,97 @@ def lock_in_time(trace: BanditTrace) -> int | None:
 
 def simulate_failures(
     n0: int,
-    k_groups: int,
+    k_grid: Sequence[int],
     total_agents: int,
     master_seed: int,
     rep_start: int,
     rep_stop: int,
 ) -> np.ndarray:
-    """Pooled-failure indicator for replicates rep_start..rep_stop-1.
+    """Pooled-failure indicators per k in k_grid, replicates rep_start..rep_stop-1.
 
-    Replicate r re-derives its stream from (master_seed, r) and consumes it
-    exactly like the scalar path (draw_environment, draw_initial_history,
-    then each group's two reward schedules), so the outcome vector does not
+    Returns a ``(len(k_grid), rep_stop - rep_start)`` int64 array whose row
+    i belongs to ``k = k_grid[i]``.  Each entry equals the scalar route
+    (draw_environment, draw_initial_history, run_regime, pooled_failure) on
+    the stream derived from (master_seed, replicate), so the result does not
     depend on how replicates are batched across calls or worker processes.
-    The greedy walk itself is replayed for all replicates in lockstep.
-    """
-    n_reps = rep_stop - rep_start
-    if n_reps <= 0:
-        return np.zeros(0, dtype=np.int64)
-    sizes = group_sizes(total_agents, k_groups)
 
+    Draws: after the environment and the initial history, the scalar route
+    reads consecutive uniforms whatever k is, so one block of
+    ``2 * total_agents`` uniforms per replicate serves every k.  Group g of
+    size m_g starts at ``o_g = 2 * sum(sizes[:g])``; its arm-1 schedule is
+    ``block[o_g : o_g + m_g] < mu1`` and its arm-2 schedule
+    ``block[o_g + m_g : o_g + 2 m_g] < mu2``.  Each uniform u is kept as a
+    2-bit code, bit 0 = (u < mu1) and bit 1 = (u < mu2): the reward it pays
+    to either arm.  As mu2 < mu1 the code is 0 (neither arm), 1 (arm 1
+    only) or 3 (both), and the codes are packed four to a byte.
+
+    Walk: every (k, group, replicate) triple is one row, and the rows are
+    ordered by group size, largest first, so the rows still walking at step
+    t are a prefix.  The whole grid takes total_agents lockstep steps; each
+    step makes one greedy comparison and one gather of the pulled arm's next
+    code bit per row.  The rows' counts are then pooled per (k, replicate).
+    """
+    n_reps = max(rep_stop - rep_start, 0)
+    if n_reps == 0 or not k_grid:
+        return np.zeros((len(k_grid), n_reps), dtype=np.int64)
+    groups = []  # (size, k row, first uniform) of every group of every k cell
+    for row, k in enumerate(k_grid):
+        first = 0
+        for m in group_sizes(total_agents, k):
+            groups.append((m, row, first))
+            first += 2 * m
+    groups.sort(key=lambda group: -group[0])
+    size, krow, first = (np.array(column) for column in zip(*groups))
+
+    width = 2 * total_agents
+    row_bits = 8 * -(-2 * width // 8)  # 2 bits per uniform, whole bytes per replicate
     s1 = np.empty(n_reps, dtype=np.int64)
     s2 = np.empty(n_reps, dtype=np.int64)
-    sched1 = [np.empty((n_reps, m), dtype=np.int8) for m in sizes]
-    sched2 = [np.empty((n_reps, m), dtype=np.int8) for m in sizes]
+    codes = np.empty((n_reps, row_bits // 8), dtype=np.uint8)
     for i in range(n_reps):
         stream = derive_stream(master_seed, rep_start + i)
         env = draw_environment(stream)
         h0 = draw_initial_history(env, n0, stream)
         s1[i] = h0.s1
         s2[i] = h0.s2
-        for g, m in enumerate(sizes):
-            sched1[g][i] = stream.bernoullis(m, env.mu1)
-            sched2[g][i] = stream.bernoullis(m, env.mu2)
+        hits = stream.uniforms(width)[:, None] < (env.mu1, env.mu2)
+        codes[i] = np.packbits(hits, bitorder="little")
+    codes = codes.reshape(-1)
 
-    pooled_n1 = np.zeros(n_reps, dtype=np.int64)
-    pooled_z1 = np.zeros(n_reps, dtype=np.int64)
-    pooled_n2 = np.zeros(n_reps, dtype=np.int64)
-    pooled_z2 = np.zeros(n_reps, dtype=np.int64)
-    rows = np.arange(n_reps)
-    for g, m in enumerate(sizes):
-        x1 = sched1[g]
-        x2 = sched2[g]
-        n1 = np.zeros(n_reps, dtype=np.int64)
-        z1 = np.zeros(n_reps, dtype=np.int64)
-        n2 = np.zeros(n_reps, dtype=np.int64)
-        z2 = np.zeros(n_reps, dtype=np.int64)
-        for _ in range(m):
-            pick1 = (s1 + z1) * (n0 + n2) >= (s2 + z2) * (n0 + n1)
-            r1 = x1[rows, n1]
-            r2 = x2[rows, n2]
-            z1 += np.where(pick1, r1, 0)
-            z2 += np.where(pick1, 0, r2)
-            n1 += pick1
-            n2 += ~pick1
-        pooled_n1 += n1
-        pooled_z1 += z1
-        pooled_n2 += n2
-        pooled_z2 += z2
+    # Per row, replicate-major within each group slot: successes of arm 1
+    # and of both arms and pulls of arm 1, each with the history included,
+    # and the code bit of the next arm-1 and arm-2 reward.  After t steps
+    # arm 2 has 2 * n0 + t - b1 pulls, so the greedy rule pulls arm 2 when
+    # (at - a1) * b1 > a1 * (2 * n0 + t - b1), i.e. at * b1 > a1 * (2 * n0 + t).
+    n_groups = len(groups)
+    a1 = np.tile(s1, n_groups)
+    at = np.tile(s1 + s2, n_groups)
+    b1 = np.full(n_groups * n_reps, n0, dtype=np.int64)
+    rep_bit = np.arange(n_reps) * row_bits
+    p1 = (2 * first[:, None] + rep_bit).reshape(-1)
+    p2 = (2 * (first + size)[:, None] + 1 + rep_bit).reshape(-1)
+    stops = [*size.tolist(), 0]
+    for j in range(n_groups, 0, -1):
+        # The j largest groups walk steps stops[j] .. stops[j - 1] - 1;
+        # A1 .. P2 are views of their rows.
+        A1, AT, B1, P1, P2 = (x[: j * n_reps] for x in (a1, at, b1, p1, p2))
+        for t in range(stops[j], stops[j - 1]):
+            pick2 = B1 * AT > A1 * (2 * n0 + t)
+            pick1 = ~pick2
+            pos = np.where(pick2, P2, P1)
+            reward = (codes.take(pos >> 3) >> (pos & 7)) & 1
+            AT += reward
+            A1 += reward & pick1
+            B1 += pick1
+            P1 += 2 * pick1
+            P2 += 2 * pick2
 
-    failures = (s2 + pooled_z2) * (n0 + pooled_n1) > (s1 + pooled_z1) * (n0 + pooled_n2)
-    return failures.astype(np.int64)
-
+    # Pool each k cell's groups; its arm 2 has the rest of the pulls and wins.
+    shape = (n_groups, n_reps)
+    n1, z1, z = (np.zeros((len(k_grid), n_reps), dtype=np.int64) for _ in range(3))
+    np.add.at(n1, krow, b1.reshape(shape) - n0)
+    np.add.at(z1, krow, a1.reshape(shape) - s1)
+    np.add.at(z, krow, at.reshape(shape) - (s1 + s2))
+    n2 = total_agents - n1
+    z2 = z - z1
+    return ((s2 + z2) * (n0 + n1) > (s1 + z1) * (n0 + n2)).astype(np.int64)

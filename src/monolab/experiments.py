@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field
 from typing import ClassVar
 
@@ -202,7 +201,10 @@ class OrderSensitivityConfig:
 def _check_grid(grid, name: str) -> None:
     if not grid:
         raise ValueError(f"{name} grid must not be empty")
-    if any(int(v) != v or v < 1 for v in grid):
+    if any(
+        isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1
+        for v in grid
+    ):
         raise ValueError(f"{name} grid entries must be positive integers, got {grid}")
     if len(set(grid)) != len(grid):
         raise ValueError(f"{name} grid entries must be distinct, got {grid}")
@@ -284,13 +286,14 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
 
 
 def _bandit2_range(cfg: Bandit2Config, start: int, stop: int) -> dict:
-    return {
-        (f"k={k}", n0, "failure_rate"): bandit2.simulate_failures(
-            n0, k, cfg.total_agents, cfg.master_seed, start, stop
-        ).astype(float)
-        for n0 in cfg.n0_grid
-        for k in cfg.k_grid
-    }
+    out = {}
+    for n0 in cfg.n0_grid:
+        failures = bandit2.simulate_failures(
+            n0, cfg.k_grid, cfg.total_agents, cfg.master_seed, start, stop
+        )
+        for k, row in zip(cfg.k_grid, failures):
+            out[(f"k={k}", n0, "failure_rate")] = row.astype(float)
+    return out
 
 
 def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict:
@@ -334,9 +337,17 @@ def _collect(simulate, cfg) -> dict:
     if len(ranges) == 1:
         parts = [simulate(cfg, *ranges[0])]
     else:
+        # Imported here: a one-process run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         starts, stops = zip(*ranges)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(simulate, [cfg] * len(ranges), starts, stops))
+            try:
+                parts = list(pool.map(simulate, [cfg] * len(ranges), starts, stops))
+            except BaseException:
+                # A failed chunk or an interrupt: drop the chunks not yet started.
+                pool.shutdown(cancel_futures=True)
+                raise
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 

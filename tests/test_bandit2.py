@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from monolab import experiments
@@ -302,26 +304,58 @@ def test_lock_in_becomes_permanent_at_long_horizons():
     assert (locks <= 501).mean() > 0.98
 
 
-def test_simulate_failures_matches_scalar_route():
-    for n0, k in [(1, 1), (1, 4), (5, 2), (10, 3)]:
-        vec = simulate_failures(n0, k, 40, 55, 0, 100)
-        scalar = []
-        for r in range(100):
-            stream = derive_stream(55, r)
+def _scalar_failures(n0, k_grid, total_agents, seed, start, stop):
+    out = np.zeros((len(k_grid), stop - start), dtype=np.int64)
+    for i, r in enumerate(range(start, stop)):
+        for row, k in enumerate(k_grid):
+            stream = derive_stream(seed, r)
             env = draw_environment(stream)
             h0 = draw_initial_history(env, n0, stream)
-            traces = run_regime(env, h0, 40, k, stream)
-            scalar.append(int(pooled_failure(h0, traces)))
-        assert np.array_equal(vec, np.array(scalar))
+            traces = run_regime(env, h0, total_agents, k, stream)
+            out[row, i] = int(pooled_failure(h0, traces))
+    return out
+
+
+def test_simulate_failures_matches_scalar_route():
+    for n0 in (1, 5, 10):
+        vec = simulate_failures(n0, (1, 4, 2, 3), 40, 55, 0, 100)
+        assert vec.shape == (4, 100) and vec.dtype == np.int64
+        assert np.array_equal(vec, _scalar_failures(n0, (1, 4, 2, 3), 40, 55, 0, 100))
+
+
+@given(
+    n0=st.integers(1, 10),
+    total_agents=st.integers(1, 60),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**20),
+    n_reps=st.integers(0, 12),
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_simulate_failures_rows_match_scalar_route(n0, total_agents, data, seed, start, n_reps):
+    # distinct group counts in any order, always including one agent per group
+    ks = data.draw(st.sets(st.integers(1, total_agents), max_size=4))
+    k_grid = data.draw(st.permutations(sorted(ks | {total_agents})))
+    vec = simulate_failures(n0, k_grid, total_agents, seed, start, start + n_reps)
+    assert vec.shape == (len(k_grid), n_reps)
+    scalar = _scalar_failures(n0, k_grid, total_agents, seed, start, start + n_reps)
+    assert np.array_equal(vec, scalar)
 
 
 def test_simulate_failures_chunk_invariant():
-    whole = simulate_failures(5, 2, 30, 56, 0, 90)
+    whole = simulate_failures(5, (2, 1, 7), 30, 56, 0, 90)
     parts = np.concatenate(
-        [simulate_failures(5, 2, 30, 56, 0, 37), simulate_failures(5, 2, 30, 56, 37, 90)]
+        [
+            simulate_failures(5, (2, 1, 7), 30, 56, 0, 37),
+            simulate_failures(5, (2, 1, 7), 30, 56, 37, 90),
+        ],
+        axis=1,
     )
     assert np.array_equal(whole, parts)
-    assert len(simulate_failures(5, 2, 30, 56, 10, 10)) == 0
+    assert simulate_failures(5, (2, 1, 7), 30, 56, 10, 10).shape == (3, 0)
+    # one k at a time gives the same rows as the whole grid
+    for row, k in enumerate((2, 1, 7)):
+        assert np.array_equal(simulate_failures(5, (k,), 30, 56, 0, 90)[0], whole[row])
 
 
 def test_failure_rate_sweep_shape_and_determinism():

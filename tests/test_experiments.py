@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -136,6 +137,16 @@ def test_config_validation_messages():
         Bandit2Config(k_grid=(1, 2, 1))
     with pytest.raises(ValueError, match="cannot split"):
         Bandit2Config(total_agents=4, k_grid=(8,))
+    # grid entries must be ints: an integral float or a bool is not one
+    with pytest.raises(ValueError, match="firms grid entries must be positive integers"):
+        HiringConfig(n_candidates=20, firm_grid=(2.0,), n_runs=2)
+    with pytest.raises(ValueError, match="n0 grid entries must be positive integers"):
+        Bandit2Config(total_agents=10, n0_grid=(1.0,), k_grid=(2.0,), n_runs=2)
+    with pytest.raises(ValueError, match="k grid entries must be positive integers"):
+        Bandit2Config(total_agents=10, k_grid=(2.0,), n_runs=2)
+    with pytest.raises(ValueError, match="agents grid entries must be positive integers"):
+        HiringBanditConfig(agent_grid=(True, 2))
+    assert run(Bandit2Config(total_agents=10, k_grid=(np.int64(2),), n_runs=2))
     with pytest.raises(ValueError, match="more arms than agents"):
         HiringBanditConfig(n_arms=8, agent_grid=(8,))
     with pytest.raises(ValueError, match=r"rounds must be >= 1, got 0"):
@@ -245,6 +256,39 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
         experiments.atomic_write_text("x", str(blocked))
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_one_process_run_does_not_load_multiprocessing(tmp_path):
+    out = tmp_path / "bandit2.csv"
+    argv = ["bandit2", "--agents", "10", "--runs", "4", "--workers", "1", "--out", str(out)]
+    script = (
+        "import sys\n"
+        "import monolab.cli as cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+        "          if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+
+
+def _range_failing_in_worker(cfg, start, stop):
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("replicate range failed in a worker")
+    return experiments._bandit2_range(cfg, start, stop)
+
+
+def test_failed_worker_leaves_no_output(tmp_path, monkeypatch):
+    table = dict(experiments._MONTE_CARLO)
+    table[Bandit2Config] = (_range_failing_in_worker, *table[Bandit2Config][1:])
+    monkeypatch.setattr(experiments, "_MONTE_CARLO", table)
+    out = tmp_path / "bandit2.csv"
+    with pytest.raises(RuntimeError, match="failed in a worker"):
+        cli.main(["bandit2", "--agents", "10", "--runs", "4", "--workers", "2",
+                  "--out", str(out)])
+    assert os.listdir(tmp_path) == []
 
 
 def test_enumerate_rows_carry_exact_fractions():
