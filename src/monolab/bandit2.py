@@ -15,16 +15,15 @@ and sum every group's pulls.
 Rewards are realized through per-arm pre-drawn schedules (the j-th pull of
 an arm reads the j-th entry of that arm's schedule), which is
 distributionally identical to drawing per pull.  Empirical-mean comparisons
-use exact integer cross-multiplication, so ties are exact and the
-documented tie-break (arm 1, or a fair coin under ``tie_rule="random"``) is
-hit reliably.
+use exact integer cross-multiplication, so ties are exact and always go to
+arm 1.
 
-``run_group``/``run_regime`` are the scalar reference.  The sweep engine,
-``simulate_failures``, reproduces them for a whole grid of k at once: the
-schedules of every group of every k are slices of one block of
-``2 * total_agents`` uniforms per (n0, replicate), kept as 2-bit codes
+``simulate_failures`` computes the failure indicators for a whole grid of
+k at once: the schedules of every group of every k are slices of one block
+of ``2 * total_agents`` uniforms per (n0, replicate), kept as 2-bit codes
 (bit 0: u < mu1, bit 1: u < mu2), and all groups of all replicates walk
-the greedy rule in one lockstep.
+the greedy rule in one lockstep.  The tests compare it with a scalar
+reference in ``tests/oracles.py`` that walks one group one step at a time.
 """
 
 from __future__ import annotations
@@ -64,32 +63,6 @@ class InitialHistory:
             raise ValueError("success counts must lie in [0, n0]")
 
 
-@dataclass(frozen=True)
-class BanditTrace:
-    """One group's run: chosen arm (1 or 2) and realized reward per step."""
-
-    choices: np.ndarray
-    rewards: np.ndarray
-    n1: int
-    z1: int
-    n2: int
-    z2: int
-
-    def __len__(self) -> int:
-        return len(self.choices)
-
-    def prefix_means(self, h0: InitialHistory):
-        """Empirical means of both arms after t = 0..T steps (arrays of length T+1)."""
-        is1 = self.choices == 1
-        n1 = np.concatenate(([0], np.cumsum(is1)))
-        z1 = np.concatenate(([0], np.cumsum(np.where(is1, self.rewards, 0))))
-        n2 = np.concatenate(([0], np.cumsum(~is1)))
-        z2 = np.concatenate(([0], np.cumsum(np.where(is1, 0, self.rewards))))
-        hat1 = (h0.s1 + z1) / (h0.n0 + n1)
-        hat2 = (h0.s2 + z2) / (h0.n0 + n2)
-        return hat1, hat2
-
-
 def draw_environment(stream: RngStream) -> TwoArmEnv:
     """Two i.i.d. Beta(2, 2) means, relabeled so arm 1 is better; ties redrawn."""
     while True:
@@ -109,61 +82,6 @@ def draw_initial_history(env: TwoArmEnv, n0: int, stream: RngStream) -> InitialH
     return InitialHistory(n0, s1, s2)
 
 
-def _greedy_choice(n0: int, s1: int, z1: int, n1: int, s2: int, z2: int, n2: int) -> int:
-    # (s1+z1)/(n0+n1) >= (s2+z2)/(n0+n2), cross-multiplied to stay exact.
-    if (s1 + z1) * (n0 + n2) >= (s2 + z2) * (n0 + n1):
-        return 1
-    return 2
-
-
-def greedy_step(trace: BanditTrace, h0: InitialHistory) -> int:
-    """Arm the greedy rule pulls next given the trace so far (ties go to arm 1)."""
-    return _greedy_choice(h0.n0, h0.s1, trace.z1, trace.n1, h0.s2, trace.z2, trace.n2)
-
-
-def run_group(
-    env: TwoArmEnv,
-    h0: InitialHistory,
-    horizon: int,
-    stream: RngStream,
-    tie_rule: str = "lowest",
-) -> BanditTrace:
-    """One greedy group for `horizon` steps.
-
-    Consumes the stream in a fixed order: the arm-1 reward schedule, the
-    arm-2 schedule, then (only under ``tie_rule="random"``) one fair coin
-    per tie in encounter order.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if tie_rule not in ("lowest", "random"):
-        raise ValueError(f"tie_rule must be 'lowest' or 'random', got {tie_rule!r}")
-    sched1 = stream.bernoullis(horizon, env.mu1)
-    sched2 = stream.bernoullis(horizon, env.mu2)
-    choices = np.empty(horizon, dtype=np.int8)
-    rewards = np.empty(horizon, dtype=np.int8)
-    n0, s1, s2 = h0.n0, h0.s1, h0.s2
-    n1 = z1 = n2 = z2 = 0
-    for t in range(horizon):
-        left = (s1 + z1) * (n0 + n2)
-        right = (s2 + z2) * (n0 + n1)
-        if left == right and tie_rule == "random":
-            arm = 1 if stream.bernoulli(0.5) else 2
-        else:
-            arm = 1 if left >= right else 2
-        if arm == 1:
-            r = int(sched1[n1])
-            n1 += 1
-            z1 += r
-        else:
-            r = int(sched2[n2])
-            n2 += 1
-            z2 += r
-        choices[t] = arm
-        rewards[t] = r
-    return BanditTrace(choices, rewards, n1, z1, n2, z2)
-
-
 def group_sizes(total_agents: int, k_groups: int) -> list[int]:
     """Split total_agents into k_groups near-equal sizes, remainder first."""
     if k_groups < 1:
@@ -174,49 +92,6 @@ def group_sizes(total_agents: int, k_groups: int) -> list[int]:
         )
     base, rem = divmod(total_agents, k_groups)
     return [base + 1] * rem + [base] * (k_groups - rem)
-
-
-def run_regime(
-    env: TwoArmEnv,
-    h0: InitialHistory,
-    total_agents: int,
-    k_groups: int,
-    stream: RngStream,
-    tie_rule: str = "lowest",
-) -> list[BanditTrace]:
-    """k independent greedy groups sharing h0, simulated in group order."""
-    return [
-        run_group(env, h0, size, stream, tie_rule)
-        for size in group_sizes(total_agents, k_groups)
-    ]
-
-
-def pooled_failure(h0: InitialHistory, traces: list[BanditTrace]) -> bool:
-    """True when the pooled record ranks arm 2 strictly above arm 1.
-
-    Pooled means count the shared initial history once and sum pulls and
-    rewards over all traces.  Exact ties are not failures.
-    """
-    n1 = sum(t.n1 for t in traces)
-    z1 = sum(t.z1 for t in traces)
-    n2 = sum(t.n2 for t in traces)
-    z2 = sum(t.z2 for t in traces)
-    return (h0.s2 + z2) * (h0.n0 + n1) > (h0.s1 + z1) * (h0.n0 + n2)
-
-
-def lock_in_time(trace: BanditTrace) -> int | None:
-    """First timestep (1-indexed) from which the chosen arm never changes.
-
-    None for an empty trace.  A constant trace locks in at 1; a trace whose
-    last switch lands at step t locks in at t.
-    """
-    horizon = len(trace.choices)
-    if horizon == 0:
-        return None
-    t = horizon
-    while t > 1 and trace.choices[t - 2] == trace.choices[t - 1]:
-        t -= 1
-    return t
 
 
 def simulate_failures(
@@ -230,13 +105,13 @@ def simulate_failures(
     """Pooled-failure indicators per k in k_grid, replicates rep_start..rep_stop-1.
 
     Returns a ``(len(k_grid), rep_stop - rep_start)`` int64 array whose row
-    i belongs to ``k = k_grid[i]``.  Each entry equals the scalar route
-    (draw_environment, draw_initial_history, run_regime, pooled_failure) on
-    the stream derived from (master_seed, replicate), so the result does not
-    depend on how replicates are batched across calls or worker processes.
+    i belongs to ``k = k_grid[i]``.  Each entry equals the per-step greedy
+    loop of ``tests/oracles.py``, group after group, on the stream derived
+    from (master_seed, replicate), so the result does not depend on how
+    replicates are batched across calls or worker processes.
 
-    Draws: after the environment and the initial history, the scalar route
-    reads consecutive uniforms whatever k is, so one block of
+    Draws: after the environment and the initial history, the groups read
+    consecutive uniforms whatever k is, so one block of
     ``2 * total_agents`` uniforms per replicate serves every k.  Group g of
     size m_g starts at ``o_g = 2 * sum(sizes[:g])``; its arm-1 schedule is
     ``block[o_g : o_g + m_g] < mu1`` and its arm-2 schedule

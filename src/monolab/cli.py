@@ -37,8 +37,8 @@ COMMANDS = {
 
 
 def _parse_grid(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
+    if isinstance(text, list):
+        return tuple(text)  # a JSON list: the config checks its entries
     try:
         return tuple(int(part) for part in str(text).split(","))
     except ValueError:
@@ -58,18 +58,32 @@ def _parse_rankings(value):
     return tuple(rankings)
 
 
-# Field annotation -> parser of a flag or config-file value.
+def _text(parse):
+    # Text is parsed; a typed JSON value goes to the config as it is, so a
+    # float or bool where an integer belongs is rejected, not truncated.
+    return lambda value: parse(value) if isinstance(value, str) else value
+
+
+# Field annotation -> parser of a config-file value or a grid or rankings flag.
 _PARSERS = {
-    "int": int,
-    "float": float,
+    "int": _text(int),
+    "float": _text(float),
     "str": str,
     "tuple[int, ...]": _parse_grid,
     "tuple[tuple[str, ...], ...]": _parse_rankings,
 }
 
 
-def _parser_of(f: dataclasses.Field):
-    return _PARSERS[f.type.removesuffix(" | None")]
+def _kind_of(f: dataclasses.Field) -> str:
+    return f.type.removesuffix(" | None")
+
+
+def _help_of(f: dataclasses.Field) -> str | None:
+    """The field's help text, followed by its default unless that is None."""
+    if f.default is None or f.default is dataclasses.MISSING:
+        return f.metadata["help"]
+    default = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+    return f"{f.metadata['help'] or ''} (default {default})".lstrip()
 
 
 def _merge_params(args, allowed) -> dict:
@@ -112,7 +126,7 @@ def _cmd_experiment(args) -> int:
     for f in fields:
         key = f.metadata["flag"]
         if params.get(key) is not None:
-            kwargs[f.name] = _parser_of(f)(params[key])
+            kwargs[f.name] = _PARSERS[_kind_of(f)](params[key])
         elif f.default is dataclasses.MISSING:
             raise ValueError(f"{args.command} requires --{key} ({f.metadata['help']})")
     cfg = config_cls(**kwargs)
@@ -150,13 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for f in dataclasses.fields(config_cls):
             key = f.metadata["flag"]
-            parse = _parser_of(f)
             # Grids and rankings stay strings here so that a bad value is
             # reported the same way from a flag and from a config file.
             p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=parse if parse in (int, float) else None,
+                           type={"int": int, "float": float}.get(_kind_of(f)),
                            choices=f.metadata["choices"], default=None,
-                           help=f.metadata["help"])
+                           help=_help_of(f))
         p.add_argument("--config", default=None, help="JSON config file")
         p.set_defaults(func=_cmd_experiment)
 

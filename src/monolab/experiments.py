@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -60,11 +60,11 @@ def _runs(default: int):
 
 
 def _seed():
-    return _param("seed", 0, "master seed (default 0)")
+    return _param("seed", 0, "master seed")
 
 
 def _workers():
-    return _param("workers", 1, "worker processes (default $MONOLAB_WORKERS or 1)")
+    return _param("workers", 1, "worker processes; $MONOLAB_WORKERS overrides the default")
 
 
 def _out():
@@ -74,8 +74,7 @@ def _out():
 @dataclass(frozen=True)
 class HiringConfig:
     mode: str = _param(
-        "mode", "sequential",
-        "sequential picks or deferred acceptance (default sequential)",
+        "mode", "sequential", "sequential picks or deferred acceptance",
         choices=HIRING_MODES,
     )
     n_candidates: int = _param("candidates", 1000)
@@ -99,7 +98,7 @@ class HiringConfig:
         if self.capacity is None:
             object.__setattr__(self, "capacity", 1 if self.mode == "sequential" else 10)
         _check_grid(self.firm_grid, "firms")
-        _check_common(self.n_runs, self.workers)
+        _check_common(self)
         if self.noise_sd < 0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if self.capacity < 1:
@@ -137,7 +136,7 @@ class Bandit2Config:
     def __post_init__(self):
         _check_grid(self.n0_grid, "n0")
         _check_grid(self.k_grid, "k")
-        _check_common(self.n_runs, self.workers)
+        _check_common(self)
         if max(self.k_grid) > self.total_agents:
             raise ValueError(
                 f"k={max(self.k_grid)} groups cannot split {self.total_agents} agents"
@@ -160,7 +159,7 @@ class HiringBanditConfig:
 
     def __post_init__(self):
         _check_grid(self.agent_grid, "agents")
-        _check_common(self.n_runs, self.workers)
+        _check_common(self)
         if self.n_rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.n_rounds}")
         if self.n0 < 0:
@@ -181,6 +180,7 @@ class EnumerateConfig:
     kind: ClassVar[str] = "enumerate"
 
     def __post_init__(self):
+        _check_numbers(self)
         exact.check_enumeration_size(self.n_candidates, self.n_firms)
 
 
@@ -195,26 +195,41 @@ class OrderSensitivityConfig:
     kind: ClassVar[str] = "order-sensitivity"
 
     def __post_init__(self):
+        _check_numbers(self)
         exact.check_rankings(self.rankings)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_numbers(cfg) -> None:
+    """Reject an int or float field holding a bool or a value of another type."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = f.type.removesuffix(" | None")
+        if kind == "int" and not _is_int(value):
+            raise ValueError(f"{f.metadata['flag']} must be an integer, got {value!r}")
+        real = _is_int(value) or isinstance(value, (float, np.floating))
+        if kind == "float" and not real:
+            raise ValueError(f"{f.metadata['flag']} must be a number, got {value!r}")
 
 
 def _check_grid(grid, name: str) -> None:
     if not grid:
         raise ValueError(f"{name} grid must not be empty")
-    if any(
-        isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1
-        for v in grid
-    ):
+    if any(not _is_int(v) or v < 1 for v in grid):
         raise ValueError(f"{name} grid entries must be positive integers, got {grid}")
     if len(set(grid)) != len(grid):
         raise ValueError(f"{name} grid entries must be distinct, got {grid}")
 
 
-def _check_common(n_runs: int, workers: int) -> None:
-    if n_runs < 1:
-        raise ValueError(f"runs must be >= 1, got {n_runs}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+def _check_common(cfg) -> None:
+    _check_numbers(cfg)
+    if cfg.n_runs < 1:
+        raise ValueError(f"runs must be >= 1, got {cfg.n_runs}")
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
 
 
 # ---------------------------------------------------------------------------

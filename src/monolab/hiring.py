@@ -49,9 +49,6 @@ class HiringOutcome:
     def n_matched(self) -> int:
         return int(np.count_nonzero(self.matched_mask))
 
-    def hires_of(self, firm: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == firm)
-
 
 def generate_market(n_candidates: int, stream: RngStream) -> np.ndarray:
     """Objective candidate values, i.i.d. standard normal."""

@@ -51,21 +51,10 @@ class RngStream:
 
     # -- scalar draws ------------------------------------------------------
 
-    def gaussian(self, mean: float, sd: float) -> float:
-        if sd < 0:
-            raise ValueError(f"standard deviation must be >= 0, got {sd}")
-        return float(self.gen.normal(mean, sd))
-
     def beta(self, a: float, b: float) -> float:
         if a <= 0 or b <= 0:
             raise ValueError(f"beta shape parameters must be > 0, got a={a}, b={b}")
         return float(self.gen.beta(a, b))
-
-    def bernoulli(self, p: float) -> int:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli probability must lie in [0, 1], got {p}")
-        # random() is in [0, 1), so p = 1 always succeeds and p = 0 never does.
-        return int(self.gen.random() < p)
 
     def binomial(self, n: int, p: float) -> int:
         if n < 0:

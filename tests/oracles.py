@@ -1,17 +1,23 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately use different algorithms from the library (exhaustive
-search instead of deferred acceptance, forward scan instead of backward,
-a list scan for each firm's worst held candidate instead of a heap,
-per-agent belief matrices and argmax claims instead of one public count
-vector and one sort per round) so agreement is evidence, not tautology.
+search instead of deferred acceptance, a list scan for each firm's worst
+held candidate instead of a heap, per-agent belief matrices and argmax
+claims instead of one public count vector and one sort per round, a
+per-step greedy loop over one group at a time instead of one lockstep walk
+over every group of every replicate) so agreement is evidence, not
+tautology.  ``lock_in_time`` scans backward and ``lock_in_forward_scan``
+forward, so the two check each other.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+
+from monolab.bandit2 import InitialHistory, TwoArmEnv, group_sizes
 
 
 def firm_prefers(scores, f: int, c_new: int, c_old: int) -> bool:
@@ -116,12 +122,113 @@ def lock_in_forward_scan(choices) -> int | None:
     return t
 
 
+@dataclass(frozen=True)
+class BanditTrace:
+    """One group's run: chosen arm (1 or 2) and realized reward per step."""
+
+    choices: np.ndarray
+    rewards: np.ndarray
+    n1: int
+    z1: int
+    n2: int
+    z2: int
+
+    def __len__(self) -> int:
+        return len(self.choices)
+
+    def prefix_means(self, h0: InitialHistory):
+        """Empirical means of both arms after t = 0..T steps (arrays of length T+1)."""
+        is1 = self.choices == 1
+        n1 = np.concatenate(([0], np.cumsum(is1)))
+        z1 = np.concatenate(([0], np.cumsum(np.where(is1, self.rewards, 0))))
+        n2 = np.concatenate(([0], np.cumsum(~is1)))
+        z2 = np.concatenate(([0], np.cumsum(np.where(is1, 0, self.rewards))))
+        hat1 = (h0.s1 + z1) / (h0.n0 + n1)
+        hat2 = (h0.s2 + z2) / (h0.n0 + n2)
+        return hat1, hat2
+
+
+def _greedy_choice(n0: int, s1: int, z1: int, n1: int, s2: int, z2: int, n2: int) -> int:
+    # (s1+z1)/(n0+n1) >= (s2+z2)/(n0+n2), cross-multiplied to stay exact.
+    if (s1 + z1) * (n0 + n2) >= (s2 + z2) * (n0 + n1):
+        return 1
+    return 2
+
+
+def greedy_step(trace: BanditTrace, h0: InitialHistory) -> int:
+    """Arm the greedy rule pulls next given the trace so far (ties go to arm 1)."""
+    return _greedy_choice(h0.n0, h0.s1, trace.z1, trace.n1, h0.s2, trace.z2, trace.n2)
+
+
+def run_group(env: TwoArmEnv, h0: InitialHistory, horizon: int, stream) -> BanditTrace:
+    """One greedy group for `horizon` steps, one Python step at a time.
+
+    Consumes the stream in a fixed order: the arm-1 reward schedule, then
+    the arm-2 schedule, each ``horizon`` Bernoulli draws long.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    sched1 = stream.bernoullis(horizon, env.mu1)
+    sched2 = stream.bernoullis(horizon, env.mu2)
+    choices = np.empty(horizon, dtype=np.int8)
+    rewards = np.empty(horizon, dtype=np.int8)
+    n1 = z1 = n2 = z2 = 0
+    for t in range(horizon):
+        arm = _greedy_choice(h0.n0, h0.s1, z1, n1, h0.s2, z2, n2)
+        if arm == 1:
+            r = int(sched1[n1])
+            n1 += 1
+            z1 += r
+        else:
+            r = int(sched2[n2])
+            n2 += 1
+            z2 += r
+        choices[t] = arm
+        rewards[t] = r
+    return BanditTrace(choices, rewards, n1, z1, n2, z2)
+
+
+def run_regime(
+    env: TwoArmEnv, h0: InitialHistory, total_agents: int, k_groups: int, stream
+) -> list[BanditTrace]:
+    """k independent greedy groups sharing h0, simulated in group order."""
+    return [run_group(env, h0, size, stream) for size in group_sizes(total_agents, k_groups)]
+
+
+def pooled_failure(h0: InitialHistory, traces: list[BanditTrace]) -> bool:
+    """True when the pooled record ranks arm 2 strictly above arm 1.
+
+    Pooled means count the shared initial history once and sum pulls and
+    rewards over all traces.  Exact ties are not failures.
+    """
+    n1 = sum(t.n1 for t in traces)
+    z1 = sum(t.z1 for t in traces)
+    n2 = sum(t.n2 for t in traces)
+    z2 = sum(t.z2 for t in traces)
+    return (h0.s2 + z2) * (h0.n0 + n1) > (h0.s1 + z1) * (h0.n0 + n2)
+
+
+def lock_in_time(trace: BanditTrace) -> int | None:
+    """First timestep (1-indexed) from which the chosen arm never changes.
+
+    None for an empty trace.  A constant trace locks in at 1; a trace whose
+    last switch lands at step t locks in at t.
+    """
+    horizon = len(trace.choices)
+    if horizon == 0:
+        return None
+    t = horizon
+    while t > 1 and trace.choices[t - 2] == trace.choices[t - 1]:
+        t -= 1
+    return t
+
+
 def random_small_instance(stream, max_firms: int = 4, max_candidates: int = 4):
     """A random tiny market: scores, prefs, drawn sizes; capacity 1."""
     n_firms = 1 + int(stream.gen.integers(max_firms))
     n_candidates = 1 + int(stream.gen.integers(max_candidates))
     scores = stream.gaussians((n_firms, n_candidates))
-    if stream.bernoulli(0.2):
+    if stream.bernoullis((), 0.2):
         # inject exact score ties so the index tie-break is exercised
         scores = np.round(scores)
     prefs = np.vstack([stream.permutation(n_firms) for _ in range(n_candidates)])

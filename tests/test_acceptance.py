@@ -26,7 +26,7 @@ from monolab.experiments import (
 )
 from monolab.streams import derive_stream
 
-from oracles import is_stable, random_small_instance
+from oracles import is_stable, random_small_instance, run_group
 
 SEED = 20260814
 
@@ -204,7 +204,7 @@ def _greedy_min_violations() -> tuple[int, int]:
         stream = derive_stream(SEED, 300_000 + r)
         env = bandit2.draw_environment(stream)
         h0 = bandit2.draw_initial_history(env, 5, stream)
-        trace = bandit2.run_group(env, h0, 1000, stream)
+        trace = run_group(env, h0, 1000, stream)
         hat1, hat2 = trace.prefix_means(h0)
         bound = min(h0.s1, h0.s2) / h0.n0
         violations += int((np.minimum(hat1, hat2) > bound).sum())

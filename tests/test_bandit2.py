@@ -1,4 +1,4 @@
-"""Tests for the greedy two-arm bandit and the failure-rate sweep."""
+"""Tests for the greedy two-arm bandit, its scalar oracle and the failure sweep."""
 
 from __future__ import annotations
 
@@ -12,23 +12,25 @@ from scipy import integrate
 
 from monolab import experiments
 from monolab.bandit2 import (
-    BanditTrace,
     InitialHistory,
     TwoArmEnv,
     draw_environment,
     draw_initial_history,
-    greedy_step,
     group_sizes,
-    lock_in_time,
-    pooled_failure,
-    run_group,
-    run_regime,
     simulate_failures,
 )
 from monolab.experiments import Bandit2Config
 from monolab.streams import derive_stream
 
-from oracles import lock_in_forward_scan
+from oracles import (
+    BanditTrace,
+    greedy_step,
+    lock_in_forward_scan,
+    lock_in_time,
+    pooled_failure,
+    run_group,
+    run_regime,
+)
 
 
 def make_trace(choices, rewards):
@@ -173,22 +175,6 @@ def test_run_group_validation():
     h0 = InitialHistory(1, 1, 0)
     with pytest.raises(ValueError):
         run_group(env, h0, -1, derive_stream(19, 0))
-    with pytest.raises(ValueError):
-        run_group(env, h0, 5, derive_stream(19, 0), tie_rule="bogus")
-
-
-def test_tie_rule_random_splits_first_pull():
-    env = TwoArmEnv(0.6, 0.4)
-    h0 = InitialHistory(3, 2, 2)  # exact tie before any pull
-    first = np.array(
-        [
-            run_group(env, h0, 1, derive_stream(20, r), tie_rule="random").choices[0]
-            for r in range(4000)
-        ]
-    )
-    frac = (first == 1).mean()
-    assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / len(first))
-    assert set(np.unique(first)) == {1, 2}
 
 
 def test_prefix_means_match_direct_recount():

@@ -154,6 +154,20 @@ def test_config_validation_messages():
     with pytest.raises(ValueError, match=r"rounds must be >= 1, got -3"):
         HiringBanditConfig(n_rounds=-3)
     HiringBanditConfig(n_rounds=1)
+    # int fields take ints only, float fields any real number but a bool
+    with pytest.raises(ValueError, match=r"runs must be an integer, got 2\.5"):
+        Bandit2Config(total_agents=10, k_grid=(1,), n0_grid=(1,), n_runs=2.5)
+    with pytest.raises(ValueError, match="capacity must be an integer, got True"):
+        HiringConfig(capacity=True)
+    with pytest.raises(ValueError, match=r"arms must be an integer, got 10\.0"):
+        HiringBanditConfig(n_arms=10.0)
+    with pytest.raises(ValueError, match="seed must be an integer, got '3'"):
+        EnumerateConfig(master_seed="3")
+    with pytest.raises(ValueError, match="seed must be an integer, got False"):
+        OrderSensitivityConfig(rankings=(("A",),), master_seed=False)
+    with pytest.raises(ValueError, match="noise_sd must be a number, got True"):
+        HiringConfig(noise_sd=True)
+    assert HiringConfig(noise_sd=1, n_runs=np.int64(3)).n_runs == 3
     with pytest.raises(TypeError):
         run(object())
 
@@ -398,6 +412,20 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["order-sensitivity"]) == 2
     assert "rankings" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 2
+    # typed config-file values reach the config as they are: no int() or float()
+    config = tmp_path / "cfg.json"
+    small = {"agents": 10, "n0": "1", "k": "1", "runs": 2}
+    for command, data, message in [
+        ("bandit2", {**small, "k": [2.5, 1]}, "k grid entries must be positive integers"),
+        ("bandit2", {**small, "n0": [True]}, "n0 grid entries must be positive integers"),
+        ("bandit2", {**small, "runs": 2.7}, "runs must be an integer, got 2.7"),
+        ("bandit2", {**small, "runs": True}, "runs must be an integer, got True"),
+        ("hiring", {"candidates": 20, "firms": "2", "runs": 1, "noise_sd": True},
+         "noise_sd must be a number, got True"),
+    ]:
+        config.write_text(json.dumps(data))
+        assert cli.main([command, "--config", str(config)]) == 2, data
+        assert message in capsys.readouterr().err
 
 
 def test_cli_config_file_precedence(tmp_path, capsys):
@@ -498,6 +526,19 @@ def test_cli_defaults_are_the_config_defaults(command, monkeypatch, capsys):
     flags, cfg = CLI_DEFAULT_CASES[command]
     assert cli.main([command, *flags]) == 0
     assert capsys.readouterr().out == rows_to_csv_text(run(cfg))
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_help_shows_every_field_default(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for f in dataclasses.fields(cli.COMMANDS[command][0]):
+        if f.default is None or f.default is dataclasses.MISSING:
+            continue
+        shown = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+        assert f"(default {shown})" in text, f.name
+    if command in ("hiring", "bandit2", "hiring-bandit"):
+        assert "$" + cli.ENV_WORKERS in text
 
 
 def test_cli_missing_config_file_exits_3(tmp_path, capsys):

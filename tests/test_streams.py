@@ -11,8 +11,8 @@ from monolab.streams import RngStream, derive_stream
 def test_same_key_same_sequence():
     a = derive_stream(42, 0)
     b = derive_stream(42, 0)
-    xs = [a.gaussian(0.0, 1.0) for _ in range(100)]
-    ys = [b.gaussian(0.0, 1.0) for _ in range(100)]
+    xs = [float(a.gaussians((), 0.0, 1.0)) for _ in range(100)]
+    ys = [float(b.gaussians((), 0.0, 1.0)) for _ in range(100)]
     assert xs == ys
 
 
@@ -31,9 +31,9 @@ def test_different_master_seeds_diverge():
 def test_mixed_draw_kinds_stay_deterministic():
     def consume(stream: RngStream):
         return (
-            stream.gaussian(1.0, 2.0),
+            float(stream.gaussians((), 1.0, 2.0)),
             stream.beta(2.0, 2.0),
-            stream.bernoulli(0.3),
+            int(stream.bernoullis((), 0.3)),
             tuple(stream.permutation(5).tolist()),
             stream.binomial(10, 0.5),
         )
@@ -43,22 +43,22 @@ def test_mixed_draw_kinds_stay_deterministic():
 
 def test_zero_sd_returns_mean_exactly():
     s = derive_stream(0, 0)
-    assert s.gaussian(0.0, 0.0) == 0.0
-    assert s.gaussian(5.0, 0.0) == 5.0
+    assert s.gaussians((), 0.0, 0.0) == 0.0
+    assert s.gaussians((), 5.0, 0.0) == 5.0
 
 
 def test_invalid_parameters_rejected():
     s = derive_stream(0, 0)
     with pytest.raises(ValueError):
-        s.gaussian(0.0, -1.0)
+        s.gaussians((), 0.0, -1.0)
     with pytest.raises(ValueError):
         s.beta(0.0, 1.0)
     with pytest.raises(ValueError):
         s.beta(1.0, -2.0)
     with pytest.raises(ValueError):
-        s.bernoulli(-0.1)
+        s.bernoullis((), -0.1)
     with pytest.raises(ValueError):
-        s.bernoulli(1.1)
+        s.bernoullis((), 1.1)
     with pytest.raises(ValueError):
         s.permutation(-1)
     with pytest.raises(ValueError):
@@ -78,8 +78,8 @@ def test_seed_bounds_enforced():
 
 def test_bernoulli_degenerate_probabilities():
     s = derive_stream(3, 0)
-    assert all(s.bernoulli(1.0) == 1 for _ in range(200))
-    assert all(s.bernoulli(0.0) == 0 for _ in range(200))
+    assert all(s.bernoullis((), 1.0) == 1 for _ in range(200))
+    assert all(s.bernoullis((), 0.0) == 0 for _ in range(200))
 
 
 def test_gaussian_moments():
