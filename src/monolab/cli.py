@@ -47,10 +47,18 @@ def _parse_grid(text):
 
 def _parse_rankings(value):
     # "A>B>C;A>C>B" - one firm per semicolon group, candidates best-first.
-    if isinstance(value, (list, tuple)):
-        return tuple(tuple(str(c) for c in ranking) for ranking in value)
+    # A config file may instead give a JSON list of label lists.
+    if not isinstance(value, str):
+        if not (isinstance(value, list) and all(
+                isinstance(r, list) and all(isinstance(c, str) for c in r)
+                for r in value)):
+            raise ValueError(
+                f'rankings must be a string like "A>B;B>A" or a list of label '
+                f'lists like [["A", "B"], ["B", "A"]], got {value!r}'
+            )
+        return tuple(tuple(ranking) for ranking in value)
     rankings = []
-    for group in str(value).split(";"):
+    for group in value.split(";"):
         ranking = tuple(c.strip() for c in group.split(">") if c.strip())
         if not ranking:
             raise ValueError(f"empty ranking in {value!r}")

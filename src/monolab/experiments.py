@@ -4,9 +4,11 @@ Replicate r of any experiment derives its randomness from
 ``(master_seed, r)`` and nothing else, so results do not depend on the
 worker count: workers only decide which process replays which replicate
 range, and the reduction always assembles per-replicate values in
-replicate order before aggregating.  Cells of a sweep re-derive the same
-replicate streams, which pairs regimes (same market, same arm means) at
-equal replicate indices.
+replicate order before aggregating.  Cells of a sweep draw from the same
+replicate stream state, which pairs regimes (same market, same arm means)
+at equal replicate indices: the hiring sweep draws one market per
+replicate and restores a stream snapshot for each cell, the claim game
+re-derives the stream per cell.
 
 CSV schema (one metric per row):
     kind, regime, param_name, param_value, metric, value, stderr, n_runs,
@@ -268,6 +270,22 @@ def _binomial_se(values: np.ndarray) -> float:
 # replicates start..stop-1}, with keys in CSV row order.
 
 
+def _hiring_draw(cfg: HiringConfig, f: int, stream):
+    """A cell's firm order (sequential) or preference block (simultaneous)."""
+    if cfg.mode == "sequential":
+        return stream.permutation(f)
+    return hiring.generate_prefs(cfg.n_candidates, f, stream)
+
+
+def _hire(cfg: HiringConfig, scores: np.ndarray, draw) -> hiring.HiringOutcome:
+    if cfg.mode == "sequential":
+        return hiring.sequential_hire(scores, draw, cfg.capacity)
+    if scores.ndim == 2:
+        return hiring.deferred_acceptance(scores, draw, cfg.capacity)
+    # Under one shared row, deferred acceptance reduces to serial dictatorship.
+    return hiring.serial_dictatorship(scores, draw, cfg.capacity)
+
+
 def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
     metric = "normalized_performance"
     out = {
@@ -276,26 +294,29 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
         for regime in hiring.REGIMES
     }
     for i, r in enumerate(range(start, stop)):
+        # One stream and one market per replicate.  Each cell draws what it
+        # would draw from a freshly derived stream by restoring a snapshot:
+        # mono's shared noise does not depend on f, so mono's snapshot
+        # follows that noise, and poly's follows the market.  Ensemble
+        # averages poly's table and shares its firm order or preferences.
+        stream = derive_stream(cfg.master_seed, r)
+        market = hiring.generate_market(cfg.n_candidates, stream)
+        after_market = stream.state()
+        mono = hiring.score_regime(market, 1, cfg.noise_sd, "mono", stream)[0]
+        after_mono = stream.state()
         for f in cfg.firm_grid:
-            for regime in hiring.REGIMES:
-                stream = derive_stream(cfg.master_seed, r)
-                market = hiring.generate_market(cfg.n_candidates, stream)
-                scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
-                if cfg.mode == "sequential":
-                    order = stream.permutation(f)
-                    outcome = hiring.sequential_hire(scores, order, cfg.capacity)
-                else:
-                    prefs = hiring.generate_prefs(cfg.n_candidates, f, stream)
-                    if regime == "poly":
-                        outcome = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
-                    else:
-                        # Every firm row is identical, so deferred acceptance
-                        # reduces to serial dictatorship on the shared row.
-                        outcome = hiring.serial_dictatorship(
-                            scores[0], prefs, cfg.capacity
-                        )
+            stream.restore(after_mono)
+            mono_draw = _hiring_draw(cfg, f, stream)
+            stream.restore(after_market)
+            poly = hiring.score_regime(market, f, cfg.noise_sd, "poly", stream)
+            poly_draw = _hiring_draw(cfg, f, stream)
+            ensemble = hiring.score_regime(
+                market, f, cfg.noise_sd, "ensemble", stream, poly=poly
+            )[0]
+            cells = ((mono, mono_draw), (poly, poly_draw), (ensemble, poly_draw))
+            for regime, (scores, draw) in zip(hiring.REGIMES, cells):
                 out[(regime, f, metric)][i] = hiring.normalized_performance(
-                    outcome, market
+                    _hire(cfg, scores, draw), market
                 )
     return out
 

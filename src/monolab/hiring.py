@@ -13,9 +13,11 @@ table whose structure encodes the decision regime:
 
 Stream consumption inside one simulated run is fixed: market values first,
 then noise in candidate-major order, then preference or firm-order draws.
-Because of that, regimes re-deriving the same stream share the market, and
-``ensemble`` is the exact mean of the ``poly`` table drawn at the same
-stream state.
+Because of that, regimes starting from the same stream state share the
+market, and ``ensemble`` is the exact mean of the ``poly`` table drawn at
+that state, so it can average poly's table instead of drawing it again.
+Under mono and ensemble every firm row is the same, and ``sequential_hire``
+and ``serial_dictatorship`` take that one shared row in place of a table.
 
 Tie-breaks are deterministic everywhere: when scores are equal, the lowest
 candidate index wins.
@@ -63,24 +65,37 @@ def score_regime(
     noise_sd: float,
     regime: str,
     stream: RngStream,
+    poly: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Noisy score table of shape (n_firms, n_candidates) for one regime."""
+    """Noisy score table of shape (n_firms, n_candidates) for one regime.
+
+    ``ensemble`` averages the ``poly`` table drawn at the current stream
+    state.  Passing that table as ``poly`` averages it without drawing it
+    again, and leaves the stream where it is.
+    """
     if n_firms < 1:
         raise ValueError(f"need at least one firm, got {n_firms}")
     if noise_sd < 0:
         raise ValueError(f"noise sd must be >= 0, got {noise_sd}")
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     n = len(market)
+    if poly is not None and (regime != "ensemble" or poly.shape != (n_firms, n)):
+        raise ValueError(f"a poly table of shape {(n_firms, n)} only serves ensemble")
     if regime == "mono":
         noise = stream.gaussians(n, 0.0, noise_sd)
         return np.tile(market + noise, (n_firms, 1))
-    if regime == "poly":
+    if poly is None:
         noise = stream.gaussians((n, n_firms), 0.0, noise_sd)  # candidate-major
-        return (market[:, None] + noise).T
-    if regime == "ensemble":
-        noise = stream.gaussians((n, n_firms), 0.0, noise_sd)
-        row = (market[:, None] + noise).T.mean(axis=0)
-        return np.tile(row, (n_firms, 1))
-    raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+        poly = (market[:, None] + noise).T
+    if regime == "poly":
+        return poly
+    return np.tile(poly.mean(axis=0), (n_firms, 1))
+
+
+def _check_finite(scores: np.ndarray) -> None:
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite (no NaN or infinity)")
 
 
 def sequential_hire(
@@ -90,12 +105,22 @@ def sequential_hire(
 ) -> HiringOutcome:
     """Firms move in the given order; each takes its top remaining candidates.
 
-    With the default capacity of one, every firm hires exactly one candidate.
-    Score ties go to the lowest candidate index.
+    ``scores`` is a (n_firms, n_candidates) table, or one row of candidate
+    scores that every firm shares (the mono and ensemble regimes), in which
+    case ``firm_order`` alone fixes the firm count.  With the default
+    capacity of one, every firm hires exactly one candidate.  Score ties go
+    to the lowest candidate index.
     """
-    scores = np.asarray(scores, dtype=float)
-    n_firms, n_candidates = scores.shape
+    # A copy in which every hired candidate's column is set to -inf, so the
+    # argmax of a firm's row is its best remaining candidate.
+    remaining = np.array(scores, dtype=float)
+    if remaining.ndim not in (1, 2):
+        raise ValueError(f"scores must be a row or a table, got shape {remaining.shape}")
+    _check_finite(remaining)
+    shared = remaining.ndim == 1
     order = [int(f) for f in firm_order]
+    n_firms = len(order) if shared else remaining.shape[0]
+    n_candidates = remaining.shape[-1]
     if sorted(order) != list(range(n_firms)):
         raise ValueError("firm_order must be a permutation of all firm indices")
     if capacity < 1:
@@ -106,14 +131,13 @@ def sequential_hire(
             f"with capacity {capacity}"
         )
     assignment = np.full(n_candidates, UNMATCHED, dtype=np.int64)
-    available = np.ones(n_candidates, dtype=bool)
+    columns = remaining.T  # columns[c] is candidate c's score in every row
     for firm in order:
-        row = scores[firm]
+        row = remaining if shared else remaining[firm]
         for _ in range(capacity):
-            masked = np.where(available, row, -np.inf)
-            pick = int(np.argmax(masked))  # argmax returns the first (lowest) index on ties
+            pick = row.argmax()  # the first (lowest) index on ties
             assignment[pick] = firm
-            available[pick] = False
+            columns[pick] = -np.inf
     return HiringOutcome(assignment)
 
 
@@ -158,6 +182,7 @@ def deferred_acceptance(
     desirability, so the candidate to evict is always at the root.
     """
     scores = np.asarray(scores, dtype=float)
+    _check_finite(scores)
     n_firms, n_candidates = scores.shape
     prefs = _validate_prefs(prefs, n_firms)
     if prefs.shape[0] != n_candidates:
@@ -204,6 +229,7 @@ def serial_dictatorship(
     ensemble regimes) this reproduces the deferred acceptance outcome.
     """
     shared_scores = np.asarray(shared_scores, dtype=float)
+    _check_finite(shared_scores)
     n_candidates = len(shared_scores)
     prefs = np.asarray(prefs)
     n_firms = prefs.shape[-1]

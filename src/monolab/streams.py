@@ -32,9 +32,11 @@ class RngStream:
     """A named random stream keyed by (master_seed, stream_id).
 
     The stream is stateful: every sampling call advances it.  Re-deriving a
-    stream from the same key restarts the identical sequence, which the
-    experiment drivers exploit to pair regimes on shared draws (same market,
-    same arm means) without caching arrays.
+    stream from the same key restarts the identical sequence, and restoring
+    a snapshot taken with ``state`` replays the draws that followed it.  The
+    experiment drivers use both to pair regimes on shared draws (same market,
+    same arm means): the hiring driver draws one market per replicate and
+    restores a snapshot for each cell instead of re-deriving the stream.
     """
 
     __slots__ = ("master_seed", "stream_id", "gen")
@@ -48,6 +50,16 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
+
+    # -- snapshots ---------------------------------------------------------
+
+    def state(self) -> dict:
+        """A snapshot of the generator state, for ``restore``."""
+        return self.gen.bit_generator.state
+
+    def restore(self, state: dict) -> None:
+        """Return to a snapshot taken by ``state``; the draws after it replay."""
+        self.gen.bit_generator.state = state
 
     # -- scalar draws ------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 These deliberately use different algorithms from the library (exhaustive
 search instead of deferred acceptance, a list scan for each firm's worst
-held candidate instead of a heap, per-agent belief matrices and argmax
+held candidate instead of a heap, a freshly masked row per seat instead of
+one score copy with hired columns set to -inf, per-agent belief matrices and argmax
 claims instead of one public count vector and one sort per round, a
 per-step greedy loop over one group at a time instead of one lockstep walk
 over every group of every replicate) so agreement is evidence, not
@@ -52,6 +53,23 @@ def is_stable(assignment, scores, prefs, capacity: int) -> bool:
             if any(firm_prefers(scores, f, c, held_c) for held_c in held):
                 return False
     return True
+
+
+def sequential_hire_mask_scan(scores, firm_order, capacity: int = 1):
+    """Sequential hiring on a (n_firms, n_candidates) table; the assignment list.
+
+    For every seat the firm's row is masked afresh with an availability
+    vector, and the seat goes to the argmax (lowest index on ties).
+    """
+    n_candidates = scores.shape[1]
+    assignment = [-1] * n_candidates
+    available = np.ones(n_candidates, dtype=bool)
+    for firm in firm_order:
+        for _ in range(capacity):
+            pick = int(np.argmax(np.where(available, scores[firm], -np.inf)))
+            assignment[pick] = int(firm)
+            available[pick] = False
+    return assignment
 
 
 def deferred_acceptance_list_scan(scores, prefs, capacity: int):

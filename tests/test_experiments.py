@@ -30,6 +30,8 @@ from monolab.experiments import (
 )
 from monolab.streams import derive_stream
 
+from oracles import sequential_hire_mask_scan
+
 SMALL_HIRING = HiringConfig(
     mode="sequential", n_candidates=30, firm_grid=(2, 4), n_runs=12, master_seed=41
 )
@@ -93,6 +95,28 @@ def test_simultaneous_driver_matches_deferred_acceptance_for_every_regime():
                 scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
                 prefs = hiring.generate_prefs(cfg.n_candidates, f, stream)
                 outcome = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
+                expected = hiring.normalized_performance(outcome, market)
+                key = (regime, f, "normalized_performance")
+                assert values[key][r] == expected, (r, f, regime)
+
+
+def test_sequential_driver_matches_rederived_cells():
+    # the driver draws one market per replicate and restores stream snapshots;
+    # every cell must equal a fresh derivation with the per-seat mask scan
+    cfg = HiringConfig(
+        mode="sequential", n_candidates=30, firm_grid=(1, 4, 7), capacity=3,
+        n_runs=6, master_seed=46,
+    )
+    _, values = run(cfg, keep_values=True)
+    for r in range(cfg.n_runs):
+        for f in cfg.firm_grid:
+            for regime in hiring.REGIMES:
+                stream = derive_stream(cfg.master_seed, r)
+                market = hiring.generate_market(cfg.n_candidates, stream)
+                scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
+                order = stream.permutation(f)
+                assignment = sequential_hire_mask_scan(scores, order, cfg.capacity)
+                outcome = hiring.HiringOutcome(np.array(assignment))
                 expected = hiring.normalized_performance(outcome, market)
                 key = (regime, f, "normalized_performance")
                 assert values[key][r] == expected, (r, f, regime)
@@ -422,6 +446,10 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
         ("bandit2", {**small, "runs": True}, "runs must be an integer, got True"),
         ("hiring", {"candidates": 20, "firms": "2", "runs": 1, "noise_sd": True},
          "noise_sd must be a number, got True"),
+        # a ranking is a list of labels, not "A>B" text inside a JSON list
+        ("order-sensitivity", {"rankings": ["A>B", "B>A"]}, "rankings must be"),
+        ("order-sensitivity", {"rankings": [["A", 1]]}, "rankings must be"),
+        ("order-sensitivity", {"rankings": 5}, "rankings must be"),
     ]:
         config.write_text(json.dumps(data))
         assert cli.main([command, "--config", str(config)]) == 2, data

@@ -25,6 +25,7 @@ from oracles import (
     deferred_acceptance_list_scan,
     is_stable,
     random_small_instance,
+    sequential_hire_mask_scan,
 )
 
 
@@ -63,7 +64,7 @@ def test_single_firm_poly_equals_ensemble():
 
 
 def test_regimes_share_market_at_same_stream_key():
-    # regimes re-derive the same stream; values drawn first are the market
+    # a re-derived stream draws the same market first
     markets = []
     for _ in ("mono", "poly", "ensemble"):
         stream = derive_stream(5, 9)
@@ -122,6 +123,80 @@ def test_sequential_hire_validation():
         sequential_hire(scores, [0, 1], capacity=0)
     with pytest.raises(ValueError):
         sequential_hire(np.zeros((2, 3)), [0, 1], capacity=2)  # 3 < 2*2
+
+
+def test_sequential_hire_shared_row_and_shape_validation():
+    row = np.array([1.0, 3.0, 2.0, 0.0])
+    out = sequential_hire(row, [1, 0])
+    assert out.assignment.tolist() == [UNMATCHED, 1, 0, UNMATCHED]
+    with pytest.raises(ValueError):
+        sequential_hire(row, [0, 2])  # not a permutation of range(2)
+    with pytest.raises(ValueError):
+        sequential_hire(np.zeros((2, 2, 3)), [0, 1])
+
+
+def test_matchers_reject_non_finite_scores():
+    # -inf everywhere once let a second firm re-hire candidate 0, and a NaN
+    # candidate was hired first
+    with pytest.raises(ValueError, match="finite"):
+        sequential_hire(np.full((2, 3), -np.inf), [0, 1], 1)
+    with pytest.raises(ValueError, match="finite"):
+        sequential_hire(np.array([[np.nan, 1.0, 2.0]] * 2), [0, 1], 1)
+    prefs = np.array([[0, 1], [1, 0], [0, 1]])
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = np.array([[bad, 1.0, 2.0], [0.5, 1.0, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            sequential_hire(scores, [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            sequential_hire(scores[0], [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            deferred_acceptance(scores, prefs, capacity=1)
+        with pytest.raises(ValueError, match="finite"):
+            serial_dictatorship(scores[0], prefs, capacity=1)
+
+
+@st.composite
+def hiring_tables(draw):
+    """Scores on a coarse grid (many ties), 1-16 firms, capacity 1-4,
+    sometimes one row shared by every firm."""
+    n_firms = draw(st.integers(1, 16))
+    capacity = draw(st.integers(1, 4))
+    n_candidates = draw(st.integers(n_firms * capacity, n_firms * capacity + 6))
+    row = st.lists(
+        st.integers(-3, 3).map(lambda v: v / 2),
+        min_size=n_candidates, max_size=n_candidates,
+    )
+    if draw(st.booleans()):
+        scores = np.tile(draw(row), (n_firms, 1))
+    else:
+        scores = np.array([draw(row) for _ in range(n_firms)])
+    return scores, draw(st.permutations(range(n_firms))), capacity
+
+
+@given(hiring_tables())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_sequential_hire_matches_mask_scan_reference(market):
+    scores, order, capacity = market
+    before = scores.copy()
+    expected = sequential_hire_mask_scan(scores, order, capacity)
+    assert sequential_hire(scores, order, capacity).assignment.tolist() == expected
+    assert np.array_equal(scores, before)  # the caller's table is not masked
+    if (scores == scores[0]).all():
+        shared = sequential_hire(scores[0], order, capacity)
+        assert shared.assignment.tolist() == expected
+
+
+def test_score_regime_ensemble_averages_a_given_poly_table():
+    market = generate_market(30, derive_stream(13, 0))
+    stream = derive_stream(13, 1)
+    poly = score_regime(market, 6, 0.5, "poly", stream)
+    state = stream.state()
+    ens = score_regime(market, 6, 0.5, "ensemble", stream, poly=poly)
+    assert stream.state() == state  # nothing drawn
+    assert np.array_equal(ens, score_regime(market, 6, 0.5, "ensemble", derive_stream(13, 1)))
+    for bad in [("poly", poly), ("ensemble", poly[:3])]:
+        with pytest.raises(ValueError, match="poly table"):
+            score_regime(market, 6, 0.5, bad[0], stream, poly=bad[1])
 
 
 def test_zero_noise_every_regime_hires_the_best():

@@ -150,3 +150,26 @@ def test_permutation_block_matches_successive_draws():
         derive_stream(17, 0).permutations(-1, 3)
     with pytest.raises(ValueError):
         derive_stream(17, 0).permutations(3, -1)
+
+
+def test_restored_snapshot_replays_draws_and_final_state():
+    def draws(stream):
+        return (
+            stream.gaussians((6, 3), 0.0, 0.5).tolist(),
+            stream.permutation(5).tolist(),
+            stream.permutations(4, 7).tolist(),
+        )
+
+    for prefix in range(4):
+        stream = derive_stream(18, prefix)
+        fresh = derive_stream(18, prefix)
+        for s in (stream, fresh):
+            s.gaussians(prefix)
+            s.permutation(3 * prefix)  # may leave half of a 64-bit word buffered
+        snapshot = stream.state()
+        first = draws(stream)
+        end = stream.state()
+        stream.restore(snapshot)
+        assert draws(stream) == first == draws(fresh)
+        assert stream.state() == end == fresh.state()
+        assert stream.uniforms(3).tolist() == fresh.uniforms(3).tolist()
