@@ -66,8 +66,8 @@ class InitialHistory:
 def draw_environment(stream: RngStream) -> TwoArmEnv:
     """Two i.i.d. Beta(2, 2) means, relabeled so arm 1 is better; ties redrawn."""
     while True:
-        a = stream.beta(2.0, 2.0)
-        b = stream.beta(2.0, 2.0)
+        a = float(stream.betas((), 2.0, 2.0))
+        b = float(stream.betas((), 2.0, 2.0))
         if a != b:
             break
     return TwoArmEnv(max(a, b), min(a, b))
@@ -77,8 +77,8 @@ def draw_initial_history(env: TwoArmEnv, n0: int, stream: RngStream) -> InitialH
     """n0 Bernoulli samples of each arm, better arm first."""
     if n0 < 1:
         raise ValueError(f"initial history needs n0 >= 1, got {n0}")
-    s1 = stream.binomial(n0, env.mu1)
-    s2 = stream.binomial(n0, env.mu2)
+    s1 = int(stream.binomials(n0, env.mu1))
+    s2 = int(stream.binomials(n0, env.mu2))
     return InitialHistory(n0, s1, s2)
 
 

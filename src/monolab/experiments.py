@@ -10,7 +10,7 @@ at equal replicate indices: the hiring sweep draws one market per
 replicate and restores a stream snapshot for each cell, the claim game
 re-derives the stream per cell.
 
-CSV schema (one metric per row):
+CSV schema (one metric per row): the fields of ``ResultRow``, in order,
     kind, regime, param_name, param_value, metric, value, stderr, n_runs,
     seed, exact
 where ``exact`` carries a num/den rational string for exact results and is
@@ -21,7 +21,9 @@ renamed into place, so an interrupted run never leaves a partial CSV.
 from __future__ import annotations
 
 import csv
+import math
 import os
+import sys
 import tempfile
 from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
@@ -29,21 +31,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import bandit2, exact, hiring, hiring_bandit
-from .streams import derive_stream
+from .streams import _check_u64, derive_stream
 from .svg import Series, render_line_chart
-
-CSV_HEADER = (
-    "kind",
-    "regime",
-    "param_name",
-    "param_value",
-    "metric",
-    "value",
-    "stderr",
-    "n_runs",
-    "seed",
-    "exact",
-)
 
 HIRING_MODES = ("sequential", "simultaneous")
 
@@ -205,8 +194,14 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A real number a float holds: not NaN, not infinite, no int beyond float range."""
+    return abs(v) <= sys.float_info.max if _is_int(v) else math.isfinite(v)
+
+
 def _check_numbers(cfg) -> None:
-    """Reject an int or float field holding a bool or a value of another type."""
+    """Reject a bool or a mistyped value in an int or float field, a float field
+    that is not finite, and a seed that is not a stream key (an unsigned 64-bit int)."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         kind = f.type.removesuffix(" | None")
@@ -215,6 +210,9 @@ def _check_numbers(cfg) -> None:
         real = _is_int(value) or isinstance(value, (float, np.floating))
         if kind == "float" and not real:
             raise ValueError(f"{f.metadata['flag']} must be a number, got {value!r}")
+        if kind == "float" and not _is_finite(value):
+            raise ValueError(f"{f.metadata['flag']} must be finite, got {value!r}")
+    _check_u64(cfg.master_seed, "seed")
 
 
 def _check_grid(grid, name: str) -> None:
@@ -252,6 +250,14 @@ class ResultRow:
     exact: str = ""
 
 
+# The CSV columns are ResultRow's fields, in order.  A field's annotation
+# picks how its column is written and read back; repr keeps floats exact.
+_COLUMNS = fields(ResultRow)
+CSV_HEADER = tuple(f.name for f in _COLUMNS)
+_FORMAT = {"str": str, "float": lambda v: repr(float(v)), "int": str}
+_PARSE = {"str": str, "float": float, "int": int}
+
+
 def _sample_se(values: np.ndarray) -> float:
     if len(values) < 2:
         return 0.0
@@ -277,7 +283,7 @@ def _hiring_draw(cfg: HiringConfig, f: int, stream):
     return hiring.generate_prefs(cfg.n_candidates, f, stream)
 
 
-def _hire(cfg: HiringConfig, scores: np.ndarray, draw) -> hiring.HiringOutcome:
+def _hire(cfg: HiringConfig, scores: np.ndarray, draw) -> np.ndarray:
     if cfg.mode == "sequential":
         return hiring.sequential_hire(scores, draw, cfg.capacity)
     if scores.ndim == 2:
@@ -302,7 +308,7 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
         stream = derive_stream(cfg.master_seed, r)
         market = hiring.generate_market(cfg.n_candidates, stream)
         after_market = stream.state()
-        mono = hiring.score_regime(market, 1, cfg.noise_sd, "mono", stream)[0]
+        mono = hiring.score_regime(market, 1, cfg.noise_sd, "mono", stream)
         after_mono = stream.state()
         for f in cfg.firm_grid:
             stream.restore(after_mono)
@@ -312,7 +318,7 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
             poly_draw = _hiring_draw(cfg, f, stream)
             ensemble = hiring.score_regime(
                 market, f, cfg.noise_sd, "ensemble", stream, poly=poly
-            )[0]
+            )
             cells = ((mono, mono_draw), (poly, poly_draw), (ensemble, poly_draw))
             for regime, (scores, draw) in zip(hiring.REGIMES, cells):
                 out[(regime, f, metric)][i] = hiring.normalized_performance(
@@ -464,10 +470,6 @@ def run(config, keep_values: bool = False):
 # CSV and figures
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _csv_field(text: str) -> str:
     """Quote a field that holds a comma, quote or line break (RFC 4180).
 
@@ -482,19 +484,8 @@ def _csv_field(text: str) -> str:
 def rows_to_csv_text(rows: list[ResultRow]) -> str:
     lines = [",".join(CSV_HEADER)]
     for row in rows:
-        fields = (
-            row.kind,
-            row.regime,
-            row.param_name,
-            _fmt(row.param_value),
-            row.metric,
-            _fmt(row.value),
-            _fmt(row.stderr),
-            str(row.n_runs),
-            str(row.seed),
-            row.exact,
-        )
-        lines.append(",".join(_csv_field(field) for field in fields))
+        texts = (_FORMAT[f.type](getattr(row, f.name)) for f in _COLUMNS)
+        lines.append(",".join(_csv_field(text) for text in texts))
     return "\n".join(lines) + "\n"
 
 
@@ -536,13 +527,7 @@ def read_csv(path: str) -> list[ResultRow]:
                     f"got {len(record)}"
                 )
             try:
-                rows.append(
-                    ResultRow(
-                        record[0], record[1], record[2], float(record[3]),
-                        record[4], float(record[5]), float(record[6]),
-                        int(record[7]), int(record[8]), record[9],
-                    )
-                )
+                rows.append(ResultRow(*(_PARSE[f.type](t) for f, t in zip(_COLUMNS, record))))
             except ValueError as err:
                 raise ValueError(f"{path}: line {lineno}: {err}") from None
     return rows

@@ -16,8 +16,11 @@ then noise in candidate-major order, then preference or firm-order draws.
 Because of that, regimes starting from the same stream state share the
 market, and ``ensemble`` is the exact mean of the ``poly`` table drawn at
 that state, so it can average poly's table instead of drawing it again.
-Under mono and ensemble every firm row is the same, and ``sequential_hire``
-and ``serial_dictatorship`` take that one shared row in place of a table.
+Under mono and ensemble every firm row is the same, so ``score_regime``
+returns that one shared row, and ``sequential_hire`` and
+``serial_dictatorship`` take it in place of a table.  Every matcher returns
+the assignment as an int64 array indexed by candidate: the firm that hired
+the candidate, or ``UNMATCHED``.
 
 Tie-breaks are deterministic everywhere: when scores are equal, the lowest
 candidate index wins.
@@ -26,7 +29,6 @@ candidate index wins.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +37,6 @@ from .streams import RngStream
 UNMATCHED = -1
 
 REGIMES = ("mono", "poly", "ensemble")
-
-
-@dataclass(frozen=True)
-class HiringOutcome:
-    """Assignment of candidates to firms; UNMATCHED (-1) means jobless."""
-
-    assignment: np.ndarray  # shape (n_candidates,), firm id or UNMATCHED
-
-    @property
-    def matched_mask(self) -> np.ndarray:
-        return self.assignment >= 0
-
-    @property
-    def n_matched(self) -> int:
-        return int(np.count_nonzero(self.matched_mask))
 
 
 def generate_market(n_candidates: int, stream: RngStream) -> np.ndarray:
@@ -67,8 +54,10 @@ def score_regime(
     stream: RngStream,
     poly: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Noisy score table of shape (n_firms, n_candidates) for one regime.
+    """Noisy scores for one regime.
 
+    ``poly`` returns the (n_firms, n_candidates) table; ``mono`` and
+    ``ensemble`` return the one (n_candidates,) row every firm shares.
     ``ensemble`` averages the ``poly`` table drawn at the current stream
     state.  Passing that table as ``poly`` averages it without drawing it
     again, and leaves the stream where it is.
@@ -83,14 +72,13 @@ def score_regime(
     if poly is not None and (regime != "ensemble" or poly.shape != (n_firms, n)):
         raise ValueError(f"a poly table of shape {(n_firms, n)} only serves ensemble")
     if regime == "mono":
-        noise = stream.gaussians(n, 0.0, noise_sd)
-        return np.tile(market + noise, (n_firms, 1))
+        return market + stream.gaussians(n, 0.0, noise_sd)
     if poly is None:
         noise = stream.gaussians((n, n_firms), 0.0, noise_sd)  # candidate-major
         poly = (market[:, None] + noise).T
     if regime == "poly":
         return poly
-    return np.tile(poly.mean(axis=0), (n_firms, 1))
+    return poly.mean(axis=0)
 
 
 def _check_finite(scores: np.ndarray) -> None:
@@ -102,7 +90,7 @@ def sequential_hire(
     scores: np.ndarray,
     firm_order,
     capacity: int = 1,
-) -> HiringOutcome:
+) -> np.ndarray:
     """Firms move in the given order; each takes its top remaining candidates.
 
     ``scores`` is a (n_firms, n_candidates) table, or one row of candidate
@@ -138,7 +126,7 @@ def sequential_hire(
             pick = row.argmax()  # the first (lowest) index on ties
             assignment[pick] = firm
             columns[pick] = -np.inf
-    return HiringOutcome(assignment)
+    return assignment
 
 
 def generate_prefs(n_candidates: int, n_firms: int, stream: RngStream) -> np.ndarray:
@@ -169,7 +157,7 @@ def deferred_acceptance(
     scores: np.ndarray,
     prefs: np.ndarray,
     capacity: int,
-) -> HiringOutcome:
+) -> np.ndarray:
     """Candidate-proposing deferred acceptance with per-firm capacity.
 
     Candidates propose down their preference lists; a firm holds its best
@@ -214,14 +202,14 @@ def deferred_acceptance(
                 assignment[c] = f
                 c = -heapq.heapreplace(heap, key)[1]
                 assignment[c] = UNMATCHED
-    return HiringOutcome(np.array(assignment, dtype=np.int64))
+    return np.array(assignment, dtype=np.int64)
 
 
 def serial_dictatorship(
     shared_scores: np.ndarray,
     prefs: np.ndarray,
     capacity: int,
-) -> HiringOutcome:
+) -> np.ndarray:
     """Candidates pick firms in descending shared-score order.
 
     Each candidate takes their most preferred firm with spare capacity.
@@ -253,10 +241,10 @@ def serial_dictatorship(
                 break
         if not seats:
             break  # every firm is full; the rest stay unmatched
-    return HiringOutcome(assignment)
+    return assignment
 
 
-def normalized_performance(outcome: HiringOutcome, market: np.ndarray) -> float:
+def normalized_performance(assignment: np.ndarray, market: np.ndarray) -> float:
     """(actual - worst) / (best - worst) over mean objective value of hires.
 
     Best and worst are the highest- and lowest-value groups of the same size
@@ -264,10 +252,11 @@ def normalized_performance(outcome: HiringOutcome, market: np.ndarray) -> float:
     possible and 0.0 the worst possible.
     """
     market = np.asarray(market, dtype=float)
-    n = outcome.n_matched
+    matched = np.asarray(assignment) >= 0
+    n = int(np.count_nonzero(matched))
     if n == 0:
         raise ValueError("no candidate was matched; performance is undefined")
-    actual = float(market[outcome.matched_mask].mean())
+    actual = float(market[matched].mean())
     ordered = np.sort(market)
     worst = float(ordered[:n].mean())
     best = float(ordered[-n:].mean())

@@ -8,7 +8,9 @@ for everyone after.  Pull results are public: at the end of each round all
 agents update on every pull.  So a belief is the agent's initial counts plus
 one public count vector, and under mono and ensemble, where the initial
 counts are shared, all agents hold one posterior and a round is the top-n
-arms of one ranking.
+arms of one ranking.  The impartial observer is one more shared belief: it
+counts every distinct initial sample set once and reads the same public
+vectors, so under mono and ensemble it is the agents' own belief.
 
 Regimes differ only in the initial n0 samples per arm and the move order:
 
@@ -81,18 +83,6 @@ class BeliefState:
         return (self.alpha0 + self.heads) / (self.alpha0 + self.beta0 + self.pulls)
 
 
-@dataclass(frozen=True)
-class ObserverPrior:
-    """Initial information available to the impartial observer.
-
-    Distinct initial sample sets counted once: under mono that is the one
-    shared set (n0 pulls per arm), otherwise all n_agents * n0 pulls.
-    """
-
-    heads: np.ndarray  # shape (n_arms,), successes among initial samples
-    total: int  # initial pulls per arm
-
-
 def draw_arm_means(n_arms: int, stream: RngStream) -> np.ndarray:
     """True arm means, i.i.d. Beta(2, 2)."""
     if n_arms < 1:
@@ -104,35 +94,33 @@ def init_beliefs(
     true_means: np.ndarray,
     config: RegimeConfig,
     stream: RngStream,
-) -> tuple[BeliefState, ObserverPrior]:
-    """Draw the per-agent initial sample tensor and fold it into beliefs.
+) -> tuple[BeliefState, BeliefState]:
+    """Draw the per-agent initial sample tensor; return agent and observer beliefs.
 
     The full independent-per-agent tensor is drawn under every regime (one
     binomial block, agent-major), which keeps identically derived streams
     aligned: mono shares agent 0's row, ensemble shares the pool of all rows
     (both as one ``(n_arms,)`` row of counts), poly keeps one row per agent.
+    The observer holds Beta(2, 2) plus the distinct sample sets counted once
+    (mono's one set, otherwise the pool) and shares the agents' public
+    ``heads`` and ``pulls``; under mono and ensemble it is the agents' belief.
     """
     n, k = config.n_agents, config.n_arms
     p = np.broadcast_to(np.asarray(true_means, dtype=float), (n, k))
-    heads = stream.binomials(config.n0, p)
+    heads = stream.binomials(config.n0, p).astype(np.int64, copy=False)
+    public = (np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64))
+
+    def counted(sample_heads: np.ndarray, total: int) -> BeliefState:
+        """Beta(2, 2) plus ``total`` initial pulls per arm, ``sample_heads`` won."""
+        return BeliefState(2 + sample_heads, 2 + total - sample_heads, *public)
 
     if config.regime == "mono":
-        agent_heads = heads[0]
-        per_agent_total = config.n0
-        observer = ObserverPrior(heads[0].copy(), config.n0)
-    elif config.regime == "ensemble":
-        agent_heads = heads.sum(axis=0)
-        per_agent_total = n * config.n0
-        observer = ObserverPrior(agent_heads, n * config.n0)
-    else:
-        agent_heads = heads
-        per_agent_total = config.n0
-        observer = ObserverPrior(heads.sum(axis=0), n * config.n0)
-
-    alpha0 = 2 + agent_heads.astype(np.int64)
-    beta0 = 2 + per_agent_total - agent_heads.astype(np.int64)
-    public = np.zeros(k, dtype=np.int64)
-    return BeliefState(alpha0, beta0, public, public.copy()), observer
+        shared = counted(heads[0], config.n0)
+        return shared, shared
+    pooled = counted(heads.sum(axis=0), n * config.n0)
+    if config.regime == "ensemble":
+        return pooled, pooled
+    return counted(heads, config.n0), pooled
 
 
 def _ranking(values: np.ndarray) -> np.ndarray:
@@ -198,22 +186,16 @@ def total_bayesian_regret(true_means: np.ndarray, arm_log: np.ndarray) -> float:
 
 def impartial_observer_misclassification(
     true_means: np.ndarray,
-    observer: ObserverPrior,
-    reward_heads: np.ndarray,
-    reward_pulls: np.ndarray,
+    observer: BeliefState,
     n_agents: int,
 ) -> int:
     """How many of the observer's top-n arms are not truly top-n.
 
-    The observer starts from Beta(2, 2), sees the initial samples (distinct
-    sets counted once) and every round reward (``reward_heads`` successes
-    in ``reward_pulls`` pulls per arm), and ranks arms by posterior mean
-    with ties to the lower index.
+    ``observer`` is the shared belief from ``init_beliefs``: the initial
+    samples plus every public pull.  It ranks arms by posterior mean with
+    ties to the lower index.
     """
-    alpha = 2 + observer.heads + reward_heads
-    beta = 2 + (observer.total - observer.heads) + (reward_pulls - reward_heads)
-    means = alpha / (alpha + beta)
-    observed = set(_ranking(means)[:n_agents].tolist())
+    observed = set(_ranking(observer.posterior_means())[:n_agents].tolist())
     truth = set(_ranking(np.asarray(true_means, dtype=float))[:n_agents].tolist())
     return len(observed - truth)
 
@@ -245,8 +227,5 @@ def simulate_run(config: RegimeConfig, stream: RngStream) -> RunResult:
         observe_and_update(beliefs, arms, rewards)
         arm_log[t] = arms
     regret = total_bayesian_regret(true_means, arm_log)
-    # The public vectors hold exactly the per-arm reward counts of the run.
-    mis = impartial_observer_misclassification(
-        true_means, observer, beliefs.heads, beliefs.pulls, config.n_agents
-    )
+    mis = impartial_observer_misclassification(true_means, observer, config.n_agents)
     return RunResult(regret, mis)

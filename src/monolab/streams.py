@@ -61,26 +61,7 @@ class RngStream:
         """Return to a snapshot taken by ``state``; the draws after it replay."""
         self.gen.bit_generator.state = state
 
-    # -- scalar draws ------------------------------------------------------
-
-    def beta(self, a: float, b: float) -> float:
-        if a <= 0 or b <= 0:
-            raise ValueError(f"beta shape parameters must be > 0, got a={a}, b={b}")
-        return float(self.gen.beta(a, b))
-
-    def binomial(self, n: int, p: float) -> int:
-        if n < 0:
-            raise ValueError(f"binomial count must be >= 0, got {n}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"binomial probability must lie in [0, 1], got {p}")
-        return int(self.gen.binomial(n, p))
-
-    def permutation(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"permutation length must be >= 0, got {n}")
-        return self.gen.permutation(n)
-
-    # -- array draws (same contracts, one call per block) ------------------
+    # -- draws -------------------------------------------------------------
 
     def gaussians(self, shape, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         if sd < 0:
@@ -97,13 +78,18 @@ class RngStream:
             raise ValueError(f"bernoulli probability must lie in [0, 1], got {p}")
         return (self.gen.random(shape) < p).astype(np.int64)
 
-    def binomials(self, n: int, p_array: np.ndarray) -> np.ndarray:
+    def binomials(self, n: int, p: float | np.ndarray) -> np.ndarray:
         if n < 0:
             raise ValueError(f"binomial count must be >= 0, got {n}")
-        return self.gen.binomial(n, p_array)
+        return self.gen.binomial(n, p)
 
     def uniforms(self, shape) -> np.ndarray:
         return self.gen.random(shape)
+
+    def permutation(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError(f"permutation length must be >= 0, got {n}")
+        return self.gen.permutation(n)
 
     def permutations(self, n_rows: int, n: int) -> np.ndarray:
         """``n_rows`` permutations of 0..n-1, one per row.

@@ -157,11 +157,11 @@ def test_criterion_5_stability_and_dictatorship_oracles():
         stream = derive_stream(SEED, 500_000 + i)
         scores, prefs = random_small_instance(stream)
         outcome = hiring.deferred_acceptance(scores, prefs, 1)
-        stable_ok &= is_stable(outcome.assignment, scores, prefs, 1)
+        stable_ok &= is_stable(outcome, scores, prefs, 1)
         shared = np.tile(scores[0], (scores.shape[0], 1))
         matched = hiring.deferred_acceptance(shared, prefs, 1)
         picked = hiring.serial_dictatorship(scores[0], prefs, 1)
-        mono_ok &= bool(np.array_equal(matched.assignment, picked.assignment))
+        mono_ok &= bool(np.array_equal(matched, picked))
     elapsed = time.monotonic() - start
     ok = stable_ok and mono_ok and elapsed < 30.0
     _report(

@@ -123,7 +123,7 @@ def test_monte_carlo_agrees_with_poly_enumeration():
     for _ in range(samples):
         scores = stream.gaussians((f, n))
         outcome = sequential_hire(scores, range(f))
-        if outcome.assignment[0] == -1:
+        if outcome[0] == -1:
             jobless0 += 1
     exact_p = float(enumerate_sequential_outcomes(n, f, "poly")[0])
     se = np.sqrt(exact_p * (1 - exact_p) / samples)

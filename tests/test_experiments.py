@@ -93,9 +93,11 @@ def test_simultaneous_driver_matches_deferred_acceptance_for_every_regime():
                 stream = derive_stream(cfg.master_seed, r)
                 market = hiring.generate_market(cfg.n_candidates, stream)
                 scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
+                if scores.ndim == 1:  # the row mono and ensemble firms share
+                    scores = np.tile(scores, (f, 1))
                 prefs = hiring.generate_prefs(cfg.n_candidates, f, stream)
-                outcome = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
-                expected = hiring.normalized_performance(outcome, market)
+                assignment = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
+                expected = hiring.normalized_performance(assignment, market)
                 key = (regime, f, "normalized_performance")
                 assert values[key][r] == expected, (r, f, regime)
 
@@ -114,10 +116,11 @@ def test_sequential_driver_matches_rederived_cells():
                 stream = derive_stream(cfg.master_seed, r)
                 market = hiring.generate_market(cfg.n_candidates, stream)
                 scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
+                if scores.ndim == 1:  # the row mono and ensemble firms share
+                    scores = np.tile(scores, (f, 1))
                 order = stream.permutation(f)
                 assignment = sequential_hire_mask_scan(scores, order, cfg.capacity)
-                outcome = hiring.HiringOutcome(np.array(assignment))
-                expected = hiring.normalized_performance(outcome, market)
+                expected = hiring.normalized_performance(np.array(assignment), market)
                 key = (regime, f, "normalized_performance")
                 assert values[key][r] == expected, (r, f, regime)
 
@@ -192,6 +195,17 @@ def test_config_validation_messages():
     with pytest.raises(ValueError, match="noise_sd must be a number, got True"):
         HiringConfig(noise_sd=True)
     assert HiringConfig(noise_sd=1, n_runs=np.int64(3)).n_runs == 3
+    # a seed must be a stream key, and noise must be finite, before any replicate runs
+    for bad in (-1, 2**64):
+        message = rf"seed must fit in an unsigned 64-bit integer, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            HiringConfig(master_seed=bad)
+        with pytest.raises(ValueError, match="seed must fit"):
+            EnumerateConfig(master_seed=bad)
+    assert HiringConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
+    for bad in (float("nan"), float("inf"), -float("inf"), np.float32("inf"), 10**400):
+        with pytest.raises(ValueError, match="noise_sd must be finite"):
+            HiringConfig(noise_sd=bad)
     with pytest.raises(TypeError):
         run(object())
 
@@ -221,6 +235,14 @@ def test_kind_is_fixed_by_the_config_type():
     for cfg in configs:
         with pytest.raises(TypeError):
             type(cfg)(**cfg.__dict__, kind="relabelled")
+
+
+def test_csv_header_is_pinned():
+    # the header is read from ResultRow's fields, so reordering them would
+    # change the file format: pin the text here, not from CSV_HEADER
+    header = "kind,regime,param_name,param_value,metric,value,stderr,n_runs,seed,exact"
+    assert ",".join(experiments.CSV_HEADER) == header
+    assert rows_to_csv_text([]) == header + "\n"
 
 
 def test_csv_round_trip(tmp_path):
@@ -433,6 +455,10 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
             "--runs", "4", "--workers", "2"]
     assert cli.main(args) == 2
     assert "rounds must be >= 1, got 0" in capsys.readouterr().err
+    assert cli.main(["hiring", "--seed", "-1", "--runs", "4", "--workers", "2"]) == 2
+    assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+    assert cli.main(["hiring", "--noise-sd", "nan", "--runs", "4"]) == 2
+    assert "noise_sd must be finite, got nan" in capsys.readouterr().err
     assert cli.main(["order-sensitivity"]) == 2
     assert "rankings" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 2

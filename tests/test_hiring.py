@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolab.hiring import (
-    HiringOutcome,
     UNMATCHED,
     deferred_acceptance,
     generate_market,
@@ -40,27 +39,27 @@ def test_market_deterministic_and_standard_normal():
 
 
 def test_mono_rows_identical():
+    # every firm shares one row, so mono returns that row whatever the firm count
     market = generate_market(40, derive_stream(2, 0))
     scores = score_regime(market, 5, 0.5, "mono", derive_stream(2, 1))
-    assert scores.shape == (5, 40)
-    for row in scores[1:]:
-        assert np.array_equal(row, scores[0])
+    assert scores.shape == (40,)
+    assert np.array_equal(scores, score_regime(market, 1, 0.5, "mono", derive_stream(2, 1)))
 
 
 def test_ensemble_is_mean_of_paired_poly_table():
     market = generate_market(30, derive_stream(3, 0))
     poly = score_regime(market, 8, 0.5, "poly", derive_stream(3, 1))
     ens = score_regime(market, 8, 0.5, "ensemble", derive_stream(3, 1))
-    assert np.allclose(ens[0], poly.mean(axis=0), rtol=0, atol=0)
-    for row in ens[1:]:
-        assert np.array_equal(row, ens[0])
+    assert poly.shape == (8, 30)
+    assert ens.shape == (30,)  # the one row every firm shares
+    assert np.allclose(ens, poly.mean(axis=0), rtol=0, atol=0)
 
 
 def test_single_firm_poly_equals_ensemble():
     market = generate_market(20, derive_stream(4, 0))
     poly = score_regime(market, 1, 0.5, "poly", derive_stream(4, 1))
     ens = score_regime(market, 1, 0.5, "ensemble", derive_stream(4, 1))
-    assert np.array_equal(poly, ens)
+    assert np.array_equal(poly[0], ens)
 
 
 def test_regimes_share_market_at_same_stream_key():
@@ -88,29 +87,29 @@ def test_ensemble_noise_variance_shrinks_with_firm_count():
     n, firms, sd = 100_000, 25, 0.5
     market = generate_market(n, derive_stream(7, 0))
     ens = score_regime(market, firms, sd, "ensemble", derive_stream(7, 1))
-    residual_var = (ens[0] - market).var(ddof=1)
+    residual_var = (ens - market).var(ddof=1)
     assert abs(residual_var - sd**2 / firms) < 0.05 * (sd**2 / firms)
 
 
 def test_sequential_hire_hand_case():
     scores = np.array([[3.0, 1.0, 2.0], [3.0, 2.0, 1.0]])
     out = sequential_hire(scores, [0, 1])
-    assert out.assignment.tolist() == [0, 1, UNMATCHED]
+    assert out.tolist() == [0, 1, UNMATCHED]
     out = sequential_hire(scores, [1, 0])
     # firm 1 takes candidate 0 first, firm 0 then takes candidate 2
-    assert out.assignment.tolist() == [1, UNMATCHED, 0]
+    assert out.tolist() == [1, UNMATCHED, 0]
 
 
 def test_sequential_hire_tie_goes_to_lowest_index():
     scores = np.array([[1.0, 1.0, 1.0]])
     out = sequential_hire(scores, [0])
-    assert out.assignment.tolist() == [0, UNMATCHED, UNMATCHED]
+    assert out.tolist() == [0, UNMATCHED, UNMATCHED]
 
 
 def test_sequential_hire_capacity():
     scores = np.array([[5.0, 4.0, 3.0, 2.0, 1.0], [5.0, 4.0, 3.0, 2.0, 1.0]])
     out = sequential_hire(scores, [0, 1], capacity=2)
-    assert out.assignment.tolist() == [0, 0, 1, 1, UNMATCHED]
+    assert out.tolist() == [0, 0, 1, 1, UNMATCHED]
 
 
 def test_sequential_hire_validation():
@@ -128,7 +127,7 @@ def test_sequential_hire_validation():
 def test_sequential_hire_shared_row_and_shape_validation():
     row = np.array([1.0, 3.0, 2.0, 0.0])
     out = sequential_hire(row, [1, 0])
-    assert out.assignment.tolist() == [UNMATCHED, 1, 0, UNMATCHED]
+    assert out.tolist() == [UNMATCHED, 1, 0, UNMATCHED]
     with pytest.raises(ValueError):
         sequential_hire(row, [0, 2])  # not a permutation of range(2)
     with pytest.raises(ValueError):
@@ -179,11 +178,11 @@ def test_sequential_hire_matches_mask_scan_reference(market):
     scores, order, capacity = market
     before = scores.copy()
     expected = sequential_hire_mask_scan(scores, order, capacity)
-    assert sequential_hire(scores, order, capacity).assignment.tolist() == expected
+    assert sequential_hire(scores, order, capacity).tolist() == expected
     assert np.array_equal(scores, before)  # the caller's table is not masked
     if (scores == scores[0]).all():
         shared = sequential_hire(scores[0], order, capacity)
-        assert shared.assignment.tolist() == expected
+        assert shared.tolist() == expected
 
 
 def test_score_regime_ensemble_averages_a_given_poly_table():
@@ -193,6 +192,7 @@ def test_score_regime_ensemble_averages_a_given_poly_table():
     state = stream.state()
     ens = score_regime(market, 6, 0.5, "ensemble", stream, poly=poly)
     assert stream.state() == state  # nothing drawn
+    assert ens.shape == (30,)
     assert np.array_equal(ens, score_regime(market, 6, 0.5, "ensemble", derive_stream(13, 1)))
     for bad in [("poly", poly), ("ensemble", poly[:3])]:
         with pytest.raises(ValueError, match="poly table"):
@@ -207,7 +207,8 @@ def test_zero_noise_every_regime_hires_the_best():
         out = sequential_hire(scores, derive_stream(8, 2).permutation(4))
         assert abs(normalized_performance(out, market) - 1.0) < 1e-9
         prefs = generate_prefs(60, 4, derive_stream(8, 3))
-        out = deferred_acceptance(scores, prefs, capacity=5)
+        table = np.broadcast_to(scores, (4, 60))  # mono and ensemble share a row
+        out = deferred_acceptance(table, prefs, capacity=5)
         assert abs(normalized_performance(out, market) - 1.0) < 1e-9
 
 
@@ -215,14 +216,14 @@ def test_deferred_acceptance_hand_case():
     scores = np.array([[3.0, 2.0, 1.0], [1.0, 3.0, 2.0]])
     prefs = np.array([[1, 0], [1, 0], [0, 1]])
     out = deferred_acceptance(scores, prefs, capacity=1)
-    assert out.assignment.tolist() == [0, 1, UNMATCHED]
+    assert out.tolist() == [0, 1, UNMATCHED]
 
 
 def test_deferred_acceptance_score_tie_prefers_lower_index():
     scores = np.array([[0.5, 0.5]])
     prefs = np.array([[0], [0]])
     out = deferred_acceptance(scores, prefs, capacity=1)
-    assert out.assignment.tolist() == [0, UNMATCHED]
+    assert out.tolist() == [0, UNMATCHED]
 
 
 def test_deferred_acceptance_respects_capacity_and_prefs():
@@ -231,9 +232,9 @@ def test_deferred_acceptance_respects_capacity_and_prefs():
     prefs = generate_prefs(12, 3, stream)
     out = deferred_acceptance(scores, prefs, capacity=2)
     for f in range(3):
-        assert np.count_nonzero(out.assignment == f) <= 2
-    assert out.n_matched == 6
-    assert is_stable(out.assignment.tolist(), scores, prefs, capacity=2)
+        assert np.count_nonzero(out == f) <= 2
+    assert np.count_nonzero(out != UNMATCHED) == 6
+    assert is_stable(out.tolist(), scores, prefs, capacity=2)
 
 
 def test_deferred_acceptance_validation():
@@ -250,7 +251,7 @@ def test_deferred_acceptance_validation():
 def test_serial_dictatorship_validation():
     shared = np.array([2.0, 1.0, 0.0])
     out = serial_dictatorship(shared, [[1, 0], [0, 1], [1, 0]], capacity=1)
-    assert out.assignment.tolist() == [1, 0, UNMATCHED]  # list prefs accepted
+    assert out.tolist() == [1, 0, UNMATCHED]  # list prefs accepted
     with pytest.raises(ValueError):
         serial_dictatorship(shared, np.array([[0, 1], [1, 0]]), capacity=1)
     with pytest.raises(ValueError):
@@ -267,7 +268,7 @@ def test_deferred_acceptance_stable_on_random_instances():
         scores, prefs = random_small_instance(stream)
         out = deferred_acceptance(scores, prefs, capacity=1)
         stable_set = brute_force_stable_matchings(scores, prefs, capacity=1)
-        assert tuple(out.assignment.tolist()) in stable_set
+        assert tuple(out.tolist()) in stable_set
 
 
 def test_mono_deferred_acceptance_is_serial_dictatorship():
@@ -280,7 +281,7 @@ def test_mono_deferred_acceptance_is_serial_dictatorship():
         mono = np.tile(shared, (n_firms, 1))
         da = deferred_acceptance(mono, prefs, capacity)
         sd = serial_dictatorship(shared, prefs, capacity)
-        assert np.array_equal(da.assignment, sd.assignment)
+        assert np.array_equal(da, sd)
 
 
 @st.composite
@@ -308,20 +309,20 @@ def small_markets(draw):
 def test_deferred_acceptance_matches_list_scan_reference(market):
     scores, prefs, capacity = market
     out = deferred_acceptance(scores, prefs, capacity)
-    assert out.assignment.tolist() == deferred_acceptance_list_scan(
+    assert out.tolist() == deferred_acceptance_list_scan(
         scores, prefs, capacity
     )
-    assert is_stable(out.assignment.tolist(), scores, prefs, capacity)
+    assert is_stable(out.tolist(), scores, prefs, capacity)
     if (scores == scores[0]).all():
         sd = serial_dictatorship(scores[0], prefs, capacity)
-        assert sd.assignment.tolist() == out.assignment.tolist()
+        assert sd.tolist() == out.tolist()
 
 
 def test_normalized_performance_anchor_values():
     market = np.array([0.0, 1.0, 2.0, 3.0])
-    best = HiringOutcome(np.array([UNMATCHED, UNMATCHED, UNMATCHED, 0]))
-    worst = HiringOutcome(np.array([0, UNMATCHED, UNMATCHED, UNMATCHED]))
-    middle = HiringOutcome(np.array([UNMATCHED, 0, UNMATCHED, UNMATCHED]))
+    best = np.array([UNMATCHED, UNMATCHED, UNMATCHED, 0])
+    worst = np.array([0, UNMATCHED, UNMATCHED, UNMATCHED])
+    middle = np.array([UNMATCHED, 0, UNMATCHED, UNMATCHED])
     assert normalized_performance(best, market) == 1.0
     assert normalized_performance(worst, market) == 0.0
     assert normalized_performance(middle, market) == pytest.approx(1.0 / 3.0)
@@ -329,11 +330,11 @@ def test_normalized_performance_anchor_values():
 
 def test_normalized_performance_errors():
     market = np.array([1.0, 2.0])
-    nobody = HiringOutcome(np.array([UNMATCHED, UNMATCHED]))
+    nobody = np.array([UNMATCHED, UNMATCHED])
     with pytest.raises(ValueError):
         normalized_performance(nobody, market)
     flat = np.ones(4)
-    one = HiringOutcome(np.array([0, UNMATCHED, UNMATCHED, UNMATCHED]))
+    one = np.array([0, UNMATCHED, UNMATCHED, UNMATCHED])
     with pytest.raises(ValueError):
         normalized_performance(one, flat)
 

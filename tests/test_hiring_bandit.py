@@ -12,7 +12,6 @@ from monolab.experiments import HiringBanditConfig
 from monolab.hiring_bandit import (
     REGIMES,
     BeliefState,
-    ObserverPrior,
     RegimeConfig,
     draw_arm_means,
     impartial_observer_misclassification,
@@ -87,16 +86,23 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
     assert mono_beliefs.shared and not poly_beliefs.shared
     assert poly_beliefs.alpha0.shape == (4, 12)
     assert np.array_equal(mono_beliefs.alpha0, poly_beliefs.alpha0[0])
-    assert np.array_equal(mono_obs.heads, poly_beliefs.alpha0[0] - 2)
-    assert mono_obs.total == 5
+    assert np.array_equal(mono_obs.alpha0 - 2, poly_beliefs.alpha0[0] - 2)
+    assert np.all(mono_obs.alpha0 + mono_obs.beta0 == 4 + 5)
 
     # ensemble pools all rows; observer sees the same pool as under poly
     pooled = (poly_beliefs.alpha0 - 2).sum(axis=0)
     assert ens_beliefs.shared
     assert np.array_equal(ens_beliefs.alpha0 - 2, pooled)
-    assert np.array_equal(ens_obs.heads, pooled)
-    assert np.array_equal(poly_obs.heads, pooled)
-    assert ens_obs.total == poly_obs.total == 4 * 5
+    assert np.array_equal(ens_obs.alpha0 - 2, pooled)
+    assert np.array_equal(poly_obs.alpha0 - 2, pooled)
+    assert np.all(ens_obs.alpha0 + ens_obs.beta0 == 4 + 4 * 5)
+    assert np.all(poly_obs.alpha0 + poly_obs.beta0 == 4 + 4 * 5)
+
+    # the observer is one shared belief reading the agents' public vectors;
+    # under mono and ensemble it is the agents' own belief
+    assert mono_obs is mono_beliefs and ens_obs is ens_beliefs
+    assert poly_obs.shared
+    assert poly_obs.heads is poly_beliefs.heads and poly_obs.pulls is poly_beliefs.pulls
 
     # Beta(2, 2) prior plus per-agent sample budget
     assert np.all(mono_beliefs.alpha0 + mono_beliefs.beta0 == 4 + 5)
@@ -116,7 +122,7 @@ def test_init_beliefs_zero_samples():
     means = draw_arm_means(6, derive_stream(33, 0))
     beliefs, observer = init_beliefs(means, config_for("poly_fixed", n_arms=6, n_agents=2, n0=0), derive_stream(33, 1))
     assert np.all(beliefs.alpha0 == 2) and np.all(beliefs.beta0 == 2)
-    assert observer.total == 0 and np.all(observer.heads == 0)
+    assert np.all(observer.alpha0 == 2) and np.all(observer.beta0 == 2)
 
 
 def test_play_round_takes_best_then_next_best():
@@ -227,25 +233,33 @@ def test_regret_nonnegative_on_random_runs():
         assert result.regret >= 0.0
 
 
+def observer_from(heads, total, reward_heads, reward_pulls):
+    """Beta(2, 2) plus ``heads`` of ``total`` initial pulls, then the rewards."""
+    heads = np.asarray(heads, dtype=np.int64)
+    return BeliefState(2 + heads, 2 + total - heads, reward_heads, reward_pulls)
+
+
 def test_observer_misclassification_hand_cases():
     means = np.array([0.9, 0.5, 0.1])
     none = np.zeros(3, dtype=np.int64)
-    sharp = ObserverPrior(np.array([45, 25, 5]), 50)
-    assert impartial_observer_misclassification(means, sharp, none, none, 1) == 0
-    fooled = ObserverPrior(np.array([5, 25, 45]), 50)
-    assert impartial_observer_misclassification(means, fooled, none, none, 1) == 1
+    sharp = observer_from([45, 25, 5], 50, none, none)
+    assert impartial_observer_misclassification(means, sharp, 1) == 0
+    fooled = observer_from([5, 25, 45], 50, none, none)
+    assert impartial_observer_misclassification(means, fooled, 1) == 1
     # round rewards enter the posterior: arm 0 redeemed by ten straight wins
     wins = np.array([10, 0, 0])
-    assert impartial_observer_misclassification(means, fooled, wins, wins, 1) == 1
+    fooled = observer_from([5, 25, 45], 50, wins, wins)
+    assert impartial_observer_misclassification(means, fooled, 1) == 1
     wins = np.array([500, 0, 0])
-    assert impartial_observer_misclassification(means, fooled, wins, wins, 1) == 0
+    fooled = observer_from([5, 25, 45], 50, wins, wins)
+    assert impartial_observer_misclassification(means, fooled, 1) == 0
 
 
 def test_observer_full_slate_never_misclassifies():
     means = np.array([0.8, 0.6, 0.4])
-    observer = ObserverPrior(np.array([0, 3, 1]), 4)
     none = np.zeros(3, dtype=np.int64)
-    assert impartial_observer_misclassification(means, observer, none, none, 3) == 0
+    observer = observer_from([0, 3, 1], 4, none, none)
+    assert impartial_observer_misclassification(means, observer, 3) == 0
 
 
 def test_single_agent_regimes_coincide():

@@ -32,10 +32,10 @@ def test_mixed_draw_kinds_stay_deterministic():
     def consume(stream: RngStream):
         return (
             float(stream.gaussians((), 1.0, 2.0)),
-            stream.beta(2.0, 2.0),
+            float(stream.betas((), 2.0, 2.0)),
             int(stream.bernoullis((), 0.3)),
             tuple(stream.permutation(5).tolist()),
-            stream.binomial(10, 0.5),
+            int(stream.binomials(10, 0.5)),
         )
 
     assert consume(derive_stream(7, 3)) == consume(derive_stream(7, 3))
@@ -52,9 +52,9 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         s.gaussians((), 0.0, -1.0)
     with pytest.raises(ValueError):
-        s.beta(0.0, 1.0)
+        s.betas((), 0.0, 1.0)
     with pytest.raises(ValueError):
-        s.beta(1.0, -2.0)
+        s.betas((), 1.0, -2.0)
     with pytest.raises(ValueError):
         s.bernoullis((), -0.1)
     with pytest.raises(ValueError):
@@ -62,7 +62,11 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         s.permutation(-1)
     with pytest.raises(ValueError):
-        s.binomial(-1, 0.5)
+        s.binomials(-1, 0.5)
+    # numpy itself rejects a probability outside [0, 1] or NaN
+    for p in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError):
+            s.binomials(3, p)
 
 
 def test_seed_bounds_enforced():
