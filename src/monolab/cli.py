@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands mirror the experiment families; every run is reproducible from
-``--seed`` and the printed CSV is byte-stable across ``--workers`` choices.
-Each experiment subcommand is generated from its config dataclass: a field's
-metadata names its flag (``noise_sd`` is ``--noise-sd``), which is also its
-config-file key, and the field default is the built-in default.
+Subcommands mirror the experiment families, plus ``plot``; every run is
+reproducible from ``--seed`` and the printed CSV is byte-stable across
+``--workers`` choices.  Each subcommand is generated from its config
+dataclass: a field's metadata names its flag (``noise_sd`` is ``--noise-sd``),
+which is also its config-file key, and the field default is the built-in
+default.  The command's action then runs on the built config.
 Parameter precedence: command-line flag, then ``--config`` JSON file, then
 the built-in default.  Exit codes: 0 success, 2 usage or validation error,
 3 I/O failure.
@@ -21,19 +22,6 @@ import sys
 from . import experiments
 
 ENV_WORKERS = "MONOLAB_WORKERS"
-
-COMMANDS = {
-    "hiring": (experiments.HiringConfig,
-               "noisy-score hiring market sweep over firm counts"),
-    "bandit2": (experiments.Bandit2Config,
-                "two-arm greedy bandit failure-rate sweep"),
-    "hiring-bandit": (experiments.HiringBanditConfig,
-                      "many-arm bandit with hiring externalities"),
-    "enumerate": (experiments.EnumerateConfig,
-                  "exact joblessness probabilities by enumeration"),
-    "order-sensitivity": (experiments.OrderSensitivityConfig,
-                          "does the unmatched set depend on the firm order?"),
-}
 
 
 def _parse_grid(text):
@@ -68,7 +56,7 @@ def _parse_rankings(value):
 
 def _text(parse):
     # Text is parsed; a typed JSON value goes to the config as it is, so a
-    # float or bool where an integer belongs is rejected, not truncated.
+    # value of the wrong type is rejected there, not converted.
     return lambda value: parse(value) if isinstance(value, str) else value
 
 
@@ -76,7 +64,7 @@ def _text(parse):
 _PARSERS = {
     "int": _text(int),
     "float": _text(float),
-    "str": str,
+    "str": _text(str),
     "tuple[int, ...]": _parse_grid,
     "tuple[tuple[str, ...], ...]": _parse_rankings,
 }
@@ -119,8 +107,40 @@ def _merge_params(args, allowed) -> dict:
     return params
 
 
-def _cmd_experiment(args) -> int:
-    config_cls = COMMANDS[args.command][0]
+def _run_and_write(cfg) -> None:
+    rows = experiments.run(cfg)
+    if cfg.out:
+        experiments.write_csv(rows, cfg.out)
+        print(f"wrote {cfg.out} ({len(rows)} rows)")
+    else:
+        sys.stdout.write(experiments.rows_to_csv_text(rows))
+
+
+def _plot(cfg) -> None:
+    experiments.plot_csv(cfg.csv, cfg.kind, cfg.out, cfg.metric)
+    print(f"wrote {cfg.out}")
+
+
+# command -> (config class, help text, action on the built config)
+COMMANDS = {
+    "hiring": (experiments.HiringConfig,
+               "noisy-score hiring market sweep over firm counts", _run_and_write),
+    "bandit2": (experiments.Bandit2Config,
+                "two-arm greedy bandit failure-rate sweep", _run_and_write),
+    "hiring-bandit": (experiments.HiringBanditConfig,
+                      "many-arm bandit with hiring externalities", _run_and_write),
+    "enumerate": (experiments.EnumerateConfig,
+                  "exact joblessness probabilities by enumeration", _run_and_write),
+    "order-sensitivity": (experiments.OrderSensitivityConfig,
+                          "does the unmatched set depend on the firm order?",
+                          _run_and_write),
+    "plot": (experiments.PlotConfig,
+             "render a results CSV as an SVG line chart", _plot),
+}
+
+
+def _run_command(args) -> int:
+    config_cls, _, action = COMMANDS[args.command]
     fields = dataclasses.fields(config_cls)
     keys = [f.metadata["flag"] for f in fields]
     params = _merge_params(args, keys)
@@ -137,24 +157,7 @@ def _cmd_experiment(args) -> int:
             kwargs[f.name] = _PARSERS[_kind_of(f)](params[key])
         elif f.default is dataclasses.MISSING:
             raise ValueError(f"{args.command} requires --{key} ({f.metadata['help']})")
-    cfg = config_cls(**kwargs)
-    rows = experiments.run(cfg)
-    if cfg.out:
-        experiments.write_csv(rows, cfg.out)
-        print(f"wrote {cfg.out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(experiments.rows_to_csv_text(rows))
-    return 0
-
-
-def _cmd_plot(args) -> int:
-    params = _merge_params(args, ("csv", "kind", "out", "metric"))
-    for required in ("csv", "kind", "out"):
-        if not params.get(required):
-            raise ValueError(f"plot requires --{required}")
-    experiments.plot_csv(params["csv"], params["kind"], params["out"],
-                         params.get("metric"))
-    print(f"wrote {params['out']}")
+    action(config_cls(**kwargs))
     return 0
 
 
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, (config_cls, help_text) in COMMANDS.items():
+    for command, (config_cls, help_text, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for f in dataclasses.fields(config_cls):
             key = f.metadata["flag"]
@@ -179,16 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=f.metadata["choices"], default=None,
                            help=_help_of(f))
         p.add_argument("--config", default=None, help="JSON config file")
-        p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("plot", help="render a results CSV as an SVG line chart")
-    p.add_argument("--csv", default=None, help="input results CSV")
-    p.add_argument("--kind", default=None,
-                   help="figure kind: hiring-seq, hiring-sim, bandit2, hiring-bandit, enumerate")
-    p.add_argument("--metric", default=None, help="metric column to plot")
-    p.add_argument("--out", default=None, help="output SVG path")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.set_defaults(func=_cmd_plot)
 
     return parser
 
@@ -200,7 +193,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
-        return args.func(args)
+        return _run_command(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -7,7 +7,8 @@ range, and the reduction always assembles per-replicate values in
 replicate order before aggregating.  Cells of a sweep draw from the same
 replicate stream state, which pairs regimes (same market, same arm means)
 at equal replicate indices: the hiring sweep draws one market per
-replicate and restores a stream snapshot for each cell, the claim game
+replicate and restores a stream snapshot for each firm count (mono and
+ensemble reuse poly's firm order or preferences), the claim game
 re-derives the stream per cell.
 
 CSV schema (one metric per row): the fields of ``ResultRow``, in order,
@@ -24,7 +25,6 @@ import csv
 import math
 import os
 import sys
-import tempfile
 from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
 
@@ -34,20 +34,22 @@ from . import bandit2, exact, hiring, hiring_bandit
 from .streams import _check_u64, derive_stream
 from .svg import Series, render_line_chart
 
-HIRING_MODES = ("sequential", "simultaneous")
+# Hires per firm when no capacity is given, by hiring mode; its keys are the modes.
+DEFAULT_CAPACITY = {"sequential": 1, "simultaneous": 10}
 
 
 # ---------------------------------------------------------------------------
 # configs
 
 
-def _param(flag: str, default=MISSING, help: str | None = None, choices=None):
+def _param(flag: str, default=MISSING, help: str | None = None, choices=None, minimum=None):
     """A field set by ``--flag`` on the command line or ``flag`` in a config file."""
-    return field(default=default, metadata={"flag": flag, "help": help, "choices": choices})
+    return field(default=default, metadata=dict(
+        flag=flag, help=help, choices=choices, minimum=minimum))
 
 
 def _runs(default: int):
-    return _param("runs", default, "replicates per cell")
+    return _param("runs", default, "replicates per cell", minimum=1)
 
 
 def _seed():
@@ -55,7 +57,8 @@ def _seed():
 
 
 def _workers():
-    return _param("workers", 1, "worker processes; $MONOLAB_WORKERS overrides the default")
+    return _param("workers", 1, "worker processes; $MONOLAB_WORKERS overrides the default",
+                  minimum=1)
 
 
 def _out():
@@ -66,36 +69,24 @@ def _out():
 class HiringConfig:
     mode: str = _param(
         "mode", "sequential", "sequential picks or deferred acceptance",
-        choices=HIRING_MODES,
+        choices=tuple(DEFAULT_CAPACITY),
     )
-    n_candidates: int = _param("candidates", 1000)
+    n_candidates: int = _param("candidates", 1000, minimum=1)
     firm_grid: tuple[int, ...] = _param(
         "firms", (2, 4, 8, 16, 32, 64), "comma-separated firm counts"
     )
-    noise_sd: float = _param("noise_sd", 0.5)
-    capacity: int | None = _param(
-        "capacity", None, "hires per firm (default 1 sequential, 10 simultaneous)"
-    )
+    noise_sd: float = _param("noise_sd", 0.5, minimum=0)
+    capacity: int | None = _param("capacity", None, "hires per firm (default {})".format(
+        ", ".join(f"{n} {mode}" for mode, n in DEFAULT_CAPACITY.items())), minimum=1)
     n_runs: int = _runs(1000)
     master_seed: int = _seed()
     workers: int = _workers()
     out: str | None = _out()
 
     def __post_init__(self):
-        if self.mode not in HIRING_MODES:
-            raise ValueError(
-                f"mode must be 'sequential' or 'simultaneous', got {self.mode!r}"
-            )
+        _check_fields(self)
         if self.capacity is None:
-            object.__setattr__(self, "capacity", 1 if self.mode == "sequential" else 10)
-        _check_grid(self.firm_grid, "firms")
-        _check_common(self)
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.n_candidates < 1:
-            raise ValueError(f"need at least one candidate, got {self.n_candidates}")
+            object.__setattr__(self, "capacity", DEFAULT_CAPACITY[self.mode])
         # When every candidate is hired, the best and worst groups of the
         # hired size coincide and normalized performance is undefined.
         seats = max(self.firm_grid) * self.capacity
@@ -125,13 +116,8 @@ class Bandit2Config:
     kind: ClassVar[str] = "bandit2"
 
     def __post_init__(self):
-        _check_grid(self.n0_grid, "n0")
-        _check_grid(self.k_grid, "k")
-        _check_common(self)
-        if max(self.k_grid) > self.total_agents:
-            raise ValueError(
-                f"k={max(self.k_grid)} groups cannot split {self.total_agents} agents"
-            )
+        _check_fields(self)
+        bandit2.group_sizes(self.total_agents, max(self.k_grid))
 
 
 @dataclass(frozen=True)
@@ -149,17 +135,8 @@ class HiringBanditConfig:
     kind: ClassVar[str] = "hiring-bandit"
 
     def __post_init__(self):
-        _check_grid(self.agent_grid, "agents")
-        _check_common(self)
-        if self.n_rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.n_rounds}")
-        if self.n0 < 0:
-            raise ValueError(f"n0 must be >= 0, got {self.n0}")
-        if max(self.agent_grid) >= self.n_arms:
-            raise ValueError(
-                f"need more arms than agents, got {self.n_arms} arms "
-                f"for up to {max(self.agent_grid)} agents"
-            )
+        _check_fields(self)
+        hiring_bandit.check_game(max(self.agent_grid), self.n_arms, self.n_rounds, self.n0)
 
 
 @dataclass(frozen=True)
@@ -171,7 +148,7 @@ class EnumerateConfig:
     kind: ClassVar[str] = "enumerate"
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
         exact.check_enumeration_size(self.n_candidates, self.n_firms)
 
 
@@ -186,7 +163,7 @@ class OrderSensitivityConfig:
     kind: ClassVar[str] = "order-sensitivity"
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
         exact.check_rankings(self.rankings)
 
 
@@ -199,37 +176,44 @@ def _is_finite(v) -> bool:
     return abs(v) <= sys.float_info.max if _is_int(v) else math.isfinite(v)
 
 
-def _check_numbers(cfg) -> None:
-    """Reject a bool or a mistyped value in an int or float field, a float field
-    that is not finite, and a seed that is not a stream key (an unsigned 64-bit int)."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        kind = f.type.removesuffix(" | None")
-        if kind == "int" and not _is_int(value):
-            raise ValueError(f"{f.metadata['flag']} must be an integer, got {value!r}")
-        real = _is_int(value) or isinstance(value, (float, np.floating))
-        if kind == "float" and not real:
-            raise ValueError(f"{f.metadata['flag']} must be a number, got {value!r}")
-        if kind == "float" and not _is_finite(value):
-            raise ValueError(f"{f.metadata['flag']} must be finite, got {value!r}")
-    _check_u64(cfg.master_seed, "seed")
-
-
-def _check_grid(grid, name: str) -> None:
+def _check_grid(grid, flag: str) -> None:
     if not grid:
-        raise ValueError(f"{name} grid must not be empty")
+        raise ValueError(f"{flag} grid must not be empty")
     if any(not _is_int(v) or v < 1 for v in grid):
-        raise ValueError(f"{name} grid entries must be positive integers, got {grid}")
+        raise ValueError(f"{flag} grid entries must be positive integers, got {grid}")
     if len(set(grid)) != len(grid):
-        raise ValueError(f"{name} grid entries must be distinct, got {grid}")
+        raise ValueError(f"{flag} grid entries must be distinct, got {grid}")
 
 
-def _check_common(cfg) -> None:
-    _check_numbers(cfg)
-    if cfg.n_runs < 1:
-        raise ValueError(f"runs must be >= 1, got {cfg.n_runs}")
-    if cfg.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
+def _check_fields(cfg) -> None:
+    """Check each field that is set, in order: its annotated type (no bool as a
+    number, finite floats, grids of distinct positive ints), its ``choices``
+    and ``minimum``, and that a seed is a stream key (an unsigned 64-bit int)."""
+    for f in fields(cfg):
+        value, flag = getattr(cfg, f.name), f.metadata["flag"]
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if kind == "int" and not _is_int(value):
+            raise ValueError(f"{flag} must be an integer, got {value!r}")
+        if kind == "float":
+            if not (_is_int(value) or isinstance(value, (float, np.floating))):
+                raise ValueError(f"{flag} must be a number, got {value!r}")
+            if not _is_finite(value):
+                raise ValueError(f"{flag} must be finite, got {value!r}")
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{flag} must be a string, got {value!r}")
+        if kind == "tuple[int, ...]":
+            _check_grid(value, flag)
+        choices, minimum = f.metadata["choices"], f.metadata["minimum"]
+        if choices is not None and value not in choices:
+            raise ValueError(
+                f"{flag} must be one of {', '.join(map(repr, choices))}, got {value!r}"
+            )
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{flag} must be >= {minimum}, got {value}")
+        if f.name == "master_seed":
+            _check_u64(value, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +260,6 @@ def _binomial_se(values: np.ndarray) -> float:
 # replicates start..stop-1}, with keys in CSV row order.
 
 
-def _hiring_draw(cfg: HiringConfig, f: int, stream):
-    """A cell's firm order (sequential) or preference block (simultaneous)."""
-    if cfg.mode == "sequential":
-        return stream.permutation(f)
-    return hiring.generate_prefs(cfg.n_candidates, f, stream)
-
-
 def _hire(cfg: HiringConfig, scores: np.ndarray, draw) -> np.ndarray:
     if cfg.mode == "sequential":
         return hiring.sequential_hire(scores, draw, cfg.capacity)
@@ -300,27 +277,25 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
         for regime in hiring.REGIMES
     }
     for i, r in enumerate(range(start, stop)):
-        # One stream and one market per replicate.  Each cell draws what it
-        # would draw from a freshly derived stream by restoring a snapshot:
-        # mono's shared noise does not depend on f, so mono's snapshot
-        # follows that noise, and poly's follows the market.  Ensemble
-        # averages poly's table and shares its firm order or preferences.
+        # One stream, one market and one mono row (its noise does not depend
+        # on f) per replicate.  Restoring the snapshot after the market gives
+        # poly, for each f, the draws of a freshly derived stream.  Mono and
+        # ensemble (poly's mean) share poly's firm order or preferences: under
+        # one shared row, any of them hires the row's top f x capacity, the
+        # only set normalized performance reads.
         stream = derive_stream(cfg.master_seed, r)
         market = hiring.generate_market(cfg.n_candidates, stream)
         after_market = stream.state()
         mono = hiring.score_regime(market, 1, cfg.noise_sd, "mono", stream)
-        after_mono = stream.state()
         for f in cfg.firm_grid:
-            stream.restore(after_mono)
-            mono_draw = _hiring_draw(cfg, f, stream)
             stream.restore(after_market)
             poly = hiring.score_regime(market, f, cfg.noise_sd, "poly", stream)
-            poly_draw = _hiring_draw(cfg, f, stream)
+            draw = (stream.permutation(f) if cfg.mode == "sequential"
+                    else hiring.generate_prefs(cfg.n_candidates, f, stream))
             ensemble = hiring.score_regime(
                 market, f, cfg.noise_sd, "ensemble", stream, poly=poly
             )
-            cells = ((mono, mono_draw), (poly, poly_draw), (ensemble, poly_draw))
-            for regime, (scores, draw) in zip(hiring.REGIMES, cells):
+            for regime, scores in zip(hiring.REGIMES, (mono, poly, ensemble)):
                 out[(regime, f, metric)][i] = hiring.normalized_performance(
                     _hire(cfg, scores, draw), market
                 )
@@ -491,8 +466,13 @@ def rows_to_csv_text(rows: list[ResultRow]) -> str:
 
 def atomic_write_text(text: str, path: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partials."""
+    if not path:
+        raise ValueError("output path must not be empty")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # os.replace keeps the temp file's mode, so create it as open() would
+    # (0666 less the umask), not private as tempfile.mkstemp does.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -542,6 +522,19 @@ DEFAULT_PLOT_METRIC = {
 }
 
 
+@dataclass(frozen=True)
+class PlotConfig:
+    csv: str = _param("csv", help="input results CSV")
+    kind: str = _param("kind", help="figure kind", choices=tuple(DEFAULT_PLOT_METRIC))
+    out: str = _param("out", help="output SVG path")
+    metric: str | None = _param(
+        "metric", None, "metric column to plot (default: the kind's main metric)"
+    )
+
+    def __post_init__(self):
+        _check_fields(self)
+
+
 def plot_csv(csv_path: str, kind: str, out_path: str, metric: str | None = None) -> None:
     """Render one figure from a results CSV: one series per regime, +/-2 SE bars."""
     if kind not in DEFAULT_PLOT_METRIC:
@@ -552,10 +545,7 @@ def plot_csv(csv_path: str, kind: str, out_path: str, metric: str | None = None)
     rows = [r for r in read_csv(csv_path) if r.kind == kind and r.metric == metric]
     if not rows:
         raise ValueError(f"{csv_path}: no rows with kind={kind!r} and metric={metric!r}")
-    regimes = []
-    for row in rows:
-        if row.regime not in regimes:
-            regimes.append(row.regime)
+    regimes = dict.fromkeys(r.regime for r in rows)  # in order of first appearance
     series = []
     for regime in regimes:
         mine = [r for r in rows if r.regime == regime]

@@ -46,17 +46,21 @@ class RegimeConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if self.n_agents < 1:
-            raise ValueError(f"need at least one agent, got {self.n_agents}")
-        if self.n_arms <= self.n_agents:
-            raise ValueError(
-                f"need more arms than agents, got {self.n_arms} arms "
-                f"for {self.n_agents} agents"
-            )
-        if self.n_rounds < 1:
-            raise ValueError(f"need at least one round, got {self.n_rounds}")
-        if self.n0 < 0:
-            raise ValueError(f"initial sample count must be >= 0, got {self.n0}")
+        check_game(self.n_agents, self.n_arms, self.n_rounds, self.n0)
+
+
+def check_game(n_agents: int, n_arms: int, n_rounds: int, n0: int) -> None:
+    """Reject a claim game without agents or rounds, with no spare arm, or with n0 < 0."""
+    if n_agents < 1:
+        raise ValueError(f"need at least one agent, got {n_agents}")
+    if n_arms <= n_agents:
+        raise ValueError(
+            f"need more arms than agents, got {n_arms} arms for {n_agents} agents"
+        )
+    if n_rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {n_rounds}")
+    if n0 < 0:
+        raise ValueError(f"n0 must be >= 0, got {n0}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monolab import cli, experiments, hiring
+from monolab import bandit2, cli, experiments, hiring, hiring_bandit
 from monolab.experiments import (
     Bandit2Config,
     EnumerateConfig,
@@ -210,6 +210,71 @@ def test_config_validation_messages():
         run(object())
 
 
+# Every (command, field) whose metadata sets a minimum.
+MINIMUM_FIELDS = [
+    (command, f)
+    for command, (config_cls, _, _) in cli.COMMANDS.items()
+    for f in dataclasses.fields(config_cls)
+    if f.metadata["minimum"] is not None
+]
+
+
+def test_minimum_fields_are_declared():
+    declared = {(command, f.metadata["flag"]) for command, f in MINIMUM_FIELDS}
+    assert {("hiring", "noise_sd"), ("hiring", "capacity"), ("hiring", "candidates"),
+            ("bandit2", "runs"), ("hiring-bandit", "workers")} <= declared
+
+
+@pytest.mark.parametrize(
+    "command, f", MINIMUM_FIELDS,
+    ids=[f"{command}-{f.metadata['flag']}" for command, f in MINIMUM_FIELDS],
+)
+def test_every_minimum_rejects_one_below(command, f, capsys):
+    # built from the library and from the command line, every other field at
+    # its default: the field's own check fires first, with its flag's name
+    flag, below = f.metadata["flag"], f.metadata["minimum"] - 1
+    message = f"{flag} must be >= {f.metadata['minimum']}, got"
+    config_cls = cli.COMMANDS[command][0]
+    with pytest.raises(ValueError, match=re.escape(f"{message} {below}")):
+        config_cls(**{f.name: below})
+    assert cli.main([command, f"--{flag.replace('_', '-')}={below}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agents, arms, rounds, n0", [
+    (2, 2, 5, 1),  # no more arms than agents
+    (3, 2, 5, 1),
+    (2, 8, 0, 1),  # no round
+    (2, 8, -3, 1),
+    (2, 8, 5, -1),  # negative initial sample count
+    (2, 3, 1, 0),  # the smallest playable game
+    (31, 100, 200, 5),
+])
+def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds, n0):
+    def error(build):
+        try:
+            build()
+        except ValueError as err:
+            return str(err)
+        return None
+
+    model = error(lambda: hiring_bandit.RegimeConfig("mono", agents, arms, rounds, n0))
+    config = error(lambda: HiringBanditConfig(
+        n_arms=arms, n_rounds=rounds, agent_grid=(1, agents), n0=n0
+    ))
+    assert model == config
+
+
+def test_bandit2_config_uses_the_model_split_rule():
+    with pytest.raises(ValueError) as err:
+        bandit2.group_sizes(4, 8)
+    with pytest.raises(ValueError, match=re.escape(str(err.value))):
+        Bandit2Config(total_agents=4, k_grid=(8,))
+    with pytest.raises(ValueError, match=re.escape(str(err.value))):
+        Bandit2Config(total_agents=4, k_grid=(1, 8, 2))
+    assert Bandit2Config(total_agents=8, k_grid=(8,)).total_agents == 8
+
+
 def test_exact_configs_are_validated_when_built():
     with pytest.raises(ValueError, match="too large for enumeration"):
         EnumerateConfig(n_candidates=9)
@@ -316,6 +381,24 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
         experiments.atomic_write_text("x", str(blocked))
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_output_files_get_the_mode_of_a_new_file(tmp_path):
+    # a CSV or SVG written through a temp file gets 0666 less the umask, as
+    # open() would give it, not mkstemp's private 0600
+    csv_path, svg_path = tmp_path / "perm.csv", tmp_path / "perm.svg"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["enumerate", "--out", str(csv_path)]) == 0
+        assert cli.main(["plot", "--csv", str(csv_path), "--kind", "enumerate",
+                         "--out", str(svg_path)]) == 0
+        os.umask(0o027)
+        experiments.atomic_write_text("x", str(tmp_path / "other.txt"))
+    finally:
+        os.umask(old)
+    assert (csv_path.stat().st_mode & 0o777) == 0o644
+    assert (svg_path.stat().st_mode & 0o777) == 0o644
+    assert ((tmp_path / "other.txt").stat().st_mode & 0o777) == 0o640
 
 
 def test_one_process_run_does_not_load_multiprocessing(tmp_path):
@@ -437,13 +520,16 @@ def test_cli_order_sensitivity_labels_with_commas_read_back(tmp_path):
     assert read_csv(str(out)) == run(cfg)
 
 
-def test_cli_usage_errors_exit_2(tmp_path, capsys):
+def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(["bandit2", "--runs", "0", "--agents", "10", "--n0", "1", "--k", "1"]) == 2
     assert "runs" in capsys.readouterr().err
     assert cli.main(["bandit2", "--k", "2,a"]) == 2
     assert "integer list" in capsys.readouterr().err
     assert cli.main(["plot", "--csv", "x.csv", "--kind", "bandit2"]) == 2
     assert "--out" in capsys.readouterr().err
+    assert cli.main(["plot", "--csv", "x.csv", "--kind", "scatter", "--out", "x.svg"]) == 2
+    assert "invalid choice: 'scatter'" in capsys.readouterr().err
     assert cli.main(["enumerate", "--candidates", "9", "--firms", "2"]) == 2
     assert "enumeration" in capsys.readouterr().err
     args = ["hiring", "--mode", "simultaneous", "--candidates", "20", "--firms", "2",
@@ -476,10 +562,18 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
         ("order-sensitivity", {"rankings": ["A>B", "B>A"]}, "rankings must be"),
         ("order-sensitivity", {"rankings": [["A", 1]]}, "rankings must be"),
         ("order-sensitivity", {"rankings": 5}, "rankings must be"),
+        # a string field takes a string: no file named "True", no str(list)
+        ("enumerate", {"out": True}, "out must be a string, got True"),
+        ("plot", {"csv": "x.csv", "kind": "bandit2", "out": 7},
+         "out must be a string, got 7"),
+        ("plot", {"csv": "x.csv", "kind": "scatter", "out": "x.svg"},
+         "kind must be one of"),
+        ("hiring", {"mode": ["sequential"]}, "mode must be a string, got ['sequential']"),
     ]:
         config.write_text(json.dumps(data))
         assert cli.main([command, "--config", str(config)]) == 2, data
         assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_cli_config_file_precedence(tmp_path, capsys):
@@ -625,6 +719,10 @@ def test_cli_plot_end_to_end(tmp_path):
     )
     assert code == 0
     assert "misclassification" in out.read_text()
+    # an empty output path names no file: a usage error
+    assert cli.main(["plot", "--csv", str(csv_path), "--kind", "hiring-bandit",
+                     "--out", ""]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["hb.csv", "hb.svg"]
 
 
 def test_console_script_entry_point():

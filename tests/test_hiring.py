@@ -318,6 +318,34 @@ def test_deferred_acceptance_matches_list_scan_reference(market):
         assert sd.tolist() == out.tolist()
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_shared_row_hires_its_top_seats_under_any_order_or_prefs(data):
+    # Under one shared row the hired set is the row's stable top
+    # n_firms x capacity, whatever the firm order or the preferences.  So
+    # the hiring driver lets mono and ensemble share poly's draw.
+    n_firms = data.draw(st.integers(1, 4))
+    capacity = data.draw(st.integers(1, 3))
+    seats = n_firms * capacity
+    n_candidates = data.draw(st.integers(seats, seats + 5))
+    # few distinct values, so ties are common
+    row = np.array(
+        data.draw(st.lists(st.integers(-2, 2), min_size=n_candidates,
+                           max_size=n_candidates)),
+        dtype=float,
+    )
+    top = sorted(np.argsort(-row, kind="stable")[:seats].tolist())
+    order = data.draw(st.permutations(range(n_firms)))
+    prefs = np.array(
+        [data.draw(st.permutations(range(n_firms))) for _ in range(n_candidates)]
+    ).reshape(n_candidates, n_firms)
+    for assignment in (sequential_hire(row, order, capacity),
+                       serial_dictatorship(row, prefs, capacity)):
+        assert np.flatnonzero(assignment != UNMATCHED).tolist() == top
+        assert np.bincount(assignment[assignment != UNMATCHED],
+                           minlength=n_firms).tolist() == [capacity] * n_firms
+
+
 def test_normalized_performance_anchor_values():
     market = np.array([0.0, 1.0, 2.0, 3.0])
     best = np.array([UNMATCHED, UNMATCHED, UNMATCHED, 0])
