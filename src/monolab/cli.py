@@ -117,7 +117,7 @@ def _run_and_write(cfg) -> None:
 
 
 def _plot(cfg) -> None:
-    experiments.plot_csv(cfg.csv, cfg.kind, cfg.out, cfg.metric)
+    experiments.plot_csv(cfg)
     print(f"wrote {cfg.out}")
 
 

@@ -9,7 +9,8 @@ replicate stream state, which pairs regimes (same market, same arm means)
 at equal replicate indices: the hiring sweep draws one market per
 replicate and restores a stream snapshot for each firm count (mono and
 ensemble reuse poly's firm order or preferences), the claim game
-re-derives the stream per cell.
+re-derives the stream per cell and passes it, with the cell's regime and
+game sizes as plain arguments, to ``hiring_bandit.simulate_run``.
 
 CSV schema (one metric per row): the fields of ``ResultRow``, in order,
     kind, regime, param_name, param_value, metric, value, stderr, n_runs,
@@ -187,8 +188,9 @@ def _check_grid(grid, flag: str) -> None:
 
 def _check_fields(cfg) -> None:
     """Check each field that is set, in order: its annotated type (no bool as a
-    number, finite floats, grids of distinct positive ints), its ``choices``
-    and ``minimum``, and that a seed is a stream key (an unsigned 64-bit int)."""
+    number, finite floats, non-empty strings, grids of distinct positive ints),
+    its ``choices`` and ``minimum``, and that a seed is a stream key (an
+    unsigned 64-bit int)."""
     for f in fields(cfg):
         value, flag = getattr(cfg, f.name), f.metadata["flag"]
         kind = f.type.removesuffix(" | None")
@@ -201,8 +203,11 @@ def _check_fields(cfg) -> None:
                 raise ValueError(f"{flag} must be a number, got {value!r}")
             if not _is_finite(value):
                 raise ValueError(f"{flag} must be finite, got {value!r}")
-        if kind == "str" and not isinstance(value, str):
-            raise ValueError(f"{flag} must be a string, got {value!r}")
+        if kind == "str":
+            if not isinstance(value, str):
+                raise ValueError(f"{flag} must be a string, got {value!r}")
+            if not value:
+                raise ValueError(f"{flag} must not be empty")
         if kind == "tuple[int, ...]":
             _check_grid(value, flag)
         choices, minimum = f.metadata["choices"], f.metadata["minimum"]
@@ -323,12 +328,12 @@ def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict
     for i, r in enumerate(range(start, stop)):
         for agents in cfg.agent_grid:
             for regime in hiring_bandit.REGIMES:
-                rc = hiring_bandit.RegimeConfig(
-                    regime, agents, cfg.n_arms, cfg.n_rounds, cfg.n0
+                regret, mis = hiring_bandit.simulate_run(
+                    regime, agents, cfg.n_arms, cfg.n_rounds, cfg.n0,
+                    derive_stream(cfg.master_seed, r),
                 )
-                result = hiring_bandit.simulate_run(rc, derive_stream(cfg.master_seed, r))
-                out[(regime, agents, "total_bayesian_regret")][i] = result.regret
-                out[(regime, agents, "misclassification")][i] = result.misclassification
+                out[(regime, agents, "total_bayesian_regret")][i] = regret
+                out[(regime, agents, "misclassification")][i] = mis
     return out
 
 
@@ -535,16 +540,12 @@ class PlotConfig:
         _check_fields(self)
 
 
-def plot_csv(csv_path: str, kind: str, out_path: str, metric: str | None = None) -> None:
+def plot_csv(cfg: PlotConfig) -> None:
     """Render one figure from a results CSV: one series per regime, +/-2 SE bars."""
-    if kind not in DEFAULT_PLOT_METRIC:
-        raise ValueError(
-            f"unknown figure kind {kind!r}, expected one of {sorted(DEFAULT_PLOT_METRIC)}"
-        )
-    metric = metric or DEFAULT_PLOT_METRIC[kind]
-    rows = [r for r in read_csv(csv_path) if r.kind == kind and r.metric == metric]
+    metric = cfg.metric or DEFAULT_PLOT_METRIC[cfg.kind]
+    rows = [r for r in read_csv(cfg.csv) if r.kind == cfg.kind and r.metric == metric]
     if not rows:
-        raise ValueError(f"{csv_path}: no rows with kind={kind!r} and metric={metric!r}")
+        raise ValueError(f"{cfg.csv}: no rows with kind={cfg.kind!r} and metric={metric!r}")
     regimes = dict.fromkeys(r.regime for r in rows)  # in order of first appearance
     series = []
     for regime in regimes:
@@ -559,5 +560,5 @@ def plot_csv(csv_path: str, kind: str, out_path: str, metric: str | None = None)
             )
         )
     x_label = rows[0].param_name
-    svg_text = render_line_chart(series, x_label, metric, title=kind)
-    atomic_write_text(svg_text, out_path)
+    svg_text = render_line_chart(series, x_label, metric, title=cfg.kind)
+    atomic_write_text(svg_text, cfg.out)

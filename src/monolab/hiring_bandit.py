@@ -22,6 +22,9 @@ Regimes differ only in the initial n0 samples per arm and the move order:
 All four regimes draw the same arm means and the same per-agent sample
 tensor when run from identically derived streams, so cross-regime
 comparisons at one replicate index are paired.
+
+``simulate_run(regime, n_agents, n_arms, n_rounds, n0, stream)`` plays one
+regime on plain arguments and returns ``(regret, misclassification)``.
 """
 
 from __future__ import annotations
@@ -33,20 +36,6 @@ import numpy as np
 from .streams import RngStream
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
-
-
-@dataclass(frozen=True)
-class RegimeConfig:
-    regime: str
-    n_agents: int
-    n_arms: int
-    n_rounds: int
-    n0: int
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        check_game(self.n_agents, self.n_arms, self.n_rounds, self.n0)
 
 
 def check_game(n_agents: int, n_arms: int, n_rounds: int, n0: int) -> None:
@@ -96,7 +85,9 @@ def draw_arm_means(n_arms: int, stream: RngStream) -> np.ndarray:
 
 def init_beliefs(
     true_means: np.ndarray,
-    config: RegimeConfig,
+    regime: str,
+    n_agents: int,
+    n0: int,
     stream: RngStream,
 ) -> tuple[BeliefState, BeliefState]:
     """Draw the per-agent initial sample tensor; return agent and observer beliefs.
@@ -109,22 +100,22 @@ def init_beliefs(
     (mono's one set, otherwise the pool) and shares the agents' public
     ``heads`` and ``pulls``; under mono and ensemble it is the agents' belief.
     """
-    n, k = config.n_agents, config.n_arms
+    n, k = n_agents, len(true_means)
     p = np.broadcast_to(np.asarray(true_means, dtype=float), (n, k))
-    heads = stream.binomials(config.n0, p).astype(np.int64, copy=False)
+    heads = stream.binomials(n0, p).astype(np.int64, copy=False)
     public = (np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64))
 
     def counted(sample_heads: np.ndarray, total: int) -> BeliefState:
         """Beta(2, 2) plus ``total`` initial pulls per arm, ``sample_heads`` won."""
         return BeliefState(2 + sample_heads, 2 + total - sample_heads, *public)
 
-    if config.regime == "mono":
-        shared = counted(heads[0], config.n0)
+    if regime == "mono":
+        shared = counted(heads[0], n0)
         return shared, shared
-    pooled = counted(heads.sum(axis=0), n * config.n0)
-    if config.regime == "ensemble":
+    pooled = counted(heads.sum(axis=0), n * n0)
+    if regime == "ensemble":
         return pooled, pooled
-    return counted(heads, config.n0), pooled
+    return counted(heads, n0), pooled
 
 
 def _ranking(values: np.ndarray) -> np.ndarray:
@@ -204,26 +195,31 @@ def impartial_observer_misclassification(
     return len(observed - truth)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    regret: float
-    misclassification: int
+def simulate_run(
+    regime: str,
+    n_agents: int,
+    n_arms: int,
+    n_rounds: int,
+    n0: int,
+    stream: RngStream,
+) -> tuple[float, int]:
+    """One full run of one regime from a fresh stream; (regret, misclassification).
 
-
-def simulate_run(config: RegimeConfig, stream: RngStream) -> RunResult:
-    """One full run of one regime from a fresh stream.
-
-    Stream consumption order: arm means, initial sample tensor, then per
-    round an order permutation (poly_random only) followed by one uniform
-    block for the round's rewards.
+    An unknown regime or a game ``check_game`` rejects raises before any
+    draw.  Stream consumption order: arm means, initial sample tensor, then
+    per round an order permutation (poly_random only) followed by one
+    uniform block for the round's rewards.
     """
-    true_means = draw_arm_means(config.n_arms, stream)
-    beliefs, observer = init_beliefs(true_means, config, stream)
-    fixed_order = np.arange(config.n_agents)
-    arm_log = np.empty((config.n_rounds, config.n_agents), dtype=np.int64)
-    for t in range(config.n_rounds):
-        if config.regime == "poly_random":
-            order = stream.permutation(config.n_agents)
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    check_game(n_agents, n_arms, n_rounds, n0)
+    true_means = draw_arm_means(n_arms, stream)
+    beliefs, observer = init_beliefs(true_means, regime, n_agents, n0, stream)
+    fixed_order = np.arange(n_agents)
+    arm_log = np.empty((n_rounds, n_agents), dtype=np.int64)
+    for t in range(n_rounds):
+        if regime == "poly_random":
+            order = stream.permutation(n_agents)
         else:
             order = fixed_order
         arms = play_round(beliefs, order)
@@ -231,5 +227,5 @@ def simulate_run(config: RegimeConfig, stream: RngStream) -> RunResult:
         observe_and_update(beliefs, arms, rewards)
         arm_log[t] = arms
     regret = total_bayesian_regret(true_means, arm_log)
-    mis = impartial_observer_misclassification(true_means, observer, config.n_agents)
-    return RunResult(regret, mis)
+    mis = impartial_observer_misclassification(true_means, observer, n_agents)
+    return regret, mis

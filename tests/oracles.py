@@ -253,7 +253,7 @@ def random_small_instance(stream, max_firms: int = 4, max_candidates: int = 4):
     return scores, prefs
 
 
-def claim_game_reference(config, stream):
+def claim_game_reference(regime, n_agents, n_arms, n_rounds, n0, stream):
     """The claim game with per-agent alpha/beta matrices; (regret, misclassification).
 
     Every agent holds its own ``(n_arms,)`` Beta counts, rewritten for every
@@ -262,14 +262,14 @@ def claim_game_reference(config, stream):
     the observer's reward counts are summed in Python loops.  Consumes the
     stream in the library's documented order.
     """
-    n, k, n0 = config.n_agents, config.n_arms, config.n0
+    n, k = n_agents, n_arms
     true_means = stream.betas(k, 2.0, 2.0)
     heads = stream.binomials(n0, np.broadcast_to(true_means, (n, k)))
-    if config.regime == "mono":
+    if regime == "mono":
         agent_heads = np.repeat(heads[:1], n, axis=0)
         per_agent_total = n0
         observer_heads, observer_total = heads[0].copy(), n0
-    elif config.regime == "ensemble":
+    elif regime == "ensemble":
         pooled = heads.sum(axis=0)
         agent_heads = np.tile(pooled, (n, 1))
         per_agent_total = n * n0
@@ -282,8 +282,8 @@ def claim_game_reference(config, stream):
     beta = 2 + per_agent_total - agent_heads.astype(np.int64)
 
     logs = []
-    for _ in range(config.n_rounds):
-        if config.regime == "poly_random":
+    for _ in range(n_rounds):
+        if regime == "poly_random":
             order = stream.permutation(n)
         else:
             order = np.arange(n)
@@ -311,7 +311,7 @@ def claim_game_reference(config, stream):
     for round_log in logs:
         for _, arm, _ in round_log:
             actual += float(true_means[arm])
-    regret = config.n_rounds * float(best) - actual
+    regret = n_rounds * float(best) - actual
 
     reward_heads = np.zeros(k, dtype=np.int64)
     reward_total = np.zeros(k, dtype=np.int64)

@@ -22,6 +22,7 @@ from monolab.experiments import (
     HiringBanditConfig,
     HiringConfig,
     OrderSensitivityConfig,
+    PlotConfig,
     ResultRow,
     read_csv,
     rows_to_csv_text,
@@ -258,7 +259,9 @@ def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds,
             return str(err)
         return None
 
-    model = error(lambda: hiring_bandit.RegimeConfig("mono", agents, arms, rounds, n0))
+    model = error(lambda: hiring_bandit.simulate_run(
+        "mono", agents, arms, rounds, n0, derive_stream(0, 0)
+    ))
     config = error(lambda: HiringBanditConfig(
         n_arms=arms, n_rounds=rounds, agent_grid=(1, agents), n0=n0
     ))
@@ -458,7 +461,7 @@ def test_plot_pipeline(tmp_path):
     csv_path = tmp_path / "b2.csv"
     svg_path = tmp_path / "b2.svg"
     write_csv(run(SMALL_BANDIT2), str(csv_path))
-    experiments.plot_csv(str(csv_path), "bandit2", str(svg_path))
+    experiments.plot_csv(PlotConfig(csv=str(csv_path), kind="bandit2", out=str(svg_path)))
     svg = svg_path.read_text()
     assert svg.startswith("<svg")
     assert "<polyline" in svg
@@ -471,10 +474,11 @@ def test_plot_rejects_empty_selection(tmp_path):
     csv_path.write_text(",".join(experiments.CSV_HEADER) + "\n")
     out = tmp_path / "fig.svg"
     with pytest.raises(ValueError, match="no rows"):
-        experiments.plot_csv(str(csv_path), "bandit2", str(out))
+        experiments.plot_csv(PlotConfig(csv=str(csv_path), kind="bandit2", out=str(out)))
     assert not out.exists()
-    with pytest.raises(ValueError, match="unknown figure kind"):
-        experiments.plot_csv(str(csv_path), "scatter", str(out))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        PlotConfig(csv=str(csv_path), kind="scatter", out=str(out))
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +552,17 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["order-sensitivity"]) == 2
     assert "rankings" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 2
+    # an empty string flag is a usage error, not a missing file, stdout or the default
+    for args, flag in [
+        (["plot", "--csv", "", "--kind", "bandit2", "--out", "x.svg"], "csv"),
+        (["enumerate", "--out", ""], "out"),
+        (["plot", "--csv", "x.csv", "--kind", "bandit2", "--out", "x.svg", "--metric", ""],
+         "metric"),
+    ]:
+        assert cli.main(args) == 2, args
+        captured = capsys.readouterr()
+        assert f"{flag} must not be empty" in captured.err
+        assert captured.out == ""
     # typed config-file values reach the config as they are: no int() or float()
     config = tmp_path / "cfg.json"
     small = {"agents": 10, "n0": "1", "k": "1", "runs": 2}
@@ -569,10 +584,13 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         ("plot", {"csv": "x.csv", "kind": "scatter", "out": "x.svg"},
          "kind must be one of"),
         ("hiring", {"mode": ["sequential"]}, "mode must be a string, got ['sequential']"),
+        ("enumerate", {"out": ""}, "out must not be empty"),
     ]:
         config.write_text(json.dumps(data))
         assert cli.main([command, "--config", str(config)]) == 2, data
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 

@@ -12,7 +12,6 @@ from monolab.experiments import HiringBanditConfig
 from monolab.hiring_bandit import (
     REGIMES,
     BeliefState,
-    RegimeConfig,
     draw_arm_means,
     impartial_observer_misclassification,
     init_beliefs,
@@ -27,8 +26,8 @@ from monolab.streams import derive_stream
 from oracles import claim_game_reference
 
 
-def config_for(regime, n_agents=4, n_arms=12, n_rounds=3, n0=5):
-    return RegimeConfig(regime, n_agents, n_arms, n_rounds, n0)
+def run_for(regime, stream, n_agents=4, n_arms=12, n_rounds=3, n0=5):
+    return simulate_run(regime, n_agents, n_arms, n_rounds, n0, stream)
 
 
 def beliefs_from(alpha0, beta0):
@@ -50,17 +49,19 @@ def best_unclaimed_in_move_order(beliefs, order, arms):
     return True
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        config_for("duopoly")
-    with pytest.raises(ValueError):
-        config_for("mono", n_agents=0)
-    with pytest.raises(ValueError):
-        config_for("mono", n_agents=5, n_arms=5)
-    with pytest.raises(ValueError):
-        config_for("mono", n_rounds=0)
-    with pytest.raises(ValueError):
-        config_for("mono", n0=-1)
+def test_simulate_run_rejects_before_any_draw():
+    for regime, game, message in [
+        ("duopoly", {}, "unknown regime 'duopoly'"),
+        ("mono", {"n_agents": 0}, "need at least one agent"),
+        ("mono", {"n_agents": 5, "n_arms": 5}, "need more arms than agents"),
+        ("mono", {"n_rounds": 0}, "rounds must be >= 1"),
+        ("mono", {"n0": -1}, "n0 must be >= 0"),
+    ]:
+        stream = derive_stream(30, 0)
+        before = stream.state()
+        with pytest.raises(ValueError, match=message):
+            run_for(regime, stream, **game)
+        assert stream.state() == before, (regime, game)
 
 
 def test_draw_arm_means_range_and_validation():
@@ -76,7 +77,7 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
     results = {}
     for regime in ("mono", "poly_fixed", "poly_random", "ensemble"):
         stream = derive_stream(32, 1)  # same key: same tensor under every regime
-        results[regime] = init_beliefs(means, config_for(regime), stream)
+        results[regime] = init_beliefs(means, regime, 4, 5, stream)
 
     poly_beliefs, poly_obs = results["poly_fixed"]
     mono_beliefs, mono_obs = results["mono"]
@@ -120,7 +121,7 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
 
 def test_init_beliefs_zero_samples():
     means = draw_arm_means(6, derive_stream(33, 0))
-    beliefs, observer = init_beliefs(means, config_for("poly_fixed", n_arms=6, n_agents=2, n0=0), derive_stream(33, 1))
+    beliefs, observer = init_beliefs(means, "poly_fixed", 2, 0, derive_stream(33, 1))
     assert np.all(beliefs.alpha0 == 2) and np.all(beliefs.beta0 == 2)
     assert np.all(observer.alpha0 == 2) and np.all(observer.beta0 == 2)
 
@@ -229,8 +230,8 @@ def test_total_bayesian_regret_adds_in_pull_order():
 
 def test_regret_nonnegative_on_random_runs():
     for r in range(20):
-        result = simulate_run(config_for("poly_random"), derive_stream(35, r))
-        assert result.regret >= 0.0
+        regret, _ = run_for("poly_random", derive_stream(35, r))
+        assert regret >= 0.0
 
 
 def observer_from(heads, total, reward_heads, reward_pulls):
@@ -265,17 +266,15 @@ def test_observer_full_slate_never_misclassifies():
 def test_single_agent_regimes_coincide():
     results = {}
     for regime in ("mono", "poly_fixed", "ensemble"):
-        config = RegimeConfig(regime, 1, 20, 10, 5)
-        results[regime] = simulate_run(config, derive_stream(36, 0))
+        results[regime] = simulate_run(regime, 1, 20, 10, 5, derive_stream(36, 0))
     assert results["mono"] == results["poly_fixed"] == results["ensemble"]
 
 
 def test_simulate_run_deterministic():
-    config = config_for("poly_random")
-    a = simulate_run(config, derive_stream(37, 4))
-    b = simulate_run(config, derive_stream(37, 4))
+    a = run_for("poly_random", derive_stream(37, 4))
+    b = run_for("poly_random", derive_stream(37, 4))
     assert a == b
-    c = simulate_run(config, derive_stream(37, 5))
+    c = run_for("poly_random", derive_stream(37, 5))
     assert a != c
 
 
@@ -290,11 +289,10 @@ def test_simulate_run_deterministic():
 )
 def test_simulate_run_matches_reference(regime, n_agents, extra_arms, n_rounds, n0, seed):
     # n0 = 0 starts every agent at Beta(2, 2): round one is all ties.
-    config = RegimeConfig(regime, n_agents, n_agents + extra_arms, n_rounds, n0)
-    result = simulate_run(config, derive_stream(seed, 0))
-    regret, misclassification = claim_game_reference(config, derive_stream(seed, 0))
-    assert result.regret == regret
-    assert result.misclassification == misclassification
+    game = (regime, n_agents, n_agents + extra_arms, n_rounds, n0)
+    regret, misclassification = simulate_run(*game, derive_stream(seed, 0))
+    assert (regret, misclassification) == claim_game_reference(*game, derive_stream(seed, 0))
+    assert isinstance(regret, float) and isinstance(misclassification, int)
 
 
 def test_run_experiment_aggregates():
@@ -309,9 +307,8 @@ def test_run_experiment_aggregates():
     by = {(r.regime, r.metric): r for r in rows}
     regret = by[("mono", "total_bayesian_regret")]
     assert regret.n_runs == 50
-    config = RegimeConfig("mono", 2, 6, 4, 2)
     regrets = np.array(
-        [simulate_run(config, derive_stream(38, r)).regret for r in range(50)]
+        [simulate_run("mono", 2, 6, 4, 2, derive_stream(38, r))[0] for r in range(50)]
     )
     assert np.array_equal(values[("mono", 2, "total_bayesian_regret")], regrets)
     assert regret.value == pytest.approx(regrets.mean())
