@@ -363,7 +363,7 @@ def _collect(simulate, cfg) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         starts, stops = zip(*ranges)
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             try:
                 parts = list(pool.map(simulate, [cfg] * len(ranges), starts, stops))
             except BaseException:

@@ -22,8 +22,10 @@ returns that one shared row, and ``sequential_hire`` and
 the assignment as an int64 array indexed by candidate: the firm that hired
 the candidate, or ``UNMATCHED``.
 
-Tie-breaks are deterministic everywhere: when scores are equal, the lowest
-candidate index wins.
+Sequential hiring takes its picks from ``take_in_order``, the one pick rule
+that the claim game in ``hiring_bandit`` uses too: movers go in turn and
+each takes its best remaining columns.  Tie-breaks are deterministic
+everywhere: when scores are equal, the lowest candidate index wins.
 """
 
 from __future__ import annotations
@@ -86,6 +88,29 @@ def _check_finite(scores: np.ndarray) -> None:
         raise ValueError("scores must be finite (no NaN or infinity)")
 
 
+def take_in_order(scores: np.ndarray, order, capacity: int = 1) -> np.ndarray:
+    """Columns taken in move order when each mover takes its best remaining ones.
+
+    Every mover in ``order`` takes the ``capacity`` best columns of its row
+    that no earlier mover took, ties to the lowest index.  ``scores`` is one
+    row every mover shares (then the picks are its top ``len(order) *
+    capacity``) or a table with one row per mover, read through one copy in
+    which every taken column is set to -inf.  Callers check the sizes.
+    """
+    if scores.ndim == 1:
+        return np.argsort(-scores, kind="stable")[: len(order) * capacity]
+    remaining = np.array(scores, dtype=float)
+    columns = remaining.T  # columns[c] is column c in every row
+    picks = []
+    for mover in np.asarray(order).tolist():
+        row = remaining[mover]
+        for _ in range(capacity):
+            pick = row.argmax()  # the first (lowest) index on ties
+            picks.append(pick)
+            columns[pick] = -np.inf
+    return np.array(picks, dtype=np.int64)
+
+
 def sequential_hire(
     scores: np.ndarray,
     firm_order,
@@ -96,19 +121,16 @@ def sequential_hire(
     ``scores`` is a (n_firms, n_candidates) table, or one row of candidate
     scores that every firm shares (the mono and ensemble regimes), in which
     case ``firm_order`` alone fixes the firm count.  With the default
-    capacity of one, every firm hires exactly one candidate.  Score ties go
-    to the lowest candidate index.
+    capacity of one, every firm hires exactly one candidate.  The picks are
+    ``take_in_order``'s, so score ties go to the lowest candidate index.
     """
-    # A copy in which every hired candidate's column is set to -inf, so the
-    # argmax of a firm's row is its best remaining candidate.
-    remaining = np.array(scores, dtype=float)
-    if remaining.ndim not in (1, 2):
-        raise ValueError(f"scores must be a row or a table, got shape {remaining.shape}")
-    _check_finite(remaining)
-    shared = remaining.ndim == 1
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim not in (1, 2):
+        raise ValueError(f"scores must be a row or a table, got shape {scores.shape}")
+    _check_finite(scores)
     order = [int(f) for f in firm_order]
-    n_firms = len(order) if shared else remaining.shape[0]
-    n_candidates = remaining.shape[-1]
+    n_firms = len(order) if scores.ndim == 1 else scores.shape[0]
+    n_candidates = scores.shape[-1]
     if sorted(order) != list(range(n_firms)):
         raise ValueError("firm_order must be a permutation of all firm indices")
     if capacity < 1:
@@ -119,13 +141,7 @@ def sequential_hire(
             f"with capacity {capacity}"
         )
     assignment = np.full(n_candidates, UNMATCHED, dtype=np.int64)
-    columns = remaining.T  # columns[c] is candidate c's score in every row
-    for firm in order:
-        row = remaining if shared else remaining[firm]
-        for _ in range(capacity):
-            pick = row.argmax()  # the first (lowest) index on ties
-            assignment[pick] = firm
-            columns[pick] = -np.inf
+    assignment[take_in_order(scores, order, capacity)] = np.repeat(order, capacity)
     return assignment
 
 

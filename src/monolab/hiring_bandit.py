@@ -4,13 +4,15 @@ n_agents repeatedly choose among n_arms > n_agents arms whose true means
 are drawn Beta(2, 2).  Each round the agents move in sequence and take the
 unclaimed arm with the highest posterior mean (Beta-Bernoulli beliefs,
 ties to the lowest arm index); an arm claimed earlier in the round is gone
-for everyone after.  Pull results are public: at the end of each round all
-agents update on every pull.  So a belief is the agent's initial counts plus
-one public count vector, and under mono and ensemble, where the initial
-counts are shared, all agents hold one posterior and a round is the top-n
-arms of one ranking.  The impartial observer is one more shared belief: it
-counts every distinct initial sample set once and reads the same public
-vectors, so under mono and ensemble it is the agents' own belief.
+for everyone after.  That is sequential hiring's rule with arms for
+candidates, and both take their picks from ``hiring.take_in_order``.  Pull
+results are public: at the end of each round all agents update on every
+pull.  So a belief is the agent's initial counts plus one public count
+vector, and under mono and ensemble, where the initial counts are shared,
+all agents hold one posterior and a round is the top-n arms of one ranking.
+The impartial observer is one more shared belief: it counts every distinct
+initial sample set once and reads the same public vectors, so under mono
+and ensemble it is the agents' own belief.
 
 Regimes differ only in the initial n0 samples per arm and the move order:
 
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hiring import take_in_order
 from .streams import RngStream
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
@@ -66,11 +69,6 @@ class BeliefState:
     beta0: np.ndarray  # Beta(2, 2) prior plus initial failures, int64
     heads: np.ndarray  # shape (n_arms,), int64 successes among public pulls
     pulls: np.ndarray  # shape (n_arms,), int64 public pulls
-
-    @property
-    def shared(self) -> bool:
-        """True when every agent holds the same posterior."""
-        return self.alpha0.ndim == 1
 
     def posterior_means(self) -> np.ndarray:
         return (self.alpha0 + self.heads) / (self.alpha0 + self.beta0 + self.pulls)
@@ -118,35 +116,16 @@ def init_beliefs(
     return counted(heads, n0), pooled
 
 
-def _ranking(values: np.ndarray) -> np.ndarray:
-    """Arm indices by descending value along the last axis, ties to the lower arm."""
-    return np.argsort(-values, axis=-1, kind="stable")
-
-
 def play_round(beliefs: BeliefState, order: np.ndarray) -> np.ndarray:
     """Claimed arms for one round, in move order (``order[i]`` takes ``arms[i]``).
 
     Each agent takes the unclaimed arm with the highest posterior mean;
-    exact ties go to the lowest arm index.  Beliefs are read, not updated:
-    information propagates only between rounds.  Under a shared posterior
-    the round is the top-n arms of one ranking, whatever the order.
+    exact ties go to the lowest arm index (``hiring.take_in_order``).
+    Beliefs are read, not updated: information propagates only between
+    rounds.  Under a shared posterior the round is the top-n arms of one
+    ranking, whatever the order.
     """
-    n = len(order)
-    ranking = _ranking(beliefs.posterior_means())
-    if beliefs.shared:
-        return ranking[:n]
-    # At most n - 1 arms are claimed before any agent moves, so each agent's
-    # pick lies among its own top n.
-    rows = ranking[:, :n].tolist()
-    claimed = set()
-    arms = []
-    for agent in order.tolist():
-        for arm in rows[agent]:
-            if arm not in claimed:
-                break
-        claimed.add(arm)
-        arms.append(arm)
-    return np.array(arms, dtype=np.int64)
+    return take_in_order(beliefs.posterior_means(), order)
 
 
 def realize_rewards(arms: np.ndarray, true_means: np.ndarray, stream: RngStream) -> np.ndarray:
@@ -190,8 +169,9 @@ def impartial_observer_misclassification(
     samples plus every public pull.  It ranks arms by posterior mean with
     ties to the lower index.
     """
-    observed = set(_ranking(observer.posterior_means())[:n_agents].tolist())
-    truth = set(_ranking(np.asarray(true_means, dtype=float))[:n_agents].tolist())
+    movers = range(n_agents)
+    observed = set(take_in_order(observer.posterior_means(), movers).tolist())
+    truth = set(take_in_order(np.asarray(true_means, dtype=float), movers).tolist())
     return len(observed - truth)
 
 

@@ -73,11 +73,6 @@ class RngStream:
             raise ValueError(f"beta shape parameters must be > 0, got a={a}, b={b}")
         return self.gen.beta(a, b, size=shape)
 
-    def bernoullis(self, shape, p: float) -> np.ndarray:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli probability must lie in [0, 1], got {p}")
-        return (self.gen.random(shape) < p).astype(np.int64)
-
     def binomials(self, n: int, p: float | np.ndarray) -> np.ndarray:
         if n < 0:
             raise ValueError(f"binomial count must be >= 0, got {n}")

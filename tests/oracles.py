@@ -3,12 +3,13 @@
 These deliberately use different algorithms from the library (exhaustive
 search instead of deferred acceptance, a list scan for each firm's worst
 held candidate instead of a heap, a freshly masked row per seat instead of
-one score copy with hired columns set to -inf, per-agent belief matrices and argmax
-claims instead of one public count vector and one sort per round, a
-per-step greedy loop over one group at a time instead of one lockstep walk
-over every group of every replicate) so agreement is evidence, not
-tautology.  ``lock_in_time`` scans backward and ``lock_in_forward_scan``
-forward, so the two check each other.
+one score copy with taken columns set to -inf, a stable sort per row and a
+scan past the taken columns instead of the first maximum of a masked row,
+per-agent belief matrices instead of one public count vector, a per-step
+greedy loop over one group at a time instead of one lockstep walk over
+every group of every replicate) so agreement is evidence, not tautology.
+``lock_in_time`` scans backward and ``lock_in_forward_scan`` forward, so
+the two check each other.
 """
 
 from __future__ import annotations
@@ -70,6 +71,28 @@ def sequential_hire_mask_scan(scores, firm_order, capacity: int = 1):
             assignment[pick] = int(firm)
             available[pick] = False
     return assignment
+
+
+def take_in_order_sort_scan(scores, order, capacity: int = 1):
+    """Columns taken in move order, as a list; a shared row serves every mover.
+
+    Each mover's row is stably sorted by descending score once, and the
+    mover walks it, taking the first ``capacity`` columns not yet claimed.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim == 1:
+        scores = np.tile(scores, (max(order) + 1, 1))
+    rows = np.argsort(-scores, axis=1, kind="stable").tolist()
+    claimed = set()
+    picks = []
+    for mover in order:
+        wanted = capacity
+        for col in rows[mover]:
+            if wanted and col not in claimed:
+                claimed.add(col)
+                picks.append(col)
+                wanted -= 1
+    return picks
 
 
 def deferred_acceptance_list_scan(scores, prefs, capacity: int):
@@ -186,8 +209,8 @@ def run_group(env: TwoArmEnv, h0: InitialHistory, horizon: int, stream) -> Bandi
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    sched1 = stream.bernoullis(horizon, env.mu1)
-    sched2 = stream.bernoullis(horizon, env.mu2)
+    sched1 = (stream.uniforms(horizon) < env.mu1).astype(np.int64)
+    sched2 = (stream.uniforms(horizon) < env.mu2).astype(np.int64)
     choices = np.empty(horizon, dtype=np.int8)
     rewards = np.empty(horizon, dtype=np.int8)
     n1 = z1 = n2 = z2 = 0
@@ -246,7 +269,7 @@ def random_small_instance(stream, max_firms: int = 4, max_candidates: int = 4):
     n_firms = 1 + int(stream.gen.integers(max_firms))
     n_candidates = 1 + int(stream.gen.integers(max_candidates))
     scores = stream.gaussians((n_firms, n_candidates))
-    if stream.bernoullis((), 0.2):
+    if stream.uniforms(()) < 0.2:
         # inject exact score ties so the index tie-break is exercised
         scores = np.round(scores)
     prefs = np.vstack([stream.permutation(n_firms) for _ in range(n_candidates)])

@@ -149,8 +149,8 @@ def test_run_group_reads_reward_schedules_in_order():
     replay = derive_stream(17, 0)
     draw_environment(replay)
     draw_initial_history(env, 3, replay)
-    sched1 = replay.bernoullis(60, env.mu1)
-    sched2 = replay.bernoullis(60, env.mu2)
+    sched1 = (replay.uniforms(60) < env.mu1).astype(np.int64)
+    sched2 = (replay.uniforms(60) < env.mu2).astype(np.int64)
     k1 = k2 = 0
     for arm, reward in zip(trace.choices, trace.rewards):
         if arm == 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -66,6 +67,34 @@ def test_split_ranges_cover_all_replicates():
         assert rebuilt == list(range(n_runs))
         if workers <= 1:
             assert ranges == [(0, n_runs)]
+
+
+def test_pool_size_follows_the_replicate_chunks(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        """Records the requested worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = Bandit2Config(
+        total_agents=10, n0_grid=(1,), k_grid=(1,), n_runs=3, master_seed=45, workers=8
+    )
+    pooled = rows_to_csv_text(run(cfg))
+    # three replicates make three chunks, so eight workers would idle five
+    assert requested == [3]
+    assert pooled == rows_to_csv_text(run(with_workers(cfg, 1)))
 
 
 def test_row_aggregation_matches_kept_values():

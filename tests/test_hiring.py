@@ -16,6 +16,7 @@ from monolab.hiring import (
     score_regime,
     sequential_hire,
     serial_dictatorship,
+    take_in_order,
 )
 from monolab.streams import derive_stream
 
@@ -25,6 +26,7 @@ from oracles import (
     is_stable,
     random_small_instance,
     sequential_hire_mask_scan,
+    take_in_order_sort_scan,
 )
 
 
@@ -183,6 +185,20 @@ def test_sequential_hire_matches_mask_scan_reference(market):
     if (scores == scores[0]).all():
         shared = sequential_hire(scores[0], order, capacity)
         assert shared.tolist() == expected
+
+
+@given(hiring_tables())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_take_in_order_matches_sort_scan_reference(market):
+    # the reference sorts each row once and walks it past claimed columns
+    scores, order, capacity = market
+    before = scores.copy()
+    expected = take_in_order_sort_scan(scores, order, capacity)
+    assert take_in_order(scores, order, capacity).tolist() == expected
+    assert np.array_equal(scores, before)  # the caller's table is not masked
+    if (scores == scores[0]).all():
+        assert take_in_order(scores[0], order, capacity).tolist() == expected
+        assert take_in_order_sort_scan(scores[0], order, capacity) == expected
 
 
 def test_score_regime_ensemble_averages_a_given_poly_table():

@@ -84,7 +84,7 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
     ens_beliefs, ens_obs = results["ensemble"]
 
     # mono shares the first independent sample row among all agents
-    assert mono_beliefs.shared and not poly_beliefs.shared
+    assert mono_beliefs.alpha0.ndim == 1 and poly_beliefs.alpha0.ndim == 2
     assert poly_beliefs.alpha0.shape == (4, 12)
     assert np.array_equal(mono_beliefs.alpha0, poly_beliefs.alpha0[0])
     assert np.array_equal(mono_obs.alpha0 - 2, poly_beliefs.alpha0[0] - 2)
@@ -92,7 +92,7 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
 
     # ensemble pools all rows; observer sees the same pool as under poly
     pooled = (poly_beliefs.alpha0 - 2).sum(axis=0)
-    assert ens_beliefs.shared
+    assert ens_beliefs.alpha0.ndim == 1
     assert np.array_equal(ens_beliefs.alpha0 - 2, pooled)
     assert np.array_equal(ens_obs.alpha0 - 2, pooled)
     assert np.array_equal(poly_obs.alpha0 - 2, pooled)
@@ -102,7 +102,7 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
     # the observer is one shared belief reading the agents' public vectors;
     # under mono and ensemble it is the agents' own belief
     assert mono_obs is mono_beliefs and ens_obs is ens_beliefs
-    assert poly_obs.shared
+    assert poly_obs.alpha0.ndim == 1
     assert poly_obs.heads is poly_beliefs.heads and poly_obs.pulls is poly_beliefs.pulls
 
     # Beta(2, 2) prior plus per-agent sample budget

@@ -33,7 +33,7 @@ def test_mixed_draw_kinds_stay_deterministic():
         return (
             float(stream.gaussians((), 1.0, 2.0)),
             float(stream.betas((), 2.0, 2.0)),
-            int(stream.bernoullis((), 0.3)),
+            float(stream.uniforms(())),
             tuple(stream.permutation(5).tolist()),
             int(stream.binomials(10, 0.5)),
         )
@@ -56,10 +56,6 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         s.betas((), 1.0, -2.0)
     with pytest.raises(ValueError):
-        s.bernoullis((), -0.1)
-    with pytest.raises(ValueError):
-        s.bernoullis((), 1.1)
-    with pytest.raises(ValueError):
         s.permutation(-1)
     with pytest.raises(ValueError):
         s.binomials(-1, 0.5)
@@ -80,12 +76,6 @@ def test_seed_bounds_enforced():
     derive_stream(2**64 - 1, 2**64 - 1)
 
 
-def test_bernoulli_degenerate_probabilities():
-    s = derive_stream(3, 0)
-    assert all(s.bernoullis((), 1.0) == 1 for _ in range(200))
-    assert all(s.bernoullis((), 0.0) == 0 for _ in range(200))
-
-
 def test_gaussian_moments():
     s = derive_stream(11, 0)
     n = 100_000
@@ -102,14 +92,6 @@ def test_beta_2_2_moments():
     # Beta(2,2): mean 1/2, variance ab/((a+b)^2 (a+b+1)) = 4/80 = 0.05
     assert abs(xs.mean() - 0.5) < 3 * np.sqrt(0.05 / n)
     assert abs(xs.var(ddof=1) - 0.05) < 0.005
-
-
-def test_bernoulli_frequency():
-    s = derive_stream(13, 0)
-    n = 100_000
-    xs = s.bernoullis(n, 0.3)
-    assert set(np.unique(xs)) <= {0, 1}
-    assert abs(xs.mean() - 0.3) < 3 * np.sqrt(0.3 * 0.7 / n)
 
 
 def test_permutations_uniform():
