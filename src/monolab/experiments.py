@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -239,12 +240,20 @@ class ResultRow:
     exact: str = ""
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # The CSV columns are ResultRow's fields, in order.  A field's annotation
-# picks how its column is written and read back; repr keeps floats exact.
+# picks how its column is written and read back; repr keeps floats exact,
+# and a float read back must be finite, as every float the tool writes is.
 _COLUMNS = fields(ResultRow)
 CSV_HEADER = tuple(f.name for f in _COLUMNS)
 _FORMAT = {"str": str, "float": lambda v: repr(float(v)), "int": str}
-_PARSE = {"str": str, "float": float, "int": int}
+_PARSE = {"str": str, "float": _finite_float, "int": int}
 
 
 def _sample_se(values: np.ndarray) -> float:
@@ -266,12 +275,10 @@ def _binomial_se(values: np.ndarray) -> float:
 
 
 def _hire(cfg: HiringConfig, scores: np.ndarray, draw) -> np.ndarray:
+    # Both matchers take poly's table or the row mono and ensemble firms share.
     if cfg.mode == "sequential":
         return hiring.sequential_hire(scores, draw, cfg.capacity)
-    if scores.ndim == 2:
-        return hiring.deferred_acceptance(scores, draw, cfg.capacity)
-    # Under one shared row, deferred acceptance reduces to serial dictatorship.
-    return hiring.serial_dictatorship(scores, draw, cfg.capacity)
+    return hiring.deferred_acceptance(scores, draw, cfg.capacity)
 
 
 def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
@@ -335,14 +342,6 @@ def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict
                 out[(regime, agents, "total_bayesian_regret")][i] = regret
                 out[(regime, agents, "misclassification")][i] = mis
     return out
-
-
-# config type -> (replicate-range simulator, param_name, stderr rule)
-_MONTE_CARLO = {
-    HiringConfig: (_hiring_range, "firms", _sample_se),
-    Bandit2Config: (_bandit2_range, "n0", _binomial_se),
-    HiringBanditConfig: (_hiring_bandit_range, "agents", _sample_se),
-}
 
 
 def _split_ranges(n_runs: int, workers: int) -> list[tuple[int, int]]:
@@ -421,29 +420,32 @@ def run_order_sensitivity(cfg: OrderSensitivityConfig):
     return rows
 
 
-def run(config, keep_values: bool = False):
-    """Run a config's experiment and return its result rows.
-
-    With ``keep_values`` a Monte Carlo experiment returns ``(rows, values)``,
-    where ``values[(regime, param_value, metric)]`` holds the per-replicate
-    values behind each row, in replicate order.
-    """
-    if isinstance(config, EnumerateConfig):
-        return run_enumerate(config)
-    if isinstance(config, OrderSensitivityConfig):
-        return run_order_sensitivity(config)
-    if type(config) not in _MONTE_CARLO:
-        raise TypeError(f"unknown config type {type(config).__name__}")
-    simulate, param_name, stderr = _MONTE_CARLO[type(config)]
-    values = _collect(simulate, config)
-    rows = [
+def run_monte_carlo(simulate, param_name: str, stderr, cfg):
+    """One row per ``simulate`` key: the mean of its replicate values and ``stderr``."""
+    return [
         ResultRow(
-            config.kind, regime, param_name, float(param_value), metric,
-            float(vals.mean()), stderr(vals), config.n_runs, config.master_seed,
+            cfg.kind, regime, param_name, float(param_value), metric,
+            float(vals.mean()), stderr(vals), cfg.n_runs, cfg.master_seed,
         )
-        for (regime, param_value, metric), vals in values.items()
+        for (regime, param_value, metric), vals in _collect(simulate, cfg).items()
     ]
-    return (rows, values) if keep_values else rows
+
+
+# config type -> the runner that turns it into result rows
+_RUNNERS = {
+    HiringConfig: partial(run_monte_carlo, _hiring_range, "firms", _sample_se),
+    Bandit2Config: partial(run_monte_carlo, _bandit2_range, "n0", _binomial_se),
+    HiringBanditConfig: partial(run_monte_carlo, _hiring_bandit_range, "agents", _sample_se),
+    EnumerateConfig: run_enumerate,
+    OrderSensitivityConfig: run_order_sensitivity,
+}
+
+
+def run(config):
+    """Run a config's experiment and return its result rows."""
+    if type(config) not in _RUNNERS:
+        raise TypeError(f"unknown config type {type(config).__name__}")
+    return _RUNNERS[type(config)](config)
 
 
 # ---------------------------------------------------------------------------

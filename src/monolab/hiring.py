@@ -17,15 +17,18 @@ Because of that, regimes starting from the same stream state share the
 market, and ``ensemble`` is the exact mean of the ``poly`` table drawn at
 that state, so it can average poly's table instead of drawing it again.
 Under mono and ensemble every firm row is the same, so ``score_regime``
-returns that one shared row, and ``sequential_hire`` and
-``serial_dictatorship`` take it in place of a table.  Every matcher returns
+returns that one shared row, and both matchers, ``sequential_hire`` and
+``deferred_acceptance``, take it in place of a table.  Every matcher returns
 the assignment as an int64 array indexed by candidate: the firm that hired
 the candidate, or ``UNMATCHED``.
 
 Sequential hiring takes its picks from ``take_in_order``, the one pick rule
 that the claim game in ``hiring_bandit`` uses too: movers go in turn and
-each takes its best remaining columns.  Tie-breaks are deterministic
-everywhere: when scores are equal, the lowest candidate index wins.
+each takes its best remaining columns.  Deferred acceptance, the one
+simultaneous matcher, takes proposers strongest first and stops at the
+first one no full firm would take, so on a shared row it does serial
+dictatorship's work.  Tie-breaks are deterministic everywhere: when scores
+are equal, the lowest candidate index wins.
 """
 
 from __future__ import annotations
@@ -156,19 +159,6 @@ def generate_prefs(n_candidates: int, n_firms: int, stream: RngStream) -> np.nda
     return stream.permutations(n_candidates, n_firms)
 
 
-def _validate_prefs(prefs: np.ndarray, n_firms: int) -> np.ndarray:
-    prefs = np.asarray(prefs)
-    if prefs.ndim != 2 or prefs.shape[1] != n_firms:
-        raise ValueError(
-            f"preference matrix must have shape (n_candidates, {n_firms}), "
-            f"got {prefs.shape}"
-        )
-    expected = np.arange(n_firms)
-    if not np.array_equal(np.sort(prefs, axis=1), np.broadcast_to(expected, prefs.shape)):
-        raise ValueError("each preference row must be a permutation of all firm indices")
-    return prefs
-
-
 def deferred_acceptance(
     scores: np.ndarray,
     prefs: np.ndarray,
@@ -180,28 +170,55 @@ def deferred_acceptance(
     proposers so far, ranked by score with ties to the lowest candidate
     index, and rejects the excess.  The result is the candidate-optimal
     stable matching and does not depend on the proposal processing order
-    (Gale & Shapley 1962; Roth & Sotomayor 1990).
+    (Gale & Shapley 1962; McVitie & Wilson 1971; Roth & Sotomayor 1990).
+    ``scores`` is a (n_firms, n_candidates) table, or one row of candidate
+    scores that every firm shares (the mono and ensemble regimes), in which
+    case ``prefs`` alone fixes the firm count.
 
     Each firm keeps its held candidates in a min-heap keyed on that
-    desirability, so the candidate to evict is always at the root.
+    desirability, so the candidate to evict is always at the root.  Fresh
+    proposers go strongest first, by descending ``(best score over firms,
+    -index)``.  Once every firm is full, the roots only rise and every later
+    proposer is weaker, so the first fresh proposer whose key is below every
+    root stops the loop: it and all after it stay unmatched.  On a shared
+    row this is serial dictatorship: each candidate in score order takes
+    their most preferred firm with a free seat.
     """
     scores = np.asarray(scores, dtype=float)
+    if scores.ndim not in (1, 2):
+        raise ValueError(f"scores must be a row or a table, got shape {scores.shape}")
     _check_finite(scores)
-    n_firms, n_candidates = scores.shape
-    prefs = _validate_prefs(prefs, n_firms)
-    if prefs.shape[0] != n_candidates:
-        raise ValueError("preference matrix row count must equal candidate count")
+    prefs = np.asarray(prefs)
+    if prefs.ndim != 2:
+        raise ValueError(f"preferences must be a matrix, got shape {prefs.shape}")
+    n_firms = prefs.shape[1] if scores.ndim == 1 else scores.shape[0]
+    n_candidates = scores.shape[-1]
+    if n_firms < 1 or prefs.shape != (n_candidates, n_firms):
+        raise ValueError(
+            f"preference matrix must have shape ({n_candidates}, {n_firms}) "
+            f"with at least one firm, got {prefs.shape}"
+        )
+    if not (np.sort(prefs, axis=1) == np.arange(n_firms)).all():
+        raise ValueError("each preference row must be a permutation of all firm indices")
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
 
-    score_rows = scores.tolist()
+    if scores.ndim == 1:
+        score_rows, best = [scores.tolist()] * n_firms, scores
+    else:
+        score_rows, best = scores.tolist(), scores.max(axis=0)
+    order = np.lexsort((np.arange(n_candidates), -best)).tolist()
+    best = best.tolist()
     pref_rows = prefs.tolist()
     assignment = [UNMATCHED] * n_candidates
     next_choice = [0] * n_candidates
     # Desirability key: higher score wins, equal scores prefer the lower index.
     held: list[list[tuple[float, int]]] = [[] for _ in range(n_firms)]
+    full = 0  # firms holding `capacity` candidates
 
-    for proposer in range(n_candidates):
+    for proposer in order:
+        if full == n_firms and (best[proposer], -proposer) < min(h[0] for h in held):
+            break  # no firm takes this proposer or any weaker one
         c = proposer
         # c proposes until held or out of firms; an evicted candidate
         # takes over as the proposer.
@@ -212,6 +229,7 @@ def deferred_acceptance(
             heap = held[f]
             if len(heap) < capacity:
                 heapq.heappush(heap, key)
+                full += len(heap) == capacity
                 assignment[c] = f
                 break
             if key > heap[0]:
@@ -219,45 +237,6 @@ def deferred_acceptance(
                 c = -heapq.heapreplace(heap, key)[1]
                 assignment[c] = UNMATCHED
     return np.array(assignment, dtype=np.int64)
-
-
-def serial_dictatorship(
-    shared_scores: np.ndarray,
-    prefs: np.ndarray,
-    capacity: int,
-) -> np.ndarray:
-    """Candidates pick firms in descending shared-score order.
-
-    Each candidate takes their most preferred firm with spare capacity.
-    Under a shared ranking (every firm row identical, as in the mono and
-    ensemble regimes) this reproduces the deferred acceptance outcome.
-    """
-    shared_scores = np.asarray(shared_scores, dtype=float)
-    _check_finite(shared_scores)
-    n_candidates = len(shared_scores)
-    prefs = np.asarray(prefs)
-    n_firms = prefs.shape[-1]
-    prefs = _validate_prefs(prefs, n_firms)
-    if prefs.shape[0] != n_candidates:
-        raise ValueError("preference matrix row count must equal candidate count")
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    assignment = np.full(n_candidates, UNMATCHED, dtype=np.int64)
-    spare = [capacity] * n_firms
-    seats = n_firms * capacity
-    pref_rows = prefs.tolist()
-    # Descending score; equal scores give the lower index the earlier turn.
-    order = np.lexsort((np.arange(n_candidates), -shared_scores))
-    for c in order.tolist():
-        for f in pref_rows[c]:
-            if spare[f]:
-                assignment[c] = f
-                spare[f] -= 1
-                seats -= 1
-                break
-        if not seats:
-            break  # every firm is full; the rest stay unmatched
-    return assignment
 
 
 def normalized_performance(assignment: np.ndarray, market: np.ndarray) -> float:

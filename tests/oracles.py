@@ -2,7 +2,8 @@
 
 These deliberately use different algorithms from the library (exhaustive
 search instead of deferred acceptance, a list scan for each firm's worst
-held candidate instead of a heap, a freshly masked row per seat instead of
+held candidate instead of a heap, serial dictatorship on a shared row
+instead of proposals and rejections, a freshly masked row per seat instead of
 one score copy with taken columns set to -inf, a stable sort per row and a
 scan past the taken columns instead of the first maximum of a masked row,
 per-agent belief matrices instead of one public count vector, a per-step
@@ -129,6 +130,35 @@ def deferred_acceptance_list_scan(scores, prefs, capacity: int):
             assignment[c] = f
         else:
             pending.append(c)
+    return assignment
+
+
+def serial_dictatorship(shared_scores, prefs, capacity: int):
+    """Candidates pick firms in descending shared-score order.
+
+    Each candidate takes their most preferred firm with spare capacity.
+    Under a shared ranking (every firm row identical, as in the mono and
+    ensemble regimes) this reproduces the deferred acceptance outcome.
+    """
+    shared_scores = np.asarray(shared_scores, dtype=float)
+    n_candidates = len(shared_scores)
+    prefs = np.asarray(prefs)
+    n_firms = prefs.shape[-1]
+    assignment = np.full(n_candidates, -1, dtype=np.int64)
+    spare = [capacity] * n_firms
+    seats = n_firms * capacity
+    pref_rows = prefs.tolist()
+    # Descending score; equal scores give the lower index the earlier turn.
+    order = np.lexsort((np.arange(n_candidates), -shared_scores))
+    for c in order.tolist():
+        for f in pref_rows[c]:
+            if spare[f]:
+                assignment[c] = f
+                spare[f] -= 1
+                seats -= 1
+                break
+        if not seats:
+            break  # every firm is full; the rest stay unmatched
     return assignment
 
 

@@ -26,7 +26,7 @@ from monolab.experiments import (
 )
 from monolab.streams import derive_stream
 
-from oracles import is_stable, random_small_instance, run_group
+from oracles import is_stable, random_small_instance, run_group, serial_dictatorship
 
 SEED = 20260814
 
@@ -160,7 +160,7 @@ def test_criterion_5_stability_and_dictatorship_oracles():
         stable_ok &= is_stable(outcome, scores, prefs, 1)
         shared = np.tile(scores[0], (scores.shape[0], 1))
         matched = hiring.deferred_acceptance(shared, prefs, 1)
-        picked = hiring.serial_dictatorship(scores[0], prefs, 1)
+        picked = serial_dictatorship(scores[0], prefs, 1)
         mono_ok &= bool(np.array_equal(matched, picked))
     elapsed = time.monotonic() - start
     ok = stable_ok and mono_ok and elapsed < 30.0

@@ -348,8 +348,8 @@ def test_failure_rate_sweep_shape_and_determinism():
     cfg = Bandit2Config(
         total_agents=20, n0_grid=(1, 5), k_grid=(1, 2), n_runs=200, master_seed=57
     )
-    rows, values = experiments.run(cfg, keep_values=True)
-    again = experiments.run(cfg)
+    rows, again = experiments.run(cfg), experiments.run(cfg)
+    values = experiments._collect(experiments._bandit2_range, cfg)
     assert [(r.param_value, r.regime) for r in rows] == [
         (1, "k=1"), (1, "k=2"), (5, "k=1"), (5, "k=2")
     ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -98,7 +99,8 @@ def test_pool_size_follows_the_replicate_chunks(monkeypatch):
 
 
 def test_row_aggregation_matches_kept_values():
-    rows, values = run(SMALL_HIRING, keep_values=True)
+    rows = run(SMALL_HIRING)
+    values = experiments._collect(experiments._hiring_range, SMALL_HIRING)
     assert len(rows) == 2 * 3  # firm grid x regimes
     for row in rows:
         vals = values[(row.regime, row.param_value, row.metric)]
@@ -110,13 +112,13 @@ def test_row_aggregation_matches_kept_values():
 
 
 def test_simultaneous_driver_matches_deferred_acceptance_for_every_regime():
-    # the driver routes mono and ensemble to serial dictatorship; the tight
-    # market (28 seats for 30 candidates at 7 firms) forces long rejection chains
+    # _hiring_range passes mono and ensemble their shared row; the tight market
+    # (28 seats for 30 candidates at 7 firms) forces long rejection chains
     cfg = HiringConfig(
         mode="simultaneous", n_candidates=30, firm_grid=(1, 4, 7), capacity=4,
         n_runs=6, master_seed=45,
     )
-    _, values = run(cfg, keep_values=True)
+    values = experiments._collect(experiments._hiring_range, cfg)
     for r in range(cfg.n_runs):
         for f in cfg.firm_grid:
             for regime in hiring.REGIMES:
@@ -139,7 +141,7 @@ def test_sequential_driver_matches_rederived_cells():
         mode="sequential", n_candidates=30, firm_grid=(1, 4, 7), capacity=3,
         n_runs=6, master_seed=46,
     )
-    _, values = run(cfg, keep_values=True)
+    values = experiments._collect(experiments._hiring_range, cfg)
     for r in range(cfg.n_runs):
         for f in cfg.firm_grid:
             for regime in hiring.REGIMES:
@@ -156,7 +158,8 @@ def test_sequential_driver_matches_rederived_cells():
 
 
 def test_bandit2_rows_use_binomial_stderr():
-    rows, values = run(SMALL_BANDIT2, keep_values=True)
+    rows = run(SMALL_BANDIT2)
+    values = experiments._collect(experiments._bandit2_range, SMALL_BANDIT2)
     assert len(rows) == 2 * 2
     for row in rows:
         vals = values[(row.regime, row.param_value, row.metric)]
@@ -456,9 +459,11 @@ def _range_failing_in_worker(cfg, start, stop):
 
 
 def test_failed_worker_leaves_no_output(tmp_path, monkeypatch):
-    table = dict(experiments._MONTE_CARLO)
-    table[Bandit2Config] = (_range_failing_in_worker, *table[Bandit2Config][1:])
-    monkeypatch.setattr(experiments, "_MONTE_CARLO", table)
+    table = dict(experiments._RUNNERS)
+    table[Bandit2Config] = functools.partial(
+        experiments.run_monte_carlo, _range_failing_in_worker, "n0", experiments._binomial_se
+    )
+    monkeypatch.setattr(experiments, "_RUNNERS", table)
     out = tmp_path / "bandit2.csv"
     with pytest.raises(RuntimeError, match="failed in a worker"):
         cli.main(["bandit2", "--agents", "10", "--runs", "4", "--workers", "2",
@@ -620,7 +625,22 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
-    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    # a non-finite param_value, value or stderr is a usage error, and no SVG is written
+    header = ",".join(experiments.CSV_HEADER)
+    first = "bandit2,k=1,n0,1.0,failure_rate,0.5,0.1,4,0,"
+    for name, second in [
+        ("inf.csv", "bandit2,k=1,n0,5.0,failure_rate,inf,0.1,4,0,"),
+        ("nan.csv", "bandit2,k=1,n0,5.0,failure_rate,nan,0.1,4,0,"),
+        ("x-nan.csv", "bandit2,k=1,n0,nan,failure_rate,0.25,0.1,4,0,"),
+        ("se-inf.csv", "bandit2,k=1,n0,5.0,failure_rate,0.25,-inf,4,0,"),
+    ]:
+        (tmp_path / name).write_text(f"{header}\n{first}\n{second}\n")
+        assert cli.main(["plot", "--csv", name, "--kind", "bandit2", "--out", "x.svg"]) == 2
+        captured = capsys.readouterr()
+        assert f"{name}: line 3: expected a finite number" in captured.err, name
+        assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == [
+        "cfg.json", "inf.csv", "nan.csv", "se-inf.csv", "x-nan.csv"]
 
 
 def test_cli_config_file_precedence(tmp_path, capsys):

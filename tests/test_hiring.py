@@ -15,7 +15,6 @@ from monolab.hiring import (
     normalized_performance,
     score_regime,
     sequential_hire,
-    serial_dictatorship,
     take_in_order,
 )
 from monolab.streams import derive_stream
@@ -26,6 +25,7 @@ from oracles import (
     is_stable,
     random_small_instance,
     sequential_hire_mask_scan,
+    serial_dictatorship,
     take_in_order_sort_scan,
 )
 
@@ -153,7 +153,7 @@ def test_matchers_reject_non_finite_scores():
         with pytest.raises(ValueError, match="finite"):
             deferred_acceptance(scores, prefs, capacity=1)
         with pytest.raises(ValueError, match="finite"):
-            serial_dictatorship(scores[0], prefs, capacity=1)
+            deferred_acceptance(scores[0], prefs, capacity=1)
 
 
 @st.composite
@@ -264,18 +264,32 @@ def test_deferred_acceptance_validation():
         deferred_acceptance(scores, good, capacity=0)
 
 
-def test_serial_dictatorship_validation():
+def test_deferred_acceptance_shared_row_validation():
     shared = np.array([2.0, 1.0, 0.0])
-    out = serial_dictatorship(shared, [[1, 0], [0, 1], [1, 0]], capacity=1)
+    out = deferred_acceptance(shared, [[1, 0], [0, 1], [1, 0]], capacity=1)
     assert out.tolist() == [1, 0, UNMATCHED]  # list prefs accepted
-    with pytest.raises(ValueError):
-        serial_dictatorship(shared, np.array([[0, 1], [1, 0]]), capacity=1)
-    with pytest.raises(ValueError):
-        serial_dictatorship(shared, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
-    with pytest.raises(ValueError):
-        serial_dictatorship(shared, np.array([0, 1, 0]), capacity=1)
-    with pytest.raises(ValueError):
-        serial_dictatorship(shared, np.array([[0], [0], [0]]), capacity=0)
+    with pytest.raises(ValueError, match="shape"):  # row count mismatch
+        deferred_acceptance(shared, np.array([[0, 1], [1, 0]]), capacity=1)
+    with pytest.raises(ValueError, match="permutation"):
+        deferred_acceptance(shared, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
+    with pytest.raises(ValueError, match="matrix"):  # 1-D prefs
+        deferred_acceptance(shared, np.array([0, 1, 0]), capacity=1)
+    with pytest.raises(ValueError, match="capacity"):
+        deferred_acceptance(shared, np.array([[0], [0], [0]]), capacity=0)
+    with pytest.raises(ValueError, match="finite"):
+        deferred_acceptance(np.array([2.0, np.nan, 0.0]), [[1, 0], [0, 1], [1, 0]], 1)
+    with pytest.raises(ValueError, match="at least one firm"):
+        deferred_acceptance(shared, np.zeros((3, 0), dtype=int), capacity=1)
+
+
+def test_deferred_acceptance_takes_a_shared_row():
+    # one row stands for the table in which every firm reads it
+    stream = derive_stream(14, 0)
+    row = stream.gaussians(40)
+    prefs = generate_prefs(40, 5, stream)
+    out = deferred_acceptance(row, prefs, capacity=3)
+    assert out.tolist() == deferred_acceptance(np.tile(row, (5, 1)), prefs, 3).tolist()
+    assert np.count_nonzero(out != UNMATCHED) == 15
 
 
 def test_deferred_acceptance_stable_on_random_instances():
@@ -295,14 +309,15 @@ def test_mono_deferred_acceptance_is_serial_dictatorship():
         n_firms = scores.shape[0]
         capacity = 1 + int(stream.gen.integers(3))
         mono = np.tile(shared, (n_firms, 1))
-        da = deferred_acceptance(mono, prefs, capacity)
         sd = serial_dictatorship(shared, prefs, capacity)
-        assert np.array_equal(da, sd)
+        assert np.array_equal(deferred_acceptance(mono, prefs, capacity), sd)
+        assert np.array_equal(deferred_acceptance(shared, prefs, capacity), sd)
 
 
 @st.composite
 def small_markets(draw):
-    """Scores on a coarse grid (many ties), capacity 1-4, sometimes one shared row."""
+    """Scores on a coarse grid (many ties), capacity 1-4; a table, or sometimes
+    the one 1-D row that every firm shares."""
     n_firms = draw(st.integers(1, 4))
     n_candidates = draw(st.integers(1, 12))
     capacity = draw(st.integers(1, 4))
@@ -311,7 +326,7 @@ def small_markets(draw):
         min_size=n_candidates, max_size=n_candidates,
     )
     if draw(st.booleans()):
-        scores = np.tile(draw(row), (n_firms, 1))
+        scores = np.array(draw(row))
     else:
         scores = np.array([draw(row) for _ in range(n_firms)])
     prefs = np.array(
@@ -325,13 +340,14 @@ def small_markets(draw):
 def test_deferred_acceptance_matches_list_scan_reference(market):
     scores, prefs, capacity = market
     out = deferred_acceptance(scores, prefs, capacity)
+    if scores.ndim == 1:
+        row, scores = scores, np.tile(scores, (prefs.shape[1], 1))
+        assert deferred_acceptance(scores, prefs, capacity).tolist() == out.tolist()
+        assert serial_dictatorship(row, prefs, capacity).tolist() == out.tolist()
     assert out.tolist() == deferred_acceptance_list_scan(
         scores, prefs, capacity
     )
     assert is_stable(out.tolist(), scores, prefs, capacity)
-    if (scores == scores[0]).all():
-        sd = serial_dictatorship(scores[0], prefs, capacity)
-        assert sd.tolist() == out.tolist()
 
 
 @given(st.data())
@@ -356,7 +372,7 @@ def test_shared_row_hires_its_top_seats_under_any_order_or_prefs(data):
         [data.draw(st.permutations(range(n_firms))) for _ in range(n_candidates)]
     ).reshape(n_candidates, n_firms)
     for assignment in (sequential_hire(row, order, capacity),
-                       serial_dictatorship(row, prefs, capacity)):
+                       deferred_acceptance(row, prefs, capacity)):
         assert np.flatnonzero(assignment != UNMATCHED).tolist() == top
         assert np.bincount(assignment[assignment != UNMATCHED],
                            minlength=n_firms).tolist() == [capacity] * n_firms

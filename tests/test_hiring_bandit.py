@@ -299,8 +299,9 @@ def test_run_experiment_aggregates():
     cfg = HiringBanditConfig(
         n_arms=6, n_rounds=4, agent_grid=(2,), n0=2, n_runs=50, master_seed=38
     )
-    rows, values = experiments.run(cfg, keep_values=True)
-    again_rows, again_values = experiments.run(cfg, keep_values=True)
+    rows, again_rows = experiments.run(cfg), experiments.run(cfg)
+    values = experiments._collect(experiments._hiring_bandit_range, cfg)
+    again_values = experiments._collect(experiments._hiring_bandit_range, cfg)
     assert rows == again_rows
     assert values.keys() == again_values.keys()
     assert all(np.array_equal(values[key], again_values[key]) for key in values)
