@@ -29,57 +29,28 @@ reference in ``tests/oracles.py`` that walks one group one step at a time.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .streams import RngStream, derive_stream
 
 
-@dataclass(frozen=True)
-class TwoArmEnv:
-    """Arm means with arm 1 strictly better."""
-
-    mu1: float
-    mu2: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.mu2 < self.mu1 <= 1.0):
-            raise ValueError(f"need 0 <= mu2 < mu1 <= 1, got mu1={self.mu1}, mu2={self.mu2}")
-
-
-@dataclass(frozen=True)
-class InitialHistory:
-    """Shared pre-experiment record: s_j successes out of n0 pulls of arm j."""
-
-    n0: int
-    s1: int
-    s2: int
-
-    def __post_init__(self):
-        if self.n0 < 1:
-            raise ValueError(f"initial history needs n0 >= 1, got {self.n0}")
-        if not (0 <= self.s1 <= self.n0 and 0 <= self.s2 <= self.n0):
-            raise ValueError("success counts must lie in [0, n0]")
-
-
-def draw_environment(stream: RngStream) -> TwoArmEnv:
-    """Two i.i.d. Beta(2, 2) means, relabeled so arm 1 is better; ties redrawn."""
+def draw_environment(stream: RngStream) -> tuple[float, float]:
+    """Two i.i.d. Beta(2, 2) means ``(mu1, mu2)``, larger first; ties redrawn."""
     while True:
         a = float(stream.betas((), 2.0, 2.0))
         b = float(stream.betas((), 2.0, 2.0))
         if a != b:
-            break
-    return TwoArmEnv(max(a, b), min(a, b))
+            return max(a, b), min(a, b)
 
 
-def draw_initial_history(env: TwoArmEnv, n0: int, stream: RngStream) -> InitialHistory:
-    """n0 Bernoulli samples of each arm, better arm first."""
+def draw_initial_history(
+    mu1: float, mu2: float, n0: int, stream: RngStream
+) -> tuple[int, int]:
+    """Successes ``(s1, s2)`` in n0 Bernoulli samples of each arm, arm 1 first."""
     if n0 < 1:
         raise ValueError(f"initial history needs n0 >= 1, got {n0}")
-    s1 = int(stream.binomials(n0, env.mu1))
-    s2 = int(stream.binomials(n0, env.mu2))
-    return InitialHistory(n0, s1, s2)
+    return int(stream.binomials(n0, mu1)), int(stream.binomials(n0, mu2))
 
 
 def group_sizes(total_agents: int, k_groups: int) -> list[int]:
@@ -145,11 +116,9 @@ def simulate_failures(
     codes = np.empty((n_reps, row_bits // 8), dtype=np.uint8)
     for i in range(n_reps):
         stream = derive_stream(master_seed, rep_start + i)
-        env = draw_environment(stream)
-        h0 = draw_initial_history(env, n0, stream)
-        s1[i] = h0.s1
-        s2[i] = h0.s2
-        hits = stream.uniforms(width)[:, None] < (env.mu1, env.mu2)
+        mu1, mu2 = draw_environment(stream)
+        s1[i], s2[i] = draw_initial_history(mu1, mu2, n0, stream)
+        hits = stream.uniforms(width)[:, None] < (mu1, mu2)
         codes[i] = np.packbits(hits, bitorder="little")
     codes = codes.reshape(-1)
 

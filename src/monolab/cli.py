@@ -41,7 +41,7 @@ def _parse_rankings(value):
                 isinstance(r, list) and all(isinstance(c, str) for c in r)
                 for r in value)):
             raise ValueError(
-                f'rankings must be a string like "A>B;B>A" or a list of label '
+                f'expected a string like "A>B;B>A" or a list of label '
                 f'lists like [["A", "B"], ["B", "A"]], got {value!r}'
             )
         return tuple(tuple(ranking) for ranking in value)
@@ -154,7 +154,10 @@ def _run_command(args) -> int:
     for f in fields:
         key = f.metadata["flag"]
         if params.get(key) is not None:
-            kwargs[f.name] = _PARSERS[_kind_of(f)](params[key])
+            try:
+                kwargs[f.name] = _PARSERS[_kind_of(f)](params[key])
+            except ValueError as err:
+                raise ValueError(f"{key}: {err}") from None
         elif f.default is dataclasses.MISSING:
             raise ValueError(f"{args.command} requires --{key} ({f.metadata['help']})")
     action(config_cls(**kwargs))

@@ -394,9 +394,9 @@ def run_enumerate(cfg: EnumerateConfig):
 
 
 def run_order_sensitivity(cfg: OrderSensitivityConfig):
-    result = exact.hiring_order_sensitivity(cfg.rankings)
+    by_order, sensitive = exact.hiring_order_sensitivity(cfg.rankings)
     rows = []
-    for i, (order, unmatched) in enumerate(sorted(result.unmatched_by_order.items())):
+    for i, (order, unmatched) in enumerate(sorted(by_order.items())):
         rows.append(
             ResultRow(
                 cfg.kind,
@@ -414,7 +414,7 @@ def run_order_sensitivity(cfg: OrderSensitivityConfig):
     rows.append(
         ResultRow(
             cfg.kind, "all", "order_index", -1.0, "sensitive",
-            float(result.sensitive), 0.0, 1, cfg.master_seed,
+            float(sensitive), 0.0, 1, cfg.master_seed,
         )
     )
     return rows

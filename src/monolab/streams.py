@@ -64,18 +64,12 @@ class RngStream:
     # -- draws -------------------------------------------------------------
 
     def gaussians(self, shape, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
-        if sd < 0:
-            raise ValueError(f"standard deviation must be >= 0, got {sd}")
         return self.gen.normal(mean, sd, size=shape)
 
     def betas(self, shape, a: float, b: float) -> np.ndarray:
-        if a <= 0 or b <= 0:
-            raise ValueError(f"beta shape parameters must be > 0, got a={a}, b={b}")
         return self.gen.beta(a, b, size=shape)
 
     def binomials(self, n: int, p: float | np.ndarray) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"binomial count must be >= 0, got {n}")
         return self.gen.binomial(n, p)
 
     def uniforms(self, shape) -> np.ndarray:

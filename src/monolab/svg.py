@@ -37,6 +37,26 @@ def _nice_step(span: float, target_ticks: int = 5) -> float:
     return 10.0 * mag
 
 
+def _axis_range(lo: float, hi: float, pad: float, label: str) -> tuple[float, float]:
+    """[lo, hi] widened by ``pad`` of its width on each side.
+
+    A width within 1e-12 of the values' magnitude (or of 1e-290, so that a
+    tick step stays a normal float) is too narrow to tick, so it is drawn as
+    one value, widened by 5% of it or at least 0.5.  A range whose width
+    overflows a float cannot be drawn.
+    """
+    width = hi - lo
+    if width <= 1e-12 * max(abs(lo), abs(hi), 1e-290):
+        axis = lo - max(0.5, abs(lo) * 0.05), hi + max(0.5, abs(hi) * 0.05)
+    else:
+        axis = lo - pad * width, hi + pad * width
+    if not math.isfinite(axis[1] - axis[0]):
+        raise ValueError(
+            f"cannot plot {label} from {lo:g} to {hi:g}: the range overflows a float"
+        )
+    return axis
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -45,7 +65,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     ticks = []
     t = first
     while t <= hi + 1e-9 * step:
-        ticks.append(0.0 if abs(t) < 1e-12 else t)
+        ticks.append(0.0 if abs(t) < 1e-9 * step else t)
         t += step
     return ticks
 
@@ -72,20 +92,8 @@ def render_line_chart(
     xs_all = [x for s in series for x in s.xs]
     ys_lo = [y - (s.errs[i] if s.errs else 0.0) for s in series for i, y in enumerate(s.ys)]
     ys_hi = [y + (s.errs[i] if s.errs else 0.0) for s in series for i, y in enumerate(s.ys)]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_lo), max(ys_hi)
-    if x_hi == x_lo:
-        pad = max(0.5, abs(x_lo) * 0.05)
-        x_lo, x_hi = x_lo - pad, x_hi + pad
-    else:
-        pad = 0.04 * (x_hi - x_lo)
-        x_lo, x_hi = x_lo - pad, x_hi + pad
-    if y_hi == y_lo:
-        pad = max(0.5, abs(y_lo) * 0.05)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    else:
-        pad = 0.06 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _axis_range(min(xs_all), max(xs_all), 0.04, x_label)
+    y_lo, y_hi = _axis_range(min(ys_lo), max(ys_hi), 0.06, y_label)
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from monolab.bandit2 import InitialHistory, TwoArmEnv, group_sizes
+from monolab.bandit2 import group_sizes
 
 
 def firm_prefers(scores, f: int, c_new: int, c_old: int) -> bool:
@@ -207,15 +207,19 @@ class BanditTrace:
     def __len__(self) -> int:
         return len(self.choices)
 
-    def prefix_means(self, h0: InitialHistory):
-        """Empirical means of both arms after t = 0..T steps (arrays of length T+1)."""
+    def prefix_means(self, h0):
+        """Empirical means of both arms after t = 0..T steps (arrays of length T+1).
+
+        ``h0`` is the shared initial history ``(n0, s1, s2)``.
+        """
+        n0, s1, s2 = h0
         is1 = self.choices == 1
         n1 = np.concatenate(([0], np.cumsum(is1)))
         z1 = np.concatenate(([0], np.cumsum(np.where(is1, self.rewards, 0))))
         n2 = np.concatenate(([0], np.cumsum(~is1)))
         z2 = np.concatenate(([0], np.cumsum(np.where(is1, 0, self.rewards))))
-        hat1 = (h0.s1 + z1) / (h0.n0 + n1)
-        hat2 = (h0.s2 + z2) / (h0.n0 + n2)
+        hat1 = (s1 + z1) / (n0 + n1)
+        hat2 = (s2 + z2) / (n0 + n2)
         return hat1, hat2
 
 
@@ -226,26 +230,31 @@ def _greedy_choice(n0: int, s1: int, z1: int, n1: int, s2: int, z2: int, n2: int
     return 2
 
 
-def greedy_step(trace: BanditTrace, h0: InitialHistory) -> int:
+def greedy_step(trace: BanditTrace, h0) -> int:
     """Arm the greedy rule pulls next given the trace so far (ties go to arm 1)."""
-    return _greedy_choice(h0.n0, h0.s1, trace.z1, trace.n1, h0.s2, trace.z2, trace.n2)
+    n0, s1, s2 = h0
+    return _greedy_choice(n0, s1, trace.z1, trace.n1, s2, trace.z2, trace.n2)
 
 
-def run_group(env: TwoArmEnv, h0: InitialHistory, horizon: int, stream) -> BanditTrace:
+def run_group(env, h0, horizon: int, stream) -> BanditTrace:
     """One greedy group for `horizon` steps, one Python step at a time.
 
-    Consumes the stream in a fixed order: the arm-1 reward schedule, then
-    the arm-2 schedule, each ``horizon`` Bernoulli draws long.
+    ``env`` holds the arm means ``(mu1, mu2)`` and ``h0`` the shared initial
+    history ``(n0, s1, s2)``.  Consumes the stream in a fixed order: the
+    arm-1 reward schedule, then the arm-2 schedule, each ``horizon``
+    Bernoulli draws long.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    sched1 = (stream.uniforms(horizon) < env.mu1).astype(np.int64)
-    sched2 = (stream.uniforms(horizon) < env.mu2).astype(np.int64)
+    mu1, mu2 = env
+    n0, s1, s2 = h0
+    sched1 = (stream.uniforms(horizon) < mu1).astype(np.int64)
+    sched2 = (stream.uniforms(horizon) < mu2).astype(np.int64)
     choices = np.empty(horizon, dtype=np.int8)
     rewards = np.empty(horizon, dtype=np.int8)
     n1 = z1 = n2 = z2 = 0
     for t in range(horizon):
-        arm = _greedy_choice(h0.n0, h0.s1, z1, n1, h0.s2, z2, n2)
+        arm = _greedy_choice(n0, s1, z1, n1, s2, z2, n2)
         if arm == 1:
             r = int(sched1[n1])
             n1 += 1
@@ -259,24 +268,23 @@ def run_group(env: TwoArmEnv, h0: InitialHistory, horizon: int, stream) -> Bandi
     return BanditTrace(choices, rewards, n1, z1, n2, z2)
 
 
-def run_regime(
-    env: TwoArmEnv, h0: InitialHistory, total_agents: int, k_groups: int, stream
-) -> list[BanditTrace]:
+def run_regime(env, h0, total_agents: int, k_groups: int, stream) -> list[BanditTrace]:
     """k independent greedy groups sharing h0, simulated in group order."""
     return [run_group(env, h0, size, stream) for size in group_sizes(total_agents, k_groups)]
 
 
-def pooled_failure(h0: InitialHistory, traces: list[BanditTrace]) -> bool:
+def pooled_failure(h0, traces: list[BanditTrace]) -> bool:
     """True when the pooled record ranks arm 2 strictly above arm 1.
 
-    Pooled means count the shared initial history once and sum pulls and
-    rewards over all traces.  Exact ties are not failures.
+    Pooled means count the shared initial history ``(n0, s1, s2)`` once and
+    sum pulls and rewards over all traces.  Exact ties are not failures.
     """
+    n0, s1, s2 = h0
     n1 = sum(t.n1 for t in traces)
     z1 = sum(t.z1 for t in traces)
     n2 = sum(t.n2 for t in traces)
     z2 = sum(t.z2 for t in traces)
-    return (h0.s2 + z2) * (h0.n0 + n1) > (h0.s1 + z1) * (h0.n0 + n2)
+    return (s2 + z2) * (n0 + n1) > (s1 + z1) * (n0 + n2)
 
 
 def lock_in_time(trace: BanditTrace) -> int | None:

@@ -12,8 +12,6 @@ from scipy import integrate
 
 from monolab import experiments
 from monolab.bandit2 import (
-    InitialHistory,
-    TwoArmEnv,
     draw_environment,
     draw_initial_history,
     group_sizes,
@@ -47,28 +45,11 @@ def make_trace(choices, rewards):
     )
 
 
-def test_env_and_history_validation():
-    with pytest.raises(ValueError):
-        TwoArmEnv(0.4, 0.6)
-    with pytest.raises(ValueError):
-        TwoArmEnv(0.5, 0.5)
-    with pytest.raises(ValueError):
-        TwoArmEnv(1.2, 0.3)
-    with pytest.raises(ValueError):
-        InitialHistory(0, 0, 0)
-    with pytest.raises(ValueError):
-        InitialHistory(3, 4, 0)
-    with pytest.raises(ValueError):
-        InitialHistory(3, 1, -1)
-
-
 def test_draw_environment_orders_arms():
     for r in range(200):
-        env = draw_environment(derive_stream(11, r))
-        assert 0.0 <= env.mu2 < env.mu1 <= 1.0
-    a = draw_environment(derive_stream(11, 7))
-    b = draw_environment(derive_stream(11, 7))
-    assert (a.mu1, a.mu2) == (b.mu1, b.mu2)
+        mu1, mu2 = draw_environment(derive_stream(11, r))
+        assert 0.0 <= mu2 < mu1 <= 1.0
+    assert draw_environment(derive_stream(11, 7)) == draw_environment(derive_stream(11, 7))
 
 
 def test_better_arm_mean_matches_quadrature():
@@ -78,31 +59,28 @@ def test_better_arm_mean_matches_quadrature():
     target, quad_err = integrate.quad(lambda x: x * 2.0 * pdf(x) * cdf(x), 0.0, 1.0)
     assert quad_err < 1e-10
     assert abs(target - 22.0 / 35.0) < 1e-12
-    mus = np.array([draw_environment(derive_stream(12, r)).mu1 for r in range(20000)])
+    mus = np.array([draw_environment(derive_stream(12, r))[0] for r in range(20000)])
     se = mus.std(ddof=1) / np.sqrt(len(mus))
     assert abs(mus.mean() - target) < 3 * se
 
 
 def test_draw_initial_history_bounds_and_degenerate():
-    env = TwoArmEnv(1.0, 0.0)
     for r in range(20):
-        h0 = draw_initial_history(env, 4, derive_stream(13, r))
-        assert (h0.s1, h0.s2) == (4, 0)
+        assert draw_initial_history(1.0, 0.0, 4, derive_stream(13, r)) == (4, 0)
     with pytest.raises(ValueError):
-        draw_initial_history(env, 0, derive_stream(13, 0))
+        draw_initial_history(1.0, 0.0, 0, derive_stream(13, 0))
 
 
 def test_draw_initial_history_binomial_mean():
-    env = TwoArmEnv(0.7, 0.2)
     s1 = np.array(
-        [draw_initial_history(env, 10, derive_stream(14, r)).s1 for r in range(5000)]
+        [draw_initial_history(0.7, 0.2, 10, derive_stream(14, r))[0] for r in range(5000)]
     )
     se = np.sqrt(10 * 0.7 * 0.3 / len(s1))
     assert abs(s1.mean() - 7.0) < 3 * se
 
 
 def test_greedy_step_rigged_counts():
-    h0 = InitialHistory(2, 1, 1)
+    h0 = (2, 1, 1)
     # arm 2 ahead: 1/3 vs 2/3
     assert greedy_step(make_trace([1, 2], [0, 1]), h0) == 2
     # arm 1 ahead: 2/3 vs 1/3
@@ -110,7 +88,7 @@ def test_greedy_step_rigged_counts():
 
 
 def test_greedy_step_exact_tie_goes_to_arm_one():
-    h0 = InitialHistory(2, 1, 1)
+    h0 = (2, 1, 1)
     assert greedy_step(make_trace([1, 2], [1, 1]), h0) == 1  # 2/3 == 2/3
     assert greedy_step(make_trace([], []), h0) == 1  # 1/2 == 1/2
 
@@ -119,7 +97,7 @@ def test_run_group_counts_match_trace():
     for r in range(30):
         stream = derive_stream(15, r)
         env = draw_environment(stream)
-        h0 = draw_initial_history(env, 3, stream)
+        h0 = (3, *draw_initial_history(*env, 3, stream))
         trace = run_group(env, h0, 50, stream)
         is1 = trace.choices == 1
         assert trace.n1 == is1.sum()
@@ -134,7 +112,7 @@ def test_run_group_replays_greedy_rule():
     for r in range(20):
         stream = derive_stream(16, r)
         env = draw_environment(stream)
-        h0 = draw_initial_history(env, 2, stream)
+        h0 = (2, *draw_initial_history(*env, 2, stream))
         trace = run_group(env, h0, 40, stream)
         for t in range(40):
             prefix = make_trace(trace.choices[:t], trace.rewards[:t])
@@ -144,13 +122,14 @@ def test_run_group_replays_greedy_rule():
 def test_run_group_reads_reward_schedules_in_order():
     stream = derive_stream(17, 0)
     env = draw_environment(stream)
-    h0 = draw_initial_history(env, 3, stream)
+    h0 = (3, *draw_initial_history(*env, 3, stream))
     trace = run_group(env, h0, 60, stream)
     replay = derive_stream(17, 0)
     draw_environment(replay)
-    draw_initial_history(env, 3, replay)
-    sched1 = (replay.uniforms(60) < env.mu1).astype(np.int64)
-    sched2 = (replay.uniforms(60) < env.mu2).astype(np.int64)
+    draw_initial_history(*env, 3, replay)
+    mu1, mu2 = env
+    sched1 = (replay.uniforms(60) < mu1).astype(np.int64)
+    sched2 = (replay.uniforms(60) < mu2).astype(np.int64)
     k1 = k2 = 0
     for arm, reward in zip(trace.choices, trace.rewards):
         if arm == 1:
@@ -162,8 +141,8 @@ def test_run_group_reads_reward_schedules_in_order():
 
 
 def test_run_group_degenerate_env_locks_instantly():
-    env = TwoArmEnv(1.0, 0.0)
-    h0 = InitialHistory(1, 1, 0)
+    env = (1.0, 0.0)
+    h0 = (1, 1, 0)
     trace = run_group(env, h0, 25, derive_stream(18, 0))
     assert np.all(trace.choices == 1)
     assert np.all(trace.rewards == 1)
@@ -171,8 +150,8 @@ def test_run_group_degenerate_env_locks_instantly():
 
 
 def test_run_group_validation():
-    env = TwoArmEnv(0.6, 0.4)
-    h0 = InitialHistory(1, 1, 0)
+    env = (0.6, 0.4)
+    h0 = (1, 1, 0)
     with pytest.raises(ValueError):
         run_group(env, h0, -1, derive_stream(19, 0))
 
@@ -180,16 +159,17 @@ def test_run_group_validation():
 def test_prefix_means_match_direct_recount():
     stream = derive_stream(21, 0)
     env = draw_environment(stream)
-    h0 = draw_initial_history(env, 4, stream)
+    h0 = (4, *draw_initial_history(*env, 4, stream))
     trace = run_group(env, h0, 30, stream)
     hat1, hat2 = trace.prefix_means(h0)
+    n0, s1, s2 = h0
     assert len(hat1) == 31 and len(hat2) == 31
-    assert hat1[0] == h0.s1 / h0.n0
-    assert hat2[0] == h0.s2 / h0.n0
+    assert hat1[0] == s1 / n0
+    assert hat2[0] == s2 / n0
     for t in range(31):
         prefix = make_trace(trace.choices[:t], trace.rewards[:t])
-        assert hat1[t] == (h0.s1 + prefix.z1) / (h0.n0 + prefix.n1)
-        assert hat2[t] == (h0.s2 + prefix.z2) / (h0.n0 + prefix.n2)
+        assert hat1[t] == (s1 + prefix.z1) / (n0 + prefix.n1)
+        assert hat2[t] == (s2 + prefix.z2) / (n0 + prefix.n2)
 
 
 def test_group_sizes():
@@ -205,11 +185,11 @@ def test_group_sizes():
 def test_run_regime_single_group_matches_run_group():
     stream_a = derive_stream(22, 0)
     env = draw_environment(stream_a)
-    h0 = draw_initial_history(env, 2, stream_a)
+    h0 = (2, *draw_initial_history(*env, 2, stream_a))
     traces = run_regime(env, h0, 100, 1, stream_a)
     stream_b = derive_stream(22, 0)
     draw_environment(stream_b)
-    draw_initial_history(env, 2, stream_b)
+    draw_initial_history(*env, 2, stream_b)
     alone = run_group(env, h0, 100, stream_b)
     assert len(traces) == 1
     assert np.array_equal(traces[0].choices, alone.choices)
@@ -219,22 +199,22 @@ def test_run_regime_single_group_matches_run_group():
 def test_run_regime_split_sizes():
     stream = derive_stream(23, 0)
     env = draw_environment(stream)
-    h0 = draw_initial_history(env, 2, stream)
+    h0 = (2, *draw_initial_history(*env, 2, stream))
     traces = run_regime(env, h0, 10, 3, stream)
     assert [len(t) for t in traces] == [4, 3, 3]
 
 
 def test_pooled_failure_hand_cases():
-    h0 = InitialHistory(1, 0, 1)
+    h0 = (1, 0, 1)
     good = make_trace([1, 1], [1, 1])  # pooled: arm1 2/3, arm2 1/1
     assert pooled_failure(h0, [good]) is True
-    h0 = InitialHistory(2, 2, 0)
+    h0 = (2, 2, 0)
     bad = make_trace([2, 2], [1, 1])  # pooled: arm1 2/2, arm2 1/2
     assert pooled_failure(h0, [bad]) is False
     # exact ties are not failures
-    h0 = InitialHistory(1, 1, 0)
+    h0 = (1, 1, 0)
     assert pooled_failure(h0, [make_trace([2], [1])]) is False  # 1/1 vs 1/2
-    h0 = InitialHistory(2, 1, 1)
+    h0 = (2, 1, 1)
     assert pooled_failure(h0, [make_trace([], [])]) is False  # 1/2 == 1/2
 
 
@@ -243,7 +223,8 @@ def test_pooled_failure_counts_history_once():
     rng = np.random.default_rng(99)
     for _ in range(500):
         n0 = int(rng.integers(1, 6))
-        h0 = InitialHistory(n0, int(rng.integers(0, n0 + 1)), int(rng.integers(0, n0 + 1)))
+        s1, s2 = int(rng.integers(0, n0 + 1)), int(rng.integers(0, n0 + 1))
+        h0 = (n0, s1, s2)
         traces = []
         for _ in range(int(rng.integers(1, 4))):
             m = int(rng.integers(0, 5))
@@ -254,7 +235,7 @@ def test_pooled_failure_counts_history_once():
         z1 = sum(t.z1 for t in traces)
         n2 = sum(t.n2 for t in traces)
         z2 = sum(t.z2 for t in traces)
-        expect = Fraction(h0.s2 + z2, h0.n0 + n2) > Fraction(h0.s1 + z1, h0.n0 + n1)
+        expect = Fraction(s2 + z2, n0 + n2) > Fraction(s1 + z1, n0 + n1)
         assert pooled_failure(h0, traces) is expect
 
 
@@ -279,7 +260,7 @@ def test_lock_in_becomes_permanent_at_long_horizons():
     for r in range(500):
         stream = derive_stream(77, r)
         env = draw_environment(stream)
-        h0 = draw_initial_history(env, 5, stream)
+        h0 = (5, *draw_initial_history(*env, 5, stream))
         trace = run_group(env, h0, 1000, stream)
         t = lock_in_time(trace)
         assert 1 <= t <= 1000
@@ -296,7 +277,7 @@ def _scalar_failures(n0, k_grid, total_agents, seed, start, stop):
         for row, k in enumerate(k_grid):
             stream = derive_stream(seed, r)
             env = draw_environment(stream)
-            h0 = draw_initial_history(env, n0, stream)
+            h0 = (n0, *draw_initial_history(*env, n0, stream))
             traces = run_regime(env, h0, total_agents, k, stream)
             out[row, i] = int(pooled_failure(h0, traces))
     return out

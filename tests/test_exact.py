@@ -81,24 +81,24 @@ def test_veil_matches_enumeration_single_candidate():
 
 
 def test_order_sensitivity_disagreeing_example():
-    result = hiring_order_sensitivity([("A", "B", "C"), ("A", "C", "B")])
-    assert result.unmatched_by_order[(0, 1)] == frozenset({"B"})
-    assert result.unmatched_by_order[(1, 0)] == frozenset({"C"})
-    assert result.sensitive
+    by_order, sensitive = hiring_order_sensitivity([("A", "B", "C"), ("A", "C", "B")])
+    assert by_order[(0, 1)] == frozenset({"B"})
+    assert by_order[(1, 0)] == frozenset({"C"})
+    assert sensitive
 
 
 def test_order_sensitivity_reversal_example():
-    result = hiring_order_sensitivity([("A", "B", "C"), ("C", "B", "A")])
-    assert result.unmatched_by_order[(0, 1)] == frozenset({"B"})
-    assert result.unmatched_by_order[(1, 0)] == frozenset({"B"})
-    assert not result.sensitive
+    by_order, sensitive = hiring_order_sensitivity([("A", "B", "C"), ("C", "B", "A")])
+    assert by_order[(0, 1)] == frozenset({"B"})
+    assert by_order[(1, 0)] == frozenset({"B"})
+    assert not sensitive
 
 
 def test_order_sensitivity_shared_ranking_is_invariant():
     ranking = ("C", "A", "D", "B")
-    result = hiring_order_sensitivity([ranking, ranking, ranking])
-    assert not result.sensitive
-    assert set(result.unmatched_by_order.values()) == {frozenset({"B"})}
+    by_order, sensitive = hiring_order_sensitivity([ranking, ranking, ranking])
+    assert not sensitive
+    assert set(by_order.values()) == {frozenset({"B"})}
 
 
 def test_order_sensitivity_validation():

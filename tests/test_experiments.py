@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -313,6 +314,12 @@ def test_bandit2_config_uses_the_model_split_rule():
 def test_exact_configs_are_validated_when_built():
     with pytest.raises(ValueError, match="too large for enumeration"):
         EnumerateConfig(n_candidates=9)
+    for n_candidates, n_firms in [(6, 4), (6, 3), (5, 4), (10, 1), (10**400, 1)]:
+        with pytest.raises(ValueError, match="too large for enumeration"):
+            EnumerateConfig(n_candidates=n_candidates, n_firms=n_firms)
+    # every size up to 2,000,000 ranking profiles is accepted
+    for n_candidates, n_firms in [(5, 3), (6, 2), (4, 4), (9, 1)]:
+        assert EnumerateConfig(n_candidates=n_candidates, n_firms=n_firms).n_firms == n_firms
     with pytest.raises(ValueError, match="more firms than candidates"):
         EnumerateConfig(n_candidates=2, n_firms=3)
     with pytest.raises(ValueError, match="strict order"):
@@ -519,6 +526,43 @@ def test_plot_rejects_empty_selection(tmp_path):
 # CLI
 
 
+def test_plot_extreme_finite_ranges(tmp_path, capsys, monkeypatch):
+    # read_csv accepts every finite value; plot draws it or names the problem
+    monkeypatch.chdir(tmp_path)
+    header = ",".join(experiments.CSV_HEADER)
+    for name, lo, hi in [
+        ("underflow", "0.0", "5e-324"),  # a tick step that underflows to 0
+        ("one-ulp", "1.0", "1.0000000000000002"),  # a tick step below one ulp
+        ("tiny", "0.0", "1e-300"),
+    ]:
+        (tmp_path / f"{name}.csv").write_text(
+            f"{header}\nbandit2,k=1,n0,1.0,failure_rate,{lo},0.0,4,0,\n"
+            f"bandit2,k=1,n0,5.0,failure_rate,{hi},0.0,4,0,\n"
+        )
+        args = ["plot", "--csv", f"{name}.csv", "--kind", "bandit2", "--out", f"{name}.svg"]
+        assert cli.main(args) == 0, name
+        root = ET.fromstring((tmp_path / f"{name}.svg").read_text())
+        coords = [float(value) for el in root.iter() for key, value in el.attrib.items()
+                  if key in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy")]
+        coords += [float(v) for el in root.iter("{http://www.w3.org/2000/svg}polyline")
+                   for v in re.split("[ ,]", el.attrib["points"])]
+        assert coords and all(np.isfinite(coords)), name
+        # the tick labels are distinct
+        ticks = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+                 if el.attrib.get("text-anchor") == "end"]
+        assert len(ticks) == len(set(ticks)) >= 2, (name, ticks)
+    capsys.readouterr()
+    (tmp_path / "overflow.csv").write_text(
+        f"{header}\nbandit2,k=1,n0,1.0,failure_rate,-1e308,0.0,4,0,\n"
+        f"bandit2,k=1,n0,5.0,failure_rate,1e308,0.0,4,0,\n"
+    )
+    args = ["plot", "--csv", "overflow.csv", "--kind", "bandit2", "--out", "overflow.svg"]
+    assert cli.main(args) == 2
+    assert ("cannot plot failure_rate from -1e+308 to 1e+308: the range overflows a float"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "overflow.svg").exists()
+
+
 def test_cli_writes_csv_and_reports(tmp_path, capsys):
     out = tmp_path / "res.csv"
     code = cli.main(
@@ -563,13 +607,20 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["bandit2", "--runs", "0", "--agents", "10", "--n0", "1", "--k", "1"]) == 2
     assert "runs" in capsys.readouterr().err
     assert cli.main(["bandit2", "--k", "2,a"]) == 2
-    assert "integer list" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "integer list" in err
+    assert "k: expected a comma-separated integer list, got '2,a'" in err
     assert cli.main(["plot", "--csv", "x.csv", "--kind", "bandit2"]) == 2
     assert "--out" in capsys.readouterr().err
     assert cli.main(["plot", "--csv", "x.csv", "--kind", "scatter", "--out", "x.svg"]) == 2
     assert "invalid choice: 'scatter'" in capsys.readouterr().err
     assert cli.main(["enumerate", "--candidates", "9", "--firms", "2"]) == 2
     assert "enumeration" in capsys.readouterr().err
+    # (n!)^f ranking profiles above the bound, refused before any is enumerated
+    for candidates, firms in [(6, 4), (6, 3), (5, 4), (1000000000, 1)]:
+        args = ["enumerate", "--candidates", str(candidates), "--firms", str(firms)]
+        assert cli.main(args) == 2, args
+        assert "too large for enumeration" in capsys.readouterr().err
     args = ["hiring", "--mode", "simultaneous", "--candidates", "20", "--firms", "2",
             "--capacity", "10", "--runs", "1"]
     assert cli.main(args) == 2
@@ -605,12 +656,16 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         ("bandit2", {**small, "n0": [True]}, "n0 grid entries must be positive integers"),
         ("bandit2", {**small, "runs": 2.7}, "runs must be an integer, got 2.7"),
         ("bandit2", {**small, "runs": True}, "runs must be an integer, got True"),
+        # a value that fails to parse names its key
+        ("bandit2", {**small, "runs": "abc"}, "runs: invalid literal for int()"),
+        ("bandit2", {**small, "k": "1,x"}, "k: expected a comma-separated integer list"),
+        ("order-sensitivity", {"rankings": "A>B;;B>A"}, "rankings: empty ranking"),
         ("hiring", {"candidates": 20, "firms": "2", "runs": 1, "noise_sd": True},
          "noise_sd must be a number, got True"),
         # a ranking is a list of labels, not "A>B" text inside a JSON list
-        ("order-sensitivity", {"rankings": ["A>B", "B>A"]}, "rankings must be"),
-        ("order-sensitivity", {"rankings": [["A", 1]]}, "rankings must be"),
-        ("order-sensitivity", {"rankings": 5}, "rankings must be"),
+        ("order-sensitivity", {"rankings": ["A>B", "B>A"]}, "rankings: expected a string"),
+        ("order-sensitivity", {"rankings": [["A", 1]]}, "rankings: expected a string"),
+        ("order-sensitivity", {"rankings": 5}, "rankings: expected a string"),
         # a string field takes a string: no file named "True", no str(list)
         ("enumerate", {"out": True}, "out must be a string, got True"),
         ("plot", {"csv": "x.csv", "kind": "bandit2", "out": 7},
