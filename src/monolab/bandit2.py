@@ -65,6 +65,14 @@ def group_sizes(total_agents: int, k_groups: int) -> list[int]:
     return [base + 1] * rem + [base] * (k_groups - rem)
 
 
+def check_n0(n0: int, total_agents: int) -> None:
+    """Reject an n0 at which a greedy or pooled comparison, a count of at most
+    n0 + total_agents times one of at most 2 n0 + total_agents, overflows int64."""
+    if (n0 + total_agents) * (2 * n0 + total_agents) >= 2**63:
+        raise ValueError(f"n0 = {n0} is too large for {total_agents} agents: (n0 + agents)"
+                         " x (2 n0 + agents) must stay below 2**63")
+
+
 def simulate_failures(
     n0: int,
     k_grid: Sequence[int],
@@ -79,7 +87,8 @@ def simulate_failures(
     i belongs to ``k = k_grid[i]``.  Each entry equals the per-step greedy
     loop of ``tests/oracles.py``, group after group, on the stream derived
     from (master_seed, replicate), so the result does not depend on how
-    replicates are batched across calls or worker processes.
+    replicates are batched across calls or worker processes.  An n0 that
+    ``check_n0`` rejects raises before any draw.
 
     Draws: after the environment and the initial history, the groups read
     consecutive uniforms whatever k is, so one block of
@@ -97,6 +106,7 @@ def simulate_failures(
     step makes one greedy comparison and one gather of the pulled arm's next
     code bit per row.  The rows' counts are then pooled per (k, replicate).
     """
+    check_n0(n0, total_agents)
     n_reps = max(rep_stop - rep_start, 0)
     if n_reps == 0 or not k_grid:
         return np.zeros((len(k_grid), n_reps), dtype=np.int64)

@@ -120,6 +120,7 @@ class Bandit2Config:
     def __post_init__(self):
         _check_fields(self)
         bandit2.group_sizes(self.total_agents, max(self.k_grid))
+        bandit2.check_n0(max(self.n0_grid), self.total_agents)
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,16 @@ def score_regime(
     return poly.mean(axis=0)
 
 
-def _check_finite(scores: np.ndarray) -> None:
+def _check_matcher_input(scores, capacity: int) -> np.ndarray:
+    """``scores`` as a finite float row or table; rejects a capacity below one."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim not in (1, 2):
+        raise ValueError(f"scores must be a row or a table, got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite (no NaN or infinity)")
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    return scores
 
 
 def take_in_order(scores: np.ndarray, order, capacity: int = 1) -> np.ndarray:
@@ -127,17 +134,12 @@ def sequential_hire(
     capacity of one, every firm hires exactly one candidate.  The picks are
     ``take_in_order``'s, so score ties go to the lowest candidate index.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim not in (1, 2):
-        raise ValueError(f"scores must be a row or a table, got shape {scores.shape}")
-    _check_finite(scores)
+    scores = _check_matcher_input(scores, capacity)
     order = [int(f) for f in firm_order]
     n_firms = len(order) if scores.ndim == 1 else scores.shape[0]
     n_candidates = scores.shape[-1]
     if sorted(order) != list(range(n_firms)):
         raise ValueError("firm_order must be a permutation of all firm indices")
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
     if n_candidates < n_firms * capacity:
         raise ValueError(
             f"{n_candidates} candidates cannot fill {n_firms} firms "
@@ -184,10 +186,7 @@ def deferred_acceptance(
     row this is serial dictatorship: each candidate in score order takes
     their most preferred firm with a free seat.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim not in (1, 2):
-        raise ValueError(f"scores must be a row or a table, got shape {scores.shape}")
-    _check_finite(scores)
+    scores = _check_matcher_input(scores, capacity)
     prefs = np.asarray(prefs)
     if prefs.ndim != 2:
         raise ValueError(f"preferences must be a matrix, got shape {prefs.shape}")
@@ -200,8 +199,6 @@ def deferred_acceptance(
         )
     if not (np.sort(prefs, axis=1) == np.arange(n_firms)).all():
         raise ValueError("each preference row must be a permutation of all firm indices")
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
 
     if scores.ndim == 1:
         score_rows, best = [scores.tolist()] * n_firms, scores

@@ -7,12 +7,13 @@ ties to the lowest arm index); an arm claimed earlier in the round is gone
 for everyone after.  That is sequential hiring's rule with arms for
 candidates, and both take their picks from ``hiring.take_in_order``.  Pull
 results are public: at the end of each round all agents update on every
-pull.  So a belief is the agent's initial counts plus one public count
-vector, and under mono and ensemble, where the initial counts are shared,
+pull.  So a belief is a prior ``(alpha0, total0)`` of initial counts plus
+the one public ``heads``/``pulls`` pair of arrays that ``simulate_run``
+owns, and under mono and ensemble, where the initial counts are shared,
 all agents hold one posterior and a round is the top-n arms of one ranking.
-The impartial observer is one more shared belief: it counts every distinct
-initial sample set once and reads the same public vectors, so under mono
-and ensemble it is the agents' own belief.
+The impartial observer is one more shared prior: it counts every distinct
+initial sample set once and reads the same public arrays, so under mono
+and ensemble it is the agents' own prior.
 
 Regimes differ only in the initial n0 samples per arm and the move order:
 
@@ -31,8 +32,6 @@ regime on plain arguments and returns ``(regret, misclassification)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hiring import take_in_order
@@ -42,7 +41,9 @@ REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
 
 
 def check_game(n_agents: int, n_arms: int, n_rounds: int, n0: int) -> None:
-    """Reject a claim game without agents or rounds, with no spare arm, or with n0 < 0."""
+    """Reject a claim game without agents or rounds, with no spare arm, with
+    n0 < 0, or whose pull counts an int64 cannot hold: an arm's count, prior
+    included, reaches 4 + n_agents * n0 + n_rounds."""
     if n_agents < 1:
         raise ValueError(f"need at least one agent, got {n_agents}")
     if n_arms <= n_agents:
@@ -53,25 +54,9 @@ def check_game(n_agents: int, n_arms: int, n_rounds: int, n0: int) -> None:
         raise ValueError(f"rounds must be >= 1, got {n_rounds}")
     if n0 < 0:
         raise ValueError(f"n0 must be >= 0, got {n0}")
-
-
-@dataclass
-class BeliefState:
-    """Beta-Bernoulli beliefs: initial counts plus the public pull record.
-
-    Every pull is public, so agent i's posterior on arm j is
-    Beta(alpha0[i, j] + heads[j], beta0[i, j] + pulls[j] - heads[j]).  The
-    initial counts are ``(n_arms,)`` when every agent holds the same ones
-    (mono, ensemble) and ``(n_agents, n_arms)`` otherwise (poly).
-    """
-
-    alpha0: np.ndarray  # Beta(2, 2) prior plus initial successes, int64
-    beta0: np.ndarray  # Beta(2, 2) prior plus initial failures, int64
-    heads: np.ndarray  # shape (n_arms,), int64 successes among public pulls
-    pulls: np.ndarray  # shape (n_arms,), int64 public pulls
-
-    def posterior_means(self) -> np.ndarray:
-        return (self.alpha0 + self.heads) / (self.alpha0 + self.beta0 + self.pulls)
+    if 4 + n_agents * n0 + n_rounds >= 2**63:
+        raise ValueError(f"n0 = {n0} is too large: 4 + {n_agents} agents x n0 + "
+                         f"{n_rounds} rounds must stay below 2**63")
 
 
 def draw_arm_means(n_arms: int, stream: RngStream) -> np.ndarray:
@@ -87,36 +72,38 @@ def init_beliefs(
     n_agents: int,
     n0: int,
     stream: RngStream,
-) -> tuple[BeliefState, BeliefState]:
-    """Draw the per-agent initial sample tensor; return agent and observer beliefs.
+) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+    """Draw the per-agent initial sample tensor; return agent and observer priors.
 
-    The full independent-per-agent tensor is drawn under every regime (one
-    binomial block, agent-major), which keeps identically derived streams
-    aligned: mono shares agent 0's row, ensemble shares the pool of all rows
-    (both as one ``(n_arms,)`` row of counts), poly keeps one row per agent.
-    The observer holds Beta(2, 2) plus the distinct sample sets counted once
-    (mono's one set, otherwise the pool) and shares the agents' public
-    ``heads`` and ``pulls``; under mono and ensemble it is the agents' belief.
+    A prior is a pair ``(alpha0, total0)``: Beta(2, 2) plus the initial
+    samples, as int64 ``alpha0`` (2 plus the initial successes) and int
+    ``total0`` (4 plus the initial pulls per arm).  The full per-agent
+    tensor is drawn under every regime (one binomial block, agent-major),
+    which keeps identically derived streams aligned: mono takes agent 0's
+    row, ensemble the pool of all rows (both one ``(n_arms,)`` ``alpha0``),
+    poly keeps one row per agent (``(n_agents, n_arms)``).  The observer
+    counts the distinct sample sets once (mono's one set, otherwise the
+    pool); under mono and ensemble it is the agents' prior.
     """
     n, k = n_agents, len(true_means)
     p = np.broadcast_to(np.asarray(true_means, dtype=float), (n, k))
     heads = stream.binomials(n0, p).astype(np.int64, copy=False)
-    public = (np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64))
-
-    def counted(sample_heads: np.ndarray, total: int) -> BeliefState:
-        """Beta(2, 2) plus ``total`` initial pulls per arm, ``sample_heads`` won."""
-        return BeliefState(2 + sample_heads, 2 + total - sample_heads, *public)
-
     if regime == "mono":
-        shared = counted(heads[0], n0)
+        shared = (2 + heads[0], 4 + n0)
         return shared, shared
-    pooled = counted(heads.sum(axis=0), n * n0)
+    pooled = (2 + heads.sum(axis=0), 4 + n * n0)
     if regime == "ensemble":
         return pooled, pooled
-    return counted(heads, n0), pooled
+    return (2 + heads, 4 + n0), pooled
 
 
-def play_round(beliefs: BeliefState, order: np.ndarray) -> np.ndarray:
+def posterior_means(prior: tuple, heads: np.ndarray, pulls: np.ndarray) -> np.ndarray:
+    """Posterior means of a prior after the public ``heads`` of ``pulls``."""
+    alpha0, total0 = prior
+    return (alpha0 + heads) / (total0 + pulls)
+
+
+def play_round(prior: tuple, heads: np.ndarray, pulls: np.ndarray, order) -> np.ndarray:
     """Claimed arms for one round, in move order (``order[i]`` takes ``arms[i]``).
 
     Each agent takes the unclaimed arm with the highest posterior mean;
@@ -125,7 +112,7 @@ def play_round(beliefs: BeliefState, order: np.ndarray) -> np.ndarray:
     rounds.  Under a shared posterior the round is the top-n arms of one
     ranking, whatever the order.
     """
-    return take_in_order(beliefs.posterior_means(), order)
+    return take_in_order(posterior_means(prior, heads, pulls), order)
 
 
 def realize_rewards(arms: np.ndarray, true_means: np.ndarray, stream: RngStream) -> np.ndarray:
@@ -134,13 +121,13 @@ def realize_rewards(arms: np.ndarray, true_means: np.ndarray, stream: RngStream)
     return (draws < true_means[arms]).astype(np.int64)
 
 
-def observe_and_update(beliefs: BeliefState, arms: np.ndarray, rewards: np.ndarray) -> None:
-    """Public information: the round's pulls enter every agent's posterior.
+def observe_and_update(heads: np.ndarray, pulls: np.ndarray, arms, rewards) -> None:
+    """Public information: the round's pulls enter the public record in place.
 
     The arms of one round are distinct, so fancy-index increments are safe.
     """
-    beliefs.heads[arms] += rewards
-    beliefs.pulls[arms] += 1
+    heads[arms] += rewards
+    pulls[arms] += 1
 
 
 def total_bayesian_regret(true_means: np.ndarray, arm_log: np.ndarray) -> float:
@@ -160,17 +147,17 @@ def total_bayesian_regret(true_means: np.ndarray, arm_log: np.ndarray) -> float:
 
 def impartial_observer_misclassification(
     true_means: np.ndarray,
-    observer: BeliefState,
+    observer_means: np.ndarray,
     n_agents: int,
 ) -> int:
     """How many of the observer's top-n arms are not truly top-n.
 
-    ``observer`` is the shared belief from ``init_beliefs``: the initial
-    samples plus every public pull.  It ranks arms by posterior mean with
-    ties to the lower index.
+    ``observer_means`` are the observer's posterior means: its prior from
+    ``init_beliefs`` after every public pull.  Arms rank by them with ties
+    to the lower index.
     """
     movers = range(n_agents)
-    observed = set(take_in_order(observer.posterior_means(), movers).tolist())
+    observed = set(take_in_order(np.asarray(observer_means, dtype=float), movers).tolist())
     truth = set(take_in_order(np.asarray(true_means, dtype=float), movers).tolist())
     return len(observed - truth)
 
@@ -194,7 +181,8 @@ def simulate_run(
         raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     check_game(n_agents, n_arms, n_rounds, n0)
     true_means = draw_arm_means(n_arms, stream)
-    beliefs, observer = init_beliefs(true_means, regime, n_agents, n0, stream)
+    prior, observer = init_beliefs(true_means, regime, n_agents, n0, stream)
+    heads, pulls = np.zeros((2, n_arms), dtype=np.int64)  # the one public pull record
     fixed_order = np.arange(n_agents)
     arm_log = np.empty((n_rounds, n_agents), dtype=np.int64)
     for t in range(n_rounds):
@@ -202,10 +190,11 @@ def simulate_run(
             order = stream.permutation(n_agents)
         else:
             order = fixed_order
-        arms = play_round(beliefs, order)
+        arms = play_round(prior, heads, pulls, order)
         rewards = realize_rewards(arms, true_means, stream)
-        observe_and_update(beliefs, arms, rewards)
+        observe_and_update(heads, pulls, arms, rewards)
         arm_log[t] = arms
     regret = total_bayesian_regret(true_means, arm_log)
-    mis = impartial_observer_misclassification(true_means, observer, n_agents)
+    observer_means = posterior_means(observer, heads, pulls)
+    mis = impartial_observer_misclassification(true_means, observer_means, n_agents)
     return regret, mis

@@ -309,6 +309,19 @@ def test_simulate_failures_rows_match_scalar_route(n0, total_agents, data, seed,
     assert np.array_equal(vec, scalar)
 
 
+def test_simulate_failures_exact_up_to_its_n0_bound():
+    # (n0 + 50) * (2 * n0 + 50) < 2**63 holds up to n0 = 2,147,483,610; above it
+    # the int64 count products would wrap, so the model and the config refuse it.
+    n0 = 2_147_483_610
+    vec = simulate_failures(n0, (1, 2, 7, 50), 50, 58, 0, 100)
+    assert np.array_equal(vec, _scalar_failures(n0, (1, 2, 7, 50), 50, 58, 0, 100))
+    for n0 in (n0 + 1, 4 * 10**9, 10**20):
+        with pytest.raises(ValueError, match=f"n0 = {n0} is too large for 50 agents"):
+            simulate_failures(n0, (1, 2), 50, 58, 0, 100)
+        with pytest.raises(ValueError, match=f"n0 = {n0} is too large"):
+            Bandit2Config(total_agents=50, n0_grid=(1, n0), k_grid=(1, 2))
+
+
 def test_simulate_failures_chunk_invariant():
     whole = simulate_failures(5, (2, 1, 7), 30, 56, 0, 90)
     parts = np.concatenate(

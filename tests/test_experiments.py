@@ -283,6 +283,10 @@ def test_every_minimum_rejects_one_below(command, f, capsys):
     (2, 8, 5, -1),  # negative initial sample count
     (2, 3, 1, 0),  # the smallest playable game
     (31, 100, 200, 5),
+    # an arm's count, 4 + agents x n0 + rounds, must stay below 2**63
+    (2, 8, 5, 2**62 - 5),
+    (2, 8, 5, 2**62 - 4),
+    (3, 8, 5, 10**20),
 ])
 def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds, n0):
     def error(build):
@@ -630,6 +634,17 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             "--runs", "4", "--workers", "2"]
     assert cli.main(args) == 2
     assert "rounds must be >= 1, got 0" in capsys.readouterr().err
+    # counts that would overflow int64 are refused before any replicate runs
+    for args, n0 in [
+        (["bandit2", "--agents", "50", "--k", "1,2", "--n0", "4000000000"], 4000000000),
+        (["bandit2", "--n0", f"1,{10**20}"], 10**20),
+        (["hiring-bandit", "--n0", "4611686018427387904"], 2**62),
+        (["hiring-bandit", "--n0", str(10**20), "--runs", "4", "--workers", "2"], 10**20),
+    ]:
+        assert cli.main(args) == 2, args
+        captured = capsys.readouterr()
+        assert f"n0 = {n0} is too large" in captured.err
+        assert captured.out == ""
     assert cli.main(["hiring", "--seed", "-1", "--runs", "4", "--workers", "2"]) == 2
     assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
     assert cli.main(["hiring", "--noise-sd", "nan", "--runs", "4"]) == 2

@@ -11,12 +11,12 @@ from monolab import experiments
 from monolab.experiments import HiringBanditConfig
 from monolab.hiring_bandit import (
     REGIMES,
-    BeliefState,
     draw_arm_means,
     impartial_observer_misclassification,
     init_beliefs,
     observe_and_update,
     play_round,
+    posterior_means,
     realize_rewards,
     simulate_run,
     total_bayesian_regret,
@@ -30,18 +30,14 @@ def run_for(regime, stream, n_agents=4, n_arms=12, n_rounds=3, n0=5):
     return simulate_run(regime, n_agents, n_arms, n_rounds, n0, stream)
 
 
-def beliefs_from(alpha0, beta0):
-    """Beliefs before any public pull."""
-    k = np.shape(alpha0)[-1]
-    return BeliefState(
-        np.asarray(alpha0, dtype=np.int64), np.asarray(beta0, dtype=np.int64),
-        np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64),
-    )
+def no_pulls(k):
+    """An empty public record: ``heads`` and ``pulls`` of ``k`` arms."""
+    return np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
 
 
-def best_unclaimed_in_move_order(beliefs, order, arms):
+def best_unclaimed_in_move_order(means, order, arms):
     """Each agent in move order took its best unclaimed arm (ties low)."""
-    means = np.broadcast_to(beliefs.posterior_means(), (len(order), len(beliefs.heads)))
+    means = np.broadcast_to(means, (len(order), means.shape[-1]))
     for i, agent in enumerate(order):
         row = np.where(np.isin(np.arange(means.shape[1]), arms[:i]), -1.0, means[agent])
         if arms[i] != int(np.argmax(row)):
@@ -56,6 +52,9 @@ def test_simulate_run_rejects_before_any_draw():
         ("mono", {"n_agents": 5, "n_arms": 5}, "need more arms than agents"),
         ("mono", {"n_rounds": 0}, "rounds must be >= 1"),
         ("mono", {"n0": -1}, "n0 must be >= 0"),
+        # 4 + 4 agents x n0 + 3 rounds reaches 2**63: the counts overflow int64
+        ("poly_fixed", {"n0": 2**61 - 1}, "n0 = 2305843009213693951 is too large"),
+        ("ensemble", {"n0": 10**20}, "n0 = 100000000000000000000 is too large"),
     ]:
         stream = derive_stream(30, 0)
         before = stream.state()
@@ -79,51 +78,49 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
         stream = derive_stream(32, 1)  # same key: same tensor under every regime
         results[regime] = init_beliefs(means, regime, 4, 5, stream)
 
-    poly_beliefs, poly_obs = results["poly_fixed"]
-    mono_beliefs, mono_obs = results["mono"]
-    ens_beliefs, ens_obs = results["ensemble"]
+    (poly_alpha, poly_total), (poly_obs_alpha, poly_obs_total) = results["poly_fixed"]
+    (mono_alpha, mono_total), (mono_obs_alpha, mono_obs_total) = results["mono"]
+    (ens_alpha, ens_total), (ens_obs_alpha, ens_obs_total) = results["ensemble"]
 
     # mono shares the first independent sample row among all agents
-    assert mono_beliefs.alpha0.ndim == 1 and poly_beliefs.alpha0.ndim == 2
-    assert poly_beliefs.alpha0.shape == (4, 12)
-    assert np.array_equal(mono_beliefs.alpha0, poly_beliefs.alpha0[0])
-    assert np.array_equal(mono_obs.alpha0 - 2, poly_beliefs.alpha0[0] - 2)
-    assert np.all(mono_obs.alpha0 + mono_obs.beta0 == 4 + 5)
+    assert mono_alpha.ndim == 1 and poly_alpha.ndim == 2
+    assert poly_alpha.shape == (4, 12)
+    assert np.array_equal(mono_alpha, poly_alpha[0])
+    assert np.array_equal(mono_obs_alpha - 2, poly_alpha[0] - 2)
+    assert mono_obs_total == 4 + 5
 
     # ensemble pools all rows; observer sees the same pool as under poly
-    pooled = (poly_beliefs.alpha0 - 2).sum(axis=0)
-    assert ens_beliefs.alpha0.ndim == 1
-    assert np.array_equal(ens_beliefs.alpha0 - 2, pooled)
-    assert np.array_equal(ens_obs.alpha0 - 2, pooled)
-    assert np.array_equal(poly_obs.alpha0 - 2, pooled)
-    assert np.all(ens_obs.alpha0 + ens_obs.beta0 == 4 + 4 * 5)
-    assert np.all(poly_obs.alpha0 + poly_obs.beta0 == 4 + 4 * 5)
+    pooled = (poly_alpha - 2).sum(axis=0)
+    assert ens_alpha.ndim == 1
+    assert np.array_equal(ens_alpha - 2, pooled)
+    assert np.array_equal(ens_obs_alpha - 2, pooled)
+    assert np.array_equal(poly_obs_alpha - 2, pooled)
+    assert ens_obs_total == poly_obs_total == 4 + 4 * 5
 
-    # the observer is one shared belief reading the agents' public vectors;
-    # under mono and ensemble it is the agents' own belief
-    assert mono_obs is mono_beliefs and ens_obs is ens_beliefs
-    assert poly_obs.alpha0.ndim == 1
-    assert poly_obs.heads is poly_beliefs.heads and poly_obs.pulls is poly_beliefs.pulls
+    # the observer is one shared prior; under mono and ensemble it is the
+    # agents' own prior
+    assert results["mono"][0] is results["mono"][1]
+    assert results["ensemble"][0] is results["ensemble"][1]
+    assert poly_obs_alpha.ndim == 1
 
-    # Beta(2, 2) prior plus per-agent sample budget
-    assert np.all(mono_beliefs.alpha0 + mono_beliefs.beta0 == 4 + 5)
-    assert np.all(poly_beliefs.alpha0 + poly_beliefs.beta0 == 4 + 5)
-    assert np.all(ens_beliefs.alpha0 + ens_beliefs.beta0 == 4 + 4 * 5)
+    # Beta(2, 2) prior plus per-agent sample budget, an int on every arm
+    assert mono_total == poly_total == 4 + 5
+    assert ens_total == 4 + 4 * 5
+    for prior in (p for pair in results.values() for p in pair):
+        assert isinstance(prior[1], int) and prior[0].dtype == np.int64
 
     # poly_random shares poly_fixed's initial state exactly
-    assert np.array_equal(results["poly_random"][0].alpha0, poly_beliefs.alpha0)
-
-    # no public pull yet
-    for beliefs, _ in results.values():
-        assert beliefs.heads.shape == beliefs.pulls.shape == (12,)
-        assert not beliefs.heads.any() and not beliefs.pulls.any()
+    assert np.array_equal(results["poly_random"][0][0], poly_alpha)
+    assert results["poly_random"][0][1] == poly_total
 
 
 def test_init_beliefs_zero_samples():
     means = draw_arm_means(6, derive_stream(33, 0))
-    beliefs, observer = init_beliefs(means, "poly_fixed", 2, 0, derive_stream(33, 1))
-    assert np.all(beliefs.alpha0 == 2) and np.all(beliefs.beta0 == 2)
-    assert np.all(observer.alpha0 == 2) and np.all(observer.beta0 == 2)
+    (alpha, total), (obs_alpha, obs_total) = init_beliefs(
+        means, "poly_fixed", 2, 0, derive_stream(33, 1)
+    )
+    assert np.all(alpha == 2) and total == 4
+    assert np.all(obs_alpha == 2) and obs_total == 4
 
 
 def test_play_round_takes_best_then_next_best():
@@ -131,24 +128,24 @@ def test_play_round_takes_best_then_next_best():
     alpha[3] = 50  # clear best arm
     alpha[7] = 20  # clear runner-up
     beta = np.full(10, 2, dtype=np.int64)
-    per_agent = beliefs_from(np.tile(alpha, (2, 1)), np.tile(beta, (2, 1)))
-    shared = beliefs_from(alpha, beta)
-    for beliefs in (per_agent, shared):
-        assert play_round(beliefs, np.array([0, 1])).tolist() == [3, 7]
-        assert play_round(beliefs, np.array([1, 0])).tolist() == [3, 7]
+    per_agent = (np.tile(alpha, (2, 1)), np.tile(alpha + beta, (2, 1)))
+    shared = (alpha, alpha + beta)
+    for prior in (per_agent, shared):
+        assert play_round(prior, *no_pulls(10), np.array([0, 1])).tolist() == [3, 7]
+        assert play_round(prior, *no_pulls(10), np.array([1, 0])).tolist() == [3, 7]
 
 
 def test_play_round_breaks_ties_toward_lower_arm():
-    per_agent = beliefs_from(np.full((3, 5), 2), np.full((3, 5), 2))
-    shared = beliefs_from(np.full(5, 2), np.full(5, 2))
-    for beliefs in (per_agent, shared):
+    per_agent = (np.full((3, 5), 2), 4)
+    shared = (np.full(5, 2), 4)
+    for prior in (per_agent, shared):
         # agents 2, 0, 1 move in that order and take arms 0, 1, 2
-        assert play_round(beliefs, np.array([2, 0, 1])).tolist() == [0, 1, 2]
+        assert play_round(prior, *no_pulls(5), np.array([2, 0, 1])).tolist() == [0, 1, 2]
     # a public record that ties two arms again also resolves to the lower one
-    tied = beliefs_from(np.full((2, 4), 2), np.full((2, 4), 2))
-    tied.heads[:] = [0, 3, 3, 0]
-    tied.pulls[:] = [0, 3, 3, 0]
-    assert play_round(tied, np.array([1, 0])).tolist() == [1, 2]
+    heads = np.array([0, 3, 3, 0])
+    pulls = np.array([0, 3, 3, 0])
+    tied = (np.full((2, 4), 2), 4)
+    assert play_round(tied, heads, pulls, np.array([1, 0])).tolist() == [1, 2]
 
 
 def test_play_round_claims_distinct_arms():
@@ -157,42 +154,45 @@ def test_play_round_claims_distinct_arms():
         alpha = gen.integers(2, 30, size=(5, 9)).astype(np.int64)
         beta = gen.integers(2, 30, size=(5, 9)).astype(np.int64)
         order = gen.permutation(5)
-        beliefs = beliefs_from(alpha, beta)
-        arms = play_round(beliefs, order)
+        prior = (alpha, alpha + beta)
+        arms = play_round(prior, *no_pulls(9), order)
         assert arms.shape == (5,)
         assert len(set(arms.tolist())) == 5
         # arms[i] belongs to order[i]: agents claim in move order
-        assert best_unclaimed_in_move_order(beliefs, order, arms)
+        means = posterior_means(prior, *no_pulls(9))
+        assert best_unclaimed_in_move_order(means, order, arms)
 
 
 def test_identical_beliefs_claim_same_arm_set_in_any_order():
     gen = np.random.default_rng(6)
     row_alpha = gen.integers(2, 40, size=8).astype(np.int64)
     row_beta = gen.integers(2, 40, size=8).astype(np.int64)
-    per_agent = beliefs_from(np.tile(row_alpha, (4, 1)), np.tile(row_beta, (4, 1)))
-    shared = beliefs_from(row_alpha, row_beta)
-    base = play_round(per_agent, np.arange(4)).tolist()
-    assert play_round(shared, np.arange(4)).tolist() == base
+    per_agent = (np.tile(row_alpha, (4, 1)), np.tile(row_alpha + row_beta, (4, 1)))
+    shared = (row_alpha, row_alpha + row_beta)
+    base = play_round(per_agent, *no_pulls(8), np.arange(4)).tolist()
+    assert play_round(shared, *no_pulls(8), np.arange(4)).tolist() == base
     for seed in range(5):
         order = np.random.default_rng(seed).permutation(4)
-        assert set(play_round(per_agent, order).tolist()) == set(base)
-        assert play_round(shared, order).tolist() == base
+        assert set(play_round(per_agent, *no_pulls(8), order).tolist()) == set(base)
+        assert play_round(shared, *no_pulls(8), order).tolist() == base
 
 
 def test_observe_and_update_is_public_and_keeps_shared_rows_shared():
-    beliefs = beliefs_from(np.full((3, 6), 4), np.full((3, 6), 4))
-    observe_and_update(beliefs, np.array([2, 5, 0]), np.array([1, 0, 1]))
-    observe_and_update(beliefs, np.array([2]), np.array([1]))
-    assert beliefs.heads.tolist() == [1, 0, 2, 0, 0, 0]
-    assert beliefs.pulls.tolist() == [1, 0, 2, 0, 0, 1]
+    alpha0 = np.full((3, 6), 4)
+    prior = (alpha0, 8)
+    heads, pulls = no_pulls(6)
+    observe_and_update(heads, pulls, np.array([2, 5, 0]), np.array([1, 0, 1]))
+    observe_and_update(heads, pulls, np.array([2]), np.array([1]))
+    assert heads.tolist() == [1, 0, 2, 0, 0, 0]
+    assert pulls.tolist() == [1, 0, 2, 0, 0, 1]
     # every agent's posterior moved: arm 2 is Beta(6, 4), arm 5 Beta(4, 5)
-    means = beliefs.posterior_means()
+    means = posterior_means(prior, heads, pulls)
     assert np.all(means[:, 2] == 6 / 10)
     assert np.all(means[:, 5] == 4 / 9)
     for row in means[1:]:
         assert np.array_equal(row, means[0])
     # the initial counts are left alone
-    assert np.all(beliefs.alpha0 == 4) and np.all(beliefs.beta0 == 4)
+    assert np.all(alpha0 == 4) and prior[1] == 8
 
 
 def test_realize_rewards_degenerate_means():
@@ -234,32 +234,32 @@ def test_regret_nonnegative_on_random_runs():
         assert regret >= 0.0
 
 
-def observer_from(heads, total, reward_heads, reward_pulls):
+def observer_means(heads, total, reward_heads, reward_pulls):
     """Beta(2, 2) plus ``heads`` of ``total`` initial pulls, then the rewards."""
-    heads = np.asarray(heads, dtype=np.int64)
-    return BeliefState(2 + heads, 2 + total - heads, reward_heads, reward_pulls)
+    prior = (2 + np.asarray(heads, dtype=np.int64), 4 + total)
+    return posterior_means(prior, reward_heads, reward_pulls)
 
 
 def test_observer_misclassification_hand_cases():
     means = np.array([0.9, 0.5, 0.1])
     none = np.zeros(3, dtype=np.int64)
-    sharp = observer_from([45, 25, 5], 50, none, none)
+    sharp = observer_means([45, 25, 5], 50, none, none)
     assert impartial_observer_misclassification(means, sharp, 1) == 0
-    fooled = observer_from([5, 25, 45], 50, none, none)
+    fooled = observer_means([5, 25, 45], 50, none, none)
     assert impartial_observer_misclassification(means, fooled, 1) == 1
     # round rewards enter the posterior: arm 0 redeemed by ten straight wins
     wins = np.array([10, 0, 0])
-    fooled = observer_from([5, 25, 45], 50, wins, wins)
+    fooled = observer_means([5, 25, 45], 50, wins, wins)
     assert impartial_observer_misclassification(means, fooled, 1) == 1
     wins = np.array([500, 0, 0])
-    fooled = observer_from([5, 25, 45], 50, wins, wins)
+    fooled = observer_means([5, 25, 45], 50, wins, wins)
     assert impartial_observer_misclassification(means, fooled, 1) == 0
 
 
 def test_observer_full_slate_never_misclassifies():
     means = np.array([0.8, 0.6, 0.4])
     none = np.zeros(3, dtype=np.int64)
-    observer = observer_from([0, 3, 1], 4, none, none)
+    observer = observer_means([0, 3, 1], 4, none, none)
     assert impartial_observer_misclassification(means, observer, 3) == 0
 
 
