@@ -19,20 +19,21 @@ use exact integer cross-multiplication, so ties are exact and always go to
 arm 1.
 
 ``simulate_failures`` computes the failure indicators for a whole grid of
-k at once: the schedules of every group of every k are slices of one block
-of ``2 * total_agents`` uniforms per (n0, replicate), kept as 2-bit codes
-(bit 0: u < mu1, bit 1: u < mu2), and all groups of all replicates walk
-the greedy rule in one lockstep.  The tests compare it with a scalar
-reference in ``tests/oracles.py`` that walks one group one step at a time.
+k at once, one replicate per stream its caller derives: the schedules of
+every group of every k are slices of one block of ``2 * total_agents``
+uniforms per (n0, replicate), kept as 2-bit codes (bit 0: u < mu1, bit 1:
+u < mu2), and all groups of all replicates walk the greedy rule in one
+lockstep.  The tests compare it with a scalar reference in
+``tests/oracles.py`` that walks one group one step at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .streams import RngStream, derive_stream
+from .streams import RngStream
 
 
 def draw_environment(stream: RngStream) -> tuple[float, float]:
@@ -77,18 +78,17 @@ def simulate_failures(
     n0: int,
     k_grid: Sequence[int],
     total_agents: int,
-    master_seed: int,
-    rep_start: int,
-    rep_stop: int,
+    streams: Iterable[RngStream],
 ) -> np.ndarray:
-    """Pooled-failure indicators per k in k_grid, replicates rep_start..rep_stop-1.
+    """Pooled-failure indicators per k in k_grid, one replicate per stream.
 
-    Returns a ``(len(k_grid), rep_stop - rep_start)`` int64 array whose row
-    i belongs to ``k = k_grid[i]``.  Each entry equals the per-step greedy
-    loop of ``tests/oracles.py``, group after group, on the stream derived
-    from (master_seed, replicate), so the result does not depend on how
-    replicates are batched across calls or worker processes.  An n0 that
-    ``check_n0`` rejects raises before any draw.
+    Returns a ``(len(k_grid), n_streams)`` int64 array whose row i belongs
+    to ``k = k_grid[i]`` and whose column j reads the j-th stream.  Each
+    entry equals the per-step greedy loop of ``tests/oracles.py``, group
+    after group, on that stream alone, so the result does not depend on how
+    replicates are batched across calls or worker processes.  The streams
+    are read one at a time, in order.  An n0 that ``check_n0`` rejects
+    raises before any draw.
 
     Draws: after the environment and the initial history, the groups read
     consecutive uniforms whatever k is, so one block of
@@ -107,9 +107,6 @@ def simulate_failures(
     code bit per row.  The rows' counts are then pooled per (k, replicate).
     """
     check_n0(n0, total_agents)
-    n_reps = max(rep_stop - rep_start, 0)
-    if n_reps == 0 or not k_grid:
-        return np.zeros((len(k_grid), n_reps), dtype=np.int64)
     groups = []  # (size, k row, first uniform) of every group of every k cell
     for row, k in enumerate(k_grid):
         first = 0
@@ -117,20 +114,25 @@ def simulate_failures(
             groups.append((m, row, first))
             first += 2 * m
     groups.sort(key=lambda group: -group[0])
-    size, krow, first = (np.array(column) for column in zip(*groups))
 
     width = 2 * total_agents
     row_bits = 8 * -(-2 * width // 8)  # 2 bits per uniform, whole bytes per replicate
-    s1 = np.empty(n_reps, dtype=np.int64)
-    s2 = np.empty(n_reps, dtype=np.int64)
-    codes = np.empty((n_reps, row_bits // 8), dtype=np.uint8)
-    for i in range(n_reps):
-        stream = derive_stream(master_seed, rep_start + i)
+    # The replicate count is known only once the streams run out, so the
+    # codes grow in one buffer, which the walk then reads without a copy.
+    s1, s2, codes = [], [], bytearray()
+    for stream in streams:
         mu1, mu2 = draw_environment(stream)
-        s1[i], s2[i] = draw_initial_history(mu1, mu2, n0, stream)
+        successes1, successes2 = draw_initial_history(mu1, mu2, n0, stream)
+        s1.append(successes1)
+        s2.append(successes2)
         hits = stream.uniforms(width)[:, None] < (mu1, mu2)
-        codes[i] = np.packbits(hits, bitorder="little")
-    codes = codes.reshape(-1)
+        codes += np.packbits(hits, bitorder="little").tobytes()
+    n_reps = len(s1)
+    if n_reps == 0 or not k_grid:
+        return np.zeros((len(k_grid), n_reps), dtype=np.int64)
+    s1, s2 = np.array(s1, dtype=np.int64), np.array(s2, dtype=np.int64)
+    codes = np.frombuffer(codes, dtype=np.uint8)
+    size, krow, first = (np.array(column) for column in zip(*groups))
 
     # Per row, replicate-major within each group slot: successes of arm 1
     # and of both arms and pulls of arm 1, each with the history included,

@@ -85,7 +85,9 @@ def _help_of(f: dataclasses.Field) -> str | None:
 def _merge_params(args, allowed) -> dict:
     """File values under CLI flags; unknown file keys are rejected."""
     params = {}
-    if args.config:
+    if args.config == "":
+        raise ValueError("config must not be empty")
+    if args.config is not None:
         with open(args.config) as fh:
             try:
                 data = json.load(fh)

@@ -10,7 +10,9 @@ at equal replicate indices: the hiring sweep draws one market per
 replicate and restores a stream snapshot for each firm count (mono and
 ensemble reuse poly's firm order or preferences), the claim game
 re-derives the stream per cell and passes it, with the cell's regime and
-game sizes as plain arguments, to ``hiring_bandit.simulate_run``.
+game sizes as plain arguments, to ``hiring_bandit.simulate_run``, and the
+bandit2 sweep derives each n0's replicate streams here too and passes them,
+in replicate order, to ``bandit2.simulate_failures``.
 
 CSV schema (one metric per row): the fields of ``ResultRow``, in order,
     kind, regime, param_name, param_value, metric, value, stderr, n_runs,
@@ -318,9 +320,8 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
 def _bandit2_range(cfg: Bandit2Config, start: int, stop: int) -> dict:
     out = {}
     for n0 in cfg.n0_grid:
-        failures = bandit2.simulate_failures(
-            n0, cfg.k_grid, cfg.total_agents, cfg.master_seed, start, stop
-        )
+        streams = (derive_stream(cfg.master_seed, r) for r in range(start, stop))
+        failures = bandit2.simulate_failures(n0, cfg.k_grid, cfg.total_agents, streams)
         for k, row in zip(cfg.k_grid, failures):
             out[(f"k={k}", n0, "failure_rate")] = row.astype(float)
     return out
@@ -533,10 +534,9 @@ DEFAULT_PLOT_METRIC = {
 @dataclass(frozen=True)
 class PlotConfig:
     csv: str = _param("csv", help="input results CSV")
-    kind: str = _param("kind", help="figure kind", choices=tuple(DEFAULT_PLOT_METRIC))
     out: str = _param("out", help="output SVG path")
     metric: str | None = _param(
-        "metric", None, "metric column to plot (default: the kind's main metric)"
+        "metric", None, "metric column to plot (default: the file kind's main metric)"
     )
 
     def __post_init__(self):
@@ -544,11 +544,30 @@ class PlotConfig:
 
 
 def plot_csv(cfg: PlotConfig) -> None:
-    """Render one figure from a results CSV: one series per regime, +/-2 SE bars."""
-    metric = cfg.metric or DEFAULT_PLOT_METRIC[cfg.kind]
-    rows = [r for r in read_csv(cfg.csv) if r.kind == cfg.kind and r.metric == metric]
+    """Render one figure from a results CSV: one series per regime, +/-2 SE bars.
+
+    The figure's kind is the file's one ``kind``, which must be one of
+    ``DEFAULT_PLOT_METRIC``; it picks the default metric and is the title.
+    """
+    rows = read_csv(cfg.csv)
     if not rows:
-        raise ValueError(f"{cfg.csv}: no rows with kind={cfg.kind!r} and metric={metric!r}")
+        raise ValueError(f"{cfg.csv}: no rows to plot")
+    kinds = dict.fromkeys(r.kind for r in rows)  # in order of first appearance
+    if len(kinds) > 1:
+        raise ValueError(
+            f"{cfg.csv}: rows of {len(kinds)} kinds ({', '.join(map(repr, kinds))}), "
+            "but a figure plots one"
+        )
+    kind = rows[0].kind
+    if kind not in DEFAULT_PLOT_METRIC:
+        raise ValueError(
+            f"{cfg.csv}: cannot plot kind {kind!r} "
+            f"(plottable: {', '.join(DEFAULT_PLOT_METRIC)})"
+        )
+    metric = cfg.metric or DEFAULT_PLOT_METRIC[kind]
+    rows = [r for r in rows if r.metric == metric]
+    if not rows:
+        raise ValueError(f"{cfg.csv}: no rows with metric={metric!r}")
     regimes = dict.fromkeys(r.regime for r in rows)  # in order of first appearance
     series = []
     for regime in regimes:
@@ -563,5 +582,5 @@ def plot_csv(cfg: PlotConfig) -> None:
             )
         )
     x_label = rows[0].param_name
-    svg_text = render_line_chart(series, x_label, metric, title=cfg.kind)
+    svg_text = render_line_chart(series, x_label, metric, kind)
     atomic_write_text(svg_text, cfg.out)

@@ -204,7 +204,7 @@ def deferred_acceptance(
         score_rows, best = [scores.tolist()] * n_firms, scores
     else:
         score_rows, best = scores.tolist(), scores.max(axis=0)
-    order = np.lexsort((np.arange(n_candidates), -best)).tolist()
+    order = np.argsort(-best, kind="stable").tolist()
     best = best.tolist()
     pref_rows = prefs.tolist()
     assignment = [UNMATCHED] * n_candidates

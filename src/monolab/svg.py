@@ -8,7 +8,7 @@ output deterministic and diffable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 WIDTH = 880
 HEIGHT = 560
@@ -25,7 +25,7 @@ class Series:
     label: str
     xs: tuple
     ys: tuple
-    errs: tuple = field(default=())  # half-height of the error bar, may be empty
+    errs: tuple  # half-height of each error bar; 0 draws none
 
 
 def _nice_step(span: float, target_ticks: int = 5) -> float:
@@ -78,20 +78,20 @@ def render_line_chart(
     series: list[Series],
     x_label: str,
     y_label: str,
-    title: str = "",
+    title: str,
 ) -> str:
-    """Render series as a line chart with optional error bars; returns SVG text."""
+    """Render series as a titled line chart with error bars; returns SVG text."""
     if not series:
         raise ValueError("nothing to plot: no series")
     for s in series:
-        if len(s.xs) != len(s.ys) or (s.errs and len(s.errs) != len(s.xs)):
+        if len(s.xs) != len(s.ys) or len(s.errs) != len(s.xs):
             raise ValueError(f"series {s.label!r} has mismatched lengths")
         if len(s.xs) == 0:
             raise ValueError(f"series {s.label!r} is empty")
 
     xs_all = [x for s in series for x in s.xs]
-    ys_lo = [y - (s.errs[i] if s.errs else 0.0) for s in series for i, y in enumerate(s.ys)]
-    ys_hi = [y + (s.errs[i] if s.errs else 0.0) for s in series for i, y in enumerate(s.ys)]
+    ys_lo = [y - e for s in series for y, e in zip(s.ys, s.errs)]
+    ys_hi = [y + e for s in series for y, e in zip(s.ys, s.errs)]
     x_lo, x_hi = _axis_range(min(xs_all), max(xs_all), 0.04, x_label)
     y_lo, y_hi = _axis_range(min(ys_lo), max(ys_hi), 0.06, y_label)
 
@@ -110,11 +110,10 @@ def render_line_chart(
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="Helvetica, Arial, sans-serif">'
     )
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    if title:
-        out.append(
-            f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-            f'font-size="17">{_escape(title)}</text>'
-        )
+    out.append(
+        f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
+        f'font-size="17">{_escape(title)}</text>'
+    )
 
     # gridlines and ticks
     for t in _ticks(x_lo, x_hi):
@@ -156,20 +155,19 @@ def render_line_chart(
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
-        if s.errs:
-            for x, y, e in zip(s.xs, s.ys, s.errs):
-                if e <= 0:
-                    continue
-                cx, y1, y2 = px(x), py(y - e), py(y + e)
+        for x, y, e in zip(s.xs, s.ys, s.errs):
+            if e <= 0:
+                continue
+            cx, y1, y2 = px(x), py(y - e), py(y + e)
+            out.append(
+                f'<line x1="{cx:.2f}" y1="{y1:.2f}" x2="{cx:.2f}" y2="{y2:.2f}" '
+                f'stroke="{color}" stroke-width="1.2"/>'
+            )
+            for yy in (y1, y2):
                 out.append(
-                    f'<line x1="{cx:.2f}" y1="{y1:.2f}" x2="{cx:.2f}" y2="{y2:.2f}" '
-                    f'stroke="{color}" stroke-width="1.2"/>'
+                    f'<line x1="{cx - 4:.2f}" y1="{yy:.2f}" x2="{cx + 4:.2f}" '
+                    f'y2="{yy:.2f}" stroke="{color}" stroke-width="1.2"/>'
                 )
-                for yy in (y1, y2):
-                    out.append(
-                        f'<line x1="{cx - 4:.2f}" y1="{yy:.2f}" x2="{cx + 4:.2f}" '
-                        f'y2="{yy:.2f}" stroke="{color}" stroke-width="1.2"/>'
-                    )
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
         )

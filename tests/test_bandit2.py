@@ -271,6 +271,11 @@ def test_lock_in_becomes_permanent_at_long_horizons():
     assert (locks <= 501).mean() > 0.98
 
 
+def _streams(seed, start, stop):
+    """The replicate streams the bandit2 sweep passes for replicates start..stop-1."""
+    return (derive_stream(seed, r) for r in range(start, stop))
+
+
 def _scalar_failures(n0, k_grid, total_agents, seed, start, stop):
     out = np.zeros((len(k_grid), stop - start), dtype=np.int64)
     for i, r in enumerate(range(start, stop)):
@@ -285,7 +290,7 @@ def _scalar_failures(n0, k_grid, total_agents, seed, start, stop):
 
 def test_simulate_failures_matches_scalar_route():
     for n0 in (1, 5, 10):
-        vec = simulate_failures(n0, (1, 4, 2, 3), 40, 55, 0, 100)
+        vec = simulate_failures(n0, (1, 4, 2, 3), 40, _streams(55, 0, 100))
         assert vec.shape == (4, 100) and vec.dtype == np.int64
         assert np.array_equal(vec, _scalar_failures(n0, (1, 4, 2, 3), 40, 55, 0, 100))
 
@@ -303,7 +308,7 @@ def test_simulate_failures_rows_match_scalar_route(n0, total_agents, data, seed,
     # distinct group counts in any order, always including one agent per group
     ks = data.draw(st.sets(st.integers(1, total_agents), max_size=4))
     k_grid = data.draw(st.permutations(sorted(ks | {total_agents})))
-    vec = simulate_failures(n0, k_grid, total_agents, seed, start, start + n_reps)
+    vec = simulate_failures(n0, k_grid, total_agents, _streams(seed, start, start + n_reps))
     assert vec.shape == (len(k_grid), n_reps)
     scalar = _scalar_failures(n0, k_grid, total_agents, seed, start, start + n_reps)
     assert np.array_equal(vec, scalar)
@@ -313,29 +318,33 @@ def test_simulate_failures_exact_up_to_its_n0_bound():
     # (n0 + 50) * (2 * n0 + 50) < 2**63 holds up to n0 = 2,147,483,610; above it
     # the int64 count products would wrap, so the model and the config refuse it.
     n0 = 2_147_483_610
-    vec = simulate_failures(n0, (1, 2, 7, 50), 50, 58, 0, 100)
+    vec = simulate_failures(n0, (1, 2, 7, 50), 50, _streams(58, 0, 100))
     assert np.array_equal(vec, _scalar_failures(n0, (1, 2, 7, 50), 50, 58, 0, 100))
     for n0 in (n0 + 1, 4 * 10**9, 10**20):
+        # refused before any draw: the given stream is not advanced
+        stream = derive_stream(58, 0)
+        before = stream.state()
         with pytest.raises(ValueError, match=f"n0 = {n0} is too large for 50 agents"):
-            simulate_failures(n0, (1, 2), 50, 58, 0, 100)
+            simulate_failures(n0, (1, 2), 50, [stream])
+        assert stream.state() == before
         with pytest.raises(ValueError, match=f"n0 = {n0} is too large"):
             Bandit2Config(total_agents=50, n0_grid=(1, n0), k_grid=(1, 2))
 
 
 def test_simulate_failures_chunk_invariant():
-    whole = simulate_failures(5, (2, 1, 7), 30, 56, 0, 90)
+    whole = simulate_failures(5, (2, 1, 7), 30, _streams(56, 0, 90))
     parts = np.concatenate(
         [
-            simulate_failures(5, (2, 1, 7), 30, 56, 0, 37),
-            simulate_failures(5, (2, 1, 7), 30, 56, 37, 90),
+            simulate_failures(5, (2, 1, 7), 30, _streams(56, 0, 37)),
+            simulate_failures(5, (2, 1, 7), 30, _streams(56, 37, 90)),
         ],
         axis=1,
     )
     assert np.array_equal(whole, parts)
-    assert simulate_failures(5, (2, 1, 7), 30, 56, 10, 10).shape == (3, 0)
+    assert simulate_failures(5, (2, 1, 7), 30, _streams(56, 10, 10)).shape == (3, 0)
     # one k at a time gives the same rows as the whole grid
     for row, k in enumerate((2, 1, 7)):
-        assert np.array_equal(simulate_failures(5, (k,), 30, 56, 0, 90)[0], whole[row])
+        assert np.array_equal(simulate_failures(5, (k,), 30, _streams(56, 0, 90))[0], whole[row])
 
 
 def test_failure_rate_sweep_shape_and_determinism():

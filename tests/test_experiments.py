@@ -33,6 +33,7 @@ from monolab.experiments import (
     write_csv,
 )
 from monolab.streams import derive_stream
+from monolab.svg import Series, render_line_chart
 
 from oracles import sequential_hire_mask_scan
 
@@ -436,8 +437,7 @@ def test_output_files_get_the_mode_of_a_new_file(tmp_path):
     old = os.umask(0o022)
     try:
         assert cli.main(["enumerate", "--out", str(csv_path)]) == 0
-        assert cli.main(["plot", "--csv", str(csv_path), "--kind", "enumerate",
-                         "--out", str(svg_path)]) == 0
+        assert cli.main(["plot", "--csv", str(csv_path), "--out", str(svg_path)]) == 0
         os.umask(0o027)
         experiments.atomic_write_text("x", str(tmp_path / "other.txt"))
     finally:
@@ -506,7 +506,7 @@ def test_plot_pipeline(tmp_path):
     csv_path = tmp_path / "b2.csv"
     svg_path = tmp_path / "b2.svg"
     write_csv(run(SMALL_BANDIT2), str(csv_path))
-    experiments.plot_csv(PlotConfig(csv=str(csv_path), kind="bandit2", out=str(svg_path)))
+    experiments.plot_csv(PlotConfig(csv=str(csv_path), out=str(svg_path)))
     svg = svg_path.read_text()
     assert svg.startswith("<svg")
     assert "<polyline" in svg
@@ -518,12 +518,66 @@ def test_plot_rejects_empty_selection(tmp_path):
     csv_path = tmp_path / "empty.csv"
     csv_path.write_text(",".join(experiments.CSV_HEADER) + "\n")
     out = tmp_path / "fig.svg"
-    with pytest.raises(ValueError, match="no rows"):
-        experiments.plot_csv(PlotConfig(csv=str(csv_path), kind="bandit2", out=str(out)))
+    with pytest.raises(ValueError, match="empty.csv: no rows to plot"):
+        experiments.plot_csv(PlotConfig(csv=str(csv_path), out=str(out)))
     assert not out.exists()
-    with pytest.raises(ValueError, match="kind must be one of"):
-        PlotConfig(csv=str(csv_path), kind="scatter", out=str(out))
+    csv_path = tmp_path / "b2.csv"
+    write_csv(run(SMALL_BANDIT2), str(csv_path))
+    with pytest.raises(ValueError, match="b2.csv: no rows with metric='regret'"):
+        experiments.plot_csv(PlotConfig(csv=str(csv_path), out=str(out), metric="regret"))
     assert not out.exists()
+    assert [f.name for f in dataclasses.fields(PlotConfig)] == ["csv", "out", "metric"]
+
+
+# One small config per plottable kind.
+_PLOTTABLE = {cfg.kind: cfg for cfg in (
+    SMALL_HIRING, SMALL_DA, SMALL_BANDIT2, SMALL_HB, EnumerateConfig())}
+
+
+@pytest.mark.parametrize("kind, metric", [
+    *((kind, None) for kind in experiments.DEFAULT_PLOT_METRIC),
+    ("hiring-bandit", "misclassification"),
+])
+def test_plot_takes_its_kind_from_the_file(tmp_path, kind, metric):
+    # the figure is the chart of the file's rows of the metric, one series
+    # per regime with +/-2 SE bars, titled with the file's kind
+    csv_path, svg_path = tmp_path / "res.csv", tmp_path / "fig.svg"
+    write_csv(run(_PLOTTABLE[kind]), str(csv_path))
+    args = ["plot", "--csv", str(csv_path), "--out", str(svg_path)]
+    assert cli.main(args + (["--metric", metric] if metric else [])) == 0
+    metric = metric or experiments.DEFAULT_PLOT_METRIC[kind]
+    rows = [r for r in read_csv(str(csv_path)) if r.metric == metric]
+    series = []
+    for regime in dict.fromkeys(r.regime for r in rows):
+        points = sorted((r.param_value, r.value, 2.0 * r.stderr)
+                        for r in rows if r.regime == regime)
+        series.append(Series(regime, *zip(*points)))
+    expected = render_line_chart(series, rows[0].param_name, metric, kind)
+    assert svg_path.read_text() == expected
+
+
+def test_plot_refuses_a_file_it_cannot_title(tmp_path, capsys, monkeypatch):
+    # no rows, rows of two kinds, or a kind with no figure: a usage error
+    # that names the file, and no SVG is written
+    monkeypatch.chdir(tmp_path)
+    header = ",".join(experiments.CSV_HEADER)
+    (tmp_path / "header.csv").write_text(f"{header}\n")
+    (tmp_path / "two.csv").write_text(
+        f"{header}\nbandit2,k=1,n0,1.0,failure_rate,0.5,0.1,4,0,\n"
+        "enumerate,mono,candidate,0.0,jobless_probability,0.5,0.0,1,0,1/2\n"
+    )
+    write_csv(run(OrderSensitivityConfig(rankings=(("A", "B"), ("B", "A")))), "order.csv")
+    for name, message in [
+        ("header.csv", "header.csv: no rows to plot"),
+        ("two.csv", "two.csv: rows of 2 kinds ('bandit2', 'enumerate'), "
+                    "but a figure plots one"),
+        ("order.csv", "order.csv: cannot plot kind 'order-sensitivity'"),
+    ]:
+        assert cli.main(["plot", "--csv", name, "--out", "x.svg"]) == 2, name
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["header.csv", "order.csv", "two.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +597,7 @@ def test_plot_extreme_finite_ranges(tmp_path, capsys, monkeypatch):
             f"{header}\nbandit2,k=1,n0,1.0,failure_rate,{lo},0.0,4,0,\n"
             f"bandit2,k=1,n0,5.0,failure_rate,{hi},0.0,4,0,\n"
         )
-        args = ["plot", "--csv", f"{name}.csv", "--kind", "bandit2", "--out", f"{name}.svg"]
+        args = ["plot", "--csv", f"{name}.csv", "--out", f"{name}.svg"]
         assert cli.main(args) == 0, name
         root = ET.fromstring((tmp_path / f"{name}.svg").read_text())
         coords = [float(value) for el in root.iter() for key, value in el.attrib.items()
@@ -560,7 +614,7 @@ def test_plot_extreme_finite_ranges(tmp_path, capsys, monkeypatch):
         f"{header}\nbandit2,k=1,n0,1.0,failure_rate,-1e308,0.0,4,0,\n"
         f"bandit2,k=1,n0,5.0,failure_rate,1e308,0.0,4,0,\n"
     )
-    args = ["plot", "--csv", "overflow.csv", "--kind", "bandit2", "--out", "overflow.svg"]
+    args = ["plot", "--csv", "overflow.csv", "--out", "overflow.svg"]
     assert cli.main(args) == 2
     assert ("cannot plot failure_rate from -1e+308 to 1e+308: the range overflows a float"
             in capsys.readouterr().err)
@@ -614,10 +668,11 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "integer list" in err
     assert "k: expected a comma-separated integer list, got '2,a'" in err
-    assert cli.main(["plot", "--csv", "x.csv", "--kind", "bandit2"]) == 2
+    assert cli.main(["plot", "--csv", "x.csv"]) == 2
     assert "--out" in capsys.readouterr().err
-    assert cli.main(["plot", "--csv", "x.csv", "--kind", "scatter", "--out", "x.svg"]) == 2
-    assert "invalid choice: 'scatter'" in capsys.readouterr().err
+    # the figure's kind comes from the file: plot has no --kind
+    assert cli.main(["plot", "--csv", "x.csv", "--kind", "bandit2", "--out", "x.svg"]) == 2
+    assert "unrecognized arguments: --kind bandit2" in capsys.readouterr().err
     assert cli.main(["enumerate", "--candidates", "9", "--firms", "2"]) == 2
     assert "enumeration" in capsys.readouterr().err
     # (n!)^f ranking profiles above the bound, refused before any is enumerated
@@ -654,10 +709,10 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["no-such-command"]) == 2
     # an empty string flag is a usage error, not a missing file, stdout or the default
     for args, flag in [
-        (["plot", "--csv", "", "--kind", "bandit2", "--out", "x.svg"], "csv"),
+        (["plot", "--csv", "", "--out", "x.svg"], "csv"),
         (["enumerate", "--out", ""], "out"),
-        (["plot", "--csv", "x.csv", "--kind", "bandit2", "--out", "x.svg", "--metric", ""],
-         "metric"),
+        (["plot", "--csv", "x.csv", "--out", "x.svg", "--metric", ""], "metric"),
+        (["enumerate", "--config", ""], "config"),
     ]:
         assert cli.main(args) == 2, args
         captured = capsys.readouterr()
@@ -683,10 +738,9 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         ("order-sensitivity", {"rankings": 5}, "rankings: expected a string"),
         # a string field takes a string: no file named "True", no str(list)
         ("enumerate", {"out": True}, "out must be a string, got True"),
-        ("plot", {"csv": "x.csv", "kind": "bandit2", "out": 7},
-         "out must be a string, got 7"),
-        ("plot", {"csv": "x.csv", "kind": "scatter", "out": "x.svg"},
-         "kind must be one of"),
+        ("plot", {"csv": "x.csv", "out": 7}, "out must be a string, got 7"),
+        ("plot", {"csv": "x.csv", "kind": "bandit2", "out": "x.svg"},
+         "unknown config key 'kind' for command 'plot'"),
         ("hiring", {"mode": ["sequential"]}, "mode must be a string, got ['sequential']"),
         ("enumerate", {"out": ""}, "out must not be empty"),
     ]:
@@ -705,7 +759,7 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         ("se-inf.csv", "bandit2,k=1,n0,5.0,failure_rate,0.25,-inf,4,0,"),
     ]:
         (tmp_path / name).write_text(f"{header}\n{first}\n{second}\n")
-        assert cli.main(["plot", "--csv", name, "--kind", "bandit2", "--out", "x.svg"]) == 2
+        assert cli.main(["plot", "--csv", name, "--out", "x.svg"]) == 2
         captured = capsys.readouterr()
         assert f"{name}: line 3: expected a finite number" in captured.err, name
         assert captured.out == ""
@@ -851,14 +905,12 @@ def test_cli_plot_end_to_end(tmp_path):
     write_csv(run(SMALL_HB), str(csv_path))
     out = tmp_path / "hb.svg"
     code = cli.main(
-        ["plot", "--csv", str(csv_path), "--kind", "hiring-bandit",
-         "--metric", "misclassification", "--out", str(out)]
+        ["plot", "--csv", str(csv_path), "--metric", "misclassification", "--out", str(out)]
     )
     assert code == 0
     assert "misclassification" in out.read_text()
     # an empty output path names no file: a usage error
-    assert cli.main(["plot", "--csv", str(csv_path), "--kind", "hiring-bandit",
-                     "--out", ""]) == 2
+    assert cli.main(["plot", "--csv", str(csv_path), "--out", ""]) == 2
     assert sorted(os.listdir(tmp_path)) == ["hb.csv", "hb.svg"]
 
 
