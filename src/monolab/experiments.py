@@ -8,9 +8,11 @@ replicate order before aggregating.  Cells of a sweep draw from the same
 replicate stream state, which pairs regimes (same market, same arm means)
 at equal replicate indices: the hiring sweep draws one market per
 replicate and restores a stream snapshot for each firm count (mono and
-ensemble reuse poly's firm order or preferences), the claim game
-re-derives the stream per cell and passes it, with the cell's regime and
-game sizes as plain arguments, to ``hiring_bandit.simulate_run``, and the
+ensemble reuse poly's firm order or preferences), the claim game cuts
+its replicates into blocks that fit a fixed memory budget and, for each
+block and agent count, derives one stream per replicate and passes them,
+with the game sizes as plain arguments, to ``hiring_bandit.simulate_run``,
+which plays all four regimes of every replicate from its one stream, and the
 bandit2 sweep derives each n0's replicate streams here too and passes them,
 in replicate order, to ``bandit2.simulate_failures``.
 
@@ -327,6 +329,11 @@ def _bandit2_range(cfg: Bandit2Config, start: int, stop: int) -> dict:
     return out
 
 
+# The most memory one hiring_bandit.simulate_run call may take: the replicate
+# block it plays is as large as this budget holds (at least one replicate).
+_CLAIM_BLOCK_BYTES = 16 * 2**20
+
+
 def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict:
     out = {
         (regime, agents, metric): np.empty(stop - start)
@@ -334,15 +341,20 @@ def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict
         for regime in hiring_bandit.REGIMES
         for metric in ("total_bayesian_regret", "misclassification")
     }
-    for i, r in enumerate(range(start, stop)):
+    size = hiring_bandit.replicate_bytes(max(cfg.agent_grid), cfg.n_arms, cfg.n_rounds)
+    block = max(1, _CLAIM_BLOCK_BYTES // size)
+    for first in range(start, stop, block):
+        last = min(first + block, stop)
+        cut = slice(first - start, last - start)
         for agents in cfg.agent_grid:
-            for regime in hiring_bandit.REGIMES:
-                regret, mis = hiring_bandit.simulate_run(
-                    regime, agents, cfg.n_arms, cfg.n_rounds, cfg.n0,
-                    derive_stream(cfg.master_seed, r),
-                )
-                out[(regime, agents, "total_bayesian_regret")][i] = regret
-                out[(regime, agents, "misclassification")][i] = mis
+            # One stream per replicate and agent count serves all four regimes.
+            streams = [derive_stream(cfg.master_seed, r) for r in range(first, last)]
+            regret, mis = hiring_bandit.simulate_run(
+                agents, cfg.n_arms, cfg.n_rounds, cfg.n0, streams
+            )
+            for regime, regret_row, mis_row in zip(hiring_bandit.REGIMES, regret, mis):
+                out[(regime, agents, "total_bayesian_regret")][cut] = regret_row
+                out[(regime, agents, "misclassification")][cut] = mis_row
     return out
 
 

@@ -106,19 +106,37 @@ def take_in_order(scores: np.ndarray, order, capacity: int = 1) -> np.ndarray:
     row every mover shares (then the picks are its top ``len(order) *
     capacity``) or a table with one row per mover, read through one copy in
     which every taken column is set to -inf.  Callers check the sizes.
+
+    A leading game axis plays many independent games at once: ``order`` of
+    shape ``(games, movers)`` with ``scores`` of shape ``(games, columns)``
+    (one shared row per game) or ``(games, rows, columns)`` (one table per
+    game), and the result has shape ``(games, movers * capacity)``.  Row
+    ``g`` of it equals the call on game ``g`` alone.
     """
-    if scores.ndim == 1:
-        return np.argsort(-scores, kind="stable")[: len(order) * capacity]
+    order = np.asarray(order)
+    if scores.ndim == order.ndim:  # one shared row (per game)
+        ranking = np.argsort(-scores, axis=-1, kind="stable")
+        return ranking[..., : order.shape[-1] * capacity]
     remaining = np.array(scores, dtype=float)
-    columns = remaining.T  # columns[c] is column c in every row
     picks = []
-    for mover in np.asarray(order).tolist():
-        row = remaining[mover]
+    if order.ndim == 1:
+        columns = remaining.T  # columns[c] is column c in every row
+        for mover in order.tolist():
+            row = remaining[mover]  # a view: it sees every taken column
+            for _ in range(capacity):
+                pick = row.argmax()  # the first (lowest) index on ties
+                picks.append(pick)
+                columns[pick] = -np.inf
+        return np.array(picks, dtype=np.int64)
+    games = np.arange(len(order))
+    columns = remaining.transpose(2, 0, 1)  # columns[c, g] is column c in game g
+    for movers in order.T:
         for _ in range(capacity):
-            pick = row.argmax()  # the first (lowest) index on ties
+            # a gathered copy, so it is read again after every pick
+            pick = remaining[games, movers].argmax(-1)
             picks.append(pick)
-            columns[pick] = -np.inf
-    return np.array(picks, dtype=np.int64)
+            columns[pick, games] = -np.inf
+    return np.array(picks, dtype=np.int64).T
 
 
 def sequential_hire(

@@ -288,6 +288,12 @@ def test_every_minimum_rejects_one_below(command, f, capsys):
     (2, 8, 5, 2**62 - 5),
     (2, 8, 5, 2**62 - 4),
     (3, 8, 5, 10**20),
+    # one replicate's arrays, by hiring_bandit.replicate_bytes, must stay
+    # within hiring_bandit.MAX_REPLICATE_BYTES
+    (2, 10**11, 1, 0),
+    (2, 3, 10**10, 1),
+    (2000, 10000, 1, 1),
+    (32, 100, 10**6, 5),
 ])
 def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds, n0):
     def error(build):
@@ -298,7 +304,7 @@ def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds,
         return None
 
     model = error(lambda: hiring_bandit.simulate_run(
-        "mono", agents, arms, rounds, n0, derive_stream(0, 0)
+        agents, arms, rounds, n0, [derive_stream(0, 0)]
     ))
     config = error(lambda: HiringBanditConfig(
         n_arms=arms, n_rounds=rounds, agent_grid=(1, agents), n0=n0
@@ -700,6 +706,13 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert f"n0 = {n0} is too large" in captured.err
         assert captured.out == ""
+    # a game too large for memory is refused by size, before any array is made
+    args = ["hiring-bandit", "--arms", "100000000000", "--rounds", "1", "--agents", "1",
+            "--runs", "1"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "game too large: 1 agents, 100000000000 arms and 1 rounds need" in captured.err
+    assert captured.out == ""
     assert cli.main(["hiring", "--seed", "-1", "--runs", "4", "--workers", "2"]) == 2
     assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
     assert cli.main(["hiring", "--noise-sd", "nan", "--runs", "4"]) == 2

@@ -201,6 +201,44 @@ def test_take_in_order_matches_sort_scan_reference(market):
         assert take_in_order_sort_scan(scores[0], order, capacity) == expected
 
 
+@st.composite
+def game_tables(draw):
+    """1-5 games of 1-6 movers each, one table and move order per game,
+    capacity 1-3, scores on a coarse grid (many ties)."""
+    n_games = draw(st.integers(1, 5))
+    n_movers = draw(st.integers(1, 6))
+    capacity = draw(st.integers(1, 3))
+    n_columns = draw(st.integers(n_movers * capacity, n_movers * capacity + 5))
+    cells = st.integers(-3, 3).map(lambda v: v / 2)
+    rows = st.lists(cells, min_size=n_columns, max_size=n_columns)
+    tables = np.array([[draw(rows) for _ in range(n_movers)] for _ in range(n_games)])
+    orders = np.array([draw(st.permutations(range(n_movers))) for _ in range(n_games)])
+    return tables, orders, capacity
+
+
+@given(game_tables())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_take_in_order_plays_each_game_of_a_game_axis_alone(games):
+    # a leading game axis: row g of the picks is game g's own call, for one
+    # table per game and for one shared row per game
+    tables, orders, capacity = games
+    before = tables.copy()
+    picks = take_in_order(tables, orders, capacity)
+    assert picks.shape == (len(tables), orders.shape[1] * capacity)
+    assert picks.dtype == np.int64
+    assert np.array_equal(tables, before)  # the caller's tables are not masked
+    rows = tables[:, 0]
+    shared = take_in_order(rows, orders, capacity)
+    assert shared.shape == picks.shape
+    for g, order in enumerate(orders):
+        expected = take_in_order_sort_scan(tables[g], order.tolist(), capacity)
+        assert picks[g].tolist() == take_in_order(tables[g], order, capacity).tolist()
+        assert picks[g].tolist() == expected
+        expected = take_in_order_sort_scan(rows[g], order.tolist(), capacity)
+        assert shared[g].tolist() == take_in_order(rows[g], order, capacity).tolist()
+        assert shared[g].tolist() == expected
+
+
 def test_score_regime_ensemble_averages_a_given_poly_table():
     market = generate_market(30, derive_stream(13, 0))
     stream = derive_stream(13, 1)
