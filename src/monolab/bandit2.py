@@ -33,7 +33,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .streams import RngStream
+from .streams import MAX_REPLICATE_BYTES, RngStream
 
 
 def draw_environment(stream: RngStream) -> tuple[float, float]:
@@ -66,12 +66,32 @@ def group_sizes(total_agents: int, k_groups: int) -> list[int]:
     return [base + 1] * rem + [base] * (k_groups - rem)
 
 
-def check_n0(n0: int, total_agents: int) -> None:
+def replicate_bytes(total_agents: int, k_grid: Sequence[int]) -> int:
+    """A bound on the bytes one replicate's arrays take in ``simulate_failures``.
+
+    32 per agent: the ``2 * total_agents`` uniforms (16), the comparison
+    that makes their two reward bits (about 11 under tracemalloc: 4 for the
+    bools and numpy's working buffers), and the packed codes as made,
+    copied and kept (1.5).  352 per group of every k in the grid: the group
+    list, its sort keys and its size arrays (256), and the walk's five int64
+    rows and their temporaries (96).  256 for the replicate's own numbers.
+    """
+    return 32 * total_agents + 352 * sum(k_grid) + 256
+
+
+def check_sweep(n0: int, k_grid: Sequence[int], total_agents: int) -> None:
     """Reject an n0 at which a greedy or pooled comparison, a count of at most
-    n0 + total_agents times one of at most 2 n0 + total_agents, overflows int64."""
+    n0 + total_agents times one of at most 2 n0 + total_agents, overflows int64,
+    or a sweep whose one replicate needs more than ``MAX_REPLICATE_BYTES``."""
     if (n0 + total_agents) * (2 * n0 + total_agents) >= 2**63:
         raise ValueError(f"n0 = {n0} is too large for {total_agents} agents: (n0 + agents)"
                          " x (2 n0 + agents) must stay below 2**63")
+    size = replicate_bytes(total_agents, k_grid)
+    if size > MAX_REPLICATE_BYTES:
+        raise ValueError(
+            f"sweep too large: {total_agents} agents and k = {', '.join(map(str, k_grid))} "
+            f"need {size:,} bytes of arrays per replicate, max {MAX_REPLICATE_BYTES:,}"
+        )
 
 
 def simulate_failures(
@@ -87,7 +107,7 @@ def simulate_failures(
     entry equals the per-step greedy loop of ``tests/oracles.py``, group
     after group, on that stream alone, so the result does not depend on how
     replicates are batched across calls or worker processes.  The streams
-    are read one at a time, in order.  An n0 that ``check_n0`` rejects
+    are read one at a time, in order.  A sweep that ``check_sweep`` rejects
     raises before any draw.
 
     Draws: after the environment and the initial history, the groups read
@@ -106,7 +126,7 @@ def simulate_failures(
     step makes one greedy comparison and one gather of the pulled arm's next
     code bit per row.  The rows' counts are then pooled per (k, replicate).
     """
-    check_n0(n0, total_agents)
+    check_sweep(n0, k_grid, total_agents)
     groups = []  # (size, k row, first uniform) of every group of every k cell
     for row, k in enumerate(k_grid):
         first = 0

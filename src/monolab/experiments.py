@@ -7,8 +7,9 @@ range, and the reduction always assembles per-replicate values in
 replicate order before aggregating.  Cells of a sweep draw from the same
 replicate stream state, which pairs regimes (same market, same arm means)
 at equal replicate indices: the hiring sweep draws one market per
-replicate and restores a stream snapshot for each firm count (mono and
-ensemble reuse poly's firm order or preferences), the claim game cuts
+replicate and restores a stream snapshot for each firm count (mono's and
+ensemble's shared rows hire their top seats, so only poly's table reads
+the firm order or preferences), the claim game cuts
 its replicates into blocks that fit a fixed memory budget and, for each
 block and agent count, derives one stream per replicate and passes them,
 with the game sizes as plain arguments, to ``hiring_bandit.simulate_run``,
@@ -102,6 +103,9 @@ class HiringConfig:
                 f"{max(self.firm_grid)} x {self.capacity} = {seats}, "
                 f"got candidates {self.n_candidates}"
             )
+        hiring.check_market(
+            self.n_candidates, max(self.firm_grid), self.mode == "simultaneous"
+        )
 
     @property
     def kind(self) -> str:
@@ -123,8 +127,8 @@ class Bandit2Config:
 
     def __post_init__(self):
         _check_fields(self)
+        bandit2.check_sweep(max(self.n0_grid), self.k_grid, self.total_agents)
         bandit2.group_sizes(self.total_agents, max(self.k_grid))
-        bandit2.check_n0(max(self.n0_grid), self.total_agents)
 
 
 @dataclass(frozen=True)
@@ -279,8 +283,12 @@ def _binomial_se(values: np.ndarray) -> float:
 # replicates start..stop-1}, with keys in CSV row order.
 
 
-def _hire(cfg: HiringConfig, scores: np.ndarray, draw) -> np.ndarray:
-    # Both matchers take poly's table or the row mono and ensemble firms share.
+def _hire(cfg: HiringConfig, scores: np.ndarray, n_firms: int, draw) -> np.ndarray:
+    # On the row that mono and ensemble firms share, either matcher hires the
+    # row's stable top n_firms x capacity, the only set normalized performance
+    # reads; sequential_hire takes that set from the row without a match.
+    if scores.ndim == 1:
+        return hiring.sequential_hire(scores, range(n_firms), cfg.capacity)
     if cfg.mode == "sequential":
         return hiring.sequential_hire(scores, draw, cfg.capacity)
     return hiring.deferred_acceptance(scores, draw, cfg.capacity)
@@ -296,10 +304,8 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
     for i, r in enumerate(range(start, stop)):
         # One stream, one market and one mono row (its noise does not depend
         # on f) per replicate.  Restoring the snapshot after the market gives
-        # poly, for each f, the draws of a freshly derived stream.  Mono and
-        # ensemble (poly's mean) share poly's firm order or preferences: under
-        # one shared row, any of them hires the row's top f x capacity, the
-        # only set normalized performance reads.
+        # poly, for each f, the draws of a freshly derived stream; only
+        # poly's table reads its firm order or preferences.
         stream = derive_stream(cfg.master_seed, r)
         market = hiring.generate_market(cfg.n_candidates, stream)
         after_market = stream.state()
@@ -314,7 +320,7 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
             )
             for regime, scores in zip(hiring.REGIMES, (mono, poly, ensemble)):
                 out[(regime, f, metric)][i] = hiring.normalized_performance(
-                    _hire(cfg, scores, draw), market
+                    _hire(cfg, scores, f, draw), market
                 )
     return out
 

@@ -17,18 +17,18 @@ Because of that, regimes starting from the same stream state share the
 market, and ``ensemble`` is the exact mean of the ``poly`` table drawn at
 that state, so it can average poly's table instead of drawing it again.
 Under mono and ensemble every firm row is the same, so ``score_regime``
-returns that one shared row, and both matchers, ``sequential_hire`` and
-``deferred_acceptance``, take it in place of a table.  Every matcher returns
-the assignment as an int64 array indexed by candidate: the firm that hired
-the candidate, or ``UNMATCHED``.
+returns that one shared row.  On it any matcher hires the row's stable top
+n_firms x capacity, and ``sequential_hire`` takes that set directly from a
+row; ``deferred_acceptance`` takes a table only.  Every matcher returns the
+assignment as an int64 array indexed by candidate: the firm that hired the
+candidate, or ``UNMATCHED``.
 
 Sequential hiring takes its picks from ``take_in_order``, the one pick rule
 that the claim game in ``hiring_bandit`` uses too: movers go in turn and
 each takes its best remaining columns.  Deferred acceptance, the one
 simultaneous matcher, takes proposers strongest first and stops at the
-first one no full firm would take, so on a shared row it does serial
-dictatorship's work.  Tie-breaks are deterministic everywhere: when scores
-are equal, the lowest candidate index wins.
+first one no full firm would take.  Tie-breaks are deterministic
+everywhere: when scores are equal, the lowest candidate index wins.
 """
 
 from __future__ import annotations
@@ -37,11 +37,40 @@ import heapq
 
 import numpy as np
 
-from .streams import RngStream
+from .streams import MAX_REPLICATE_BYTES, RngStream
 
 UNMATCHED = -1
 
 REGIMES = ("mono", "poly", "ensemble")
+
+
+def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
+    """A bound on the bytes one hiring replicate's arrays take, at n_firms firms.
+
+    Counted in 8-byte words, summed over the arrays the hiring driver makes
+    for the largest firm count, though not all of them are alive at once.
+    Per (candidate, firm) cell, sequential hiring makes 4: the poly table,
+    the noise it is drawn from, the last firm count's table (alive until
+    the new one is made) and ``take_in_order``'s masked copy.  Simultaneous
+    hiring makes 15: the same first three, the preference block as tiled,
+    as permuted and the last one, and ``deferred_acceptance``'s list copies
+    of the table (4: a float and its pointer) and of the preferences (5: a
+    pointer and, for a firm index above 256, an int).  Both add 32 per
+    candidate: the market, the shared rows, their rankings, and the
+    matcher's per-candidate lists and heaps.
+    """
+    per_cell = 15 if simultaneous else 4
+    return 8 * (per_cell * n_firms + 32) * n_candidates
+
+
+def check_market(n_candidates: int, n_firms: int, simultaneous: bool) -> None:
+    """Reject a market whose one replicate needs more than ``MAX_REPLICATE_BYTES``."""
+    size = replicate_bytes(n_candidates, n_firms, simultaneous)
+    if size > MAX_REPLICATE_BYTES:
+        raise ValueError(
+            f"market too large: {n_candidates} candidates and {n_firms} firms "
+            f"need {size:,} bytes of arrays per replicate, max {MAX_REPLICATE_BYTES:,}"
+        )
 
 
 def generate_market(n_candidates: int, stream: RngStream) -> np.ndarray:
@@ -191,25 +220,22 @@ def deferred_acceptance(
     index, and rejects the excess.  The result is the candidate-optimal
     stable matching and does not depend on the proposal processing order
     (Gale & Shapley 1962; McVitie & Wilson 1971; Roth & Sotomayor 1990).
-    ``scores`` is a (n_firms, n_candidates) table, or one row of candidate
-    scores that every firm shares (the mono and ensemble regimes), in which
-    case ``prefs`` alone fixes the firm count.
+    ``scores`` is a (n_firms, n_candidates) table; a 1-D row is rejected.
 
     Each firm keeps its held candidates in a min-heap keyed on that
     desirability, so the candidate to evict is always at the root.  Fresh
     proposers go strongest first, by descending ``(best score over firms,
     -index)``.  Once every firm is full, the roots only rise and every later
     proposer is weaker, so the first fresh proposer whose key is below every
-    root stops the loop: it and all after it stay unmatched.  On a shared
-    row this is serial dictatorship: each candidate in score order takes
-    their most preferred firm with a free seat.
+    root stops the loop: it and all after it stay unmatched.
     """
     scores = _check_matcher_input(scores, capacity)
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be a (firms, candidates) table, got {scores.shape}")
     prefs = np.asarray(prefs)
     if prefs.ndim != 2:
         raise ValueError(f"preferences must be a matrix, got shape {prefs.shape}")
-    n_firms = prefs.shape[1] if scores.ndim == 1 else scores.shape[0]
-    n_candidates = scores.shape[-1]
+    n_firms, n_candidates = scores.shape
     if n_firms < 1 or prefs.shape != (n_candidates, n_firms):
         raise ValueError(
             f"preference matrix must have shape ({n_candidates}, {n_firms}) "
@@ -218,10 +244,7 @@ def deferred_acceptance(
     if not (np.sort(prefs, axis=1) == np.arange(n_firms)).all():
         raise ValueError("each preference row must be a permutation of all firm indices")
 
-    if scores.ndim == 1:
-        score_rows, best = [scores.tolist()] * n_firms, scores
-    else:
-        score_rows, best = scores.tolist(), scores.max(axis=0)
+    score_rows, best = scores.tolist(), scores.max(axis=0)
     order = np.argsort(-best, kind="stable").tolist()
     best = best.tolist()
     pref_rows = prefs.tolist()

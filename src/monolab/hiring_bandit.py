@@ -44,14 +44,12 @@ from __future__ import annotations
 import numpy as np
 
 from .hiring import take_in_order
+from .streams import MAX_REPLICATE_BYTES
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
 
 # Games are laid out regime-major in this order: the shared-row games first.
 _LAYOUT = ("mono", "ensemble", "poly_fixed", "poly_random")
-
-# The most a game may need for the arrays of one replicate (replicate_bytes).
-MAX_REPLICATE_BYTES = 2**30
 
 
 def replicate_bytes(n_agents: int, n_arms: int, n_rounds: int) -> int:

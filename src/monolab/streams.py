@@ -19,6 +19,10 @@ import numpy as np
 
 _U64_MAX = 2**64 - 1
 
+# The most one replicate's arrays may take in any model: each model bounds
+# them by its ``replicate_bytes`` and rejects a larger replicate.
+MAX_REPLICATE_BYTES = 2**30
+
 
 def _check_u64(value: int, name: str) -> int:
     if not isinstance(value, (int, np.integer)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from monolab.bandit2 import (
     draw_environment,
     draw_initial_history,
     group_sizes,
+    replicate_bytes,
     simulate_failures,
 )
 from monolab.experiments import Bandit2Config
@@ -329,6 +331,51 @@ def test_simulate_failures_exact_up_to_its_n0_bound():
         assert stream.state() == before
         with pytest.raises(ValueError, match=f"n0 = {n0} is too large"):
             Bandit2Config(total_agents=50, n0_grid=(1, n0), k_grid=(1, 2))
+
+
+@pytest.mark.parametrize("agents, n0_grid, k_grid, too_large", [
+    (3 * 10**9, (1,), (1,), True),  # 96 GB, half of it the uniforms
+    # 32 bytes per agent would pass, but 352 per group of every k do not
+    (2 * 10**6, (1,), (2 * 10**6, 10**6), True),
+    (50, (1, 4 * 10**9), (1, 2), False),  # refused for its n0 instead
+    (40, (1, 5), (1, 2, 4, 8), False),
+])
+def test_bandit2_config_and_model_reject_the_same_sweeps(agents, n0_grid, k_grid, too_large):
+    def error(build):
+        try:
+            build()
+        except ValueError as err:
+            return str(err)
+        return None
+
+    stream = derive_stream(0, 0)
+    before = stream.state()
+    model = error(lambda: simulate_failures(max(n0_grid), k_grid, agents, [stream]))
+    if model is not None:
+        assert stream.state() == before  # refused before any draw
+    config = error(lambda: Bandit2Config(total_agents=agents, n0_grid=n0_grid, k_grid=k_grid))
+    assert model == config
+    assert (config is not None and "sweep too large" in config) == too_large
+
+
+@pytest.mark.parametrize("agents, k_grid, n_reps", [
+    (1000, (1, 2, 4, 8), 50),
+    (50_000, (500,), 1),  # a short walk: 500 groups of 100 agents
+    (10, (1, 2, 4, 8), 500),
+    (2000, tuple(range(1, 200)), 2),
+])
+def test_replicate_bytes_bounds_what_simulate_failures_allocates(agents, k_grid, n_reps):
+    # numpy reports its array buffers to tracemalloc; a fixed 64 KiB per call
+    # covers the array headers and Python objects of a small sweep
+    streams = [derive_stream(59, r) for r in range(n_reps)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_failures(1, k_grid, agents, streams)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= n_reps * replicate_bytes(agents, k_grid) + 64 * 1024
 
 
 def test_simulate_failures_chunk_invariant():

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -114,8 +115,10 @@ def test_row_aggregation_matches_kept_values():
 
 
 def test_simultaneous_driver_matches_deferred_acceptance_for_every_regime():
-    # _hiring_range passes mono and ensemble their shared row; the tight market
-    # (28 seats for 30 candidates at 7 firms) forces long rejection chains
+    # _hiring_range hires the row mono and ensemble firms share by its top
+    # seats, without a match, so deferred acceptance on the tiled table checks
+    # it; the tight market (28 seats for 30 candidates at 7 firms) forces long
+    # rejection chains
     cfg = HiringConfig(
         mode="simultaneous", n_candidates=30, firm_grid=(1, 4, 7), capacity=4,
         n_runs=6, master_seed=45,
@@ -276,6 +279,14 @@ def test_every_minimum_rejects_one_below(command, f, capsys):
     assert message in capsys.readouterr().err
 
 
+def _error(build) -> str | None:
+    try:
+        build()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
 @pytest.mark.parametrize("agents, arms, rounds, n0", [
     (2, 2, 5, 1),  # no more arms than agents
     (3, 2, 5, 1),
@@ -296,20 +307,61 @@ def test_every_minimum_rejects_one_below(command, f, capsys):
     (32, 100, 10**6, 5),
 ])
 def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds, n0):
-    def error(build):
-        try:
-            build()
-        except ValueError as err:
-            return str(err)
-        return None
-
-    model = error(lambda: hiring_bandit.simulate_run(
+    model = _error(lambda: hiring_bandit.simulate_run(
         agents, arms, rounds, n0, [derive_stream(0, 0)]
     ))
-    config = error(lambda: HiringBanditConfig(
+    config = _error(lambda: HiringBanditConfig(
         n_arms=arms, n_rounds=rounds, agent_grid=(1, agents), n0=n0
     ))
     assert model == config
+
+
+# one replicate's arrays, by hiring.replicate_bytes, must stay within
+# streams.MAX_REPLICATE_BYTES: 8 x (4 f + 32) bytes per candidate for
+# sequential hiring, 8 x (15 f + 32) for simultaneous
+@pytest.mark.parametrize("mode, candidates, firms, too_large", [
+    ("sequential", 10**11, 2, True),
+    ("simultaneous", 10**11, 2, True),
+    ("sequential", 10**6, 25, False),
+    ("sequential", 10**6, 30, True),
+    ("simultaneous", 10**5, 64, False),
+    ("simultaneous", 10**5, 100, True),
+    ("simultaneous", 1000, 64, False),
+])
+def test_hiring_config_and_model_reject_the_same_markets(mode, candidates, firms, too_large):
+    model = _error(lambda: hiring.check_market(candidates, firms, mode == "simultaneous"))
+    config = _error(lambda: HiringConfig(
+        mode=mode, n_candidates=candidates, firm_grid=(1, firms)
+    ))
+    assert model == config
+    assert (config is not None) == too_large
+
+
+@pytest.mark.parametrize("mode, candidates, firm_grid, capacity", [
+    ("sequential", 2000, (63, 64), 1),
+    ("sequential", 700, (300, 299), 2),
+    ("sequential", 30, (2, 7), 4),
+    ("simultaneous", 2000, (63, 64), 10),
+    ("simultaneous", 700, (300, 299), 2),
+    ("simultaneous", 300, (3,), 99),
+])
+def test_hiring_replicate_bytes_bounds_what_a_replicate_allocates(
+    mode, candidates, firm_grid, capacity
+):
+    # numpy reports its array buffers to tracemalloc; a fixed 64 KiB covers
+    # the array headers and Python objects of a small market.  Replicates
+    # run one after another, so the whole range stays within one replicate.
+    cfg = HiringConfig(mode=mode, n_candidates=candidates, firm_grid=firm_grid,
+                       capacity=capacity, n_runs=2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        experiments._hiring_range(cfg, 0, cfg.n_runs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = hiring.replicate_bytes(candidates, max(firm_grid), mode == "simultaneous")
+    assert peak <= size + 64 * 1024
 
 
 def test_bandit2_config_uses_the_model_split_rule():
@@ -713,6 +765,20 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "game too large: 1 agents, 100000000000 arms and 1 rounds need" in captured.err
     assert captured.out == ""
+    # so are a hiring market and a bandit2 sweep (44.7 GiB of uniforms)
+    for args, message in [
+        (["hiring", "--candidates", "100000000000", "--firms", "2", "--runs", "1"],
+         "market too large: 100000000000 candidates and 2 firms need"),
+        (["hiring", "--mode", "simultaneous", "--candidates", "100000000000",
+          "--firms", "2", "--runs", "1"],
+         "market too large: 100000000000 candidates and 2 firms need"),
+        (["bandit2", "--agents", "3000000000", "--n0", "1", "--k", "1", "--runs", "1"],
+         "sweep too large: 3000000000 agents and k = 1 need"),
+    ]:
+        assert cli.main(args) == 2, args
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
     assert cli.main(["hiring", "--seed", "-1", "--runs", "4", "--workers", "2"]) == 2
     assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
     assert cli.main(["hiring", "--noise-sd", "nan", "--runs", "4"]) == 2

@@ -292,42 +292,27 @@ def test_deferred_acceptance_respects_capacity_and_prefs():
 
 
 def test_deferred_acceptance_validation():
-    scores = np.zeros((2, 3))
-    good = np.array([[0, 1], [1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        deferred_acceptance(scores, good[:2], capacity=1)  # row count mismatch
-    with pytest.raises(ValueError):
-        deferred_acceptance(scores, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
-    with pytest.raises(ValueError):
-        deferred_acceptance(scores, good, capacity=0)
-
-
-def test_deferred_acceptance_shared_row_validation():
-    shared = np.array([2.0, 1.0, 0.0])
-    out = deferred_acceptance(shared, [[1, 0], [0, 1], [1, 0]], capacity=1)
+    scores = np.tile([2.0, 1.0, 0.0], (2, 1))
+    good = np.array([[1, 0], [0, 1], [1, 0]])
+    out = deferred_acceptance(scores, good.tolist(), capacity=1)
     assert out.tolist() == [1, 0, UNMATCHED]  # list prefs accepted
     with pytest.raises(ValueError, match="shape"):  # row count mismatch
-        deferred_acceptance(shared, np.array([[0, 1], [1, 0]]), capacity=1)
+        deferred_acceptance(scores, good[:2], capacity=1)
     with pytest.raises(ValueError, match="permutation"):
-        deferred_acceptance(shared, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
+        deferred_acceptance(scores, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
     with pytest.raises(ValueError, match="matrix"):  # 1-D prefs
-        deferred_acceptance(shared, np.array([0, 1, 0]), capacity=1)
+        deferred_acceptance(scores, np.array([0, 1, 0]), capacity=1)
     with pytest.raises(ValueError, match="capacity"):
-        deferred_acceptance(shared, np.array([[0], [0], [0]]), capacity=0)
-    with pytest.raises(ValueError, match="finite"):
-        deferred_acceptance(np.array([2.0, np.nan, 0.0]), [[1, 0], [0, 1], [1, 0]], 1)
+        deferred_acceptance(scores, good, capacity=0)
     with pytest.raises(ValueError, match="at least one firm"):
-        deferred_acceptance(shared, np.zeros((3, 0), dtype=int), capacity=1)
+        deferred_acceptance(np.zeros((0, 3)), np.zeros((3, 0), dtype=int), capacity=1)
 
 
-def test_deferred_acceptance_takes_a_shared_row():
-    # one row stands for the table in which every firm reads it
-    stream = derive_stream(14, 0)
-    row = stream.gaussians(40)
-    prefs = generate_prefs(40, 5, stream)
-    out = deferred_acceptance(row, prefs, capacity=3)
-    assert out.tolist() == deferred_acceptance(np.tile(row, (5, 1)), prefs, 3).tolist()
-    assert np.count_nonzero(out != UNMATCHED) == 15
+def test_deferred_acceptance_rejects_a_shared_row():
+    # The hiring driver hires a shared row's top seats with sequential_hire.
+    row = np.array([2.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="table"):
+        deferred_acceptance(row, [[1, 0], [0, 1], [1, 0]], capacity=1)
 
 
 def test_deferred_acceptance_stable_on_random_instances():
@@ -349,13 +334,12 @@ def test_mono_deferred_acceptance_is_serial_dictatorship():
         mono = np.tile(shared, (n_firms, 1))
         sd = serial_dictatorship(shared, prefs, capacity)
         assert np.array_equal(deferred_acceptance(mono, prefs, capacity), sd)
-        assert np.array_equal(deferred_acceptance(shared, prefs, capacity), sd)
 
 
 @st.composite
 def small_markets(draw):
-    """Scores on a coarse grid (many ties), capacity 1-4; a table, or sometimes
-    the one 1-D row that every firm shares."""
+    """Scores on a coarse grid (many ties), capacity 1-4; a table, sometimes
+    one row tiled to every firm."""
     n_firms = draw(st.integers(1, 4))
     n_candidates = draw(st.integers(1, 12))
     capacity = draw(st.integers(1, 4))
@@ -364,7 +348,7 @@ def small_markets(draw):
         min_size=n_candidates, max_size=n_candidates,
     )
     if draw(st.booleans()):
-        scores = np.array(draw(row))
+        scores = np.tile(draw(row), (n_firms, 1))
     else:
         scores = np.array([draw(row) for _ in range(n_firms)])
     prefs = np.array(
@@ -378,10 +362,8 @@ def small_markets(draw):
 def test_deferred_acceptance_matches_list_scan_reference(market):
     scores, prefs, capacity = market
     out = deferred_acceptance(scores, prefs, capacity)
-    if scores.ndim == 1:
-        row, scores = scores, np.tile(scores, (prefs.shape[1], 1))
-        assert deferred_acceptance(scores, prefs, capacity).tolist() == out.tolist()
-        assert serial_dictatorship(row, prefs, capacity).tolist() == out.tolist()
+    if (scores == scores[0]).all():  # every firm reads one row
+        assert serial_dictatorship(scores[0], prefs, capacity).tolist() == out.tolist()
     assert out.tolist() == deferred_acceptance_list_scan(
         scores, prefs, capacity
     )
@@ -391,9 +373,10 @@ def test_deferred_acceptance_matches_list_scan_reference(market):
 @given(st.data())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_shared_row_hires_its_top_seats_under_any_order_or_prefs(data):
-    # Under one shared row the hired set is the row's stable top
-    # n_firms x capacity, whatever the firm order or the preferences.  So
-    # the hiring driver lets mono and ensemble share poly's draw.
+    # When every firm reads one row, the hired set is the row's stable top
+    # n_firms x capacity, whatever the firm order or the preferences.  So the
+    # hiring driver hires mono's and ensemble's rows with sequential_hire on
+    # the row alone.
     n_firms = data.draw(st.integers(1, 4))
     capacity = data.draw(st.integers(1, 3))
     seats = n_firms * capacity
@@ -409,8 +392,10 @@ def test_shared_row_hires_its_top_seats_under_any_order_or_prefs(data):
     prefs = np.array(
         [data.draw(st.permutations(range(n_firms))) for _ in range(n_candidates)]
     ).reshape(n_candidates, n_firms)
+    table = np.tile(row, (n_firms, 1))
     for assignment in (sequential_hire(row, order, capacity),
-                       deferred_acceptance(row, prefs, capacity)):
+                       sequential_hire(table, order, capacity),
+                       deferred_acceptance(table, prefs, capacity)):
         assert np.flatnonzero(assignment != UNMATCHED).tolist() == top
         assert np.bincount(assignment[assignment != UNMATCHED],
                            minlength=n_firms).tolist() == [capacity] * n_firms
