@@ -292,18 +292,32 @@ def test_deferred_acceptance_respects_capacity_and_prefs():
 
 
 def test_deferred_acceptance_validation():
-    scores = np.tile([2.0, 1.0, 0.0], (2, 1))
+    scores = np.zeros((2, 3))
+    good = np.array([[0, 1], [1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        deferred_acceptance(scores, good[:2], capacity=1)  # row count mismatch
+    with pytest.raises(ValueError):
+        deferred_acceptance(scores, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
+    with pytest.raises(ValueError):
+        deferred_acceptance(scores, good, capacity=0)
+
+
+def test_deferred_acceptance_shared_row_validation():
+    # One shared row, tiled to every firm's table.
+    shared = np.tile([2.0, 1.0, 0.0], (2, 1))
     good = np.array([[1, 0], [0, 1], [1, 0]])
-    out = deferred_acceptance(scores, good.tolist(), capacity=1)
+    out = deferred_acceptance(shared, good.tolist(), capacity=1)
     assert out.tolist() == [1, 0, UNMATCHED]  # list prefs accepted
     with pytest.raises(ValueError, match="shape"):  # row count mismatch
-        deferred_acceptance(scores, good[:2], capacity=1)
+        deferred_acceptance(shared, good[:2], capacity=1)
     with pytest.raises(ValueError, match="permutation"):
-        deferred_acceptance(scores, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
+        deferred_acceptance(shared, np.array([[0, 0], [1, 0], [0, 1]]), capacity=1)
     with pytest.raises(ValueError, match="matrix"):  # 1-D prefs
-        deferred_acceptance(scores, np.array([0, 1, 0]), capacity=1)
+        deferred_acceptance(shared, np.array([0, 1, 0]), capacity=1)
     with pytest.raises(ValueError, match="capacity"):
-        deferred_acceptance(scores, good, capacity=0)
+        deferred_acceptance(shared, good, capacity=0)
+    with pytest.raises(ValueError, match="finite"):
+        deferred_acceptance(np.tile([2.0, np.nan, 0.0], (2, 1)), good, capacity=1)
     with pytest.raises(ValueError, match="at least one firm"):
         deferred_acceptance(np.zeros((0, 3)), np.zeros((3, 0), dtype=int), capacity=1)
 
