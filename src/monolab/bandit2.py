@@ -33,7 +33,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .streams import MAX_REPLICATE_BYTES, RngStream
+from .streams import RngStream, check_replicate_bytes
 
 
 def draw_environment(stream: RngStream) -> tuple[float, float]:
@@ -86,12 +86,8 @@ def check_sweep(n0: int, k_grid: Sequence[int], total_agents: int) -> None:
     if (n0 + total_agents) * (2 * n0 + total_agents) >= 2**63:
         raise ValueError(f"n0 = {n0} is too large for {total_agents} agents: (n0 + agents)"
                          " x (2 n0 + agents) must stay below 2**63")
-    size = replicate_bytes(total_agents, k_grid)
-    if size > MAX_REPLICATE_BYTES:
-        raise ValueError(
-            f"sweep too large: {total_agents} agents and k = {', '.join(map(str, k_grid))} "
-            f"need {size:,} bytes of arrays per replicate, max {MAX_REPLICATE_BYTES:,}"
-        )
+    check_replicate_bytes(replicate_bytes(total_agents, k_grid), f"sweep too large: "
+                          f"{total_agents} agents and k = {', '.join(map(str, k_grid))}")
 
 
 def simulate_failures(

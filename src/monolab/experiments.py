@@ -4,18 +4,19 @@ Replicate r of any experiment derives its randomness from
 ``(master_seed, r)`` and nothing else, so results do not depend on the
 worker count: workers only decide which process replays which replicate
 range, and the reduction always assembles per-replicate values in
-replicate order before aggregating.  Cells of a sweep draw from the same
+replicate order before aggregating.  Every family runs its replicates in
+ranges that fit a fixed memory budget by the config's ``replicate_bytes``,
+at least one range per worker.  Cells of a sweep draw from the same
 replicate stream state, which pairs regimes (same market, same arm means)
 at equal replicate indices: the hiring sweep draws one market per
 replicate and restores a stream snapshot for each firm count (mono's and
 ensemble's shared rows hire their top seats, so only poly's table reads
-the firm order or preferences), the claim game cuts
-its replicates into blocks that fit a fixed memory budget and, for each
-block and agent count, derives one stream per replicate and passes them,
-with the game sizes as plain arguments, to ``hiring_bandit.simulate_run``,
-which plays all four regimes of every replicate from its one stream, and the
-bandit2 sweep derives each n0's replicate streams here too and passes them,
-in replicate order, to ``bandit2.simulate_failures``.
+the firm order or preferences), the claim game, for each agent count,
+derives one stream per replicate and passes them, with the game sizes as
+plain arguments, to ``hiring_bandit.simulate_run``, which plays all four
+regimes of every replicate from its one stream, and the bandit2 sweep
+derives each n0's replicate streams here too and passes them, in replicate
+order, to ``bandit2.simulate_failures``.
 
 CSV schema (one metric per row): the fields of ``ResultRow``, in order,
     kind, regime, param_name, param_value, metric, value, stderr, n_runs,
@@ -111,6 +112,11 @@ class HiringConfig:
     def kind(self) -> str:
         return "hiring-seq" if self.mode == "sequential" else "hiring-sim"
 
+    @property
+    def replicate_bytes(self) -> int:
+        return hiring.replicate_bytes(
+            self.n_candidates, max(self.firm_grid), self.mode == "simultaneous")
+
 
 @dataclass(frozen=True)
 class Bandit2Config:
@@ -130,6 +136,10 @@ class Bandit2Config:
         bandit2.check_sweep(max(self.n0_grid), self.k_grid, self.total_agents)
         bandit2.group_sizes(self.total_agents, max(self.k_grid))
 
+    @property
+    def replicate_bytes(self) -> int:
+        return bandit2.replicate_bytes(self.total_agents, self.k_grid)
+
 
 @dataclass(frozen=True)
 class HiringBanditConfig:
@@ -148,6 +158,10 @@ class HiringBanditConfig:
     def __post_init__(self):
         _check_fields(self)
         hiring_bandit.check_game(max(self.agent_grid), self.n_arms, self.n_rounds, self.n0)
+
+    @property
+    def replicate_bytes(self) -> int:
+        return hiring_bandit.replicate_bytes(max(self.agent_grid), self.n_arms, self.n_rounds)
 
 
 @dataclass(frozen=True)
@@ -335,54 +349,45 @@ def _bandit2_range(cfg: Bandit2Config, start: int, stop: int) -> dict:
     return out
 
 
-# The most memory one hiring_bandit.simulate_run call may take: the replicate
-# block it plays is as large as this budget holds (at least one replicate).
-_CLAIM_BLOCK_BYTES = 16 * 2**20
-
-
 def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict:
-    out = {
-        (regime, agents, metric): np.empty(stop - start)
-        for agents in cfg.agent_grid
-        for regime in hiring_bandit.REGIMES
-        for metric in ("total_bayesian_regret", "misclassification")
-    }
-    size = hiring_bandit.replicate_bytes(max(cfg.agent_grid), cfg.n_arms, cfg.n_rounds)
-    block = max(1, _CLAIM_BLOCK_BYTES // size)
-    for first in range(start, stop, block):
-        last = min(first + block, stop)
-        cut = slice(first - start, last - start)
-        for agents in cfg.agent_grid:
-            # One stream per replicate and agent count serves all four regimes.
-            streams = [derive_stream(cfg.master_seed, r) for r in range(first, last)]
-            regret, mis = hiring_bandit.simulate_run(
-                agents, cfg.n_arms, cfg.n_rounds, cfg.n0, streams
-            )
-            for regime, regret_row, mis_row in zip(hiring_bandit.REGIMES, regret, mis):
-                out[(regime, agents, "total_bayesian_regret")][cut] = regret_row
-                out[(regime, agents, "misclassification")][cut] = mis_row
+    out = {}
+    for agents in cfg.agent_grid:
+        # One stream per replicate and agent count serves all four regimes.
+        streams = [derive_stream(cfg.master_seed, r) for r in range(start, stop)]
+        regret, mis = hiring_bandit.simulate_run(agents, cfg.n_arms, cfg.n_rounds,
+                                                 cfg.n0, streams)
+        for regime, regret_row, mis_row in zip(hiring_bandit.REGIMES, regret, mis):
+            out[(regime, agents, "total_bayesian_regret")] = regret_row
+            out[(regime, agents, "misclassification")] = mis_row.astype(float)
     return out
 
 
-def _split_ranges(n_runs: int, workers: int) -> list[tuple[int, int]]:
-    # One chunk per worker: every chunk repeats the per-call fixed cost of a
-    # lockstep simulator such as bandit2.simulate_failures.
-    n_chunks = min(n_runs, workers)
-    bounds = np.linspace(0, n_runs, n_chunks + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+# The most memory one replicate range may take, by its config's
+# replicate_bytes: a range holds as many replicates as fit (at least one).
+_BLOCK_BYTES = 16 * 2**20
+
+
+def _split_ranges(n_runs: int, workers: int, block: int) -> list[tuple[int, int]]:
+    # As few near-equal chunks as keep each within block replicates, at least
+    # one per worker: each chunk repeats a lockstep simulator's per-call cost.
+    n_chunks = max(min(n_runs, workers), -(-n_runs // block))
+    bounds = [n_runs * i // n_chunks for i in range(n_chunks + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _collect(simulate, cfg) -> dict:
-    """Run all replicates, possibly across processes, and reassemble in order."""
-    ranges = _split_ranges(cfg.n_runs, cfg.workers)
-    if len(ranges) == 1:
-        parts = [simulate(cfg, *ranges[0])]
+    """Run all replicates in bounded ranges, maybe across processes, in order."""
+    block = max(1, _BLOCK_BYTES // cfg.replicate_bytes)
+    ranges = _split_ranges(cfg.n_runs, cfg.workers, block)
+    processes = min(cfg.workers, len(ranges), os.cpu_count() or 1)
+    if processes == 1:
+        parts = [simulate(cfg, start, stop) for start, stop in ranges]
     else:
         # Imported here: a one-process run never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         starts, stops = zip(*ranges)
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             try:
                 parts = list(pool.map(simulate, [cfg] * len(ranges), starts, stops))
             except BaseException:

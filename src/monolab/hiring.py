@@ -37,7 +37,7 @@ import heapq
 
 import numpy as np
 
-from .streams import MAX_REPLICATE_BYTES, RngStream
+from .streams import RngStream, check_replicate_bytes
 
 UNMATCHED = -1
 
@@ -65,12 +65,8 @@ def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
 
 def check_market(n_candidates: int, n_firms: int, simultaneous: bool) -> None:
     """Reject a market whose one replicate needs more than ``MAX_REPLICATE_BYTES``."""
-    size = replicate_bytes(n_candidates, n_firms, simultaneous)
-    if size > MAX_REPLICATE_BYTES:
-        raise ValueError(
-            f"market too large: {n_candidates} candidates and {n_firms} firms "
-            f"need {size:,} bytes of arrays per replicate, max {MAX_REPLICATE_BYTES:,}"
-        )
+    check_replicate_bytes(replicate_bytes(n_candidates, n_firms, simultaneous),
+                          f"market too large: {n_candidates} candidates and {n_firms} firms")
 
 
 def generate_market(n_candidates: int, stream: RngStream) -> np.ndarray:

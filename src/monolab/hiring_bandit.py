@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hiring import take_in_order
-from .streams import MAX_REPLICATE_BYTES
+from .streams import check_replicate_bytes
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
 
@@ -84,12 +84,8 @@ def check_game(n_agents: int, n_arms: int, n_rounds: int, n0: int) -> None:
     if 4 + n_agents * n0 + n_rounds >= 2**63:
         raise ValueError(f"n0 = {n0} is too large: 4 + {n_agents} agents x n0 + "
                          f"{n_rounds} rounds must stay below 2**63")
-    size = replicate_bytes(n_agents, n_arms, n_rounds)
-    if size > MAX_REPLICATE_BYTES:
-        raise ValueError(
-            f"game too large: {n_agents} agents, {n_arms} arms and {n_rounds} rounds "
-            f"need {size:,} bytes of arrays per replicate, max {MAX_REPLICATE_BYTES:,}"
-        )
+    check_replicate_bytes(replicate_bytes(n_agents, n_arms, n_rounds), f"game too large: "
+                          f"{n_agents} agents, {n_arms} arms and {n_rounds} rounds")
 
 
 def draw_arm_means(n_arms: int, streams) -> np.ndarray:

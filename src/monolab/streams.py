@@ -24,6 +24,13 @@ _U64_MAX = 2**64 - 1
 MAX_REPLICATE_BYTES = 2**30
 
 
+def check_replicate_bytes(size: int, what: str) -> None:
+    """Reject a replicate of ``size`` bytes, named by ``what``, above the maximum."""
+    if size > MAX_REPLICATE_BYTES:
+        raise ValueError(f"{what} need {size:,} bytes of arrays per replicate, "
+                         f"max {MAX_REPLICATE_BYTES:,}")
+
+
 def _check_u64(value: int, name: str) -> int:
     if not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")

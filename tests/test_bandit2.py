@@ -378,6 +378,29 @@ def test_replicate_bytes_bounds_what_simulate_failures_allocates(agents, k_grid,
     assert peak <= n_reps * replicate_bytes(agents, k_grid) + 64 * 1024
 
 
+def test_replicate_blocks_bound_what_a_sweep_allocates(monkeypatch):
+    # 500 groups of 2 agents keep about 100 bytes per group and replicate
+    # alive through the walk, so one call over all 30 replicates would peak
+    # near 1 MB; the driver's blocks of 3 stay within 3 replicates' bound
+    cfg = Bandit2Config(
+        total_agents=1000, n0_grid=(1, 2), k_grid=(500,), n_runs=30, master_seed=60
+    )
+    block = 3
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", block * cfg.replicate_bytes)
+    assert len(experiments._split_ranges(cfg.n_runs, cfg.workers, block)) == 10
+    whole = experiments._bandit2_range(cfg, 0, cfg.n_runs)  # also warms numpy up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        values = experiments._collect(experiments._bandit2_range, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= block * cfg.replicate_bytes + 64 * 1024
+    assert values.keys() == whole.keys()
+    assert all(np.array_equal(values[key], whole[key]) for key in whole)
+
+
 def test_simulate_failures_chunk_invariant():
     whole = simulate_failures(5, (2, 1, 7), 30, _streams(56, 0, 90))
     parts = np.concatenate(

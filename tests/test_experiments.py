@@ -66,11 +66,15 @@ def test_results_do_not_depend_on_worker_count(cfg):
 
 def test_split_ranges_cover_all_replicates():
     for n_runs, workers in [(1, 1), (7, 1), (7, 3), (100, 4), (3, 16)]:
-        ranges = experiments._split_ranges(n_runs, workers)
-        rebuilt = [r for a, b in ranges for r in range(a, b)]
-        assert rebuilt == list(range(n_runs))
-        if workers <= 1:
-            assert ranges == [(0, n_runs)]
+        for block in (1, 2, 3, 36, 10**9):
+            ranges = experiments._split_ranges(n_runs, workers, block)
+            rebuilt = [r for a, b in ranges for r in range(a, b)]
+            assert rebuilt == list(range(n_runs))
+            assert all(0 < b - a <= block for a, b in ranges)
+            # as few ranges as the block allows, but one per worker
+            assert len(ranges) == max(min(n_runs, workers), -(-n_runs // block))
+            if workers <= 1 and block >= n_runs:
+                assert ranges == [(0, n_runs)]
 
 
 def test_pool_size_follows_the_replicate_chunks(monkeypatch):
@@ -92,13 +96,21 @@ def test_pool_size_follows_the_replicate_chunks(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = Bandit2Config(
         total_agents=10, n0_grid=(1,), k_grid=(1,), n_runs=3, master_seed=45, workers=8
     )
-    pooled = rows_to_csv_text(run(cfg))
+    serial = rows_to_csv_text(run(with_workers(cfg, 1)))
+    assert requested == []  # one worker runs its chunks in this process
+    assert rows_to_csv_text(run(cfg)) == serial
     # three replicates make three chunks, so eight workers would idle five
     assert requested == [3]
-    assert pooled == rows_to_csv_text(run(with_workers(cfg, 1)))
+    # and the pool never outgrows the CPUs, however many workers are asked for
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert rows_to_csv_text(run(with_workers(cfg, 100_000))) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rows_to_csv_text(run(cfg)) == serial
+    assert requested == [3, 2]  # one CPU (or an unknown count) runs in this process
 
 
 def test_row_aggregation_matches_kept_values():
@@ -300,7 +312,7 @@ def _error(build) -> str | None:
     (2, 8, 5, 2**62 - 4),
     (3, 8, 5, 10**20),
     # one replicate's arrays, by hiring_bandit.replicate_bytes, must stay
-    # within hiring_bandit.MAX_REPLICATE_BYTES
+    # within streams.MAX_REPLICATE_BYTES
     (2, 10**11, 1, 0),
     (2, 3, 10**10, 1),
     (2000, 10000, 1, 1),

@@ -409,16 +409,19 @@ def test_run_experiment_aggregates():
 
 def test_replicate_blocks_do_not_change_the_values():
     # 5 MiB or so per replicate: the 16 MiB block budget holds three replicates,
-    # so eight replicates run in blocks [0, 3), [3, 6) and [6, 8)
+    # so the driver plays eight replicates in ranges [0, 2), [2, 5) and [5, 8)
     agents, n_arms, n_rounds = (1, 2), 13000, 2
-    assert experiments._CLAIM_BLOCK_BYTES // replicate_bytes(2, n_arms, n_rounds) == 3
     cfg = HiringBanditConfig(n_arms=n_arms, n_rounds=n_rounds, agent_grid=agents, n0=1,
                              n_runs=8, master_seed=40)
-    whole = experiments._hiring_bandit_range(cfg, 0, 8)
-    cuts = [(0, 2), (2, 5), (5, 8)]  # each cut falls inside a block
-    parts = [experiments._hiring_bandit_range(cfg, a, b) for a, b in cuts]
-    for key, values in whole.items():
-        assert np.array_equal(values, np.concatenate([part[key] for part in parts])), key
+    assert experiments._BLOCK_BYTES // cfg.replicate_bytes == 3
+    ranges = []
+
+    def simulate(cfg, start, stop):
+        ranges.append((start, stop))
+        return experiments._hiring_bandit_range(cfg, start, stop)
+
+    whole = experiments._collect(simulate, cfg)
+    assert ranges == [(0, 2), (2, 5), (5, 8)]
     for a in agents:
         for regime in REGIMES:
             expected = [claim_game_reference(regime, a, n_arms, n_rounds, 1,
