@@ -6,17 +6,10 @@ worker count: workers only decide which process replays which replicate
 range, and the reduction always assembles per-replicate values in
 replicate order before aggregating.  Every family runs its replicates in
 ranges that fit a fixed memory budget by the config's ``replicate_bytes``,
-at least one range per worker.  Cells of a sweep draw from the same
-replicate stream state, which pairs regimes (same market, same arm means)
-at equal replicate indices: the hiring sweep draws one market per
-replicate and restores a stream snapshot for each firm count (mono's and
-ensemble's shared rows hire their top seats, so only poly's table reads
-the firm order or preferences), the claim game, for each agent count,
-derives one stream per replicate and passes them, with the game sizes as
-plain arguments, to ``hiring_bandit.simulate_run``, which plays all four
-regimes of every replicate from its one stream, and the bandit2 sweep
-derives each n0's replicate streams here too and passes them, in replicate
-order, to ``bandit2.simulate_failures``.
+at least one range per worker.  A range derives one stream per replicate
+and passes them, in replicate order, to its model (``hiring.simulate_run``,
+``hiring_bandit.simulate_run``, ``bandit2.simulate_failures``), which
+reads each stream as its module docstring says.
 
 CSV schema (one metric per row): the fields of ``ResultRow``, in order,
     kind, regime, param_name, param_value, metric, value, stderr, n_runs,
@@ -95,18 +88,8 @@ class HiringConfig:
         _check_fields(self)
         if self.capacity is None:
             object.__setattr__(self, "capacity", DEFAULT_CAPACITY[self.mode])
-        # When every candidate is hired, the best and worst groups of the
-        # hired size coincide and normalized performance is undefined.
-        seats = max(self.firm_grid) * self.capacity
-        if self.n_candidates <= seats:
-            raise ValueError(
-                f"{self.mode} mode needs candidates > firms x capacity = "
-                f"{max(self.firm_grid)} x {self.capacity} = {seats}, "
-                f"got candidates {self.n_candidates}"
-            )
-        hiring.check_market(
-            self.n_candidates, max(self.firm_grid), self.mode == "simultaneous"
-        )
+        hiring.check_market(self.n_candidates, max(self.firm_grid), self.noise_sd,
+                            self.capacity, self.mode == "simultaneous")
 
     @property
     def kind(self) -> str:
@@ -297,46 +280,12 @@ def _binomial_se(values: np.ndarray) -> float:
 # replicates start..stop-1}, with keys in CSV row order.
 
 
-def _hire(cfg: HiringConfig, scores: np.ndarray, n_firms: int, draw) -> np.ndarray:
-    # On the row that mono and ensemble firms share, either matcher hires the
-    # row's stable top n_firms x capacity, the only set normalized performance
-    # reads; sequential_hire takes that set from the row without a match.
-    if scores.ndim == 1:
-        return hiring.sequential_hire(scores, range(n_firms), cfg.capacity)
-    if cfg.mode == "sequential":
-        return hiring.sequential_hire(scores, draw, cfg.capacity)
-    return hiring.deferred_acceptance(scores, draw, cfg.capacity)
-
-
 def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
-    metric = "normalized_performance"
-    out = {
-        (regime, f, metric): np.empty(stop - start)
-        for f in cfg.firm_grid
-        for regime in hiring.REGIMES
-    }
-    for i, r in enumerate(range(start, stop)):
-        # One stream, one market and one mono row (its noise does not depend
-        # on f) per replicate.  Restoring the snapshot after the market gives
-        # poly, for each f, the draws of a freshly derived stream; only
-        # poly's table reads its firm order or preferences.
-        stream = derive_stream(cfg.master_seed, r)
-        market = hiring.generate_market(cfg.n_candidates, stream)
-        after_market = stream.state()
-        mono = hiring.score_regime(market, 1, cfg.noise_sd, "mono", stream)
-        for f in cfg.firm_grid:
-            stream.restore(after_market)
-            poly = hiring.score_regime(market, f, cfg.noise_sd, "poly", stream)
-            draw = (stream.permutation(f) if cfg.mode == "sequential"
-                    else hiring.generate_prefs(cfg.n_candidates, f, stream))
-            ensemble = hiring.score_regime(
-                market, f, cfg.noise_sd, "ensemble", stream, poly=poly
-            )
-            for regime, scores in zip(hiring.REGIMES, (mono, poly, ensemble)):
-                out[(regime, f, metric)][i] = hiring.normalized_performance(
-                    _hire(cfg, scores, f, draw), market
-                )
-    return out
+    streams = [derive_stream(cfg.master_seed, r) for r in range(start, stop)]
+    perf = hiring.simulate_run(cfg.n_candidates, cfg.firm_grid, cfg.noise_sd, cfg.capacity,
+                               cfg.mode == "simultaneous", streams)
+    return {(regime, f, "normalized_performance"): row
+            for f, rows in zip(cfg.firm_grid, perf) for regime, row in zip(hiring.REGIMES, rows)}
 
 
 def _bandit2_range(cfg: Bandit2Config, start: int, stop: int) -> dict:

@@ -11,11 +11,13 @@ table whose structure encodes the decision regime:
                   rows drawn from the same stream state, i.e. the firms
                   average the polyculture's independent estimates.
 
-Stream consumption inside one simulated run is fixed: market values first,
-then noise in candidate-major order, then preference or firm-order draws.
-Because of that, regimes starting from the same stream state share the
-market, and ``ensemble`` is the exact mean of the ``poly`` table drawn at
-that state, so it can average poly's table instead of drawing it again.
+``simulate_run`` plays every regime at every firm count over a block of
+replicates, each alone from its own stream, which it reads in a fixed order:
+the market values, mono's noise, then for each firm count, from the state
+after the market, poly's noise in candidate-major order and poly's firm
+order or preference block.  So the regimes and firm counts of a replicate
+share its market, and ``ensemble``, the exact mean of the ``poly`` table
+drawn at that state, averages poly's table instead of drawing it again.
 Under mono and ensemble every firm row is the same, so ``score_regime``
 returns that one shared row.  On it any matcher hires the row's stable top
 n_firms x capacity, and ``sequential_hire`` takes that set directly from a
@@ -34,6 +36,7 @@ everywhere: when scores are equal, the lowest candidate index wins.
 from __future__ import annotations
 
 import heapq
+import sys
 
 import numpy as np
 
@@ -47,7 +50,7 @@ REGIMES = ("mono", "poly", "ensemble")
 def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
     """A bound on the bytes one hiring replicate's arrays take, at n_firms firms.
 
-    Counted in 8-byte words, summed over the arrays the hiring driver makes
+    Counted in 8-byte words, summed over the arrays ``simulate_run`` makes
     for the largest firm count, though not all of them are alive at once.
     Per (candidate, firm) cell, sequential hiring makes 4: the poly table,
     the noise it is drawn from, the last firm count's table (alive until
@@ -63,8 +66,23 @@ def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
     return 8 * (per_cell * n_firms + 32) * n_candidates
 
 
-def check_market(n_candidates: int, n_firms: int, simultaneous: bool) -> None:
-    """Reject a market whose one replicate needs more than ``MAX_REPLICATE_BYTES``."""
+def check_market(n_candidates: int, n_firms: int, noise_sd: float, capacity: int,
+                 simultaneous: bool) -> None:
+    """Reject a market, at its largest firm count, that hires every candidate
+    (then the best and worst groups of the hired size coincide and normalized
+    performance is undefined), whose scores could overflow a float, or whose
+    one replicate needs more than ``MAX_REPLICATE_BYTES``."""
+    seats = n_firms * capacity
+    if n_candidates <= seats:
+        mode = "simultaneous" if simultaneous else "sequential"
+        raise ValueError(f"{mode} mode needs candidates > firms x capacity = "
+                         f"{n_firms} x {capacity} = {seats}, got candidates {n_candidates}")
+    # numpy's ziggurat normal draws |z| < 13.71 (its tail returns r - ln(u)/r,
+    # r = 3.654, u a 53-bit uniform), so a score is below 13.71 x (1 + noise_sd)
+    # in size and ensemble's sum over n_firms rows below n_firms times that.
+    if (1 + noise_sd) * n_firms > sys.float_info.max / 13.71:
+        raise ValueError(f"noise_sd = {noise_sd} is too large: the scores of "
+                         f"{n_firms} firms would overflow a float")
     check_replicate_bytes(replicate_bytes(n_candidates, n_firms, simultaneous),
                           f"market too large: {n_candidates} candidates and {n_firms} firms")
 
@@ -292,3 +310,38 @@ def normalized_performance(assignment: np.ndarray, market: np.ndarray) -> float:
     if best == worst:
         raise ValueError("degenerate market: best and worst groups coincide")
     return (actual - worst) / (best - worst)
+
+
+def simulate_run(n_candidates: int, firm_grid, noise_sd: float, capacity: int,
+                 simultaneous: bool, streams) -> np.ndarray:
+    """Normalized performance of shape ``(len(firm_grid), len(REGIMES), R)``
+    over R streams, one per replicate, each read as the module docstring says.
+
+    A market ``check_market`` rejects at the largest firm count raises
+    before any draw.
+    """
+    check_market(n_candidates, max(firm_grid), noise_sd, capacity, simultaneous)
+    streams = list(streams)
+    out = np.empty((len(firm_grid), len(REGIMES), len(streams)))
+    for r, stream in enumerate(streams):
+        market = generate_market(n_candidates, stream)
+        after_market = stream.state()
+        mono = score_regime(market, 1, noise_sd, "mono", stream)
+        for i, f in enumerate(firm_grid):
+            stream.restore(after_market)
+            poly = score_regime(market, f, noise_sd, "poly", stream)
+            draw = (generate_prefs(n_candidates, f, stream) if simultaneous
+                    else stream.permutation(f))
+            ensemble = score_regime(market, f, noise_sd, "ensemble", stream, poly=poly)
+            for j, scores in enumerate((mono, poly, ensemble)):
+                # On the row mono and ensemble firms share, either matcher hires
+                # the row's stable top f x capacity, the only set normalized
+                # performance reads; sequential_hire takes it without a match.
+                if scores.ndim == 1:
+                    assignment = sequential_hire(scores, range(f), capacity)
+                elif simultaneous:
+                    assignment = deferred_acceptance(scores, draw, capacity)
+                else:
+                    assignment = sequential_hire(scores, draw, capacity)
+                out[i, j, r] = normalized_performance(assignment, market)
+    return out

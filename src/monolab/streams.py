@@ -45,9 +45,9 @@ class RngStream:
     The stream is stateful: every sampling call advances it.  Re-deriving a
     stream from the same key restarts the identical sequence, and restoring
     a snapshot taken with ``state`` replays the draws that followed it.  The
-    experiment drivers use both to pair regimes on shared draws (same market,
-    same arm means): the hiring driver draws one market per replicate and
-    restores a snapshot for each cell instead of re-deriving the stream.
+    models use snapshots to pair regimes on shared draws (same market, same
+    arm means): ``hiring.simulate_run`` draws one market per replicate and
+    restores a snapshot for each firm count instead of re-deriving the stream.
     """
 
     __slots__ = ("master_seed", "stream_id", "gen")

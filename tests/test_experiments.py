@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -35,8 +36,6 @@ from monolab.experiments import (
 )
 from monolab.streams import derive_stream
 from monolab.svg import Series, render_line_chart
-
-from oracles import sequential_hire_mask_scan
 
 SMALL_HIRING = HiringConfig(
     mode="sequential", n_candidates=30, firm_grid=(2, 4), n_runs=12, master_seed=41
@@ -124,54 +123,6 @@ def test_row_aggregation_matches_kept_values():
         assert row.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(len(vals)))
         assert row.kind == "hiring-seq"
         assert row.metric == "normalized_performance"
-
-
-def test_simultaneous_driver_matches_deferred_acceptance_for_every_regime():
-    # _hiring_range hires the row mono and ensemble firms share by its top
-    # seats, without a match, so deferred acceptance on the tiled table checks
-    # it; the tight market (28 seats for 30 candidates at 7 firms) forces long
-    # rejection chains
-    cfg = HiringConfig(
-        mode="simultaneous", n_candidates=30, firm_grid=(1, 4, 7), capacity=4,
-        n_runs=6, master_seed=45,
-    )
-    values = experiments._collect(experiments._hiring_range, cfg)
-    for r in range(cfg.n_runs):
-        for f in cfg.firm_grid:
-            for regime in hiring.REGIMES:
-                stream = derive_stream(cfg.master_seed, r)
-                market = hiring.generate_market(cfg.n_candidates, stream)
-                scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
-                if scores.ndim == 1:  # the row mono and ensemble firms share
-                    scores = np.tile(scores, (f, 1))
-                prefs = hiring.generate_prefs(cfg.n_candidates, f, stream)
-                assignment = hiring.deferred_acceptance(scores, prefs, cfg.capacity)
-                expected = hiring.normalized_performance(assignment, market)
-                key = (regime, f, "normalized_performance")
-                assert values[key][r] == expected, (r, f, regime)
-
-
-def test_sequential_driver_matches_rederived_cells():
-    # the driver draws one market per replicate and restores stream snapshots;
-    # every cell must equal a fresh derivation with the per-seat mask scan
-    cfg = HiringConfig(
-        mode="sequential", n_candidates=30, firm_grid=(1, 4, 7), capacity=3,
-        n_runs=6, master_seed=46,
-    )
-    values = experiments._collect(experiments._hiring_range, cfg)
-    for r in range(cfg.n_runs):
-        for f in cfg.firm_grid:
-            for regime in hiring.REGIMES:
-                stream = derive_stream(cfg.master_seed, r)
-                market = hiring.generate_market(cfg.n_candidates, stream)
-                scores = hiring.score_regime(market, f, cfg.noise_sd, regime, stream)
-                if scores.ndim == 1:  # the row mono and ensemble firms share
-                    scores = np.tile(scores, (f, 1))
-                order = stream.permutation(f)
-                assignment = sequential_hire_mask_scan(scores, order, cfg.capacity)
-                expected = hiring.normalized_performance(np.array(assignment), market)
-                key = (regime, f, "normalized_performance")
-                assert values[key][r] == expected, (r, f, regime)
 
 
 def test_bandit2_rows_use_binomial_stderr():
@@ -328,25 +279,62 @@ def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds,
     assert model == config
 
 
-# one replicate's arrays, by hiring.replicate_bytes, must stay within
-# streams.MAX_REPLICATE_BYTES: 8 x (4 f + 32) bytes per candidate for
-# sequential hiring, 8 x (15 f + 32) for simultaneous
-@pytest.mark.parametrize("mode, candidates, firms, too_large", [
-    ("sequential", 10**11, 2, True),
-    ("simultaneous", 10**11, 2, True),
-    ("sequential", 10**6, 25, False),
-    ("sequential", 10**6, 30, True),
-    ("simultaneous", 10**5, 64, False),
-    ("simultaneous", 10**5, 100, True),
-    ("simultaneous", 1000, 64, False),
+HIRING_MARKETS = [
+    # (mode, candidates, firms, rejected, noise sd)
+    # one replicate's arrays, by hiring.replicate_bytes, must stay within
+    # streams.MAX_REPLICATE_BYTES: 8 x (4 f + 32) bytes per candidate for
+    # sequential hiring, 8 x (15 f + 32) for simultaneous
+    ("sequential", 10**11, 2, True, 0.5),
+    ("simultaneous", 10**11, 2, True, 0.5),
+    ("sequential", 10**6, 25, False, 0.5),
+    ("sequential", 10**6, 30, True, 0.5),
+    ("simultaneous", 10**5, 64, False, 0.5),
+    ("simultaneous", 10**5, 100, True, 0.5),
+    ("simultaneous", 1000, 64, False, 0.5),
+    # candidates > firms x capacity (1 sequential, 10 simultaneous)
+    ("sequential", 64, 64, True, 0.5),
+    ("simultaneous", 640, 64, True, 0.5),
+    ("simultaneous", 641, 64, False, 0.5),
+    # a score, or ensemble's sum over the firms' rows, must not overflow a float
+    ("sequential", 20, 2, True, 1e308),
+    ("sequential", 200, 64, True, 1e307),
+    ("sequential", 200, 64, False, 1e305),
+]
+
+
+def _first_draw(n_candidates, stream):
+    raise ValueError("first draw")
+
+
+# The ids leave out the default noise sd.
+@pytest.mark.parametrize("mode, candidates, firms, rejected, noise_sd", HIRING_MARKETS, ids=[
+    "-".join(map(str, market[:4 if market[4] == 0.5 else 5])) for market in HIRING_MARKETS
 ])
-def test_hiring_config_and_model_reject_the_same_markets(mode, candidates, firms, too_large):
-    model = _error(lambda: hiring.check_market(candidates, firms, mode == "simultaneous"))
-    config = _error(lambda: HiringConfig(
-        mode=mode, n_candidates=candidates, firm_grid=(1, firms)
+def test_hiring_config_and_model_reject_the_same_markets(
+    mode, candidates, firms, rejected, noise_sd, monkeypatch
+):
+    # A market the model accepts stops at its first draw instead of playing:
+    # at 10**6 candidates one replicate takes 1 GiB.
+    monkeypatch.setattr(hiring, "generate_market", _first_draw)
+    capacity = experiments.DEFAULT_CAPACITY[mode]
+    model = _error(lambda: hiring.simulate_run(
+        candidates, (1, firms), noise_sd, capacity, mode == "simultaneous",
+        [derive_stream(0, 0)]
     ))
-    assert model == config
-    assert (config is not None) == too_large
+    config = _error(lambda: HiringConfig(
+        mode=mode, n_candidates=candidates, firm_grid=(1, firms), noise_sd=noise_sd
+    ))
+    assert model == (config or "first draw")
+    assert (config is not None) == rejected
+
+
+def test_noise_sd_within_the_bound_runs_without_overflow():
+    # 1e305 x 13.71 x 64 rows stays below the largest float; 1e307 is rejected
+    # (see HIRING_MARKETS), and an overflow warning would raise here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run(HiringConfig(n_candidates=200, firm_grid=(64,), noise_sd=1e305, n_runs=1))
+    assert all(np.isfinite(row.value) for row in rows)
 
 
 @pytest.mark.parametrize("mode, candidates, firm_grid, capacity", [
@@ -795,6 +783,13 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
     assert cli.main(["hiring", "--noise-sd", "nan", "--runs", "4"]) == 2
     assert "noise_sd must be finite, got nan" in capsys.readouterr().err
+    # a noise sd at which the scores of 64 firms could overflow a float
+    args = ["hiring", "--candidates", "200", "--firms", "64", "--runs", "1",
+            "--noise-sd", "1e307"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "noise_sd = 1e+307 is too large" in captured.err
+    assert captured.out == ""
     assert cli.main(["order-sensitivity"]) == 2
     assert "rankings" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 2

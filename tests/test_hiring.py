@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolab.hiring import (
+    REGIMES,
     UNMATCHED,
     deferred_acceptance,
     generate_market,
@@ -15,6 +18,7 @@ from monolab.hiring import (
     normalized_performance,
     score_regime,
     sequential_hire,
+    simulate_run,
     take_in_order,
 )
 from monolab.streams import derive_stream
@@ -442,3 +446,69 @@ def test_prefs_shape_and_rows_are_permutations():
     expected = list(range(6))
     for row in prefs:
         assert sorted(row.tolist()) == expected
+
+
+@pytest.mark.parametrize("simultaneous", [False, True])
+def test_simulate_run_plays_each_replicate_alone(simultaneous):
+    market = (40, (3, 1, 5), 0.7, 2, simultaneous)
+    together = simulate_run(*market, [derive_stream(47, r) for r in range(5)])
+    assert together.shape == (3, len(REGIMES), 5)
+    for r in range(5):
+        alone = simulate_run(*market, [derive_stream(47, r)])
+        assert np.array_equal(together[:, :, r], alone[:, :, 0]), r
+
+
+def test_simulate_run_rejects_before_any_draw():
+    for market, message in [
+        ((10, (2, 4), 0.5, 3, False), "sequential mode needs candidates > firms x capacity"),
+        ((20, (2,), 1e308, 1, True), "noise_sd = 1e+308 is too large"),
+        ((10**11, (2,), 0.5, 1, False), "market too large: 100000000000 candidates"),
+    ]:
+        stream = derive_stream(48, 0)
+        before = stream.state()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_run(*market, [stream])
+        assert stream.state() == before, market
+
+
+def test_simultaneous_simulate_run_matches_deferred_acceptance_for_every_regime():
+    # simulate_run hires the row mono and ensemble firms share by its top
+    # seats, without a match, so deferred acceptance on the tiled table checks
+    # it; the tight market (28 seats for 30 candidates at 7 firms) forces long
+    # rejection chains
+    n_candidates, firm_grid, noise_sd, capacity, seed, n_runs = 30, (1, 4, 7), 0.5, 4, 45, 6
+    values = simulate_run(n_candidates, firm_grid, noise_sd, capacity, True,
+                          [derive_stream(seed, r) for r in range(n_runs)])
+    for r in range(n_runs):
+        for i, f in enumerate(firm_grid):
+            for j, regime in enumerate(REGIMES):
+                stream = derive_stream(seed, r)
+                market = generate_market(n_candidates, stream)
+                scores = score_regime(market, f, noise_sd, regime, stream)
+                if scores.ndim == 1:  # the row mono and ensemble firms share
+                    scores = np.tile(scores, (f, 1))
+                prefs = generate_prefs(n_candidates, f, stream)
+                assignment = deferred_acceptance(scores, prefs, capacity)
+                expected = normalized_performance(assignment, market)
+                assert values[i, j, r] == expected, (r, f, regime)
+
+
+def test_sequential_simulate_run_matches_rederived_cells():
+    # simulate_run draws one market per replicate and restores stream
+    # snapshots; every cell must equal a fresh derivation with the per-seat
+    # mask scan
+    n_candidates, firm_grid, noise_sd, capacity, seed, n_runs = 30, (1, 4, 7), 0.5, 3, 46, 6
+    values = simulate_run(n_candidates, firm_grid, noise_sd, capacity, False,
+                          [derive_stream(seed, r) for r in range(n_runs)])
+    for r in range(n_runs):
+        for i, f in enumerate(firm_grid):
+            for j, regime in enumerate(REGIMES):
+                stream = derive_stream(seed, r)
+                market = generate_market(n_candidates, stream)
+                scores = score_regime(market, f, noise_sd, regime, stream)
+                if scores.ndim == 1:  # the row mono and ensemble firms share
+                    scores = np.tile(scores, (f, 1))
+                order = stream.permutation(f)
+                assignment = sequential_hire_mask_scan(scores, order, capacity)
+                expected = normalized_performance(np.array(assignment), market)
+                assert values[i, j, r] == expected, (r, f, regime)
