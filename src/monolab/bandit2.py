@@ -19,12 +19,12 @@ use exact integer cross-multiplication, so ties are exact and always go to
 arm 1.
 
 ``simulate_failures`` computes the failure indicators for a whole grid of
-k at once, one replicate per stream its caller derives: the schedules of
-every group of every k are slices of one block of ``2 * total_agents``
-uniforms per (n0, replicate), kept as 2-bit codes (bit 0: u < mu1, bit 1:
-u < mu2), and all groups of all replicates walk the greedy rule in one
-lockstep.  The tests compare it with a scalar reference in
-``tests/oracles.py`` that walks one group one step at a time.
+n0 and k at once, one replicate per stream its caller derives.  A
+replicate draws its environment once and snapshots the stream; each n0
+restores the snapshot, so it reads the stream as a fresh derive would.
+All groups of all n0 and replicates walk the greedy rule in one lockstep.
+The tests compare it with a scalar reference in ``tests/oracles.py`` that
+walks one group one step at a time.
 """
 
 from __future__ import annotations
@@ -66,63 +66,68 @@ def group_sizes(total_agents: int, k_groups: int) -> list[int]:
     return [base + 1] * rem + [base] * (k_groups - rem)
 
 
-def replicate_bytes(total_agents: int, k_grid: Sequence[int]) -> int:
-    """A bound on the bytes one replicate's arrays take in ``simulate_failures``.
+def replicate_bytes(total_agents: int, k_grid: Sequence[int], n0_count: int) -> int:
+    """A bound on the bytes one replicate's arrays take in ``simulate_failures``
+    over ``n0_count`` initial sample counts.
 
-    32 per agent: the ``2 * total_agents`` uniforms (16), the comparison
-    that makes their two reward bits (about 11 under tracemalloc: 4 for the
-    bools and numpy's working buffers), and the packed codes as made,
-    copied and kept (1.5).  352 per group of every k in the grid: the group
-    list, its sort keys and its size arrays (256), and the walk's five int64
-    rows and their temporaries (96).  256 for the replicate's own numbers.
+    30 per agent for one n0's ``2 * total_agents`` uniforms (16) and the
+    comparison that makes their reward bits (about 11 under tracemalloc),
+    and 256 per group of every k for the group list, its sort keys and size
+    arrays.  Per n0, 2 per agent for the packed codes as made, copied and
+    kept, 112 per group for the walk's six int64 rows and their temporaries,
+    and 256 for the replicate's own numbers.
     """
-    return 32 * total_agents + 352 * sum(k_grid) + 256
+    groups = sum(k_grid)
+    return 30 * total_agents + 256 * groups + n0_count * (2 * total_agents + 112 * groups + 256)
 
 
-def check_sweep(n0: int, k_grid: Sequence[int], total_agents: int) -> None:
-    """Reject an n0 at which a greedy or pooled comparison, a count of at most
-    n0 + total_agents times one of at most 2 n0 + total_agents, overflows int64,
-    or a sweep whose one replicate needs more than ``MAX_REPLICATE_BYTES``."""
-    if (n0 + total_agents) * (2 * n0 + total_agents) >= 2**63:
-        raise ValueError(f"n0 = {n0} is too large for {total_agents} agents: (n0 + agents)"
-                         " x (2 n0 + agents) must stay below 2**63")
-    check_replicate_bytes(replicate_bytes(total_agents, k_grid), f"sweep too large: "
-                          f"{total_agents} agents and k = {', '.join(map(str, k_grid))}")
+def check_sweep(n0_grid: Sequence[int], k_grid: Sequence[int], total_agents: int) -> None:
+    """Reject an n0 below 1, or one at which a greedy or pooled comparison, a
+    count of at most n0 + total_agents times one of at most 2 n0 + total_agents,
+    overflows int64; a sweep whose one replicate needs more than
+    ``MAX_REPLICATE_BYTES``; or a k that ``group_sizes`` rejects."""
+    for n0 in n0_grid:
+        if n0 < 1:
+            raise ValueError(f"initial history needs n0 >= 1, got {n0}")
+        if (n0 + total_agents) * (2 * n0 + total_agents) >= 2**63:
+            raise ValueError(f"n0 = {n0} is too large for {total_agents} agents: (n0 + agents)"
+                             " x (2 n0 + agents) must stay below 2**63")
+    check_replicate_bytes(replicate_bytes(total_agents, k_grid, len(n0_grid)), f"sweep too "
+                          f"large: {total_agents} agents and k = {', '.join(map(str, k_grid))}")
+    for k in k_grid:
+        group_sizes(total_agents, k)
 
 
-def simulate_failures(
-    n0: int,
-    k_grid: Sequence[int],
-    total_agents: int,
-    streams: Iterable[RngStream],
-) -> np.ndarray:
-    """Pooled-failure indicators per k in k_grid, one replicate per stream.
+def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agents: int,
+                      streams: Iterable[RngStream]) -> np.ndarray:
+    """Pooled-failure indicators per (n0, k) in the grids, one replicate per stream.
 
-    Returns a ``(len(k_grid), n_streams)`` int64 array whose row i belongs
-    to ``k = k_grid[i]`` and whose column j reads the j-th stream.  Each
-    entry equals the per-step greedy loop of ``tests/oracles.py``, group
-    after group, on that stream alone, so the result does not depend on how
-    replicates are batched across calls or worker processes.  The streams
-    are read one at a time, in order.  A sweep that ``check_sweep`` rejects
-    raises before any draw.
+    Returns a ``(len(n0_grid), len(k_grid), n_streams)`` int64 array whose
+    entry ``[i, j, r]`` belongs to ``n0 = n0_grid[i]`` and ``k = k_grid[j]``
+    and reads the r-th stream.  Each entry equals the per-step greedy loop
+    of ``tests/oracles.py``, group after group, on that stream alone, so the
+    result does not depend on how replicates are batched across calls or
+    worker processes.  The streams are read one at a time, in order.  A
+    sweep that ``check_sweep`` rejects raises before any draw.
 
-    Draws: after the environment and the initial history, the groups read
-    consecutive uniforms whatever k is, so one block of
-    ``2 * total_agents`` uniforms per replicate serves every k.  Group g of
-    size m_g starts at ``o_g = 2 * sum(sizes[:g])``; its arm-1 schedule is
+    Draws: after its history, each n0 draws one block of ``2 * total_agents``
+    uniforms, which serves every k, as the groups read consecutive uniforms
+    whatever k is.  Group g of size m_g starts at
+    ``o_g = 2 * sum(sizes[:g])``; its arm-1 schedule is
     ``block[o_g : o_g + m_g] < mu1`` and its arm-2 schedule
     ``block[o_g + m_g : o_g + 2 m_g] < mu2``.  Each uniform u is kept as a
     2-bit code, bit 0 = (u < mu1) and bit 1 = (u < mu2): the reward it pays
     to either arm.  As mu2 < mu1 the code is 0 (neither arm), 1 (arm 1
     only) or 3 (both), and the codes are packed four to a byte.
 
-    Walk: every (k, group, replicate) triple is one row, and the rows are
+    Walk: every (k, group, replicate, n0) is one row, and the rows are
     ordered by group size, largest first, so the rows still walking at step
-    t are a prefix.  The whole grid takes total_agents lockstep steps; each
-    step makes one greedy comparison and one gather of the pulled arm's next
-    code bit per row.  The rows' counts are then pooled per (k, replicate).
+    t are a prefix.  The whole grid takes total_agents lockstep steps, cut
+    where that prefix shrinks, at each distinct group size; each step makes
+    one greedy comparison and one gather of the pulled arm's next code bit
+    per row.  The rows' counts are then pooled per (n0, k, replicate).
     """
-    check_sweep(n0, k_grid, total_agents)
+    check_sweep(n0_grid, k_grid, total_agents)
     groups = []  # (size, k row, first uniform) of every group of every k cell
     for row, k in enumerate(k_grid):
         first = 0
@@ -132,58 +137,63 @@ def simulate_failures(
     groups.sort(key=lambda group: -group[0])
 
     width = 2 * total_agents
-    row_bits = 8 * -(-2 * width // 8)  # 2 bits per uniform, whole bytes per replicate
-    # The replicate count is known only once the streams run out, so the
-    # codes grow in one buffer, which the walk then reads without a copy.
-    s1, s2, codes = [], [], bytearray()
-    for stream in streams:
+    row_bits = 8 * -(-2 * width // 8)  # 2 bits per uniform, whole bytes per cell
+    # Cells are (replicate, n0) pairs, replicate-major.  Their count is known
+    # only once the streams run out, so the codes grow in one buffer, which
+    # the walk then reads without a copy.
+    history, codes, n_reps = [], bytearray(), 0  # history: (s1, s2) per cell
+    for n_reps, stream in enumerate(streams, 1):
         mu1, mu2 = draw_environment(stream)
-        successes1, successes2 = draw_initial_history(mu1, mu2, n0, stream)
-        s1.append(successes1)
-        s2.append(successes2)
-        hits = stream.uniforms(width)[:, None] < (mu1, mu2)
-        codes += np.packbits(hits, bitorder="little").tobytes()
-    n_reps = len(s1)
-    if n_reps == 0 or not k_grid:
-        return np.zeros((len(k_grid), n_reps), dtype=np.int64)
-    s1, s2 = np.array(s1, dtype=np.int64), np.array(s2, dtype=np.int64)
+        after_environment = stream.state()
+        for n0 in n0_grid:
+            stream.restore(after_environment)
+            history.append(draw_initial_history(mu1, mu2, n0, stream))
+            hits = stream.uniforms(width)[:, None] < (mu1, mu2)
+            codes += np.packbits(hits, bitorder="little").tobytes()
+    n_cells = len(history)
+    s1, s2 = np.array(history, dtype=np.int64).reshape(-1, 2).T
+    n0 = np.tile(np.array(n0_grid, dtype=np.int64), n_reps)
     codes = np.frombuffer(codes, dtype=np.uint8)
-    size, krow, first = (np.array(column) for column in zip(*groups))
+    size, krow, first = np.array(groups, dtype=np.int64).reshape(-1, 3).T
 
-    # Per row, replicate-major within each group slot: successes of arm 1
-    # and of both arms and pulls of arm 1, each with the history included,
-    # and the code bit of the next arm-1 and arm-2 reward.  After t steps
-    # arm 2 has 2 * n0 + t - b1 pulls, so the greedy rule pulls arm 2 when
-    # (at - a1) * b1 > a1 * (2 * n0 + t - b1), i.e. at * b1 > a1 * (2 * n0 + t).
+    # Per row, cell-major within each group slot: successes of arm 1 and of
+    # both arms and pulls of arm 1 and of both arms, each with the history
+    # included, and the code bit of the next arm-1 and arm-2 reward.  The
+    # greedy rule pulls arm 2 when (at - a1) * b1 > a1 * (bt - b1), i.e.
+    # at * b1 > a1 * bt.
     n_groups = len(groups)
     a1 = np.tile(s1, n_groups)
     at = np.tile(s1 + s2, n_groups)
-    b1 = np.full(n_groups * n_reps, n0, dtype=np.int64)
-    rep_bit = np.arange(n_reps) * row_bits
-    p1 = (2 * first[:, None] + rep_bit).reshape(-1)
-    p2 = (2 * (first + size)[:, None] + 1 + rep_bit).reshape(-1)
-    stops = [*size.tolist(), 0]
-    for j in range(n_groups, 0, -1):
-        # The j largest groups walk steps stops[j] .. stops[j - 1] - 1;
+    b1 = np.tile(n0, n_groups)
+    bt = 2 * b1
+    cell_bit = np.arange(n_cells) * row_bits
+    p1 = (2 * first[:, None] + cell_bit).reshape(-1)
+    p2 = (2 * (first + size)[:, None] + 1 + cell_bit).reshape(-1)
+    sizes = sorted({m for m, _, _ in groups})
+    for start, m in zip([0, *sizes], sizes):
+        # Steps start .. m - 1 walk the groups of at least m agents;
         # A1 .. P2 are views of their rows.
-        A1, AT, B1, P1, P2 = (x[: j * n_reps] for x in (a1, at, b1, p1, p2))
-        for t in range(stops[j], stops[j - 1]):
-            pick2 = B1 * AT > A1 * (2 * n0 + t)
+        live = np.count_nonzero(size >= m) * n_cells
+        A1, AT, B1, BT, P1, P2 = (x[:live] for x in (a1, at, b1, bt, p1, p2))
+        for _ in range(start, m):
+            pick2 = B1 * AT > A1 * BT
             pick1 = ~pick2
             pos = np.where(pick2, P2, P1)
             reward = (codes.take(pos >> 3) >> (pos & 7)) & 1
             AT += reward
             A1 += reward & pick1
             B1 += pick1
+            BT += 1
             P1 += 2 * pick1
             P2 += 2 * pick2
 
     # Pool each k cell's groups; its arm 2 has the rest of the pulls and wins.
-    shape = (n_groups, n_reps)
-    n1, z1, z = (np.zeros((len(k_grid), n_reps), dtype=np.int64) for _ in range(3))
+    shape = (n_groups, n_cells)
+    n1, z1, z = (np.zeros((len(k_grid), n_cells), dtype=np.int64) for _ in range(3))
     np.add.at(n1, krow, b1.reshape(shape) - n0)
     np.add.at(z1, krow, a1.reshape(shape) - s1)
     np.add.at(z, krow, at.reshape(shape) - (s1 + s2))
     n2 = total_agents - n1
     z2 = z - z1
-    return ((s2 + z2) * (n0 + n1) > (s1 + z1) * (n0 + n2)).astype(np.int64)
+    failed = (s2 + z2) * (n0 + n1) > (s1 + z1) * (n0 + n2)
+    return failed.astype(np.int64).reshape(len(k_grid), n_reps, len(n0_grid)).transpose(2, 0, 1)

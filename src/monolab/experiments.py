@@ -7,9 +7,10 @@ range, and the reduction always assembles per-replicate values in
 replicate order before aggregating.  Every family runs its replicates in
 ranges that fit a fixed memory budget by the config's ``replicate_bytes``,
 at least one range per worker.  A range derives one stream per replicate
-and passes them, in replicate order, to its model (``hiring.simulate_run``,
-``hiring_bandit.simulate_run``, ``bandit2.simulate_failures``), which
-reads each stream as its module docstring says.
+and passes them, in replicate order, with the config's whole parameter
+grid, to its model (``hiring.simulate_run``, ``hiring_bandit.simulate_run``,
+``bandit2.simulate_failures``), which reads each stream as its module
+docstring says, so each replicate's stream is derived once per run.
 
 CSV schema (one metric per row): the fields of ``ResultRow``, in order,
     kind, regime, param_name, param_value, metric, value, stderr, n_runs,
@@ -116,12 +117,11 @@ class Bandit2Config:
 
     def __post_init__(self):
         _check_fields(self)
-        bandit2.check_sweep(max(self.n0_grid), self.k_grid, self.total_agents)
-        bandit2.group_sizes(self.total_agents, max(self.k_grid))
+        bandit2.check_sweep(self.n0_grid, self.k_grid, self.total_agents)
 
     @property
     def replicate_bytes(self) -> int:
-        return bandit2.replicate_bytes(self.total_agents, self.k_grid)
+        return bandit2.replicate_bytes(self.total_agents, self.k_grid, len(self.n0_grid))
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class HiringBanditConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        hiring_bandit.check_game(max(self.agent_grid), self.n_arms, self.n_rounds, self.n0)
+        hiring_bandit.check_game(self.agent_grid, self.n_arms, self.n_rounds, self.n0)
 
     @property
     def replicate_bytes(self) -> int:
@@ -289,26 +289,21 @@ def _hiring_range(cfg: HiringConfig, start: int, stop: int) -> dict:
 
 
 def _bandit2_range(cfg: Bandit2Config, start: int, stop: int) -> dict:
-    out = {}
-    for n0 in cfg.n0_grid:
-        streams = (derive_stream(cfg.master_seed, r) for r in range(start, stop))
-        failures = bandit2.simulate_failures(n0, cfg.k_grid, cfg.total_agents, streams)
-        for k, row in zip(cfg.k_grid, failures):
-            out[(f"k={k}", n0, "failure_rate")] = row.astype(float)
-    return out
+    streams = (derive_stream(cfg.master_seed, r) for r in range(start, stop))
+    failures = bandit2.simulate_failures(cfg.n0_grid, cfg.k_grid, cfg.total_agents, streams)
+    return {(f"k={k}", n0, "failure_rate"): row.astype(float)
+            for n0, rows in zip(cfg.n0_grid, failures) for k, row in zip(cfg.k_grid, rows)}
 
 
 def _hiring_bandit_range(cfg: HiringBanditConfig, start: int, stop: int) -> dict:
-    out = {}
-    for agents in cfg.agent_grid:
-        # One stream per replicate and agent count serves all four regimes.
-        streams = [derive_stream(cfg.master_seed, r) for r in range(start, stop)]
-        regret, mis = hiring_bandit.simulate_run(agents, cfg.n_arms, cfg.n_rounds,
-                                                 cfg.n0, streams)
-        for regime, regret_row, mis_row in zip(hiring_bandit.REGIMES, regret, mis):
-            out[(regime, agents, "total_bayesian_regret")] = regret_row
-            out[(regime, agents, "misclassification")] = mis_row.astype(float)
-    return out
+    streams = [derive_stream(cfg.master_seed, r) for r in range(start, stop)]
+    regret, mis = hiring_bandit.simulate_run(cfg.agent_grid, cfg.n_arms, cfg.n_rounds,
+                                             cfg.n0, streams)
+    metrics = {"total_bayesian_regret": regret, "misclassification": mis.astype(float)}
+    return {(regime, agents, metric): values[i, j]
+            for i, agents in enumerate(cfg.agent_grid)
+            for j, regime in enumerate(hiring_bandit.REGIMES)
+            for metric, values in metrics.items()}
 
 
 # The most memory one replicate range may take, by its config's

@@ -68,10 +68,15 @@ def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
 
 def check_market(n_candidates: int, n_firms: int, noise_sd: float, capacity: int,
                  simultaneous: bool) -> None:
-    """Reject a market, at its largest firm count, that hires every candidate
-    (then the best and worst groups of the hired size coincide and normalized
-    performance is undefined), whose scores could overflow a float, or whose
-    one replicate needs more than ``MAX_REPLICATE_BYTES``."""
+    """Reject a capacity below 1, a negative or NaN noise sd, or a market, at
+    its largest firm count, that hires every candidate (then the best and
+    worst groups of the hired size coincide and normalized performance is
+    undefined), whose scores could overflow a float, or whose one replicate
+    needs more than ``MAX_REPLICATE_BYTES``."""
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    if not noise_sd >= 0:
+        raise ValueError(f"noise sd must be >= 0, got {noise_sd}")
     seats = n_firms * capacity
     if n_candidates <= seats:
         mode = "simultaneous" if simultaneous else "sequential"

@@ -22,20 +22,22 @@ Regimes differ only in the initial n0 samples per arm and the move order:
 * ``poly_random``  - independent samples per agent, order redrawn each round
 * ``ensemble``     - every agent starts from the union of all agents' samples
 
-``simulate_run(n_agents, n_arms, n_rounds, n0, streams)`` plays all four
-regimes of one agent count over a block of replicates, one stream per
-replicate, in lockstep, and returns ``(regret, misclassification)`` arrays
-of shape ``(len(REGIMES), replicates)``.  Each (regime, replicate) pair is
-one game, and every stage function works on a leading game axis.  The
-draws never depend on the play, so each replicate takes them all before
-round 0, from its stream in this order: the arm means, the per-agent
-initial sample tensor, then one ``(n_rounds, n_agents)`` uniform block for
-the rewards.  Mono, poly_fixed and ensemble share that block: each of them
-reads one ``uniforms(n_agents)`` per round at the same stream positions,
-and one block call returns the same values.  Poly_random restores the
-snapshot taken before the block and draws, per round, an order
-permutation and then ``uniforms(n_agents)``.  So the four regimes of a
-replicate share the arm means and the sample tensor, and cross-regime
+``simulate_run(agent_grid, n_arms, n_rounds, n0, streams)`` plays all four
+regimes at every agent count over a block of replicates, one stream per
+replicate, and returns ``(regret, misclassification)`` arrays of shape
+``(len(agent_grid), len(REGIMES), replicates)``.  At each agent count every
+(regime, replicate) pair is one game, the games play in lockstep, and every
+stage function works on a leading game axis.  The draws never depend on the
+play, so each replicate takes them all before round 0, from its stream in
+this order: the arm means, once, then per agent count, from the snapshot
+taken after them, the per-agent initial sample tensor and one
+``(n_rounds, n_agents)`` uniform block for the rewards.  Mono, poly_fixed
+and ensemble share that block: each reads one ``uniforms(n_agents)`` per
+round at the same stream positions, and one block call returns the same
+values.  Poly_random restores the snapshot taken before the block and
+draws, per round, an order permutation and then ``uniforms(n_agents)``.
+So each agent count reads the stream as a fresh derive would, and the four
+regimes of a replicate share its arm means and sample tensor: cross-regime
 comparisons at one replicate index are paired.
 """
 
@@ -53,7 +55,7 @@ _LAYOUT = ("mono", "ensemble", "poly_fixed", "poly_random")
 
 
 def replicate_bytes(n_agents: int, n_arms: int, n_rounds: int) -> int:
-    """A bound on the bytes one replicate's arrays take in ``simulate_run``.
+    """A bound on one replicate's array bytes in ``simulate_run`` at up to n_agents agents.
 
     Counted in 8-byte numbers over the replicate's four games: 9 per agent
     and arm (the sample tensor, the poly games' priors, and each round
@@ -66,21 +68,23 @@ def replicate_bytes(n_agents: int, n_arms: int, n_rounds: int) -> int:
     return 8 * (9 * n_agents * n_arms + 12 * n_agents * n_rounds + 32 * n_arms)
 
 
-def check_game(n_agents: int, n_arms: int, n_rounds: int, n0: int) -> None:
-    """Reject a claim game without agents or rounds, with no spare arm, with
-    n0 < 0, whose pull counts an int64 cannot hold (an arm's count, prior
-    included, reaches 4 + n_agents * n0 + n_rounds), or whose one replicate
-    needs more than ``MAX_REPLICATE_BYTES``."""
-    if n_agents < 1:
-        raise ValueError(f"need at least one agent, got {n_agents}")
-    if n_arms <= n_agents:
-        raise ValueError(
-            f"need more arms than agents, got {n_arms} arms for {n_agents} agents"
-        )
+def check_game(agent_grid, n_arms: int, n_rounds: int, n0: int) -> None:
+    """Reject a claim game, at any agent count of the grid, without agents or
+    rounds, with no spare arm, with n0 < 0, whose pull counts an int64 cannot
+    hold (an arm's count, prior included, reaches 4 + n_agents * n0 +
+    n_rounds), or whose one replicate needs more than ``MAX_REPLICATE_BYTES``."""
+    for n_agents in agent_grid:
+        if n_agents < 1:
+            raise ValueError(f"need at least one agent, got {n_agents}")
+        if n_arms <= n_agents:
+            raise ValueError(
+                f"need more arms than agents, got {n_arms} arms for {n_agents} agents"
+            )
     if n_rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {n_rounds}")
     if n0 < 0:
         raise ValueError(f"n0 must be >= 0, got {n0}")
+    n_agents = max(agent_grid)
     if 4 + n_agents * n0 + n_rounds >= 2**63:
         raise ValueError(f"n0 = {n0} is too large: 4 + {n_agents} agents x n0 + "
                          f"{n_rounds} rounds must stay below 2**63")
@@ -237,46 +241,44 @@ def impartial_observer_misclassification(
     return n_agents - truly_top[games, observed].sum(axis=-1)
 
 
-def simulate_run(
-    n_agents: int,
-    n_arms: int,
-    n_rounds: int,
-    n0: int,
-    streams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All four regimes over one stream per replicate; (regret, misclassification).
+def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
+                 streams) -> tuple[np.ndarray, np.ndarray]:
+    """All four regimes at each agent count over one stream per replicate;
+    (regret, misclassification), each of shape ``(len(agent_grid),
+    len(REGIMES), R)`` for R streams, in ``REGIMES`` order.
 
-    Both results have shape ``(len(REGIMES), R)`` for R streams, in
-    ``REGIMES`` order.  A game ``check_game`` rejects raises before any
-    draw.  The streams are read as the module docstring says, each by
-    ``draw_arm_means``, ``init_beliefs`` and ``draw_rounds`` in turn; then
-    the 4R games play their rounds in lockstep on one ``(4R, n_arms)``
-    public record.
+    A game ``check_game`` rejects raises before any draw.  The streams are
+    read as the module docstring says, by ``draw_arm_means`` and then, per
+    agent count, ``init_beliefs`` and ``draw_rounds``; then that count's 4R
+    games play their rounds in lockstep on one ``(4R, n_arms)`` public record.
     """
-    check_game(n_agents, n_arms, n_rounds, n0)
+    check_game(agent_grid, n_arms, n_rounds, n0)
     streams = list(streams)
     reps = len(streams)
     true_means = draw_arm_means(n_arms, streams)
-    shared, per_agent, observer = init_beliefs(true_means, n_agents, n0, streams)
-    uniforms, orders = draw_rounds(n_agents, n_rounds, streams)
-
-    n_games = len(_LAYOUT) * reps
+    after_means = [stream.state() for stream in streams]
+    regret, mis = [], []
     game_means = np.tile(true_means, (len(_LAYOUT), 1))
     # each game's row of `uniforms`: the shared block, or poly_random's own
     source = np.tile(np.arange(reps), len(_LAYOUT))
     source[_LAYOUT.index("poly_random") * reps:] += reps
-    fixed = np.broadcast_to(np.arange(n_agents), (reps, n_agents))
-    heads, pulls = np.zeros((2, n_games, n_arms), dtype=np.int64)  # the public records
-    arm_log = np.empty((n_games, n_rounds, n_agents), dtype=np.int64)
-    for t in range(n_rounds):
-        order = np.concatenate((fixed, orders[:, t]))  # poly_fixed, then poly_random
-        arms = play_round(shared, per_agent, heads, pulls, order)
-        rewards = realize_rewards(arms, game_means, uniforms[source, t])
-        observe_and_update(heads, pulls, arms, rewards)
-        arm_log[:, t] = arms
-    regret = total_bayesian_regret(game_means, arm_log)
-    observer_means = posterior_means(observer, heads, pulls)
-    mis = impartial_observer_misclassification(game_means, observer_means, n_agents)
+    for n_agents in agent_grid:
+        for stream, state in zip(streams, after_means):
+            stream.restore(state)
+        shared, per_agent, observer = init_beliefs(true_means, n_agents, n0, streams)
+        uniforms, orders = draw_rounds(n_agents, n_rounds, streams)
+        fixed = np.broadcast_to(np.arange(n_agents), (reps, n_agents))
+        heads, pulls = np.zeros((2, len(game_means), n_arms), dtype=np.int64)  # public records
+        arm_log = np.empty((len(game_means), n_rounds, n_agents), dtype=np.int64)
+        for t in range(n_rounds):
+            order = np.concatenate((fixed, orders[:, t]))  # poly_fixed, then poly_random
+            arms = play_round(shared, per_agent, heads, pulls, order)
+            rewards = realize_rewards(arms, game_means, uniforms[source, t])
+            observe_and_update(heads, pulls, arms, rewards)
+            arm_log[:, t] = arms
+        observer_means = posterior_means(observer, heads, pulls)
+        regret.append(total_bayesian_regret(game_means, arm_log))
+        mis.append(impartial_observer_misclassification(game_means, observer_means, n_agents))
+    shape = (len(agent_grid), len(_LAYOUT), reps)
     by_regime = [_LAYOUT.index(regime) for regime in REGIMES]
-    return (regret.reshape(len(_LAYOUT), reps)[by_regime],
-            mis.reshape(len(_LAYOUT), reps)[by_regime])
+    return np.reshape(regret, shape)[:, by_regime], np.reshape(mis, shape)[:, by_regime]

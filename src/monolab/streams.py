@@ -44,10 +44,10 @@ class RngStream:
 
     The stream is stateful: every sampling call advances it.  Re-deriving a
     stream from the same key restarts the identical sequence, and restoring
-    a snapshot taken with ``state`` replays the draws that followed it.  The
-    models use snapshots to pair regimes on shared draws (same market, same
-    arm means): ``hiring.simulate_run`` draws one market per replicate and
-    restores a snapshot for each firm count instead of re-deriving the stream.
+    a snapshot taken with ``state`` replays the draws that followed it.  Each
+    model draws what its grid shares once and restores a snapshot per grid
+    point: ``hiring.simulate_run`` per firm count, ``hiring_bandit.simulate_run``
+    per agent count and ``bandit2.simulate_failures`` per n0.
     """
 
     __slots__ = ("master_seed", "stream_id", "gen")

@@ -279,6 +279,7 @@ def _streams(seed, start, stop):
 
 
 def _scalar_failures(n0, k_grid, total_agents, seed, start, stop):
+    """One n0's failure indicators by the scalar oracle, from a fresh stream per (replicate, k)."""
     out = np.zeros((len(k_grid), stop - start), dtype=np.int64)
     for i, r in enumerate(range(start, stop)):
         for row, k in enumerate(k_grid):
@@ -291,14 +292,14 @@ def _scalar_failures(n0, k_grid, total_agents, seed, start, stop):
 
 
 def test_simulate_failures_matches_scalar_route():
-    for n0 in (1, 5, 10):
-        vec = simulate_failures(n0, (1, 4, 2, 3), 40, _streams(55, 0, 100))
-        assert vec.shape == (4, 100) and vec.dtype == np.int64
-        assert np.array_equal(vec, _scalar_failures(n0, (1, 4, 2, 3), 40, 55, 0, 100))
+    n0_grid = (5, 1, 10)
+    vec = simulate_failures(n0_grid, (1, 4, 2, 3), 40, _streams(55, 0, 100))
+    assert vec.shape == (3, 4, 100) and vec.dtype == np.int64
+    for row, n0 in enumerate(n0_grid):
+        assert np.array_equal(vec[row], _scalar_failures(n0, (1, 4, 2, 3), 40, 55, 0, 100))
 
 
 @given(
-    n0=st.integers(1, 10),
     total_agents=st.integers(1, 60),
     data=st.data(),
     seed=st.integers(0, 2**64 - 1),
@@ -306,28 +307,30 @@ def test_simulate_failures_matches_scalar_route():
     n_reps=st.integers(0, 12),
 )
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-def test_simulate_failures_rows_match_scalar_route(n0, total_agents, data, seed, start, n_reps):
-    # distinct group counts in any order, always including one agent per group
+def test_simulate_failures_rows_match_scalar_route(total_agents, data, seed, start, n_reps):
+    # distinct n0 and group counts in any order, k always including one agent per group
+    n0_grid = data.draw(st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True))
     ks = data.draw(st.sets(st.integers(1, total_agents), max_size=4))
     k_grid = data.draw(st.permutations(sorted(ks | {total_agents})))
-    vec = simulate_failures(n0, k_grid, total_agents, _streams(seed, start, start + n_reps))
-    assert vec.shape == (len(k_grid), n_reps)
-    scalar = _scalar_failures(n0, k_grid, total_agents, seed, start, start + n_reps)
-    assert np.array_equal(vec, scalar)
+    vec = simulate_failures(n0_grid, k_grid, total_agents, _streams(seed, start, start + n_reps))
+    assert vec.shape == (len(n0_grid), len(k_grid), n_reps)
+    for row, n0 in enumerate(n0_grid):
+        scalar = _scalar_failures(n0, k_grid, total_agents, seed, start, start + n_reps)
+        assert np.array_equal(vec[row], scalar)
 
 
 def test_simulate_failures_exact_up_to_its_n0_bound():
     # (n0 + 50) * (2 * n0 + 50) < 2**63 holds up to n0 = 2,147,483,610; above it
     # the int64 count products would wrap, so the model and the config refuse it.
     n0 = 2_147_483_610
-    vec = simulate_failures(n0, (1, 2, 7, 50), 50, _streams(58, 0, 100))
-    assert np.array_equal(vec, _scalar_failures(n0, (1, 2, 7, 50), 50, 58, 0, 100))
+    vec = simulate_failures((n0,), (1, 2, 7, 50), 50, _streams(58, 0, 100))
+    assert np.array_equal(vec[0], _scalar_failures(n0, (1, 2, 7, 50), 50, 58, 0, 100))
     for n0 in (n0 + 1, 4 * 10**9, 10**20):
         # refused before any draw: the given stream is not advanced
         stream = derive_stream(58, 0)
         before = stream.state()
         with pytest.raises(ValueError, match=f"n0 = {n0} is too large for 50 agents"):
-            simulate_failures(n0, (1, 2), 50, [stream])
+            simulate_failures((1, n0), (1, 2), 50, [stream])
         assert stream.state() == before
         with pytest.raises(ValueError, match=f"n0 = {n0} is too large"):
             Bandit2Config(total_agents=50, n0_grid=(1, n0), k_grid=(1, 2))
@@ -339,6 +342,7 @@ def test_simulate_failures_exact_up_to_its_n0_bound():
     (2 * 10**6, (1,), (2 * 10**6, 10**6), True),
     (50, (1, 4 * 10**9), (1, 2), False),  # refused for its n0 instead
     (40, (1, 5), (1, 2, 4, 8), False),
+    (3, (1,), (4,), False),  # refused for its k: 3 agents make no 4 groups
 ])
 def test_bandit2_config_and_model_reject_the_same_sweeps(agents, n0_grid, k_grid, too_large):
     def error(build):
@@ -350,7 +354,7 @@ def test_bandit2_config_and_model_reject_the_same_sweeps(agents, n0_grid, k_grid
 
     stream = derive_stream(0, 0)
     before = stream.state()
-    model = error(lambda: simulate_failures(max(n0_grid), k_grid, agents, [stream]))
+    model = error(lambda: simulate_failures(n0_grid, k_grid, agents, [stream]))
     if model is not None:
         assert stream.state() == before  # refused before any draw
     config = error(lambda: Bandit2Config(total_agents=agents, n0_grid=n0_grid, k_grid=k_grid))
@@ -367,21 +371,22 @@ def test_bandit2_config_and_model_reject_the_same_sweeps(agents, n0_grid, k_grid
 def test_replicate_bytes_bounds_what_simulate_failures_allocates(agents, k_grid, n_reps):
     # numpy reports its array buffers to tracemalloc; a fixed 64 KiB per call
     # covers the array headers and Python objects of a small sweep
-    streams = [derive_stream(59, r) for r in range(n_reps)]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        simulate_failures(1, k_grid, agents, streams)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= n_reps * replicate_bytes(agents, k_grid) + 64 * 1024
+    for n0_grid in ((1,), (5, 1, 10)):
+        streams = [derive_stream(59, r) for r in range(n_reps)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_failures(n0_grid, k_grid, agents, streams)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_reps * replicate_bytes(agents, k_grid, len(n0_grid)) + 64 * 1024
 
 
 def test_replicate_blocks_bound_what_a_sweep_allocates(monkeypatch):
-    # 500 groups of 2 agents keep about 100 bytes per group and replicate
+    # 500 groups of 2 agents keep about 100 bytes per group, n0 and replicate
     # alive through the walk, so one call over all 30 replicates would peak
-    # near 1 MB; the driver's blocks of 3 stay within 3 replicates' bound
+    # near 3 MB; experiments._collect's blocks of 3 stay within 3 replicates' bound
     cfg = Bandit2Config(
         total_agents=1000, n0_grid=(1, 2), k_grid=(500,), n_runs=30, master_seed=60
     )
@@ -402,19 +407,36 @@ def test_replicate_blocks_bound_what_a_sweep_allocates(monkeypatch):
 
 
 def test_simulate_failures_chunk_invariant():
-    whole = simulate_failures(5, (2, 1, 7), 30, _streams(56, 0, 90))
+    n0_grid, k_grid = (5, 1, 10), (2, 1, 7)
+    whole = simulate_failures(n0_grid, k_grid, 30, _streams(56, 0, 90))
     parts = np.concatenate(
         [
-            simulate_failures(5, (2, 1, 7), 30, _streams(56, 0, 37)),
-            simulate_failures(5, (2, 1, 7), 30, _streams(56, 37, 90)),
+            simulate_failures(n0_grid, k_grid, 30, _streams(56, 0, 37)),
+            simulate_failures(n0_grid, k_grid, 30, _streams(56, 37, 90)),
         ],
-        axis=1,
+        axis=2,
     )
     assert np.array_equal(whole, parts)
-    assert simulate_failures(5, (2, 1, 7), 30, _streams(56, 10, 10)).shape == (3, 0)
-    # one k at a time gives the same rows as the whole grid
-    for row, k in enumerate((2, 1, 7)):
-        assert np.array_equal(simulate_failures(5, (k,), 30, _streams(56, 0, 90))[0], whole[row])
+    assert simulate_failures(n0_grid, k_grid, 30, _streams(56, 10, 10)).shape == (3, 3, 0)
+    # one (n0, k) at a time, on fresh streams, gives the same rows as the whole grid
+    for i, n0 in enumerate(n0_grid):
+        assert np.array_equal(whole[i], _scalar_failures(n0, k_grid, 30, 56, 0, 90))
+        for j, k in enumerate(k_grid):
+            alone = simulate_failures((n0,), (k,), 30, _streams(56, 0, 90))
+            assert np.array_equal(alone[0, 0], whole[i, j])
+
+
+def test_simulate_failures_rejects_before_any_draw():
+    for n0_grid, k_grid, message in [
+        ((1, 0), (1,), "initial history needs n0 >= 1, got 0"),
+        ((1,), (1, 11), "cannot split 10 agents into 11 non-empty groups"),
+        ((1,), (0,), "need at least one group, got 0"),
+    ]:
+        stream = derive_stream(61, 0)
+        before = stream.state()
+        with pytest.raises(ValueError, match=message):
+            simulate_failures(n0_grid, k_grid, 10, [stream])
+        assert stream.state() == before
 
 
 def test_failure_rate_sweep_shape_and_determinism():

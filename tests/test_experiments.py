@@ -271,7 +271,7 @@ def _error(build) -> str | None:
 ])
 def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds, n0):
     model = _error(lambda: hiring_bandit.simulate_run(
-        agents, arms, rounds, n0, [derive_stream(0, 0)]
+        (1, agents), arms, rounds, n0, [derive_stream(0, 0)]
     ))
     config = _error(lambda: HiringBanditConfig(
         n_arms=arms, n_rounds=rounds, agent_grid=(1, agents), n0=n0

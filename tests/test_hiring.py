@@ -463,6 +463,9 @@ def test_simulate_run_rejects_before_any_draw():
         ((10, (2, 4), 0.5, 3, False), "sequential mode needs candidates > firms x capacity"),
         ((20, (2,), 1e308, 1, True), "noise_sd = 1e+308 is too large"),
         ((10**11, (2,), 0.5, 1, False), "market too large: 100000000000 candidates"),
+        ((30, (2,), -1.0, 1, False), "noise sd must be >= 0, got -1.0"),
+        ((30, (2,), float("nan"), 1, False), "noise sd must be >= 0, got nan"),
+        ((30, (2,), 0.5, 0, False), "capacity must be >= 1, got 0"),
     ]:
         stream = derive_stream(48, 0)
         before = stream.state()

@@ -34,8 +34,8 @@ def streams_for(seed, n_reps):
     return [derive_stream(seed, r) for r in range(n_reps)]
 
 
-def run_for(streams, n_agents=4, n_arms=12, n_rounds=3, n0=5):
-    return simulate_run(n_agents, n_arms, n_rounds, n0, streams)
+def run_for(streams, agent_grid=(4,), n_arms=12, n_rounds=3, n0=5):
+    return simulate_run(agent_grid, n_arms, n_rounds, n0, streams)
 
 
 def no_pulls(games, k):
@@ -60,8 +60,9 @@ def best_unclaimed_in_move_order(means, order, arms):
 
 def test_simulate_run_rejects_before_any_draw():
     for game, message in [
-        ({"n_agents": 0}, "need at least one agent"),
-        ({"n_agents": 5, "n_arms": 5}, "need more arms than agents"),
+        # every agent count of the grid is checked before the first plays
+        ({"agent_grid": (4, 0)}, "need at least one agent"),
+        ({"agent_grid": (2, 5), "n_arms": 5}, "need more arms than agents"),
         ({"n_rounds": 0}, "rounds must be >= 1"),
         ({"n0": -1}, "n0 must be >= 0"),
         # 4 + 4 agents x n0 + 3 rounds reaches 2**63: the counts overflow int64
@@ -293,7 +294,7 @@ def test_total_bayesian_regret_best_sum_matches_one_game_at_a_time():
 
 def test_regret_nonnegative_on_random_runs():
     regret, _ = run_for(streams_for(35, 20))
-    assert np.all(regret[REGIMES.index("poly_random")] >= 0.0)
+    assert np.all(regret[:, REGIMES.index("poly_random")] >= 0.0)
     # a game that claims the top n arms every round can read a rounding error
     # below zero: the best sum runs in sorted order, the realized one in pull order
     assert np.all(regret >= -1e-12)
@@ -328,11 +329,11 @@ def test_observer_full_slate_never_misclassifies():
 
 
 def test_single_agent_regimes_coincide():
-    regret, mis = simulate_run(1, 20, 10, 5, streams_for(36, 3))
+    regret, mis = simulate_run((1,), 20, 10, 5, streams_for(36, 3))
     # one agent: no move order, and mono, poly and ensemble hold the same samples
     for row in range(1, len(REGIMES)):
-        assert np.array_equal(regret[row], regret[0])
-        assert np.array_equal(mis[row], mis[0])
+        assert np.array_equal(regret[0, row], regret[0, 0])
+        assert np.array_equal(mis[0, row], mis[0, 0])
 
 
 def test_simulate_run_deterministic():
@@ -345,23 +346,26 @@ def test_simulate_run_deterministic():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    n_agents=st.integers(1, 8),
+    agent_grid=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
     extra_arms=st.integers(1, 12),
     n_rounds=st.integers(1, 30),
     n0=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
     n_reps=st.integers(1, 4),
 )
-def test_simulate_run_matches_reference(n_agents, extra_arms, n_rounds, n0, seed, n_reps):
-    # n0 = 0 starts every agent at Beta(2, 2): round one is all ties.
-    game = (n_agents, n_agents + extra_arms, n_rounds, n0)
-    regret, misclassification = simulate_run(*game, streams_for(seed, n_reps))
-    assert regret.shape == misclassification.shape == (len(REGIMES), n_reps)
+def test_simulate_run_matches_reference(agent_grid, extra_arms, n_rounds, n0, seed, n_reps):
+    # n0 = 0 starts every agent at Beta(2, 2): round one is all ties.  Each
+    # agent count of the grid, in any order, plays as the reference does on
+    # a fresh stream.
+    game = (max(agent_grid) + extra_arms, n_rounds, n0)
+    regret, misclassification = simulate_run(agent_grid, *game, streams_for(seed, n_reps))
+    assert regret.shape == misclassification.shape == (len(agent_grid), len(REGIMES), n_reps)
     assert regret.dtype == np.float64 and misclassification.dtype == np.int64
-    for row, regime in enumerate(REGIMES):
-        for r in range(n_reps):
-            expected = claim_game_reference(regime, *game, derive_stream(seed, r))
-            assert (regret[row, r], misclassification[row, r]) == expected, (regime, r)
+    for i, n_agents in enumerate(agent_grid):
+        for j, regime in enumerate(REGIMES):
+            for r in range(n_reps):
+                expected = claim_game_reference(regime, n_agents, *game, derive_stream(seed, r))
+                assert (regret[i, j, r], misclassification[i, j, r]) == expected, (regime, r)
 
 
 @pytest.mark.parametrize("n_agents, n_arms, n_rounds, n_reps", [
@@ -374,16 +378,19 @@ def test_replicate_bytes_bounds_what_simulate_run_allocates(
     n_agents, n_arms, n_rounds, n_reps
 ):
     # numpy reports its array buffers to tracemalloc; a fixed 64 KiB per call
-    # covers the array headers and Python objects of a small game
-    streams = streams_for(39, n_reps)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        simulate_run(n_agents, n_arms, n_rounds, 2, streams)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= n_reps * replicate_bytes(n_agents, n_arms, n_rounds) + 64 * 1024
+    # covers the array headers and Python objects of a small game.  Over a
+    # grid, the bound at its largest agent count holds: the arrays of one
+    # count are let go as the next count's replace them.
+    for agent_grid in ((n_agents,), (n_agents, 1), (1, n_agents)):
+        streams = streams_for(39, n_reps)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_run(agent_grid, n_arms, n_rounds, 2, streams)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_reps * replicate_bytes(n_agents, n_arms, n_rounds) + 64 * 1024
 
 
 def test_run_experiment_aggregates():
@@ -399,7 +406,7 @@ def test_run_experiment_aggregates():
     by = {(r.regime, r.metric): r for r in rows}
     regret = by[("mono", "total_bayesian_regret")]
     assert regret.n_runs == 50
-    regrets = simulate_run(2, 6, 4, 2, streams_for(38, 50))[0][REGIMES.index("mono")]
+    regrets = simulate_run((2,), 6, 4, 2, streams_for(38, 50))[0][0, REGIMES.index("mono")]
     assert np.array_equal(values[("mono", 2, "total_bayesian_regret")], regrets)
     assert regret.value == pytest.approx(regrets.mean())
     assert regret.stderr == pytest.approx(regrets.std(ddof=1) / np.sqrt(50))
