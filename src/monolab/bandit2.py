@@ -82,10 +82,14 @@ def replicate_bytes(total_agents: int, k_grid: Sequence[int], n0_count: int) -> 
 
 
 def check_sweep(n0_grid: Sequence[int], k_grid: Sequence[int], total_agents: int) -> None:
-    """Reject an n0 below 1, or one at which a greedy or pooled comparison, a
-    count of at most n0 + total_agents times one of at most 2 n0 + total_agents,
-    overflows int64; a sweep whose one replicate needs more than
-    ``MAX_REPLICATE_BYTES``; or a k that ``group_sizes`` rejects."""
+    """Reject an empty n0 or k grid; an n0 below 1, or one at which a greedy
+    or pooled comparison, a count of at most n0 + total_agents times one of at
+    most 2 n0 + total_agents, overflows int64; a sweep whose one replicate
+    needs more than ``MAX_REPLICATE_BYTES``; or a k that ``group_sizes``
+    rejects."""
+    for name, grid in (("n0", n0_grid), ("k", k_grid)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} grid must not be empty")
     for n0 in n0_grid:
         if n0 < 1:
             raise ValueError(f"initial history needs n0 >= 1, got {n0}")

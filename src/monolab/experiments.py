@@ -89,7 +89,7 @@ class HiringConfig:
         _check_fields(self)
         if self.capacity is None:
             object.__setattr__(self, "capacity", DEFAULT_CAPACITY[self.mode])
-        hiring.check_market(self.n_candidates, max(self.firm_grid), self.noise_sd,
+        hiring.check_market(self.n_candidates, self.firm_grid, self.noise_sd,
                             self.capacity, self.mode == "simultaneous")
 
     @property

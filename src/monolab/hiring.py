@@ -1,29 +1,28 @@
 """Hiring-market simulation: score tables, sequential hiring, deferred acceptance.
 
 A market is a vector of objective candidate values.  Firms never see the
-values directly; they see noisy scores arranged in a firm-by-candidate
-table whose structure encodes the decision regime:
+values directly; they see noisy scores.  ``score_regime`` draws one
+firm-by-candidate table of them, with independent noise per (firm,
+candidate) cell, and returns it with its per-candidate mean row.  Every
+regime reads such a draw:
 
-* ``mono``      - one shared noise draw per candidate, so every firm row
-                  is identical and all firms agree on the ranking.
-* ``poly``      - independent noise per (firm, candidate) cell.
-* ``ensemble``  - every firm row equals the per-candidate mean of the poly
-                  rows drawn from the same stream state, i.e. the firms
+* ``mono``      - the row of a one-firm table, which every firm shares, so
+                  all firms agree on the ranking.
+* ``poly``      - the table: each firm reads its own row.
+* ``ensemble``  - the table's mean row, which every firm shares: the firms
                   average the polyculture's independent estimates.
 
 ``simulate_run`` plays every regime at every firm count over a block of
 replicates, each alone from its own stream, which it reads in a fixed order:
-the market values, mono's noise, then for each firm count, from the state
-after the market, poly's noise in candidate-major order and poly's firm
-order or preference block.  So the regimes and firm counts of a replicate
-share its market, and ``ensemble``, the exact mean of the ``poly`` table
-drawn at that state, averages poly's table instead of drawing it again.
-Under mono and ensemble every firm row is the same, so ``score_regime``
-returns that one shared row.  On it any matcher hires the row's stable top
-n_firms x capacity, and ``sequential_hire`` takes that set directly from a
-row; ``deferred_acceptance`` takes a table only.  Every matcher returns the
-assignment as an int64 array indexed by candidate: the firm that hired the
-candidate, or ``UNMATCHED``.
+the market values, mono's one-firm table, then for each firm count, from
+the state after the market, that count's table and poly's firm order or
+preference block.  So the regimes and firm counts of a replicate share its
+market, and at one firm all three regimes read the same table.  On the row
+that mono's or ensemble's firms share, any matcher hires the row's stable
+top n_firms x capacity, and ``sequential_hire`` takes that set directly
+from a row; ``deferred_acceptance`` takes a table only.  Every matcher
+returns the assignment as an int64 array indexed by candidate: the firm
+that hired the candidate, or ``UNMATCHED``.
 
 Sequential hiring takes its picks from ``take_in_order``, the one pick rule
 that the claim game in ``hiring_bandit`` uses too: movers go in turn and
@@ -66,13 +65,19 @@ def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
     return 8 * (per_cell * n_firms + 32) * n_candidates
 
 
-def check_market(n_candidates: int, n_firms: int, noise_sd: float, capacity: int,
+def check_market(n_candidates: int, firm_grid, noise_sd: float, capacity: int,
                  simultaneous: bool) -> None:
-    """Reject a capacity below 1, a negative or NaN noise sd, or a market, at
-    its largest firm count, that hires every candidate (then the best and
-    worst groups of the hired size coincide and normalized performance is
-    undefined), whose scores could overflow a float, or whose one replicate
-    needs more than ``MAX_REPLICATE_BYTES``."""
+    """Reject an empty firm grid or a firm count below 1, a capacity below 1,
+    a negative or NaN noise sd, or a market, at its largest firm count, that
+    hires every candidate (then the best and worst groups of the hired size
+    coincide and normalized performance is undefined), whose scores could
+    overflow a float, or whose one replicate needs more than
+    ``MAX_REPLICATE_BYTES``."""
+    if len(firm_grid) == 0:
+        raise ValueError("firm grid must not be empty")
+    if min(firm_grid) < 1:
+        raise ValueError(f"need at least one firm, got {min(firm_grid)}")
+    n_firms = max(firm_grid)
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
     if not noise_sd >= 0:
@@ -99,39 +104,24 @@ def generate_market(n_candidates: int, stream: RngStream) -> np.ndarray:
     return stream.gaussians(n_candidates, 0.0, 1.0)
 
 
-def score_regime(
-    market: np.ndarray,
-    n_firms: int,
-    noise_sd: float,
-    regime: str,
-    stream: RngStream,
-    poly: np.ndarray | None = None,
-) -> np.ndarray:
-    """Noisy scores for one regime.
+def score_regime(market: np.ndarray, n_firms: int, noise_sd: float,
+                 stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy scores of ``n_firms`` firms from one draw: the (n_firms,
+    n_candidates) table poly reads and its per-candidate mean row, the row
+    ensemble's firms share.  At one firm the row is the table's one row,
+    mono's shared row.
 
-    ``poly`` returns the (n_firms, n_candidates) table; ``mono`` and
-    ``ensemble`` return the one (n_candidates,) row every firm shares.
-    ``ensemble`` averages the ``poly`` table drawn at the current stream
-    state.  Passing that table as ``poly`` averages it without drawing it
-    again, and leaves the stream where it is.
+    The noise is drawn candidate-major and the table is its transpose, a
+    view.  The mean is summed on that view: numpy sums a C-ordered copy in
+    another order from 8 firms up, which would round some means apart.
     """
     if n_firms < 1:
         raise ValueError(f"need at least one firm, got {n_firms}")
-    if noise_sd < 0:
+    if not noise_sd >= 0:
         raise ValueError(f"noise sd must be >= 0, got {noise_sd}")
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    n = len(market)
-    if poly is not None and (regime != "ensemble" or poly.shape != (n_firms, n)):
-        raise ValueError(f"a poly table of shape {(n_firms, n)} only serves ensemble")
-    if regime == "mono":
-        return market + stream.gaussians(n, 0.0, noise_sd)
-    if poly is None:
-        noise = stream.gaussians((n, n_firms), 0.0, noise_sd)  # candidate-major
-        poly = (market[:, None] + noise).T
-    if regime == "poly":
-        return poly
-    return poly.mean(axis=0)
+    noise = stream.gaussians((len(market), n_firms), 0.0, noise_sd)  # candidate-major
+    table = (market[:, None] + noise).T
+    return table, table.mean(axis=0)
 
 
 def _check_matcher_input(scores, capacity: int) -> np.ndarray:
@@ -322,22 +312,20 @@ def simulate_run(n_candidates: int, firm_grid, noise_sd: float, capacity: int,
     """Normalized performance of shape ``(len(firm_grid), len(REGIMES), R)``
     over R streams, one per replicate, each read as the module docstring says.
 
-    A market ``check_market`` rejects at the largest firm count raises
-    before any draw.
+    A market ``check_market`` rejects raises before any draw.
     """
-    check_market(n_candidates, max(firm_grid), noise_sd, capacity, simultaneous)
+    check_market(n_candidates, firm_grid, noise_sd, capacity, simultaneous)
     streams = list(streams)
     out = np.empty((len(firm_grid), len(REGIMES), len(streams)))
     for r, stream in enumerate(streams):
         market = generate_market(n_candidates, stream)
         after_market = stream.state()
-        mono = score_regime(market, 1, noise_sd, "mono", stream)
+        _, mono = score_regime(market, 1, noise_sd, stream)
         for i, f in enumerate(firm_grid):
             stream.restore(after_market)
-            poly = score_regime(market, f, noise_sd, "poly", stream)
+            poly, ensemble = score_regime(market, f, noise_sd, stream)
             draw = (generate_prefs(n_candidates, f, stream) if simultaneous
                     else stream.permutation(f))
-            ensemble = score_regime(market, f, noise_sd, "ensemble", stream, poly=poly)
             for j, scores in enumerate((mono, poly, ensemble)):
                 # On the row mono and ensemble firms share, either matcher hires
                 # the row's stable top f x capacity, the only set normalized

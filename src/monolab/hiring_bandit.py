@@ -69,10 +69,13 @@ def replicate_bytes(n_agents: int, n_arms: int, n_rounds: int) -> int:
 
 
 def check_game(agent_grid, n_arms: int, n_rounds: int, n0: int) -> None:
-    """Reject a claim game, at any agent count of the grid, without agents or
-    rounds, with no spare arm, with n0 < 0, whose pull counts an int64 cannot
-    hold (an arm's count, prior included, reaches 4 + n_agents * n0 +
-    n_rounds), or whose one replicate needs more than ``MAX_REPLICATE_BYTES``."""
+    """Reject an empty agent grid, or a claim game, at any agent count of the
+    grid, without agents or rounds, with no spare arm, with n0 < 0, whose pull
+    counts an int64 cannot hold (an arm's count, prior included, reaches 4 +
+    n_agents * n0 + n_rounds), or whose one replicate needs more than
+    ``MAX_REPLICATE_BYTES``."""
+    if len(agent_grid) == 0:
+        raise ValueError("agent grid must not be empty")
     for n_agents in agent_grid:
         if n_agents < 1:
             raise ValueError(f"need at least one agent, got {n_agents}")
@@ -217,7 +220,8 @@ def total_bayesian_regret(true_means: np.ndarray, arm_log: np.ndarray) -> np.nda
     """
     n_games, n_rounds, n_agents = arm_log.shape
     best = np.sort(true_means, axis=-1)[:, -n_agents:].sum(axis=-1)
-    realized = np.take_along_axis(true_means, arm_log.reshape(n_games, -1), axis=-1)
+    realized = np.take_along_axis(true_means, arm_log.reshape(n_games, n_rounds * n_agents),
+                                  axis=-1)
     actual = np.cumsum(realized, axis=-1, out=realized)[:, -1] if realized.size else 0.0
     return n_rounds * best - actual
 

@@ -431,6 +431,8 @@ def test_simulate_failures_rejects_before_any_draw():
         ((1, 0), (1,), "initial history needs n0 >= 1, got 0"),
         ((1,), (1, 11), "cannot split 10 agents into 11 non-empty groups"),
         ((1,), (0,), "need at least one group, got 0"),
+        ((), (1,), "n0 grid must not be empty"),
+        ((1,), (), "k grid must not be empty"),
     ]:
         stream = derive_stream(61, 0)
         before = stream.state()

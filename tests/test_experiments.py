@@ -63,6 +63,30 @@ def test_results_do_not_depend_on_worker_count(cfg):
         assert rows_to_csv_text(run(with_workers(cfg, workers))) == baseline
 
 
+def test_models_take_no_streams():
+    # no replicates: each model returns its grid by its regimes and an empty replicate axis
+    assert hiring.simulate_run(20, (2, 3), 0.5, 1, False, []).shape == (2, 3, 0)
+    assert bandit2.simulate_failures((1, 5), (1, 2, 4), 20, []).shape == (2, 3, 0)
+    regret, misclassification = hiring_bandit.simulate_run((2, 3), 6, 3, 1, [])
+    assert regret.shape == misclassification.shape == (2, 4, 0)
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    # the README's library example runs as written, and its arrays have the
+    # shapes its comments give
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block = re.search(r"## Library use\n\n```python\n(.*?)```", f.read(), re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert len(read_csv(tmp_path / "failure_rates.csv")) == 4
+    assert names["failures"].shape == (2, 3, 100)
+    assert names["regret"].shape == names["misclassification"].shape == (2, 4, 10)
+    assert names["perf"].shape == (3, 3, 10)
+    assert names["arms"].shape == (4, 4)
+
+
 def test_split_ranges_cover_all_replicates():
     for n_runs, workers in [(1, 1), (7, 1), (7, 3), (100, 4), (3, 16)]:
         for block in (1, 2, 3, 36, 10**9):

@@ -45,17 +45,16 @@ def test_market_deterministic_and_standard_normal():
 
 
 def test_mono_rows_identical():
-    # every firm shares one row, so mono returns that row whatever the firm count
+    # every mono firm shares the one-firm table's row: one noise draw per candidate
     market = generate_market(40, derive_stream(2, 0))
-    scores = score_regime(market, 5, 0.5, "mono", derive_stream(2, 1))
-    assert scores.shape == (40,)
-    assert np.array_equal(scores, score_regime(market, 1, 0.5, "mono", derive_stream(2, 1)))
+    _, mono = score_regime(market, 1, 0.5, derive_stream(2, 1))
+    assert mono.shape == (40,)
+    assert np.array_equal(mono, market + derive_stream(2, 1).gaussians(40, 0.0, 0.5))
 
 
 def test_ensemble_is_mean_of_paired_poly_table():
     market = generate_market(30, derive_stream(3, 0))
-    poly = score_regime(market, 8, 0.5, "poly", derive_stream(3, 1))
-    ens = score_regime(market, 8, 0.5, "ensemble", derive_stream(3, 1))
+    poly, ens = score_regime(market, 8, 0.5, derive_stream(3, 1))
     assert poly.shape == (8, 30)
     assert ens.shape == (30,)  # the one row every firm shares
     assert np.allclose(ens, poly.mean(axis=0), rtol=0, atol=0)
@@ -63,8 +62,8 @@ def test_ensemble_is_mean_of_paired_poly_table():
 
 def test_single_firm_poly_equals_ensemble():
     market = generate_market(20, derive_stream(4, 0))
-    poly = score_regime(market, 1, 0.5, "poly", derive_stream(4, 1))
-    ens = score_regime(market, 1, 0.5, "ensemble", derive_stream(4, 1))
+    poly, ens = score_regime(market, 1, 0.5, derive_stream(4, 1))
+    assert poly.shape == (1, 20)
     assert np.array_equal(poly[0], ens)
 
 
@@ -81,18 +80,18 @@ def test_regimes_share_market_at_same_stream_key():
 def test_score_regime_validation():
     market = generate_market(5, derive_stream(6, 0))
     with pytest.raises(ValueError):
-        score_regime(market, 0, 0.5, "mono", derive_stream(6, 1))
+        score_regime(market, 0, 0.5, derive_stream(6, 1))
     with pytest.raises(ValueError):
-        score_regime(market, 2, -0.5, "mono", derive_stream(6, 1))
-    with pytest.raises(ValueError):
-        score_regime(market, 2, 0.5, "oligarchy", derive_stream(6, 1))
+        score_regime(market, 2, -0.5, derive_stream(6, 1))
+    with pytest.raises(ValueError, match="noise sd must be >= 0, got nan"):
+        score_regime(market, 2, float("nan"), derive_stream(6, 1))
 
 
 def test_ensemble_noise_variance_shrinks_with_firm_count():
     # averaging 25 independent sd-0.5 noises leaves variance 0.25/25 = 0.01
     n, firms, sd = 100_000, 25, 0.5
     market = generate_market(n, derive_stream(7, 0))
-    ens = score_regime(market, firms, sd, "ensemble", derive_stream(7, 1))
+    _, ens = score_regime(market, firms, sd, derive_stream(7, 1))
     residual_var = (ens - market).var(ddof=1)
     assert abs(residual_var - sd**2 / firms) < 0.05 * (sd**2 / firms)
 
@@ -244,24 +243,21 @@ def test_take_in_order_plays_each_game_of_a_game_axis_alone(games):
 
 
 def test_score_regime_ensemble_averages_a_given_poly_table():
+    # the table and its mean row come from one candidate-major draw: the
+    # stream ends where drawing those normals ends
     market = generate_market(30, derive_stream(13, 0))
-    stream = derive_stream(13, 1)
-    poly = score_regime(market, 6, 0.5, "poly", stream)
-    state = stream.state()
-    ens = score_regime(market, 6, 0.5, "ensemble", stream, poly=poly)
-    assert stream.state() == state  # nothing drawn
-    assert ens.shape == (30,)
-    assert np.array_equal(ens, score_regime(market, 6, 0.5, "ensemble", derive_stream(13, 1)))
-    for bad in [("poly", poly), ("ensemble", poly[:3])]:
-        with pytest.raises(ValueError, match="poly table"):
-            score_regime(market, 6, 0.5, bad[0], stream, poly=bad[1])
+    stream, fresh = derive_stream(13, 1), derive_stream(13, 1)
+    poly, ens = score_regime(market, 6, 0.5, stream)
+    noise = fresh.gaussians((30, 6), 0.0, 0.5)
+    assert stream.state() == fresh.state()
+    assert np.array_equal(poly, (market[:, None] + noise).T)
+    assert np.array_equal(ens, poly.mean(axis=0))
 
 
 def test_zero_noise_every_regime_hires_the_best():
     market = generate_market(60, derive_stream(8, 0))
-    for regime in ("mono", "poly", "ensemble"):
-        stream = derive_stream(8, 1)
-        scores = score_regime(market, 4, 0.0, regime, stream)
+    _, mono = score_regime(market, 1, 0.0, derive_stream(8, 1))
+    for scores in (mono, *score_regime(market, 4, 0.0, derive_stream(8, 1))):
         out = sequential_hire(scores, derive_stream(8, 2).permutation(4))
         assert abs(normalized_performance(out, market) - 1.0) < 1e-9
         prefs = generate_prefs(60, 4, derive_stream(8, 3))
@@ -466,12 +462,24 @@ def test_simulate_run_rejects_before_any_draw():
         ((30, (2,), -1.0, 1, False), "noise sd must be >= 0, got -1.0"),
         ((30, (2,), float("nan"), 1, False), "noise sd must be >= 0, got nan"),
         ((30, (2,), 0.5, 0, False), "capacity must be >= 1, got 0"),
+        ((30, (), 0.5, 1, False), "firm grid must not be empty"),
+        ((30, (2, 0), 0.5, 1, True), "need at least one firm, got 0"),
     ]:
         stream = derive_stream(48, 0)
         before = stream.state()
         with pytest.raises(ValueError, match=re.escape(message)):
             simulate_run(*market, [stream])
         assert stream.state() == before, market
+
+
+@pytest.mark.parametrize("simultaneous, capacity", [(False, 1), (False, 3), (True, 4)])
+def test_simulate_run_regimes_agree_at_one_firm(simultaneous, capacity):
+    # at one firm, mono, poly and ensemble read one table
+    values = simulate_run(30, (1, 2, 5), 0.5, capacity, simultaneous,
+                          [derive_stream(49, r) for r in range(20)])
+    assert np.array_equal(values[0, 0], values[0, 1])
+    assert np.array_equal(values[0, 0], values[0, 2])
+    assert not np.array_equal(values[2, 0], values[2, 1])  # at 5 firms they part
 
 
 def test_simultaneous_simulate_run_matches_deferred_acceptance_for_every_regime():
@@ -487,9 +495,10 @@ def test_simultaneous_simulate_run_matches_deferred_acceptance_for_every_regime(
             for j, regime in enumerate(REGIMES):
                 stream = derive_stream(seed, r)
                 market = generate_market(n_candidates, stream)
-                scores = score_regime(market, f, noise_sd, regime, stream)
-                if scores.ndim == 1:  # the row mono and ensemble firms share
-                    scores = np.tile(scores, (f, 1))
+                poly, row = score_regime(market, 1 if regime == "mono" else f,
+                                         noise_sd, stream)
+                # mono's and ensemble's firms share a row
+                scores = poly if regime == "poly" else np.tile(row, (f, 1))
                 prefs = generate_prefs(n_candidates, f, stream)
                 assignment = deferred_acceptance(scores, prefs, capacity)
                 expected = normalized_performance(assignment, market)
@@ -508,9 +517,10 @@ def test_sequential_simulate_run_matches_rederived_cells():
             for j, regime in enumerate(REGIMES):
                 stream = derive_stream(seed, r)
                 market = generate_market(n_candidates, stream)
-                scores = score_regime(market, f, noise_sd, regime, stream)
-                if scores.ndim == 1:  # the row mono and ensemble firms share
-                    scores = np.tile(scores, (f, 1))
+                poly, row = score_regime(market, 1 if regime == "mono" else f,
+                                         noise_sd, stream)
+                # mono's and ensemble's firms share a row
+                scores = poly if regime == "poly" else np.tile(row, (f, 1))
                 order = stream.permutation(f)
                 assignment = sequential_hire_mask_scan(scores, order, capacity)
                 expected = normalized_performance(np.array(assignment), market)

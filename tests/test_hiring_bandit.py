@@ -62,6 +62,7 @@ def test_simulate_run_rejects_before_any_draw():
     for game, message in [
         # every agent count of the grid is checked before the first plays
         ({"agent_grid": (4, 0)}, "need at least one agent"),
+        ({"agent_grid": ()}, "agent grid must not be empty"),
         ({"agent_grid": (2, 5), "n_arms": 5}, "need more arms than agents"),
         ({"n_rounds": 0}, "rounds must be >= 1"),
         ({"n0": -1}, "n0 must be >= 0"),
