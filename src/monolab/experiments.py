@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bandit2, exact, hiring, hiring_bandit
 from .streams import _check_u64, derive_stream
-from .svg import Series, render_line_chart
+from .svg import render_line_chart
 
 # Hires per firm when no capacity is given, by hiring mode; its keys are the modes.
 DEFAULT_CAPACITY = {"sequential": 1, "simultaneous": 10}
@@ -515,7 +515,10 @@ def plot_csv(cfg: PlotConfig) -> None:
 
     The figure's kind is the file's one ``kind``, which must be one of
     ``DEFAULT_PLOT_METRIC``; it picks the default metric and is the title.
+    An ``out`` that is the ``csv`` file is refused before either is touched.
     """
+    if os.path.exists(cfg.out) and os.path.samefile(cfg.csv, cfg.out):
+        raise ValueError(f"--out {cfg.out} is the --csv file: plot would overwrite its input")
     rows = read_csv(cfg.csv)
     if not rows:
         raise ValueError(f"{cfg.csv}: no rows to plot")
@@ -535,19 +538,9 @@ def plot_csv(cfg: PlotConfig) -> None:
     rows = [r for r in rows if r.metric == metric]
     if not rows:
         raise ValueError(f"{cfg.csv}: no rows with metric={metric!r}")
-    regimes = dict.fromkeys(r.regime for r in rows)  # in order of first appearance
-    series = []
-    for regime in regimes:
-        mine = [r for r in rows if r.regime == regime]
-        mine.sort(key=lambda r: r.param_value)
-        series.append(
-            Series(
-                regime,
-                tuple(r.param_value for r in mine),
-                tuple(r.value for r in mine),
-                tuple(2.0 * r.stderr for r in mine),
-            )
-        )
+    series = {r.regime: [] for r in rows}  # legend in order of first appearance
+    for r in sorted(rows, key=lambda r: r.param_value):  # stable: ties keep file order
+        series[r.regime].append((r.param_value, r.value, 2.0 * r.stderr))
     x_label = rows[0].param_name
     svg_text = render_line_chart(series, x_label, metric, kind)
     atomic_write_text(svg_text, cfg.out)

@@ -2,13 +2,13 @@
 
 No plotting dependency: the experiment figures are simple enough (one line
 per regime, error bars, legend) that emitting the SVG text directly keeps
-output deterministic and diffable.
+output deterministic and diffable.  A chart takes each series as its label
+and its ``(x, y, err)`` points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 WIDTH = 880
 HEIGHT = 560
@@ -20,16 +20,8 @@ MARGIN_BOTTOM = 72
 PALETTE = ("#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9")
 
 
-@dataclass(frozen=True)
-class Series:
-    label: str
-    xs: tuple
-    ys: tuple
-    errs: tuple  # half-height of each error bar; 0 draws none
-
-
-def _nice_step(span: float, target_ticks: int = 5) -> float:
-    raw = span / max(target_ticks, 1)
+def _nice_step(span: float) -> float:
+    raw = span / 5
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:
@@ -61,39 +53,57 @@ def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-9 * step else t)
         t += step
     return ticks
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _coord(v) -> str:
+    """A layout int or an already formatted str as is; a computed coordinate to 2 places."""
+    return str(v) if isinstance(v, (int, str)) else f"{v:.2f}"
+
+
+def _line(x1, y1, x2, y2, color: str, width) -> str:
+    return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" '
+            f'y2="{_coord(y2)}" stroke="{color}" stroke-width="{width}"/>')
+
+
+def _circle(cx, cy, color: str) -> str:
+    return f'<circle cx="{_coord(cx)}" cy="{_coord(cy)}" r="3" fill="{color}"/>'
+
+
+def _text(x, y, attrs: str, text: str) -> str:
+    return f'<text x="{_coord(x)}" y="{_coord(y)}" {attrs}>{_escape(text)}</text>'
 
 
 def render_line_chart(
-    series: list[Series],
+    series: dict[str, list[tuple[float, float, float]]],
     x_label: str,
     y_label: str,
     title: str,
 ) -> str:
-    """Render series as a titled line chart with error bars; returns SVG text."""
+    """Render a titled line chart with error bars; returns SVG text.
+
+    ``series`` maps each label, in drawing and legend order, to its finite
+    ``(x, y, err)`` points in line order; ``err`` is the half-height of the
+    point's error bar, and 0 draws none.
+    """
     if not series:
         raise ValueError("nothing to plot: no series")
-    for s in series:
-        if len(s.xs) != len(s.ys) or len(s.errs) != len(s.xs):
-            raise ValueError(f"series {s.label!r} has mismatched lengths")
-        if len(s.xs) == 0:
-            raise ValueError(f"series {s.label!r} is empty")
+    for label, points in series.items():
+        if not points:
+            raise ValueError(f"series {label!r} is empty")
+        if not all(math.isfinite(v) for point in points for v in point):
+            raise ValueError(f"series {label!r} has a non-finite value")
 
-    xs_all = [x for s in series for x in s.xs]
-    ys_lo = [y - e for s in series for y, e in zip(s.ys, s.errs)]
-    ys_hi = [y + e for s in series for y, e in zip(s.ys, s.errs)]
-    x_lo, x_hi = _axis_range(min(xs_all), max(xs_all), 0.04, x_label)
-    y_lo, y_hi = _axis_range(min(ys_lo), max(ys_hi), 0.06, y_label)
+    all_points = [point for points in series.values() for point in points]
+    xs = [x for x, _, _ in all_points]
+    x_lo, x_hi = _axis_range(min(xs), max(xs), 0.04, x_label)
+    y_lo, y_hi = _axis_range(min(y - e for _, y, e in all_points),
+                             max(y + e for _, y, e in all_points), 0.06, y_label)
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -104,95 +114,52 @@ def render_line_chart(
     def py(y: float) -> float:
         return MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    out = []
-    out.append(
+    mid_y = f"{MARGIN_TOP + plot_h / 2:.1f}"
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="Helvetica, Arial, sans-serif">'
-    )
-    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    out.append(
-        f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-        f'font-size="17">{_escape(title)}</text>'
-    )
-
-    # gridlines and ticks
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="Helvetica, Arial, sans-serif">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        _text(f"{WIDTH / 2:.1f}", 28, 'text-anchor="middle" font-size="17"', title),
+    ]
     for t in _ticks(x_lo, x_hi):
-        x = px(t)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{MARGIN_TOP}" x2="{x:.2f}" '
-            f'y2="{MARGIN_TOP + plot_h}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 22}" text-anchor="middle" '
-            f'font-size="13">{_fmt(t)}</text>'
-        )
+        out += [_line(px(t), MARGIN_TOP, px(t), MARGIN_TOP + plot_h, "#dddddd", 1),
+                _text(px(t), MARGIN_TOP + plot_h + 22,
+                      'text-anchor="middle" font-size="13"', f"{t:.6g}")]
     for t in _ticks(y_lo, y_hi):
-        y = py(t)
-        out.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{MARGIN_LEFT + plot_w}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="13">{_fmt(t)}</text>'
-        )
-
-    # frame and axis labels
-    out.append(
+        out += [_line(MARGIN_LEFT, py(t), MARGIN_LEFT + plot_w, py(t), "#dddddd", 1),
+                _text(MARGIN_LEFT - 8, py(t) + 4,
+                      'text-anchor="end" font-size="13"', f"{t:.6g}")]
+    out += [
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 18}" '
-        f'text-anchor="middle" font-size="15">{_escape(x_label)}</text>'
-    )
-    out.append(
-        f'<text x="24" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-size="15" transform="rotate(-90 24 {MARGIN_TOP + plot_h / 2:.1f})">'
-        f"{_escape(y_label)}</text>"
-    )
+        f'fill="none" stroke="#333333" stroke-width="1"/>',
+        _text(f"{MARGIN_LEFT + plot_w / 2:.1f}", HEIGHT - 18,
+              'text-anchor="middle" font-size="15"', x_label),
+        _text(24, mid_y, 'text-anchor="middle" font-size="15" '
+              f'transform="rotate(-90 24 {mid_y})"', y_label),
+    ]
 
-    for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
-        for x, y, e in zip(s.xs, s.ys, s.errs):
-            if e <= 0:
-                continue
-            cx, y1, y2 = px(x), py(y - e), py(y + e)
-            out.append(
-                f'<line x1="{cx:.2f}" y1="{y1:.2f}" x2="{cx:.2f}" y2="{y2:.2f}" '
-                f'stroke="{color}" stroke-width="1.2"/>'
-            )
-            for yy in (y1, y2):
-                out.append(
-                    f'<line x1="{cx - 4:.2f}" y1="{yy:.2f}" x2="{cx + 4:.2f}" '
-                    f'y2="{yy:.2f}" stroke="{color}" stroke-width="1.2"/>'
-                )
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        for x, y in zip(s.xs, s.ys):
-            out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
+    colors = {label: PALETTE[i % len(PALETTE)] for i, label in enumerate(series)}
+    for label, points in series.items():
+        color = colors[label]
+        for x, y, e in points:
+            if e > 0:
+                cx, y1, y2 = px(x), py(y - e), py(y + e)
+                out.append(_line(cx, y1, cx, y2, color, 1.2))
+                out += [_line(cx - 4, yy, cx + 4, yy, color, 1.2) for yy in (y1, y2)]
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y, _ in points)
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
+        out += [_circle(px(x), py(y), color) for x, y, _ in points]
 
-    # legend
+    # the legend comes after every series, so it is drawn over them
     lx = MARGIN_LEFT + plot_w + 16
-    for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        ly = MARGIN_TOP + 12 + idx * 22
-        out.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(f'<circle cx="{lx + 12}" cy="{ly}" r="3" fill="{color}"/>')
-        out.append(
-            f'<text x="{lx + 30}" y="{ly + 4}" font-size="13">{_escape(s.label)}</text>'
-        )
+    for i, (label, color) in enumerate(colors.items()):
+        ly = MARGIN_TOP + 12 + i * 22
+        out += [_line(lx, ly, lx + 24, ly, color, 2), _circle(lx + 12, ly, color),
+                _text(lx + 30, ly + 4, 'font-size="13"', label)]
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

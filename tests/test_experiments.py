@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -35,7 +36,7 @@ from monolab.experiments import (
     write_csv,
 )
 from monolab.streams import derive_stream
-from monolab.svg import Series, render_line_chart
+from monolab.svg import render_line_chart
 
 SMALL_HIRING = HiringConfig(
     mode="sequential", n_candidates=30, firm_grid=(2, 4), n_runs=12, master_seed=41
@@ -629,13 +630,32 @@ def test_plot_takes_its_kind_from_the_file(tmp_path, kind, metric):
     assert cli.main(args + (["--metric", metric] if metric else [])) == 0
     metric = metric or experiments.DEFAULT_PLOT_METRIC[kind]
     rows = [r for r in read_csv(str(csv_path)) if r.metric == metric]
-    series = []
-    for regime in dict.fromkeys(r.regime for r in rows):
-        points = sorted((r.param_value, r.value, 2.0 * r.stderr)
-                        for r in rows if r.regime == regime)
-        series.append(Series(regime, *zip(*points)))
+    series = {regime: sorted((r.param_value, r.value, 2.0 * r.stderr)
+                             for r in rows if r.regime == regime)
+              for regime in dict.fromkeys(r.regime for r in rows)}
     expected = render_line_chart(series, rows[0].param_name, metric, kind)
     assert svg_path.read_text() == expected
+
+
+# The sha256 of the figure plot writes for each plottable kind, pinned so that
+# a change to the renderer or to plot_csv that moves any byte shows here.
+_FIGURE_SHA256 = {
+    ("hiring-seq", None): "e857d1fa785acf08f2e4230d2b9eb77fbef13022195995334825a8e3f8f2742a",
+    ("hiring-sim", None): "f262430bcd49f4cc586e74d65d326e69f99c0e816dfb3b561bb43ddc8543cf99",
+    ("bandit2", None): "86effc716ae6b19128734705a05a6d398206c1cb383003029c2b4ccec003f061",
+    ("hiring-bandit", None): "0ebc7b454f707e003561f77021ba575b536ce6f3e9edf9268dfa166b5c90b652",
+    ("enumerate", None): "b99db3e56a02af5b9798f81f7c56ace7149c71562b3010294f4d7b0d871dbc0d",
+    ("hiring-bandit", "misclassification"):
+        "14ff46b7cea4c2c4da224fba7830f2d102562ca0a190316e553f0fe53c2dd8ef",
+}
+
+
+@pytest.mark.parametrize("kind, metric", list(_FIGURE_SHA256))
+def test_plot_figure_bytes_are_pinned(tmp_path, kind, metric):
+    csv_path, svg_path = tmp_path / "res.csv", tmp_path / "fig.svg"
+    write_csv(run(_PLOTTABLE[kind]), str(csv_path))
+    experiments.plot_csv(PlotConfig(csv=str(csv_path), out=str(svg_path), metric=metric))
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == _FIGURE_SHA256[kind, metric]
 
 
 def test_plot_refuses_a_file_it_cannot_title(tmp_path, capsys, monkeypatch):
@@ -1010,7 +1030,7 @@ def test_cli_env_workers(monkeypatch, capsys):
     assert cli.main(args) == 0
 
 
-def test_cli_plot_end_to_end(tmp_path):
+def test_cli_plot_end_to_end(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "hb.csv"
     write_csv(run(SMALL_HB), str(csv_path))
     out = tmp_path / "hb.svg"
@@ -1021,6 +1041,18 @@ def test_cli_plot_end_to_end(tmp_path):
     assert "misclassification" in out.read_text()
     # an empty output path names no file: a usage error
     assert cli.main(["plot", "--csv", str(csv_path), "--out", ""]) == 2
+    # an output path that is the input file, under any spelling, is a usage
+    # error that names both flags, and the results stay as they were
+    monkeypatch.chdir(tmp_path)
+    data, svg = csv_path.read_bytes(), out.read_bytes()
+    capsys.readouterr()
+    for same in ("hb.csv", "./hb.csv", str(csv_path)):
+        assert cli.main(["plot", "--csv", "hb.csv", "--out", same]) == 2, same
+        assert f"--out {same} is the --csv file" in capsys.readouterr().err
+    assert csv_path.read_bytes() == data
+    args = ["plot", "--csv", "hb.csv", "--metric", "misclassification", "--out", "hb.svg"]
+    assert cli.main(args) == 0
+    assert out.read_bytes() == svg
     assert sorted(os.listdir(tmp_path)) == ["hb.csv", "hb.svg"]
 
 
