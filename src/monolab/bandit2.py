@@ -14,9 +14,10 @@ and sum every group's pulls.
 
 Rewards are realized through per-arm pre-drawn schedules (the j-th pull of
 an arm reads the j-th entry of that arm's schedule), which is
-distributionally identical to drawing per pull.  Empirical-mean comparisons
-use exact integer cross-multiplication, so ties are exact and always go to
-arm 1.
+distributionally identical to drawing per pull.  A schedule entry is one
+uniform u, kept as a byte that counts the arms it pays; arm a pays when
+u < mu_a.  Empirical-mean comparisons use exact integer
+cross-multiplication, so ties are exact and always go to arm 1.
 
 ``simulate_failures`` computes the failure indicators for a whole grid of
 n0 and k at once, one replicate per stream its caller derives.  A
@@ -70,15 +71,16 @@ def replicate_bytes(total_agents: int, k_grid: Sequence[int], n0_count: int) -> 
     """A bound on the bytes one replicate's arrays take in ``simulate_failures``
     over ``n0_count`` initial sample counts.
 
-    30 per agent for one n0's ``2 * total_agents`` uniforms (16) and the
-    comparison that makes their reward bits (about 11 under tracemalloc),
-    and 256 per group of every k for the group list, its sort keys and size
-    arrays.  Per n0, 2 per agent for the packed codes as made, copied and
-    kept, 112 per group for the walk's six int64 rows and their temporaries,
-    and 256 for the replicate's own numbers.
+    22 per agent for one n0's ``2 * total_agents`` uniforms (16), the two
+    comparisons that make their reward codes (2 and 2) and the codes as made
+    (2), and 256 per group of every k for the group list, its sort keys and
+    size arrays.  Per n0, 3 per agent for the codes kept (2, and up to an
+    eighth more as their buffer grows), 112 per group for the walk's six
+    int64 rows and their temporaries (about 68 under tracemalloc), and 256
+    for the replicate's own numbers.
     """
     groups = sum(k_grid)
-    return 30 * total_agents + 256 * groups + n0_count * (2 * total_agents + 112 * groups + 256)
+    return 22 * total_agents + 256 * groups + n0_count * (3 * total_agents + 112 * groups + 256)
 
 
 def check_sweep(n0_grid: Sequence[int], k_grid: Sequence[int], total_agents: int) -> None:
@@ -120,16 +122,17 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     ``o_g = 2 * sum(sizes[:g])``; its arm-1 schedule is
     ``block[o_g : o_g + m_g] < mu1`` and its arm-2 schedule
     ``block[o_g + m_g : o_g + 2 m_g] < mu2``.  Each uniform u is kept as a
-    2-bit code, bit 0 = (u < mu1) and bit 1 = (u < mu2): the reward it pays
-    to either arm.  As mu2 < mu1 the code is 0 (neither arm), 1 (arm 1
-    only) or 3 (both), and the codes are packed four to a byte.
+    one-byte code, ``(u < mu1) + (u < mu2)``: the number of arms it pays.
+    As mu2 < mu1 the code is 0 (neither arm), 1 (arm 1 only) or 2 (both),
+    so arm a pays exactly when the code is at least a.
 
     Walk: every (k, group, replicate, n0) is one row, and the rows are
     ordered by group size, largest first, so the rows still walking at step
     t are a prefix.  The whole grid takes total_agents lockstep steps, cut
     where that prefix shrinks, at each distinct group size; each step makes
-    one greedy comparison and one gather of the pulled arm's next code bit
-    per row.  The rows' counts are then pooled per (n0, k, replicate).
+    one greedy comparison and one gather of the pulled arm's next code per
+    row; pulling arm 2 pays when the code exceeds 1, arm 1 when it exceeds 0.
+    The rows' counts are then pooled per (n0, k, replicate).
     """
     check_sweep(n0_grid, k_grid, total_agents)
     groups = []  # (size, k row, first uniform) of every group of every k cell
@@ -141,7 +144,6 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     groups.sort(key=lambda group: -group[0])
 
     width = 2 * total_agents
-    row_bits = 8 * -(-2 * width // 8)  # 2 bits per uniform, whole bytes per cell
     # Cells are (replicate, n0) pairs, replicate-major.  Their count is known
     # only once the streams run out, so the codes grow in one buffer, which
     # the walk then reads without a copy.
@@ -152,8 +154,9 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
         for n0 in n0_grid:
             stream.restore(after_environment)
             history.append(draw_initial_history(mu1, mu2, n0, stream))
-            hits = stream.uniforms(width)[:, None] < (mu1, mu2)
-            codes += np.packbits(hits, bitorder="little").tobytes()
+            u = stream.uniforms(width)
+            codes.extend(np.add(u < mu1, u < mu2, dtype=np.uint8))
+            del u  # so that the next block is not drawn while this one is alive
     n_cells = len(history)
     s1, s2 = np.array(history, dtype=np.int64).reshape(-1, 2).T
     n0 = np.tile(np.array(n0_grid, dtype=np.int64), n_reps)
@@ -162,7 +165,7 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
 
     # Per row, cell-major within each group slot: successes of arm 1 and of
     # both arms and pulls of arm 1 and of both arms, each with the history
-    # included, and the code bit of the next arm-1 and arm-2 reward.  The
+    # included, and the code index of the next arm-1 and arm-2 reward.  The
     # greedy rule pulls arm 2 when (at - a1) * b1 > a1 * (bt - b1), i.e.
     # at * b1 > a1 * bt.
     n_groups = len(groups)
@@ -170,9 +173,9 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     at = np.tile(s1 + s2, n_groups)
     b1 = np.tile(n0, n_groups)
     bt = 2 * b1
-    cell_bit = np.arange(n_cells) * row_bits
-    p1 = (2 * first[:, None] + cell_bit).reshape(-1)
-    p2 = (2 * (first + size)[:, None] + 1 + cell_bit).reshape(-1)
+    cell_first = np.arange(n_cells) * width
+    p1 = (first[:, None] + cell_first).reshape(-1)
+    p2 = ((first + size)[:, None] + cell_first).reshape(-1)
     sizes = sorted({m for m, _, _ in groups})
     for start, m in zip([0, *sizes], sizes):
         # Steps start .. m - 1 walk the groups of at least m agents;
@@ -182,14 +185,13 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
         for _ in range(start, m):
             pick2 = B1 * AT > A1 * BT
             pick1 = ~pick2
-            pos = np.where(pick2, P2, P1)
-            reward = (codes.take(pos >> 3) >> (pos & 7)) & 1
+            reward = codes.take(np.where(pick2, P2, P1)) > pick2
             AT += reward
             A1 += reward & pick1
             B1 += pick1
             BT += 1
-            P1 += 2 * pick1
-            P2 += 2 * pick2
+            P1 += pick1
+            P2 += pick2
 
     # Pool each k cell's groups; its arm 2 has the rest of the pulls and wins.
     shape = (n_groups, n_cells)

@@ -93,6 +93,10 @@ def render_line_chart(
     """
     if not series:
         raise ValueError("nothing to plot: no series")
+    # Python floats throughout: a numpy float32 point would keep px() in
+    # float32, which overflows on a range that a float holds.
+    series = {label: [(float(x), float(y), float(e)) for x, y, e in points]
+              for label, points in series.items()}
     for label, points in series.items():
         if not points:
             raise ValueError(f"series {label!r} is empty")

@@ -338,7 +338,7 @@ def test_simulate_failures_exact_up_to_its_n0_bound():
 
 @pytest.mark.parametrize("agents, n0_grid, k_grid, too_large", [
     (3 * 10**9, (1,), (1,), True),  # 96 GB, half of it the uniforms
-    # 32 bytes per agent would pass, but 352 per group of every k do not
+    # 25 bytes per agent would pass, but 368 per group of every k do not
     (2 * 10**6, (1,), (2 * 10**6, 10**6), True),
     (50, (1, 4 * 10**9), (1, 2), False),  # refused for its n0 instead
     (40, (1, 5), (1, 2, 4, 8), False),
@@ -424,6 +424,74 @@ def test_simulate_failures_chunk_invariant():
         for j, k in enumerate(k_grid):
             alone = simulate_failures((n0,), (k,), 30, _streams(56, 0, 90))
             assert np.array_equal(alone[0, 0], whole[i, j])
+
+
+def test_simulate_failures_reads_the_streams_one_at_a_time_in_order():
+    # stream r must have been drawn from before stream r + 1 is taken, so a
+    # range never holds more than one replicate's uniform block
+    def streams():
+        for r in range(40):
+            stream = derive_stream(63, r)
+            yield stream
+            assert stream.state() != derive_stream(63, r).state(), f"stream {r} unread"
+
+    n0_grid, k_grid = (5, 1), (1, 3, 2)
+    vec = simulate_failures(n0_grid, k_grid, 12, streams())
+    assert np.array_equal(vec, simulate_failures(n0_grid, k_grid, 12, list(_streams(63, 0, 40))))
+
+
+class FixedStream:
+    """The ``RngStream`` calls of ``simulate_failures`` and the scalar oracle,
+    answered from fixed draws: betas in turn, n successes in n samples, and
+    uniforms read in order from ``uniforms``, repeated as needed."""
+
+    def __init__(self, betas, uniforms):
+        self._betas, self._uniforms = betas, np.asarray(uniforms, dtype=np.float64)
+        self._beta_pos = self._uniform_pos = 0
+
+    def state(self):
+        return self._beta_pos, self._uniform_pos
+
+    def restore(self, state):
+        self._beta_pos, self._uniform_pos = state
+
+    def betas(self, shape, a, b):
+        self._beta_pos += 1
+        return self._betas[self._beta_pos - 1]
+
+    def binomials(self, n, p):
+        return n
+
+    def uniforms(self, n):
+        taken = np.arange(self._uniform_pos, self._uniform_pos + n) % len(self._uniforms)
+        self._uniform_pos += n
+        return self._uniforms[taken]
+
+
+def test_a_uniform_equal_to_an_arm_mean_pays_nothing_on_that_arm():
+    # Both arms start from a perfect history, so the first rewards decide
+    # which arm leads.  Each replicate's uniforms are one rotation of a
+    # pattern with entries exactly equal to mu1 and to mu2, so across the
+    # replicates both arms' schedules read such entries in every group layout
+    # of the grid: u == mu1 pays neither arm and u == mu2 pays arm 1 only, so
+    # the scalar oracle's strict u < mu pins both arms' codes.
+    mu1, mu2 = 0.625, 0.25
+    pattern = [mu1, mu2, mu2, 0.0, mu1, 0.9, mu2, mu1, mu1, 0.5, mu2]
+    n0_grid, k_grid, agents = (1, 2, 4), (1, 2, 3, 5, 12), 12
+
+    def stubs(r):
+        return FixedStream((mu2, mu1), pattern[r:] + pattern[:r])
+
+    vec = simulate_failures(n0_grid, k_grid, agents, [stubs(r) for r in range(len(pattern))])
+    for i, n0 in enumerate(n0_grid):
+        for j, k in enumerate(k_grid):
+            for r in range(len(pattern)):
+                stream = stubs(r)
+                env = draw_environment(stream)
+                assert env == (mu1, mu2)
+                h0 = (n0, *draw_initial_history(*env, n0, stream))
+                traces = run_regime(env, h0, agents, k, stream)
+                assert vec[i, j, r] == pooled_failure(h0, traces), (n0, k, r)
 
 
 def test_simulate_failures_rejects_before_any_draw():

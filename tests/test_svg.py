@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from monolab.svg import render_line_chart
@@ -76,3 +77,16 @@ def test_validation_errors():
     ):
         with pytest.raises(ValueError, match="series 'bad' has a non-finite value"):
             render_line_chart({"bad": points, "ok": [(1.0, 1.0, 0.0)]}, "x", "y", "t")
+
+
+@pytest.mark.parametrize("wide", [
+    [(-1e300, 0.5, 0.0), (1e300, 0.5, 0.0)],
+    [(1e300, 0.5, 0.0)],  # the float32 point is the range's low edge
+])
+def test_float32_points_share_a_chart_with_wide_floats(wide):
+    # numpy float32 values are drawn as the Python floats they equal, not in
+    # float32, whose range ends near 3.4e38
+    svg = render_line_chart({"b": wide, "a": [(np.float32(1), np.float32(0.5), np.float32(0))]},
+                            "x", "y", "t")
+    assert "nan" not in svg
+    assert svg == render_line_chart({"b": wide, "a": [(1.0, 0.5, 0.0)]}, "x", "y", "t")
