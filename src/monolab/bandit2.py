@@ -34,7 +34,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .streams import RngStream, check_replicate_bytes
+from .streams import RngStream, check_count, check_grid, check_replicate_bytes
 
 
 def draw_environment(stream: RngStream) -> tuple[float, float]:
@@ -50,15 +50,13 @@ def draw_initial_history(
     mu1: float, mu2: float, n0: int, stream: RngStream
 ) -> tuple[int, int]:
     """Successes ``(s1, s2)`` in n0 Bernoulli samples of each arm, arm 1 first."""
-    if n0 < 1:
-        raise ValueError(f"initial history needs n0 >= 1, got {n0}")
+    check_count(n0, "n0")
     return int(stream.binomials(n0, mu1)), int(stream.binomials(n0, mu2))
 
 
 def group_sizes(total_agents: int, k_groups: int) -> list[int]:
     """Split total_agents into k_groups near-equal sizes, remainder first."""
-    if k_groups < 1:
-        raise ValueError(f"need at least one group, got {k_groups}")
+    check_count(k_groups, "k")
     if total_agents < k_groups:
         raise ValueError(
             f"cannot split {total_agents} agents into {k_groups} non-empty groups"
@@ -84,17 +82,13 @@ def replicate_bytes(total_agents: int, k_grid: Sequence[int], n0_count: int) -> 
 
 
 def check_sweep(n0_grid: Sequence[int], k_grid: Sequence[int], total_agents: int) -> None:
-    """Reject an empty n0 or k grid; an n0 below 1, or one at which a greedy
-    or pooled comparison, a count of at most n0 + total_agents times one of at
-    most 2 n0 + total_agents, overflows int64; a sweep whose one replicate
-    needs more than ``MAX_REPLICATE_BYTES``; or a k that ``group_sizes``
-    rejects."""
-    for name, grid in (("n0", n0_grid), ("k", k_grid)):
-        if len(grid) == 0:
-            raise ValueError(f"{name} grid must not be empty")
+    """Reject bad sizes; an n0 at which a greedy or pooled comparison, a count of at
+    most n0 + total_agents times one of at most 2 n0 + total_agents, overflows int64;
+    a sweep whose replicate needs over ``MAX_REPLICATE_BYTES``; or a k above total_agents."""
+    check_grid(n0_grid, "n0")
+    check_grid(k_grid, "k")
+    check_count(total_agents, "agents")
     for n0 in n0_grid:
-        if n0 < 1:
-            raise ValueError(f"initial history needs n0 >= 1, got {n0}")
         if (n0 + total_agents) * (2 * n0 + total_agents) >= 2**63:
             raise ValueError(f"n0 = {n0} is too large for {total_agents} agents: (n0 + agents)"
                              " x (2 n0 + agents) must stay below 2**63")

@@ -162,7 +162,10 @@ def _run_command(args) -> int:
                 raise ValueError(f"{key}: {err}") from None
         elif f.default is dataclasses.MISSING:
             raise ValueError(f"{args.command} requires --{key} ({f.metadata['help']})")
-    action(config_cls(**kwargs))
+    cfg = config_cls(**kwargs)
+    if cfg.out:
+        experiments.check_out_path(cfg.out)  # before the run or the plot, not after it
+    action(cfg)
     return 0
 
 

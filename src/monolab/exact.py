@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
 
+from .streams import check_count
+
 # Poly enumerates all (n!)^f ranking profiles of n candidates and f firms;
 # (5, 3) has 1.7e6 of them and takes about 2 s.
 MAX_PROFILES = 2_000_000
@@ -17,8 +19,8 @@ MAX_PROFILES = 2_000_000
 
 def check_enumeration_size(n_candidates: int, n_firms: int) -> None:
     """Reject a market that enumeration cannot fill or cannot finish."""
-    if n_candidates < 1 or n_firms < 1:
-        raise ValueError("need at least one candidate and one firm")
+    check_count(n_candidates, "candidates")
+    check_count(n_firms, "firms")
     if n_firms > n_candidates:
         raise ValueError("more firms than candidates leaves firms unfilled")
     profiles = 1  # (n!)^f, multiplied out only until it passes the bound
@@ -95,8 +97,7 @@ def veil_group_exclusion(n_candidates: int, n_jobs: int, group_size: int) -> Fra
     is a uniformly random subset of size n_candidates - n_jobs, and the
     group is excluded exactly when it sits inside that subset.
     """
-    if n_candidates < 1:
-        raise ValueError("need at least one candidate")
+    check_count(n_candidates, "candidates")
     if not 0 <= n_jobs <= n_candidates:
         raise ValueError(f"jobs must lie in [0, {n_candidates}], got {n_jobs}")
     if not 0 <= group_size <= n_candidates:

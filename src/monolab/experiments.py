@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import bandit2, exact, hiring, hiring_bandit
-from .streams import _check_u64, derive_stream
+from .streams import _check_u64, check_grid, derive_stream, is_int
 from .svg import render_line_chart
 
 # Hires per firm when no capacity is given, by hiring mode; its keys are the modes.
@@ -175,22 +175,9 @@ class OrderSensitivityConfig:
         exact.check_rankings(self.rankings)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _is_finite(v) -> bool:
     """A real number a float holds: not NaN, not infinite, no int beyond float range."""
-    return abs(v) <= sys.float_info.max if _is_int(v) else math.isfinite(v)
-
-
-def _check_grid(grid, flag: str) -> None:
-    if not grid:
-        raise ValueError(f"{flag} grid must not be empty")
-    if any(not _is_int(v) or v < 1 for v in grid):
-        raise ValueError(f"{flag} grid entries must be positive integers, got {grid}")
-    if len(set(grid)) != len(grid):
-        raise ValueError(f"{flag} grid entries must be distinct, got {grid}")
+    return abs(v) <= sys.float_info.max if is_int(v) else math.isfinite(v)
 
 
 def _check_fields(cfg) -> None:
@@ -203,10 +190,10 @@ def _check_fields(cfg) -> None:
         kind = f.type.removesuffix(" | None")
         if value is None and kind != f.type:
             continue
-        if kind == "int" and not _is_int(value):
+        if kind == "int" and not is_int(value):
             raise ValueError(f"{flag} must be an integer, got {value!r}")
         if kind == "float":
-            if not (_is_int(value) or isinstance(value, (float, np.floating))):
+            if not (is_int(value) or isinstance(value, (float, np.floating))):
                 raise ValueError(f"{flag} must be a number, got {value!r}")
             if not _is_finite(value):
                 raise ValueError(f"{flag} must be finite, got {value!r}")
@@ -216,7 +203,9 @@ def _check_fields(cfg) -> None:
             if not value:
                 raise ValueError(f"{flag} must not be empty")
         if kind == "tuple[int, ...]":
-            _check_grid(value, flag)
+            check_grid(value, flag)
+            if len(set(value)) != len(value):  # they would collide as CSV keys
+                raise ValueError(f"{flag} grid entries must be distinct, got {value}")
         choices, minimum = f.metadata["choices"], f.metadata["minimum"]
         if choices is not None and value not in choices:
             raise ValueError(
@@ -440,23 +429,35 @@ def rows_to_csv_text(rows: list[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def atomic_write_text(text: str, path: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+def check_out_path(path: str) -> None:
+    """Refuse a directory, or a path in none, by an ``OSError`` that names it."""
     if not path:
         raise ValueError("output path must not be empty")
-    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(f"--out {path}: its directory does not exist")
+
+
+def atomic_write_text(text: str, path: str) -> None:
+    """Write via a sibling temp file and rename, so readers never see partials;
+    an ``OSError`` names ``path``, not the temp file."""
+    check_out_path(path)
     # os.replace keeps the temp file's mode, so create it as open() would
     # (0666 less the umask), not private as tempfile.mkstemp does.
-    tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(6).hex()}~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:

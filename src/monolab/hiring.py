@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .streams import RngStream, check_replicate_bytes
+from .streams import RngStream, check_count, check_grid, check_replicate_bytes
 
 UNMATCHED = -1
 
@@ -67,19 +67,13 @@ def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
 
 def check_market(n_candidates: int, firm_grid, noise_sd: float, capacity: int,
                  simultaneous: bool) -> None:
-    """Reject an empty firm grid or a firm count below 1, a capacity below 1,
-    a negative or NaN noise sd, or a market, at its largest firm count, that
-    hires every candidate (then the best and worst groups of the hired size
-    coincide and normalized performance is undefined), whose scores could
-    overflow a float, or whose one replicate needs more than
-    ``MAX_REPLICATE_BYTES``."""
-    if len(firm_grid) == 0:
-        raise ValueError("firm grid must not be empty")
-    if min(firm_grid) < 1:
-        raise ValueError(f"need at least one firm, got {min(firm_grid)}")
+    """Reject bad sizes, a negative or NaN noise sd, or a market, at its largest firm
+    count, that hires every candidate (normalized performance is then undefined), whose
+    scores could overflow a float, or whose replicate needs over ``MAX_REPLICATE_BYTES``."""
+    check_count(n_candidates, "candidates")
+    check_grid(firm_grid, "firms")
+    check_count(capacity, "capacity")
     n_firms = max(firm_grid)
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
     if not noise_sd >= 0:
         raise ValueError(f"noise sd must be >= 0, got {noise_sd}")
     seats = n_firms * capacity
@@ -99,8 +93,7 @@ def check_market(n_candidates: int, firm_grid, noise_sd: float, capacity: int,
 
 def generate_market(n_candidates: int, stream: RngStream) -> np.ndarray:
     """Objective candidate values, i.i.d. standard normal."""
-    if n_candidates < 1:
-        raise ValueError(f"need at least one candidate, got {n_candidates}")
+    check_count(n_candidates, "candidates")
     return stream.gaussians(n_candidates, 0.0, 1.0)
 
 
@@ -115,8 +108,7 @@ def score_regime(market: np.ndarray, n_firms: int, noise_sd: float,
     view.  The mean is summed on that view: numpy sums a C-ordered copy in
     another order from 8 firms up, which would round some means apart.
     """
-    if n_firms < 1:
-        raise ValueError(f"need at least one firm, got {n_firms}")
+    check_count(n_firms, "firms")
     if not noise_sd >= 0:
         raise ValueError(f"noise sd must be >= 0, got {noise_sd}")
     noise = stream.gaussians((len(market), n_firms), 0.0, noise_sd)  # candidate-major
@@ -131,8 +123,7 @@ def _check_matcher_input(scores, capacity: int) -> np.ndarray:
         raise ValueError(f"scores must be a row or a table, got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite (no NaN or infinity)")
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    check_count(capacity, "capacity")
     return scores
 
 
@@ -191,11 +182,12 @@ def sequential_hire(
     ``take_in_order``'s, so score ties go to the lowest candidate index.
     """
     scores = _check_matcher_input(scores, capacity)
-    order = [int(f) for f in firm_order]
+    order = np.asarray(firm_order)  # an integer dtype, unless empty: no float or bool
     n_firms = len(order) if scores.ndim == 1 else scores.shape[0]
     n_candidates = scores.shape[-1]
-    if sorted(order) != list(range(n_firms)):
-        raise ValueError("firm_order must be a permutation of all firm indices")
+    if (order.size and not np.issubdtype(order.dtype, np.integer)
+            or sorted(order.tolist()) != list(range(n_firms))):
+        raise ValueError(f"firm_order must be an integer permutation of the firms, got {order}")
     if n_candidates < n_firms * capacity:
         raise ValueError(
             f"{n_candidates} candidates cannot fill {n_firms} firms "
@@ -212,8 +204,8 @@ def generate_prefs(n_candidates: int, n_firms: int, stream: RngStream) -> np.nda
     Drawn as one block, in the same stream order as one permutation per
     candidate in candidate order.
     """
-    if n_candidates < 1 or n_firms < 1:
-        raise ValueError("need at least one candidate and one firm")
+    check_count(n_candidates, "candidates")
+    check_count(n_firms, "firms")
     return stream.permutations(n_candidates, n_firms)
 
 
@@ -250,8 +242,9 @@ def deferred_acceptance(
             f"preference matrix must have shape ({n_candidates}, {n_firms}) "
             f"with at least one firm, got {prefs.shape}"
         )
-    if not (np.sort(prefs, axis=1) == np.arange(n_firms)).all():
-        raise ValueError("each preference row must be a permutation of all firm indices")
+    if not (np.issubdtype(prefs.dtype, np.integer)
+            and (np.sort(prefs, axis=1) == np.arange(n_firms)).all()):
+        raise ValueError("each preference row must be an integer permutation of all firm indices")
 
     score_rows, best = scores.tolist(), scores.max(axis=0)
     order = np.argsort(-best, kind="stable").tolist()

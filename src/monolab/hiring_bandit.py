@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hiring import take_in_order
-from .streams import check_replicate_bytes
+from .streams import check_count, check_grid, check_replicate_bytes
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
 
@@ -69,25 +69,16 @@ def replicate_bytes(n_agents: int, n_arms: int, n_rounds: int) -> int:
 
 
 def check_game(agent_grid, n_arms: int, n_rounds: int, n0: int) -> None:
-    """Reject an empty agent grid, or a claim game, at any agent count of the
-    grid, without agents or rounds, with no spare arm, with n0 < 0, whose pull
-    counts an int64 cannot hold (an arm's count, prior included, reaches 4 +
-    n_agents * n0 + n_rounds), or whose one replicate needs more than
-    ``MAX_REPLICATE_BYTES``."""
-    if len(agent_grid) == 0:
-        raise ValueError("agent grid must not be empty")
-    for n_agents in agent_grid:
-        if n_agents < 1:
-            raise ValueError(f"need at least one agent, got {n_agents}")
-        if n_arms <= n_agents:
-            raise ValueError(
-                f"need more arms than agents, got {n_arms} arms for {n_agents} agents"
-            )
-    if n_rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {n_rounds}")
-    if n0 < 0:
-        raise ValueError(f"n0 must be >= 0, got {n0}")
+    """Reject bad sizes (n0 may be 0), or a claim game, at its largest agent count, with
+    no spare arm, whose pull counts (an arm's reaches 4 + n_agents * n0 + n_rounds, prior
+    included) overflow int64, or whose replicate needs over ``MAX_REPLICATE_BYTES``."""
+    check_grid(agent_grid, "agents")
+    check_count(n_arms, "arms")
+    check_count(n_rounds, "rounds")
+    check_count(n0, "n0", 0)
     n_agents = max(agent_grid)
+    if n_arms <= n_agents:
+        raise ValueError(f"need more arms than agents, got {n_arms} arms for {n_agents} agents")
     if 4 + n_agents * n0 + n_rounds >= 2**63:
         raise ValueError(f"n0 = {n0} is too large: 4 + {n_agents} agents x n0 + "
                          f"{n_rounds} rounds must stay below 2**63")
@@ -97,8 +88,7 @@ def check_game(agent_grid, n_arms: int, n_rounds: int, n0: int) -> None:
 
 def draw_arm_means(n_arms: int, streams) -> np.ndarray:
     """True arm means, i.i.d. Beta(2, 2): one ``(n_arms,)`` row per stream."""
-    if n_arms < 1:
-        raise ValueError(f"need at least one arm, got {n_arms}")
+    check_count(n_arms, "arms")
     means = np.empty((len(streams), n_arms))
     for row, stream in zip(means, streams):
         row[:] = stream.betas(n_arms, 2.0, 2.0)

@@ -31,8 +31,29 @@ def check_replicate_bytes(size: int, what: str) -> None:
                          f"max {MAX_REPLICATE_BYTES:,}")
 
 
+def is_int(v) -> bool:
+    """True for an int or a numpy integer, false for a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """Reject a size, named by its flag, that is not an integer of at least ``minimum``."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_grid(grid, name: str) -> None:
+    """Reject an empty grid of sizes, or one with an entry ``check_count`` rejects."""
+    if len(grid) == 0:
+        raise ValueError(f"{name} grid must not be empty")
+    if not all(is_int(v) and v >= 1 for v in grid):
+        raise ValueError(f"{name} grid entries must be positive integers, got {grid}")
+
+
 def _check_u64(value: int, name: str) -> int:
-    if not isinstance(value, (int, np.integer)):
+    if not is_int(value):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if not 0 <= value <= _U64_MAX:
         raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
@@ -87,8 +108,7 @@ class RngStream:
         return self.gen.random(shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"permutation length must be >= 0, got {n}")
+        check_count(n, "permutation length", 0)
         return self.gen.permutation(n)
 
     def permutations(self, n_rows: int, n: int) -> np.ndarray:
@@ -97,10 +117,8 @@ class RngStream:
         Row i and the stream state afterwards equal those of the i-th of
         ``n_rows`` successive ``permutation(n)`` calls.
         """
-        if n_rows < 0 or n < 0:
-            raise ValueError(
-                f"permutation block shape must be >= 0, got ({n_rows}, {n})"
-            )
+        check_count(n_rows, "permutation rows", 0)
+        check_count(n, "permutation length", 0)
         return self.gen.permuted(np.tile(np.arange(n), (n_rows, 1)), axis=1)
 
 

@@ -496,9 +496,9 @@ def test_a_uniform_equal_to_an_arm_mean_pays_nothing_on_that_arm():
 
 def test_simulate_failures_rejects_before_any_draw():
     for n0_grid, k_grid, message in [
-        ((1, 0), (1,), "initial history needs n0 >= 1, got 0"),
+        ((1, 0), (1,), r"n0 grid entries must be positive integers, got \(1, 0\)"),
         ((1,), (1, 11), "cannot split 10 agents into 11 non-empty groups"),
-        ((1,), (0,), "need at least one group, got 0"),
+        ((1,), (0,), r"k grid entries must be positive integers, got \(0,\)"),
         ((), (1,), "n0 grid must not be empty"),
         ((1,), (), "k grid must not be empty"),
     ]:

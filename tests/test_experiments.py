@@ -513,6 +513,39 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_errors_name_the_target(tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError(18, "Invalid cross-device link", src, dst)  # names the temp file
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    target = str(tmp_path / "x.csv")
+    with pytest.raises(OSError) as err:
+        experiments.atomic_write_text("x", target)
+    assert str(err.value) == f"[Errno 18] Invalid cross-device link: {target!r}"
+    assert os.listdir(tmp_path) == []
+
+
+def _never_run(*args):
+    raise AssertionError("the run started before its --out was checked")
+
+
+@pytest.mark.parametrize("where", ["missing/h.csv", "."])
+def test_a_bad_out_is_refused_before_the_run(where, tmp_path, monkeypatch, capsys):
+    # a missing directory, or an --out that is a directory, exits 3 naming the
+    # path, before any replicate runs or plot reads its CSV, and leaves nothing
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["enumerate", "--out", "e.csv"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(experiments, "_collect", _never_run)
+    monkeypatch.setattr(experiments, "read_csv", _never_run)
+    for args in (["hiring", "--candidates", "20", "--firms", "2", "--runs", "1"],
+                 ["plot", "--csv", "e.csv"]):
+        assert cli.main(args + ["--out", where]) == 3
+        err = capsys.readouterr().err
+        assert f"--out {where}" in err and ".tmp-" not in err
+        assert sorted(os.listdir(tmp_path)) == ["e.csv"]
+
+
 def test_output_files_get_the_mode_of_a_new_file(tmp_path):
     # a CSV or SVG written through a temp file gets 0666 less the umask, as
     # open() would give it, not mkstemp's private 0600

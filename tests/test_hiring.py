@@ -139,6 +139,33 @@ def test_sequential_hire_shared_row_and_shape_validation():
         sequential_hire(np.zeros((2, 2, 3)), [0, 1])
 
 
+MOVES = np.array([[0.9, 0.1, 0.5], [0.2, 0.8, 0.4]])
+
+
+@pytest.mark.parametrize("order", [[0.9, 1.2], [True, False], np.array([1.0, 0.0])],
+                         ids=["fraction", "bool", "float-array"])
+def test_sequential_hire_refuses_a_non_integer_firm_order(order):
+    # a fractional order was once truncated to [0, 1], and [True, False] read as [1, 0]
+    with pytest.raises(ValueError, match="firm_order must be an integer permutation"):
+        sequential_hire(MOVES, order)
+
+
+def test_sequential_hire_takes_any_integer_order_and_an_empty_one():
+    assert sequential_hire(MOVES, np.array([1, 0], dtype=np.uint8)).tolist() == [0, 1, UNMATCHED]
+    assert sequential_hire(MOVES[0], []).tolist() == [UNMATCHED] * 3
+
+
+@pytest.mark.parametrize("dtype", [float, bool])
+def test_deferred_acceptance_refuses_non_integer_preferences(dtype):
+    # a float matrix once failed inside the proposal loop, and a bool one read as 0 and 1
+    prefs = np.array([[0, 1], [1, 0], [0, 1]])
+    assert deferred_acceptance(MOVES, prefs, capacity=1).tolist() == [0, 1, UNMATCHED]
+    with pytest.raises(ValueError, match="must be an integer permutation"):
+        deferred_acceptance(MOVES, prefs.astype(dtype), capacity=1)
+    with pytest.raises(ValueError, match="must be an integer permutation"):
+        deferred_acceptance(MOVES, prefs.astype(dtype).tolist(), capacity=1)
+
+
 def test_matchers_reject_non_finite_scores():
     # -inf everywhere once let a second firm re-hire candidate 0, and a NaN
     # candidate was hired first
@@ -462,8 +489,8 @@ def test_simulate_run_rejects_before_any_draw():
         ((30, (2,), -1.0, 1, False), "noise sd must be >= 0, got -1.0"),
         ((30, (2,), float("nan"), 1, False), "noise sd must be >= 0, got nan"),
         ((30, (2,), 0.5, 0, False), "capacity must be >= 1, got 0"),
-        ((30, (), 0.5, 1, False), "firm grid must not be empty"),
-        ((30, (2, 0), 0.5, 1, True), "need at least one firm, got 0"),
+        ((30, (), 0.5, 1, False), "firms grid must not be empty"),
+        ((30, (2, 0), 0.5, 1, True), "firms grid entries must be positive integers, got (2, 0)"),
     ]:
         stream = derive_stream(48, 0)
         before = stream.state()

@@ -61,8 +61,8 @@ def best_unclaimed_in_move_order(means, order, arms):
 def test_simulate_run_rejects_before_any_draw():
     for game, message in [
         # every agent count of the grid is checked before the first plays
-        ({"agent_grid": (4, 0)}, "need at least one agent"),
-        ({"agent_grid": ()}, "agent grid must not be empty"),
+        ({"agent_grid": (4, 0)}, r"agents grid entries must be positive integers, got \(4, 0\)"),
+        ({"agent_grid": ()}, "agents grid must not be empty"),
         ({"agent_grid": (2, 5), "n_arms": 5}, "need more arms than agents"),
         ({"n_rounds": 0}, "rounds must be >= 1"),
         ({"n0": -1}, "n0 must be >= 0"),
@@ -299,6 +299,14 @@ def test_regret_nonnegative_on_random_runs():
     # a game that claims the top n arms every round can read a rounding error
     # below zero: the best sum runs in sorted order, the realized one in pull order
     assert np.all(regret >= -1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_regret_nonnegative_at_the_claim_game_workload_config():
+    # the known rounding defect: a game that claims the top n arms every round
+    # reads about -1.2e-11 here; regret of a real game is never below zero
+    regret, _ = simulate_run((5, 10, 20), 50, 100, 5, streams_for(24, 3))
+    assert np.all(regret >= 0.0)
 
 
 def observer_means(heads, total, reward_heads, reward_pulls):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from monolab.streams import RngStream, derive_stream
+from monolab import bandit2, hiring, hiring_bandit
+from monolab.streams import RngStream, check_count, check_grid, derive_stream, is_int
 
 
 def test_same_key_same_sequence():
@@ -68,6 +69,69 @@ def test_invalid_parameters_rejected():
 def test_seed_bounds_enforced():
     with pytest.raises(ValueError):
         derive_stream(-1, 0)
+
+
+def test_size_rule():
+    # a bool is not a stream key, though Python counts it as an int
+    for key in ((True, 0), (0, False), (1.0, 0)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            derive_stream(*key)
+    assert is_int(3) and is_int(np.int64(3)) and is_int(np.uint8(0))
+    assert not any(map(is_int, (True, np.bool_(True), 3.0, np.float64(3), "3", None)))
+    check_count(0, "n0", 0)
+    check_count(np.int64(2), "arms")
+    for value, message in [(1.5, "arms must be an integer, got 1.5"),
+                           (True, "arms must be an integer, got True"),
+                           (0, "arms must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=message):
+            check_count(value, "arms")
+    check_grid((1, np.int64(2)), "k")
+    with pytest.raises(ValueError, match="k grid must not be empty"):
+        check_grid((), "k")
+    for grid in ((1, 0), (2.0,), (True,), (1, -3)):
+        with pytest.raises(ValueError, match="k grid entries must be positive integers"):
+            check_grid(grid, "k")
+
+
+# Each model's size arguments: (model, argument, its flag, its minimum, a grid?)
+MODELS = {
+    "hiring": (hiring.simulate_run, dict(n_candidates=30, firm_grid=(2,), noise_sd=0.5,
+                                         capacity=2, simultaneous=True)),
+    "bandit2": (bandit2.simulate_failures, dict(n0_grid=(2,), k_grid=(2,), total_agents=10)),
+    "hiring_bandit": (hiring_bandit.simulate_run,
+                      dict(agent_grid=(2,), n_arms=5, n_rounds=2, n0=2)),
+}
+SIZES = [
+    ("hiring", "n_candidates", "candidates", 1, False),
+    ("hiring", "firm_grid", "firms", 1, True),
+    ("hiring", "capacity", "capacity", 1, False),
+    ("bandit2", "n0_grid", "n0", 1, True),
+    ("bandit2", "k_grid", "k", 1, True),
+    ("bandit2", "total_agents", "agents", 1, False),
+    ("hiring_bandit", "agent_grid", "agents", 1, True),
+    ("hiring_bandit", "n_arms", "arms", 1, False),
+    ("hiring_bandit", "n_rounds", "rounds", 1, False),
+    ("hiring_bandit", "n0", "n0", 0, False),
+]
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+@pytest.mark.parametrize("model, name, flag, minimum, grid", SIZES,
+                         ids=[f"{model}-{flag}" for model, _, flag, _, _ in SIZES])
+def test_models_refuse_a_bad_size_by_its_flag_before_any_draw(model, name, flag, minimum,
+                                                              grid, bad):
+    simulate, args = MODELS[model]
+    good = args[name][0] if grid else args[name]
+    value = {"fraction": good + 0.5, "bool": True, "below": minimum - 1}[bad]
+    streams = [derive_stream(71, r) for r in range(2)]
+    before = [stream.state() for stream in streams]
+    simulate(**args, streams=streams)  # the arguments as given are accepted
+    for stream, state in zip(streams, before):
+        stream.restore(state)
+    with pytest.raises(ValueError) as err:
+        simulate(**{**args, name: (value,) if grid else value}, streams=streams)
+    assert str(err.value).startswith(f"{flag} "), str(err.value)
+    assert [stream.state() for stream in streams] == before
     with pytest.raises(ValueError):
         derive_stream(0, 2**64)
     with pytest.raises(TypeError):
