@@ -98,9 +98,11 @@ def veil_group_exclusion(n_candidates: int, n_jobs: int, group_size: int) -> Fra
     group is excluded exactly when it sits inside that subset.
     """
     check_count(n_candidates, "candidates")
-    if not 0 <= n_jobs <= n_candidates:
+    check_count(n_jobs, "jobs", 0)
+    check_count(group_size, "group size", 0)
+    if n_jobs > n_candidates:
         raise ValueError(f"jobs must lie in [0, {n_candidates}], got {n_jobs}")
-    if not 0 <= group_size <= n_candidates:
+    if group_size > n_candidates:
         raise ValueError(f"group size must lie in [0, {n_candidates}], got {group_size}")
     jobless = n_candidates - n_jobs
     if group_size > jobless:

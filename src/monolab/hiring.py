@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .streams import RngStream, check_count, check_grid, check_replicate_bytes
+from .streams import RngStream, check_count, check_grid, check_replicate_bytes, is_int
 
 UNMATCHED = -1
 
@@ -185,7 +185,10 @@ def sequential_hire(
     order = np.asarray(firm_order)  # an integer dtype, unless empty: no float or bool
     n_firms = len(order) if scores.ndim == 1 else scores.shape[0]
     n_candidates = scores.shape[-1]
+    # numpy reads a bool among a list's integers as 0 or 1, so the entries of
+    # an input that is not an array are tested one by one
     if (order.size and not np.issubdtype(order.dtype, np.integer)
+            or not isinstance(firm_order, np.ndarray) and not all(map(is_int, firm_order))
             or sorted(order.tolist()) != list(range(n_firms))):
         raise ValueError(f"firm_order must be an integer permutation of the firms, got {order}")
     if n_candidates < n_firms * capacity:
@@ -233,6 +236,7 @@ def deferred_acceptance(
     scores = _check_matcher_input(scores, capacity)
     if scores.ndim != 2:
         raise ValueError(f"scores must be a (firms, candidates) table, got {scores.shape}")
+    rows = prefs  # kept: numpy reads a bool among a list's integers as 0 or 1
     prefs = np.asarray(prefs)
     if prefs.ndim != 2:
         raise ValueError(f"preferences must be a matrix, got shape {prefs.shape}")
@@ -243,6 +247,7 @@ def deferred_acceptance(
             f"with at least one firm, got {prefs.shape}"
         )
     if not (np.issubdtype(prefs.dtype, np.integer)
+            and (isinstance(rows, np.ndarray) or all(is_int(v) for row in rows for v in row))
             and (np.sort(prefs, axis=1) == np.arange(n_firms)).all()):
         raise ValueError("each preference row must be an integer permutation of all firm indices")
 
@@ -324,7 +329,7 @@ def simulate_run(n_candidates: int, firm_grid, noise_sd: float, capacity: int,
                 # the row's stable top f x capacity, the only set normalized
                 # performance reads; sequential_hire takes it without a match.
                 if scores.ndim == 1:
-                    assignment = sequential_hire(scores, range(f), capacity)
+                    assignment = sequential_hire(scores, np.arange(f), capacity)
                 elif simultaneous:
                     assignment = deferred_acceptance(scores, draw, capacity)
                 else:

@@ -67,10 +67,12 @@ def test_veil_edge_cases():
     # group larger than the jobless set can never be fully excluded
     assert veil_group_exclusion(10, 8, 3) == 0
     assert veil_group_exclusion(10, 10, 1) == 0
-    with pytest.raises(ValueError):
-        veil_group_exclusion(10, 11, 1)
-    with pytest.raises(ValueError):
-        veil_group_exclusion(10, 5, 11)
+    # a size outside [0, n_candidates], or one that is not an integer (a bool
+    # included), is refused before any arithmetic
+    for args in [(10, 11, 1), (10, 5, 11), (5, 1.5, 1), (5, 2, 1.5), (5, True, 1),
+                 (5, 2, True)]:
+        with pytest.raises(ValueError):
+            veil_group_exclusion(*args)
 
 
 def test_veil_matches_enumeration_single_candidate():

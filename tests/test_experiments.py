@@ -57,11 +57,61 @@ def with_workers(cfg, workers):
     return type(cfg)(**{**cfg.__dict__, "workers": workers})
 
 
-@pytest.mark.parametrize("cfg", [SMALL_HIRING, SMALL_DA, SMALL_BANDIT2, SMALL_HB])
-def test_results_do_not_depend_on_worker_count(cfg):
+# Each config with its replicate range count at 1, 2 and 3 workers, from the
+# block budget and its replicate_bytes.  The configs after the small ones are
+# the CLI runs whose flags they name, at the default seed.
+_WORKER_CASES = [
+    (SMALL_HIRING, (1, 2, 3)),
+    (SMALL_DA, (1, 2, 3)),
+    (SMALL_BANDIT2, (1, 2, 3)),
+    (SMALL_HB, (1, 2, 3)),
+    # hiring --mode simultaneous --candidates 30 --firms 2 --capacity 4 --runs 2:
+    # two replicates make at most two ranges
+    (HiringConfig(mode="simultaneous", n_candidates=30, firm_grid=(2,), capacity=4,
+                  n_runs=2), (1, 2, 2)),
+    # hiring --candidates 20000 --firms 2 --runs 5: at 6.4 MB a replicate the
+    # block holds two, so five replicates make three ranges at any worker count
+    (HiringConfig(n_candidates=20000, firm_grid=(2,), n_runs=5), (3, 3, 3)),
+    # hiring-bandit --arms 6 --rounds 3 --agents 1,2 --runs 5
+    (HiringBanditConfig(n_arms=6, n_rounds=3, agent_grid=(1, 2), n_runs=5), (1, 2, 3)),
+    # hiring-bandit --arms 13000 --rounds 2 --agents 1,2 --n0 1 --runs 8: the
+    # block holds three replicates, so eight make three ranges
+    (HiringBanditConfig(n_arms=13000, n_rounds=2, agent_grid=(1, 2), n0=1, n_runs=8),
+     (3, 3, 3)),
+    # bandit2 --agents 7 --n0 1,3 --k 1,2,3,7 --runs 5: groups of five distinct
+    # sizes (7, 4, 3, 2, 1), so the walk cuts at every one
+    (Bandit2Config(total_agents=7, n0_grid=(1, 3), k_grid=(1, 2, 3, 7), n_runs=5),
+     (1, 2, 3)),
+    # bandit2 --agents 60000 --n0 1,2 --k 60000,30000 --runs 3: about 45 MB a
+    # replicate by its bound overfills the block, so each replicate is a range
+    (Bandit2Config(total_agents=60000, n0_grid=(1, 2), k_grid=(60000, 30000), n_runs=3),
+     (3, 3, 3)),
+    # bandit2 --agents 20 --n0 1,2 --k 1,2 --runs 3
+    (Bandit2Config(total_agents=20, n0_grid=(1, 2), k_grid=(1, 2), n_runs=3), (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("cfg, n_ranges", _WORKER_CASES,
+                         ids=[f"cfg{i}" for i in range(len(_WORKER_CASES))])
+def test_results_do_not_depend_on_worker_count(cfg, n_ranges, monkeypatch):
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    # enough CPUs that 2 and 3 workers start a real pool on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    block = max(1, experiments._BLOCK_BYTES // cfg.replicate_bytes)
+    assert [len(experiments._split_ranges(cfg.n_runs, workers, block))
+            for workers in (1, 2, 3)] == list(n_ranges)
     baseline = rows_to_csv_text(run(cfg))
+    assert pools == []
     for workers in (2, 3):
         assert rows_to_csv_text(run(with_workers(cfg, workers))) == baseline
+    assert pools == [min(2, n_ranges[1]), min(3, n_ranges[2])]
 
 
 def test_models_take_no_streams():
@@ -671,7 +721,10 @@ def test_plot_takes_its_kind_from_the_file(tmp_path, kind, metric):
 
 
 # The sha256 of the figure plot writes for each plottable kind, pinned so that
-# a change to the renderer or to plot_csv that moves any byte shows here.
+# a change to the renderer or to plot_csv that moves any byte shows here.  The
+# figures are drawn from the CSVs that the _PLOTTABLE configs wrote at numpy
+# 2.4.6, checked in under tests/data, so a sampler change in another numpy
+# release cannot move them.
 _FIGURE_SHA256 = {
     ("hiring-seq", None): "e857d1fa785acf08f2e4230d2b9eb77fbef13022195995334825a8e3f8f2742a",
     ("hiring-sim", None): "f262430bcd49f4cc586e74d65d326e69f99c0e816dfb3b561bb43ddc8543cf99",
@@ -685,9 +738,9 @@ _FIGURE_SHA256 = {
 
 @pytest.mark.parametrize("kind, metric", list(_FIGURE_SHA256))
 def test_plot_figure_bytes_are_pinned(tmp_path, kind, metric):
-    csv_path, svg_path = tmp_path / "res.csv", tmp_path / "fig.svg"
-    write_csv(run(_PLOTTABLE[kind]), str(csv_path))
-    experiments.plot_csv(PlotConfig(csv=str(csv_path), out=str(svg_path), metric=metric))
+    csv_path = os.path.join(os.path.dirname(__file__), "data", f"{kind}.csv")
+    svg_path = tmp_path / "fig.svg"
+    experiments.plot_csv(PlotConfig(csv=csv_path, out=str(svg_path), metric=metric))
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == _FIGURE_SHA256[kind, metric]
 
 

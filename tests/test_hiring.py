@@ -142,10 +142,13 @@ def test_sequential_hire_shared_row_and_shape_validation():
 MOVES = np.array([[0.9, 0.1, 0.5], [0.2, 0.8, 0.4]])
 
 
-@pytest.mark.parametrize("order", [[0.9, 1.2], [True, False], np.array([1.0, 0.0])],
-                         ids=["fraction", "bool", "float-array"])
+@pytest.mark.parametrize("order", [[0.9, 1.2], [True, False], np.array([1.0, 0.0]),
+                                   [0, True], [np.True_, 0]],
+                         ids=["fraction", "bool", "float-array", "int-and-bool",
+                              "numpy-bool-and-int"])
 def test_sequential_hire_refuses_a_non_integer_firm_order(order):
-    # a fractional order was once truncated to [0, 1], and [True, False] read as [1, 0]
+    # a fractional order was once truncated to [0, 1], [True, False] read as
+    # [1, 0], and [0, True] as [0, 1]
     with pytest.raises(ValueError, match="firm_order must be an integer permutation"):
         sequential_hire(MOVES, order)
 
@@ -155,15 +158,22 @@ def test_sequential_hire_takes_any_integer_order_and_an_empty_one():
     assert sequential_hire(MOVES[0], []).tolist() == [UNMATCHED] * 3
 
 
-@pytest.mark.parametrize("dtype", [float, bool])
-def test_deferred_acceptance_refuses_non_integer_preferences(dtype):
-    # a float matrix once failed inside the proposal loop, and a bool one read as 0 and 1
-    prefs = np.array([[0, 1], [1, 0], [0, 1]])
-    assert deferred_acceptance(MOVES, prefs, capacity=1).tolist() == [0, 1, UNMATCHED]
-    with pytest.raises(ValueError, match="must be an integer permutation"):
-        deferred_acceptance(MOVES, prefs.astype(dtype), capacity=1)
-    with pytest.raises(ValueError, match="must be an integer permutation"):
-        deferred_acceptance(MOVES, prefs.astype(dtype).tolist(), capacity=1)
+PREFS = np.array([[0, 1], [1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("forms", [
+    [PREFS.astype(float), PREFS.astype(float).tolist()],
+    [PREFS.astype(bool), PREFS.astype(bool).tolist()],
+    [[[0, True], [1, 0], [0, 1]]],
+], ids=["float", "bool", "int-and-bool"])
+def test_deferred_acceptance_refuses_non_integer_preferences(forms):
+    # a float matrix once failed inside the proposal loop, a bool one read as
+    # 0 and 1, and a bool among a list's integers read as 1
+    for prefs in (PREFS, PREFS.tolist()):
+        assert deferred_acceptance(MOVES, prefs, capacity=1).tolist() == [0, 1, UNMATCHED]
+    for prefs in forms:
+        with pytest.raises(ValueError, match="must be an integer permutation"):
+            deferred_acceptance(MOVES, prefs, capacity=1)
 
 
 def test_matchers_reject_non_finite_scores():
