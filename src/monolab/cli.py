@@ -60,7 +60,7 @@ def _text(parse):
     return lambda value: parse(value) if isinstance(value, str) else value
 
 
-# Field annotation -> parser of a config-file value or a grid or rankings flag.
+# Field annotation -> parser of a flag, a config-file value or $MONOLAB_WORKERS.
 _PARSERS = {
     "int": _text(int),
     "float": _text(float),
@@ -68,10 +68,6 @@ _PARSERS = {
     "tuple[int, ...]": _parse_grid,
     "tuple[tuple[str, ...], ...]": _parse_rankings,
 }
-
-
-def _kind_of(f: dataclasses.Field) -> str:
-    return f.type.removesuffix(" | None")
 
 
 def _help_of(f: dataclasses.Field) -> str | None:
@@ -146,20 +142,17 @@ def _run_command(args) -> int:
     fields = dataclasses.fields(config_cls)
     keys = [f.metadata["flag"] for f in fields]
     params = _merge_params(args, keys)
-    if "workers" in keys and params.get("workers") is None and os.environ.get(ENV_WORKERS):
-        raw = os.environ[ENV_WORKERS]
-        try:
-            params["workers"] = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_WORKERS}={raw!r} is not an integer") from None
     kwargs = {}
     for f in fields:
         key = f.metadata["flag"]
-        if params.get(key) is not None:
+        source, value = key, params.get(key)
+        if key == "workers" and value is None and os.environ.get(ENV_WORKERS):
+            source, value = "$" + ENV_WORKERS, os.environ[ENV_WORKERS]
+        if value is not None:
             try:
-                kwargs[f.name] = _PARSERS[_kind_of(f)](params[key])
+                kwargs[f.name] = _PARSERS[f.type.removesuffix(" | None")](value)
             except ValueError as err:
-                raise ValueError(f"{key}: {err}") from None
+                raise ValueError(f"{source}: {err}") from None
         elif f.default is dataclasses.MISSING:
             raise ValueError(f"{args.command} requires --{key} ({f.metadata['help']})")
     cfg = config_cls(**kwargs)
@@ -183,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for f in dataclasses.fields(config_cls):
             key = f.metadata["flag"]
-            # Grids and rankings stay strings here so that a bad value is
-            # reported the same way from a flag and from a config file.
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type={"int": int, "float": float}.get(_kind_of(f)),
-                           choices=f.metadata["choices"], default=None,
+            # Every value stays text here, so that _PARSERS and the config's
+            # checks read it the same way from a flag and from a config file.
+            choices = f.metadata["choices"]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           metavar=choices and "{" + ",".join(choices) + "}",
                            help=_help_of(f))
         p.add_argument("--config", default=None, help="JSON config file")
 

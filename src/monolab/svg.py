@@ -22,11 +22,10 @@ PALETTE = ("#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9")
 
 def _nice_step(span: float) -> float:
     raw = span / 5
-    mag = 10 ** math.floor(math.log10(raw))
+    mag = 10 ** math.floor(math.log10(raw))  # so 10 x mag >= raw: the loop returns
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:
             return mult * mag
-    return 10.0 * mag
 
 
 def _axis_range(lo: float, hi: float, pad: float, label: str) -> tuple[float, float]:
@@ -50,8 +49,7 @@ def _axis_range(lo: float, hi: float, pad: float, label: str) -> tuple[float, fl
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Ticks over an ``_axis_range``, which is never a single value."""
     step = _nice_step(hi - lo)
     ticks = []
     t = math.ceil(lo / step) * step

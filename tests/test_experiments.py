@@ -550,10 +550,15 @@ def test_read_csv_reports_line_numbers(tmp_path):
         read_csv(str(path))
 
 
-def test_atomic_write_leaves_no_temp_files(tmp_path):
+def test_atomic_write_leaves_no_temp_files(tmp_path, monkeypatch):
     target = tmp_path / "data.txt"
     experiments.atomic_write_text("hello\n", str(target))
     assert target.read_text() == "hello\n"
+    # an empty path names no file: refused, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="output path must not be empty"):
+        write_csv(run(EnumerateConfig()), "")
+    assert os.listdir(tmp_path) == ["data.txt"]
     # failed replace (target is a directory) must clean up its temp file
     blocked = tmp_path / "adir"
     blocked.mkdir()
@@ -959,6 +964,8 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
          "unknown config key 'kind' for command 'plot'"),
         ("hiring", {"mode": ["sequential"]}, "mode must be a string, got ['sequential']"),
         ("enumerate", {"out": ""}, "out must not be empty"),
+        # the file holds one JSON object
+        ("bandit2", [1, 2], "cfg.json: config must be a JSON object"),
     ]:
         config.write_text(json.dumps(data))
         assert cli.main([command, "--config", str(config)]) == 2, data
@@ -1114,6 +1121,32 @@ def test_cli_env_workers(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setenv(cli.ENV_WORKERS, "2")
     assert cli.main(args) == 0
+
+
+_NOT_AN_INT = "invalid literal for int() with base 10: 'abc'"
+_NOT_A_MODE = "mode must be one of 'sequential', 'simultaneous', got 'x'"
+
+
+# A bad value from a flag, a config file or $MONOLAB_WORKERS goes through one
+# parse and one check, so it gets one message, after the name of its source.
+@pytest.mark.parametrize("argv, data, env, message", [
+    (["bandit2", "--runs", "abc"], None, None, f"runs: {_NOT_AN_INT}"),
+    (["bandit2"], {"runs": "abc"}, None, f"runs: {_NOT_AN_INT}"),
+    (["bandit2"], None, "abc", f"${cli.ENV_WORKERS}: {_NOT_AN_INT}"),
+    (["hiring", "--mode", "x"], None, None, _NOT_A_MODE),
+    (["hiring"], {"mode": "x"}, None, _NOT_A_MODE),
+], ids=["runs-flag", "runs-file", "workers-env", "mode-flag", "mode-file"])
+def test_cli_reads_a_value_the_same_way_from_each_source(argv, data, env, message,
+                                                         tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.ENV_WORKERS, env)
+    if data is not None:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(data))
+        argv = argv + ["--config", str(config)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_plot_end_to_end(tmp_path, capsys, monkeypatch):

@@ -83,7 +83,7 @@ def test_score_regime_validation():
         score_regime(market, 0, 0.5, derive_stream(6, 1))
     with pytest.raises(ValueError):
         score_regime(market, 2, -0.5, derive_stream(6, 1))
-    with pytest.raises(ValueError, match="noise sd must be >= 0, got nan"):
+    with pytest.raises(ValueError, match="noise_sd must be >= 0, got nan"):
         score_regime(market, 2, float("nan"), derive_stream(6, 1))
 
 
@@ -462,6 +462,22 @@ def test_normalized_performance_anchor_values():
     assert normalized_performance(middle, market) == pytest.approx(1.0 / 3.0)
 
 
+def test_normalized_performance_is_the_mean_formula_bit_for_bit():
+    # the reference reads the three group means with np.mean; the CSV bytes
+    # rest on the two agreeing exactly, not to a tolerance
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        market = rng.standard_normal(int(rng.integers(2, 400)))
+        assignment = np.where(rng.random(len(market)) < rng.random(), 0, UNMATCHED)
+        hired, left = rng.permutation(len(market))[:2]  # neither empty nor everyone
+        assignment[hired], assignment[left] = 0, UNMATCHED
+        n = int(np.count_nonzero(assignment >= 0))
+        ordered = np.sort(market)
+        actual, worst, best = (market[assignment >= 0].mean(), ordered[:n].mean(),
+                               ordered[-n:].mean())
+        assert normalized_performance(assignment, market) == (actual - worst) / (best - worst)
+
+
 def test_normalized_performance_errors():
     market = np.array([1.0, 2.0])
     nobody = np.array([UNMATCHED, UNMATCHED])
@@ -496,8 +512,8 @@ def test_simulate_run_rejects_before_any_draw():
         ((10, (2, 4), 0.5, 3, False), "sequential mode needs candidates > firms x capacity"),
         ((20, (2,), 1e308, 1, True), "noise_sd = 1e+308 is too large"),
         ((10**11, (2,), 0.5, 1, False), "market too large: 100000000000 candidates"),
-        ((30, (2,), -1.0, 1, False), "noise sd must be >= 0, got -1.0"),
-        ((30, (2,), float("nan"), 1, False), "noise sd must be >= 0, got nan"),
+        ((30, (2,), -1.0, 1, False), "noise_sd must be >= 0, got -1.0"),
+        ((30, (2,), float("nan"), 1, False), "noise_sd must be >= 0, got nan"),
         ((30, (2,), 0.5, 0, False), "capacity must be >= 1, got 0"),
         ((30, (), 0.5, 1, False), "firms grid must not be empty"),
         ((30, (2, 0), 0.5, 1, True), "firms grid entries must be positive integers, got (2, 0)"),
