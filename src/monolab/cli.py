@@ -151,6 +151,8 @@ def _run_command(args) -> int:
         if value is not None:
             try:
                 kwargs[f.name] = _PARSERS[f.type.removesuffix(" | None")](value)
+                if source != key:  # the config's own check would not name the variable
+                    experiments.check_field(f, kwargs[f.name])
             except ValueError as err:
                 raise ValueError(f"{source}: {err}") from None
         elif f.default is dataclasses.MISSING:

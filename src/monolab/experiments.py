@@ -144,7 +144,7 @@ class HiringBanditConfig:
 
     @property
     def replicate_bytes(self) -> int:
-        return hiring_bandit.replicate_bytes(max(self.agent_grid), self.n_arms, self.n_rounds)
+        return hiring_bandit.replicate_bytes(self.agent_grid, self.n_arms, self.n_rounds)
 
 
 @dataclass(frozen=True)
@@ -180,41 +180,46 @@ def _is_finite(v) -> bool:
     return abs(v) <= sys.float_info.max if is_int(v) else math.isfinite(v)
 
 
+def check_field(f, value) -> None:
+    """Check one field's value, unless it is an optional field left unset: its
+    annotated type (no bool as a number, finite floats, non-empty strings, grids of
+    distinct positive ints), its ``choices`` and ``minimum``, and that a seed is a
+    stream key (an unsigned 64-bit int)."""
+    flag = f.metadata["flag"]
+    kind = f.type.removesuffix(" | None")
+    if value is None and kind != f.type:
+        return
+    if kind == "int" and not is_int(value):
+        raise ValueError(f"{flag} must be an integer, got {value!r}")
+    if kind == "float":
+        if not (is_int(value) or isinstance(value, (float, np.floating))):
+            raise ValueError(f"{flag} must be a number, got {value!r}")
+        if not _is_finite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
+    if kind == "str":
+        if not isinstance(value, str):
+            raise ValueError(f"{flag} must be a string, got {value!r}")
+        if not value:
+            raise ValueError(f"{flag} must not be empty")
+    if kind == "tuple[int, ...]":
+        check_grid(value, flag)
+        if len(set(value)) != len(value):  # they would collide as CSV keys
+            raise ValueError(f"{flag} grid entries must be distinct, got {value}")
+    choices, minimum = f.metadata["choices"], f.metadata["minimum"]
+    if choices is not None and value not in choices:
+        raise ValueError(
+            f"{flag} must be one of {', '.join(map(repr, choices))}, got {value!r}"
+        )
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{flag} must be >= {minimum}, got {value}")
+    if f.name == "master_seed":
+        _check_u64(value, flag)
+
+
 def _check_fields(cfg) -> None:
-    """Check each field that is set, in order: its annotated type (no bool as a
-    number, finite floats, non-empty strings, grids of distinct positive ints),
-    its ``choices`` and ``minimum``, and that a seed is a stream key (an
-    unsigned 64-bit int)."""
+    """``check_field`` on each field of a config, in order."""
     for f in fields(cfg):
-        value, flag = getattr(cfg, f.name), f.metadata["flag"]
-        kind = f.type.removesuffix(" | None")
-        if value is None and kind != f.type:
-            continue
-        if kind == "int" and not is_int(value):
-            raise ValueError(f"{flag} must be an integer, got {value!r}")
-        if kind == "float":
-            if not (is_int(value) or isinstance(value, (float, np.floating))):
-                raise ValueError(f"{flag} must be a number, got {value!r}")
-            if not _is_finite(value):
-                raise ValueError(f"{flag} must be finite, got {value!r}")
-        if kind == "str":
-            if not isinstance(value, str):
-                raise ValueError(f"{flag} must be a string, got {value!r}")
-            if not value:
-                raise ValueError(f"{flag} must not be empty")
-        if kind == "tuple[int, ...]":
-            check_grid(value, flag)
-            if len(set(value)) != len(value):  # they would collide as CSV keys
-                raise ValueError(f"{flag} grid entries must be distinct, got {value}")
-        choices, minimum = f.metadata["choices"], f.metadata["minimum"]
-        if choices is not None and value not in choices:
-            raise ValueError(
-                f"{flag} must be one of {', '.join(map(repr, choices))}, got {value!r}"
-            )
-        if minimum is not None and value < minimum:
-            raise ValueError(f"{flag} must be >= {minimum}, got {value}")
-        if f.name == "master_seed":
-            _check_u64(value, flag)
+        check_field(f, getattr(cfg, f.name))
 
 
 # ---------------------------------------------------------------------------

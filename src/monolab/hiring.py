@@ -26,7 +26,8 @@ that hired the candidate, or ``UNMATCHED``.
 
 Sequential hiring takes its picks from ``take_in_order``, the one pick rule
 that the claim game in ``hiring_bandit`` uses too: movers go in turn and
-each takes its best remaining columns.  Deferred acceptance, the one
+each takes its best remaining columns.  The claim game's shared rows take
+their picks from it, and its poly rounds run the same loop.  Deferred acceptance, the one
 simultaneous matcher, takes proposers strongest first and stops at the
 first one no full firm would take.  Tie-breaks are deterministic
 everywhere: when scores are equal, the lowest candidate index wins.
@@ -136,36 +137,27 @@ def take_in_order(scores: np.ndarray, order, capacity: int = 1) -> np.ndarray:
     capacity``) or a table with one row per mover, read through one copy in
     which every taken column is set to -inf.  Callers check the sizes.
 
-    A leading game axis plays many independent games at once: ``order`` of
-    shape ``(games, movers)`` with ``scores`` of shape ``(games, columns)``
-    (one shared row per game) or ``(games, rows, columns)`` (one table per
-    game), and the result has shape ``(games, movers * capacity)``.  Row
-    ``g`` of it equals the call on game ``g`` alone.
+    A leading game axis plays many independent shared-row games at once:
+    ``order`` of shape ``(games, movers)`` with ``scores`` of shape
+    ``(games, columns)``, and the result has shape ``(games, movers *
+    capacity)``.  Row ``g`` of it equals the call on game ``g`` alone.  The
+    claim game's poly rounds (``hiring_bandit.play_round``) run the table
+    loop on a game axis themselves, each mover's row formed as it moves.
     """
     order = np.asarray(order)
     if scores.ndim == order.ndim:  # one shared row (per game)
         ranking = np.argsort(-scores, axis=-1, kind="stable")
         return ranking[..., : order.shape[-1] * capacity]
     remaining = np.array(scores, dtype=float)
+    columns = remaining.T  # columns[c] is column c in every row
     picks = []
-    if order.ndim == 1:
-        columns = remaining.T  # columns[c] is column c in every row
-        for mover in order.tolist():
-            row = remaining[mover]  # a view: it sees every taken column
-            for _ in range(capacity):
-                pick = row.argmax()  # the first (lowest) index on ties
-                picks.append(pick)
-                columns[pick] = -np.inf
-        return np.array(picks, dtype=np.int64)
-    games = np.arange(len(order))
-    columns = remaining.transpose(2, 0, 1)  # columns[c, g] is column c in game g
-    for movers in order.T:
+    for mover in order.tolist():
+        row = remaining[mover]  # a view: it sees every taken column
         for _ in range(capacity):
-            # a gathered copy, so it is read again after every pick
-            pick = remaining[games, movers].argmax(-1)
+            pick = row.argmax()  # the first (lowest) index on ties
             picks.append(pick)
-            columns[pick, games] = -np.inf
-    return np.array(picks, dtype=np.int64).T
+            columns[pick] = -np.inf
+    return np.array(picks, dtype=np.int64)
 
 
 def sequential_hire(

@@ -5,15 +5,17 @@ are drawn Beta(2, 2).  Each round the agents move in sequence and take the
 unclaimed arm with the highest posterior mean (Beta-Bernoulli beliefs,
 ties to the lowest arm index); an arm claimed earlier in the round is gone
 for everyone after.  That is sequential hiring's rule with arms for
-candidates, and both take their picks from ``hiring.take_in_order``.  Pull
-results are public: at the end of each round all agents update on every
-pull.  So a belief is a prior ``(alpha0, total0)`` of initial counts plus
-the one public ``heads``/``pulls`` record of its game, and under mono and
-ensemble, where the initial counts are shared, all agents hold one
-posterior and a round is the top-n arms of one ranking.  The impartial
-observer is one more shared prior: it counts every distinct initial sample
-set once and reads the same public record, so under mono and ensemble it
-is the agents' own prior.
+candidates, ``hiring.take_in_order``.  Pull results are public: at the end
+of each round all agents update on every pull.  So a belief is a prior
+``(alpha0, total0)`` of initial counts plus the one public
+``heads``/``pulls`` record of its game, and under mono and ensemble, where
+the initial counts are shared, all agents hold one posterior and a round
+is the top-n arms of one ranking, which ``take_in_order`` takes.  Under
+poly each agent holds its own prior, and ``play_round`` runs the pick
+loop itself, forming an agent's posterior row only when it moves.  The
+impartial observer is one more shared prior: it counts every distinct
+initial sample set once and reads the same public record, so under mono
+and ensemble it is the agents' own prior.
 
 Regimes differ only in the initial n0 samples per arm and the move order:
 
@@ -25,20 +27,23 @@ Regimes differ only in the initial n0 samples per arm and the move order:
 ``simulate_run(agent_grid, n_arms, n_rounds, n0, streams)`` plays all four
 regimes at every agent count over a block of replicates, one stream per
 replicate, and returns ``(regret, misclassification)`` arrays of shape
-``(len(agent_grid), len(REGIMES), replicates)``.  At each agent count every
-(regime, replicate) pair is one game, the games play in lockstep, and every
-stage function works on a leading game axis.  The draws never depend on the
+``(len(agent_grid), len(REGIMES), replicates)``.  Every (agent count,
+regime, replicate) triple is one game, all games play one lockstep of
+``n_rounds`` rounds, and every stage function works on a leading game
+axis; a game with fewer agents than the grid's largest count leaves the
+rest of its row of claims empty (-1).  The draws never depend on the
 play, so each replicate takes them all before round 0, from its stream in
-this order: the arm means, once, then per agent count, from the snapshot
-taken after them, the per-agent initial sample tensor and one
-``(n_rounds, n_agents)`` uniform block for the rewards.  Mono, poly_fixed
-and ensemble share that block: each reads one ``uniforms(n_agents)`` per
-round at the same stream positions, and one block call returns the same
-values.  Poly_random restores the snapshot taken before the block and
-draws, per round, an order permutation and then ``uniforms(n_agents)``.
-So each agent count reads the stream as a fresh derive would, and the four
-regimes of a replicate share its arm means and sample tensor: cross-regime
-comparisons at one replicate index are paired.
+this order: the arm means, once, then per agent count, in grid order,
+from the snapshot taken after them, the per-agent initial sample tensor
+and one ``(n_rounds, n_agents)`` uniform block for the rewards.  Mono,
+poly_fixed and ensemble share that block: each reads one
+``uniforms(n_agents)`` per round at the same stream positions, and one
+block call returns the same values.  Poly_random restores the snapshot
+taken before the block and draws, per round, an order permutation and
+then ``uniforms(n_agents)``.  So each agent count reads the stream as a
+fresh derive would, and the four regimes of a replicate share its arm
+means and sample tensor: cross-regime comparisons at one replicate index
+are paired.
 """
 
 from __future__ import annotations
@@ -50,28 +55,35 @@ from .streams import check_count, check_grid, check_replicate_bytes
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
 
-# Games are laid out regime-major in this order: the shared-row games first.
+# An agent count's games, regime-major in this order: the shared-row games first.
 _LAYOUT = ("mono", "ensemble", "poly_fixed", "poly_random")
 
 
-def replicate_bytes(n_agents: int, n_arms: int, n_rounds: int) -> int:
-    """A bound on one replicate's array bytes in ``simulate_run`` at up to n_agents agents.
+def replicate_bytes(agent_grid, n_arms: int, n_rounds: int) -> int:
+    """A bound on one replicate's array bytes in ``simulate_run`` over ``agent_grid``.
 
-    Counted in 8-byte numbers over the replicate's four games: 9 per agent
-    and arm (the sample tensor, the poly games' priors, and each round
-    their summed counts, posterior means and ``take_in_order``'s masked
-    copy), 12 per agent and round (the uniform block as drawn and as kept,
-    poly_random's uniforms and orders, the arm log and its realized means)
-    and 32 per arm (arm means, priors, public records and the rankings'
-    temporaries).
+    Every agent count's draws and priors are alive at once.  Counted in
+    8-byte numbers, for N agents over the grid, m counts and n agents at
+    the largest count: 3 per agent and round (the uniform block and
+    poly_random's uniforms and orders) and 1 more at the largest count (a
+    block as the stream returns it); 2 per agent and arm and 2 more at the
+    largest count (the stacked poly priors, and the sample tensor of the
+    count being drawn, as ints, as floats and as the stream returns it);
+    48 per count and arm (the arm means, priors and public records of its
+    four games, and each round's rankings, posteriors and float records)
+    and 40 per count and agent at the largest count (each round's movers,
+    claims, draws, rewards and realized means).
     """
-    return 8 * (9 * n_agents * n_arms + 12 * n_agents * n_rounds + 32 * n_arms)
+    total, counts, widest = sum(agent_grid), len(agent_grid), max(agent_grid)
+    return 8 * ((3 * total + widest) * n_rounds + 2 * (total + widest) * n_arms
+                + 48 * counts * n_arms + 40 * counts * widest)
 
 
 def check_game(agent_grid, n_arms: int, n_rounds: int, n0: int) -> None:
     """Reject bad sizes (n0 may be 0), or a claim game, at its largest agent count, with
     no spare arm, whose pull counts (an arm's reaches 4 + n_agents * n0 + n_rounds, prior
-    included) overflow int64, or whose replicate needs over ``MAX_REPLICATE_BYTES``."""
+    included) reach 2**53, past which a float prior would round, or whose replicate
+    needs over ``MAX_REPLICATE_BYTES``."""
     check_grid(agent_grid, "agents")
     check_count(n_arms, "arms")
     check_count(n_rounds, "rounds")
@@ -79,10 +91,10 @@ def check_game(agent_grid, n_arms: int, n_rounds: int, n0: int) -> None:
     n_agents = max(agent_grid)
     if n_arms <= n_agents:
         raise ValueError(f"need more arms than agents, got {n_arms} arms for {n_agents} agents")
-    if 4 + n_agents * n0 + n_rounds >= 2**63:
+    if 4 + n_agents * n0 + n_rounds >= 2**53:
         raise ValueError(f"n0 = {n0} is too large: 4 + {n_agents} agents x n0 + "
-                         f"{n_rounds} rounds must stay below 2**63")
-    check_replicate_bytes(replicate_bytes(n_agents, n_arms, n_rounds), f"game too large: "
+                         f"{n_rounds} rounds must stay below 2**53")
+    check_replicate_bytes(replicate_bytes(agent_grid, n_arms, n_rounds), f"game too large: "
                           f"{n_agents} agents, {n_arms} arms and {n_rounds} rounds")
 
 
@@ -98,19 +110,20 @@ def draw_arm_means(n_arms: int, streams) -> np.ndarray:
 def init_beliefs(true_means: np.ndarray, n_agents: int, n0: int, streams):
     """Draw each replicate's initial sample tensor; return the games' priors.
 
-    A prior is a pair ``(alpha0, total0)``: Beta(2, 2) plus the initial
-    samples, as int64 ``alpha0`` (2 plus the initial successes) and
-    ``total0`` (4 plus the initial pulls per arm).  ``true_means`` is
-    ``(R, n_arms)``, one row per stream; each stream draws its full
-    per-agent tensor (one binomial block, agent-major).  Returns three
-    priors over the games of ``_LAYOUT``:
+    A prior is a pair ``(alpha0, total0)`` of floats: Beta(2, 2) plus the
+    initial samples, as ``alpha0`` (2 plus the initial successes) and
+    ``total0`` (4 plus the initial pulls per arm).  Counts below 2**53 are
+    exact in a float, so a posterior mean rounds as it would from integers.
+    ``true_means`` is ``(R, n_arms)``, one row per stream; each stream
+    draws its full per-agent tensor (one binomial block, agent-major).
+    Returns three priors over the games of ``_LAYOUT``:
 
     * ``shared``: mono's and ensemble's 2R games, one row each (mono takes
       agent 0's samples, ensemble pools all agents'), ``alpha0`` of shape
       ``(2R, n_arms)`` and ``total0`` of shape ``(2R, 1)``;
-    * ``per_agent``: poly_fixed's and poly_random's 2R games, one row per
-      agent, ``alpha0`` of shape ``(2R, n_agents, n_arms)`` and the int
-      ``total0``;
+    * ``per_agent``: one row per agent of each replicate, which its
+      poly_fixed and poly_random games share, ``alpha0`` of shape
+      ``(R, n_agents, n_arms)`` and the one ``total0``;
     * ``observer``: all 4R games, ``(4R, n_arms)`` and ``(4R, 1)``.  It
       counts the distinct sample sets once: mono's one set, otherwise the
       pool, so under mono and ensemble it is the agents' prior.
@@ -119,13 +132,13 @@ def init_beliefs(true_means: np.ndarray, n_agents: int, n0: int, streams):
     heads = np.empty((reps, n, k), dtype=np.int64)
     for tensor, means, stream in zip(heads, true_means, streams):
         tensor[:] = stream.binomials(n0, np.broadcast_to(means, (n, k)))
-    mono, pooled = 2 + heads[:, 0], 2 + heads.sum(axis=1)
+    alpha0 = heads + 2.0
+    mono, pooled = alpha0[:, 0], heads.sum(axis=1) + 2.0
     # total0 of each game of _LAYOUT: mono's games count one sample set, the rest the pool
-    totals = np.where(np.arange(4 * reps) < reps, 4 + n0, 4 + n * n0)[:, None]
+    totals = np.where(np.arange(4 * reps) < reps, 4.0 + n0, 4.0 + n * n0)[:, None]
     shared = (np.concatenate((mono, pooled)), totals[: 2 * reps])
-    per_agent = (np.tile(2 + heads, (2, 1, 1)), 4 + n0)
     observer = (np.concatenate((mono, pooled, pooled, pooled)), totals)
-    return shared, per_agent, observer
+    return shared, (alpha0, 4.0 + n0), observer
 
 
 def draw_rounds(n_agents: int, n_rounds: int, streams) -> tuple[np.ndarray, np.ndarray]:
@@ -154,66 +167,81 @@ def draw_rounds(n_agents: int, n_rounds: int, streams) -> tuple[np.ndarray, np.n
 def posterior_means(prior: tuple, heads: np.ndarray, pulls: np.ndarray) -> np.ndarray:
     """Posterior means of a prior after the public ``heads`` of ``pulls``."""
     alpha0, total0 = prior
-    # Named, the int64 sum is not reused as the float output buffer: numpy
-    # does that for an unnamed temporary, and the in-place cast is slower.
-    successes = alpha0 + heads
-    return successes / (total0 + pulls)
+    return (alpha0 + heads) / (total0 + pulls)
 
 
-def play_round(shared: tuple, per_agent: tuple, heads, pulls, order) -> np.ndarray:
-    """Claimed arms of every game for one round, ``(games, n_agents)`` in move order.
+def play_round(shared: tuple, per_agent: tuple, heads, pulls, movers) -> np.ndarray:
+    """Claimed arms of every game for one round, ``movers``' shape, in move order.
 
-    The first ``s = len(shared[0])`` games hold one shared posterior row
-    each, and their round is the top-n arms of that row, whatever the order.
-    The rest hold one row per agent and move in ``order``, one row per game:
-    agent ``order[g, i]`` claims ``arms[s + g, i]``.  Each agent takes the
-    unclaimed arm with the highest posterior mean; exact ties go to the
-    lowest arm index (``hiring.take_in_order``).  Beliefs are read, not
-    updated: information propagates only between rounds.
+    ``movers`` has one row per game, and ``movers[g, i]`` is the agent that
+    moves i-th in game g, or -1 past the game's agent count; the claim
+    there is -1 too.  The first ``s = len(shared[0])`` games hold one
+    shared posterior row each, and their round is the top-n arms of that
+    row (``hiring.take_in_order``), whatever the order.  In the rest, the
+    poly games, an agent is its row of ``per_agent``'s ``alpha0``, and
+    those games are sorted by agent count, largest first, so the games
+    still moving at step i are a prefix.  Each agent takes the unclaimed
+    arm with the highest posterior mean, ties to the lowest arm index, as
+    ``take_in_order`` does on the game's own posterior table; its row is
+    formed only when it moves.  Beliefs are read, not updated: information
+    propagates only between rounds.  ``heads`` and ``pulls`` may carry
+    spare columns past the priors' arms; they are not read.
     """
-    s, n = len(shared[0]), order.shape[-1]
-    rows = posterior_means(shared, heads[:s], pulls[:s])
-    tables = posterior_means(per_agent, heads[s:, None], pulls[s:, None])
-    return np.concatenate((
-        take_in_order(rows, np.broadcast_to(np.arange(n), (s, n))),
-        take_in_order(tables, order),
-    ))
+    s, (alpha0, total0) = len(shared[0]), per_agent
+    heads, pulls = heads[:, : alpha0.shape[-1]], pulls[:, : alpha0.shape[-1]]
+    arms = np.full(movers.shape, -1)
+    ranking = take_in_order(posterior_means(shared, heads[:s], pulls[:s]), movers[:s])
+    np.copyto(arms[:s], ranking, where=movers[:s] >= 0)
+    # each poly game's heads as floats, with every arm claimed so far set to
+    # -inf: a mover's posterior of a claimed arm is then -inf
+    unclaimed = heads[s:].astype(float)
+    totals = total0 + pulls[s:]
+    cells, starts = unclaimed.reshape(-1), np.arange(0, unclaimed.size, alpha0.shape[-1])
+    steps = movers[s:].T.copy()  # steps[i]: the poly games' i-th movers
+    for i, n_games in enumerate((steps >= 0).sum(axis=1).tolist()):
+        means = alpha0.take(steps[i, :n_games], axis=0)
+        means += unclaimed[:n_games]
+        means /= totals[:n_games]
+        pick = means.argmax(axis=-1)  # the first (lowest) index on ties
+        cells[starts[:n_games] + pick] = -np.inf
+        arms[s : s + n_games, i] = pick
+    return arms
 
 
 def realize_rewards(arms: np.ndarray, true_means: np.ndarray, draws) -> np.ndarray:
     """Bernoulli reward per claim: its uniform draw below the arm's true mean.
 
     ``arms`` and ``draws`` are ``(games, n_agents)`` in pull order and
-    ``true_means`` is ``(games, n_arms)``.
+    ``true_means`` is ``(games, n_arms)``.  An empty claim (-1) reads the
+    last column.
     """
-    return (draws < np.take_along_axis(true_means, arms, axis=-1)).astype(np.int64)
+    games = np.arange(len(arms))[:, None]
+    return (draws < true_means[games, arms]).astype(np.int64)
 
 
 def observe_and_update(heads: np.ndarray, pulls: np.ndarray, arms, rewards) -> None:
     """Public information: the round's pulls enter each game's record in place.
 
     The arms of one game's round are distinct, so fancy-index increments
-    are safe.
+    are safe; empty claims (-1) all land on the last column, whose count
+    is then not kept.
     """
     games = np.arange(len(arms))[:, None]
     heads[games, arms] += rewards
     pulls[games, arms] += 1
 
 
-def total_bayesian_regret(true_means: np.ndarray, arm_log: np.ndarray) -> np.ndarray:
-    """Per game, the shortfall of realized true means against the top n arms.
+def total_bayesian_regret(true_means: np.ndarray, realized: np.ndarray, n_agents: int,
+                          n_rounds: int) -> np.ndarray:
+    """Per game, the shortfall of its realized true means against the top n arms.
 
-    ``true_means`` is ``(games, n_arms)`` and ``arm_log`` ``(games,
-    n_rounds, n_agents)`` in pull order.  A game's realized means are added
-    one at a time in pull order (``cumsum``): numpy's pairwise ``sum``
-    rounds differently and would change the CSV bytes.
+    ``true_means`` is ``(games, n_arms)`` and ``realized`` is, per game, the
+    sum of the true means of its pulls, added one at a time in pull order:
+    numpy's pairwise ``sum`` rounds differently and would change the CSV
+    bytes.
     """
-    n_games, n_rounds, n_agents = arm_log.shape
     best = np.sort(true_means, axis=-1)[:, -n_agents:].sum(axis=-1)
-    realized = np.take_along_axis(true_means, arm_log.reshape(n_games, n_rounds * n_agents),
-                                  axis=-1)
-    actual = np.cumsum(realized, axis=-1, out=realized)[:, -1] if realized.size else 0.0
-    return n_rounds * best - actual
+    return n_rounds * best - realized
 
 
 def impartial_observer_misclassification(
@@ -243,36 +271,74 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
 
     A game ``check_game`` rejects raises before any draw.  The streams are
     read as the module docstring says, by ``draw_arm_means`` and then, per
-    agent count, ``init_beliefs`` and ``draw_rounds``; then that count's 4R
-    games play their rounds in lockstep on one ``(4R, n_arms)`` public record.
+    agent count, ``init_beliefs`` and ``draw_rounds``.  Then the 4R games
+    of every count play one lockstep on one public record: the shared-row
+    games of each count, then its poly games, each half with the counts
+    largest first.  The record and the arm means carry one spare last
+    column, on which every empty claim lands with a mean of 0.
     """
     check_game(agent_grid, n_arms, n_rounds, n0)
     streams = list(streams)
-    reps = len(streams)
+    reps, width, n_counts = len(streams), max(agent_grid), len(agent_grid)
     true_means = draw_arm_means(n_arms, streams)
     after_means = [stream.state() for stream in streams]
-    regret, mis = [], []
-    game_means = np.tile(true_means, (len(_LAYOUT), 1))
-    # each game's row of `uniforms`: the shared block, or poly_random's own
-    source = np.tile(np.arange(reps), len(_LAYOUT))
-    source[_LAYOUT.index("poly_random") * reps:] += reps
-    for n_agents in agent_grid:
+    by_size = sorted(range(n_counts), key=lambda i: -agent_grid[i])
+    # game g's place: (half, count by size, regime within the half, replicate)
+    games = np.arange(4 * n_counts * reps).reshape(2, n_counts, 2, reps)
+    n_games, half = games.size, games.size // 2
+    shared = (np.empty((half, n_arms)), np.empty((half, 1)))
+    observer = (np.empty((n_games, n_arms)), np.empty((n_games, 1)))
+    per_agent = np.empty((reps * sum(agent_grid), n_arms))
+    # per_agent's first row of each count's agents, by size
+    first = np.cumsum([0] + [reps * agent_grid[i] for i in by_size])
+    movers = np.full((n_games, width), -1)
+    blocks = []  # per count: its place by size, agents, uniforms, orders as per_agent rows
+    for i, n_agents in enumerate(agent_grid):
+        p = by_size.index(i)
         for stream, state in zip(streams, after_means):
             stream.restore(state)
-        shared, per_agent, observer = init_beliefs(true_means, n_agents, n0, streams)
+        count_shared, (alpha0, poly_total), count_observer = init_beliefs(
+            true_means, n_agents, n0, streams)
         uniforms, orders = draw_rounds(n_agents, n_rounds, streams)
-        fixed = np.broadcast_to(np.arange(n_agents), (reps, n_agents))
-        heads, pulls = np.zeros((2, len(game_means), n_arms), dtype=np.int64)  # public records
-        arm_log = np.empty((len(game_means), n_rounds, n_agents), dtype=np.int64)
-        for t in range(n_rounds):
-            order = np.concatenate((fixed, orders[:, t]))  # poly_fixed, then poly_random
-            arms = play_round(shared, per_agent, heads, pulls, order)
-            rewards = realize_rewards(arms, game_means, uniforms[source, t])
-            observe_and_update(heads, pulls, arms, rewards)
-            arm_log[:, t] = arms
-        observer_means = posterior_means(observer, heads, pulls)
-        regret.append(total_bayesian_regret(game_means, arm_log))
-        mis.append(impartial_observer_misclassification(game_means, observer_means, n_agents))
-    shape = (len(agent_grid), len(_LAYOUT), reps)
+        own = games[:, p].ravel()  # this count's games, in _LAYOUT order
+        shared[0][own[: 2 * reps]], shared[1][own[: 2 * reps]] = count_shared
+        observer[0][own], observer[1][own] = count_observer
+        per_agent[first[p] : first[p + 1]] = alpha0.reshape(-1, n_arms)
+        rows = first[p] + n_agents * np.arange(reps)[:, None]  # each replicate's agent 0
+        movers[own[: 2 * reps], :n_agents] = np.arange(n_agents)
+        movers[own[2 * reps : 3 * reps], :n_agents] = rows + np.arange(n_agents)
+        orders += rows[:, :, None]
+        blocks.append((p, n_agents, uniforms, orders))
+    per_agent = (per_agent, poly_total)
+    game_means = np.zeros((n_games, n_arms + 1))
+    game_means[:, :n_arms] = np.tile(true_means, (len(_LAYOUT) * n_counts, 1))
+    heads, pulls = np.zeros((2, n_games, n_arms + 1), dtype=np.int64)  # public records
+    draws = np.zeros((n_games, width))
+    # each game's realized means, summed in pull order: column 0 holds the total
+    realized, each_game = np.zeros((n_games, width + 1)), np.arange(n_games)[:, None]
+    shared_draws = draws[:half].reshape(n_counts, 2, reps, width)
+    poly_draws = draws[half:].reshape(n_counts, 2 * reps, width)
+    random_movers = movers[half:].reshape(n_counts, 2, reps, width)[:, 1]
+    for t in range(n_rounds):
+        for p, n_agents, uniforms, orders in blocks:
+            shared_draws[p, :, :, :n_agents] = uniforms[:reps, t]
+            poly_draws[p, :, :n_agents] = uniforms[:, t]
+            random_movers[p, :, :n_agents] = orders[:, t]
+        arms = play_round(shared, per_agent, heads, pulls, movers)
+        rewards = realize_rewards(arms, game_means, draws)
+        observe_and_update(heads, pulls, arms, rewards)
+        realized[:, 1:] = game_means[each_game, arms]
+        np.cumsum(realized, axis=-1, out=realized)
+        realized[:, 0] = realized[:, -1]
+    observer_means = posterior_means(observer, heads[:, :n_arms], pulls[:, :n_arms])
+    regret = np.empty((n_counts, len(_LAYOUT), reps))
+    mis = np.empty(regret.shape, dtype=np.int64)
+    for i, n_agents in enumerate(agent_grid):
+        own = games[:, by_size.index(i)].ravel()
+        means = game_means[own, :n_arms]
+        regret[i] = total_bayesian_regret(means, realized[own, 0], n_agents,
+                                          n_rounds).reshape(len(_LAYOUT), reps)
+        mis[i] = impartial_observer_misclassification(means, observer_means[own],
+                                                      n_agents).reshape(len(_LAYOUT), reps)
     by_regime = [_LAYOUT.index(regime) for regime in REGIMES]
-    return np.reshape(regret, shape)[:, by_regime], np.reshape(mis, shape)[:, by_regime]
+    return regret[:, by_regime], mis[:, by_regime]

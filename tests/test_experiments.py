@@ -74,9 +74,9 @@ _WORKER_CASES = [
     (HiringConfig(n_candidates=20000, firm_grid=(2,), n_runs=5), (3, 3, 3)),
     # hiring-bandit --arms 6 --rounds 3 --agents 1,2 --runs 5
     (HiringBanditConfig(n_arms=6, n_rounds=3, agent_grid=(1, 2), n_runs=5), (1, 2, 3)),
-    # hiring-bandit --arms 13000 --rounds 2 --agents 1,2 --n0 1 --runs 8: the
+    # hiring-bandit --arms 6000 --rounds 2 --agents 1,2 --n0 1 --runs 8: the
     # block holds three replicates, so eight make three ranges
-    (HiringBanditConfig(n_arms=13000, n_rounds=2, agent_grid=(1, 2), n0=1, n_runs=8),
+    (HiringBanditConfig(n_arms=6000, n_rounds=2, agent_grid=(1, 2), n0=1, n_runs=8),
      (3, 3, 3)),
     # bandit2 --agents 7 --n0 1,3 --k 1,2,3,7 --runs 5: groups of five distinct
     # sizes (7, 4, 3, 2, 1), so the walk cuts at every one
@@ -333,16 +333,20 @@ def _error(build) -> str | None:
     (2, 8, 5, -1),  # negative initial sample count
     (2, 3, 1, 0),  # the smallest playable game
     (31, 100, 200, 5),
-    # an arm's count, 4 + agents x n0 + rounds, must stay below 2**63
+    # an arm's count, 4 + agents x n0 + rounds, must stay below 2**53, where
+    # the float priors hold every integer exactly: at 2 agents and 5 rounds
+    # the largest n0 is 2**52 - 5
     (2, 8, 5, 2**62 - 5),
     (2, 8, 5, 2**62 - 4),
+    (2, 8, 5, 2**52 - 5),
+    (2, 8, 5, 2**52 - 4),
     (3, 8, 5, 10**20),
     # one replicate's arrays, by hiring_bandit.replicate_bytes, must stay
     # within streams.MAX_REPLICATE_BYTES
     (2, 10**11, 1, 0),
     (2, 3, 10**10, 1),
-    (2000, 10000, 1, 1),
-    (32, 100, 10**6, 5),
+    (4000, 10000, 1, 1),
+    (32, 100, 3 * 10**6, 5),
 ])
 def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds, n0):
     model = _error(lambda: hiring_bandit.simulate_run(
@@ -882,11 +886,13 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
             "--runs", "4", "--workers", "2"]
     assert cli.main(args) == 2
     assert "rounds must be >= 1, got 0" in capsys.readouterr().err
-    # counts that would overflow int64 are refused before any replicate runs
+    # counts that would overflow int64 (bandit2) or leave the integers a float
+    # holds exactly (the claim game) are refused before any replicate runs
     for args, n0 in [
         (["bandit2", "--agents", "50", "--k", "1,2", "--n0", "4000000000"], 4000000000),
         (["bandit2", "--n0", f"1,{10**20}"], 10**20),
         (["hiring-bandit", "--n0", "4611686018427387904"], 2**62),
+        (["hiring-bandit", "--n0", "281474976710656"], 2**48),  # 32 x 2**48 is 2**53
         (["hiring-bandit", "--n0", str(10**20), "--runs", "4", "--workers", "2"], 10**20),
     ]:
         assert cli.main(args) == 2, args
@@ -1133,9 +1139,11 @@ _NOT_A_MODE = "mode must be one of 'sequential', 'simultaneous', got 'x'"
     (["bandit2", "--runs", "abc"], None, None, f"runs: {_NOT_AN_INT}"),
     (["bandit2"], {"runs": "abc"}, None, f"runs: {_NOT_AN_INT}"),
     (["bandit2"], None, "abc", f"${cli.ENV_WORKERS}: {_NOT_AN_INT}"),
+    (["bandit2"], None, "0", f"${cli.ENV_WORKERS}: workers must be >= 1, got 0"),
     (["hiring", "--mode", "x"], None, None, _NOT_A_MODE),
     (["hiring"], {"mode": "x"}, None, _NOT_A_MODE),
-], ids=["runs-flag", "runs-file", "workers-env", "mode-flag", "mode-file"])
+], ids=["runs-flag", "runs-file", "workers-env", "workers-env-check", "mode-flag",
+        "mode-file"])
 def test_cli_reads_a_value_the_same_way_from_each_source(argv, data, env, message,
                                                          tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(cli.ENV_WORKERS, raising=False)

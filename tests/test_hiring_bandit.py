@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monolab import experiments
+from monolab import experiments, hiring_bandit
 from monolab.experiments import HiringBanditConfig
+from monolab.hiring import take_in_order
 from monolab.hiring_bandit import (
     REGIMES,
     draw_arm_means,
@@ -27,7 +28,7 @@ from monolab.hiring_bandit import (
 )
 from monolab.streams import derive_stream
 
-from oracles import claim_game_reference
+from oracles import claim_game_reference, take_in_order_sort_scan
 
 
 def streams_for(seed, n_reps):
@@ -45,7 +46,27 @@ def no_pulls(games, k):
 
 def shared_prior(rows, totals):
     """A prior of one shared row per game: ``alpha0`` rows and their ``total0``."""
-    return np.asarray(rows), np.asarray(totals).reshape(len(rows), -1)
+    return np.asarray(rows, dtype=float), np.asarray(totals, dtype=float).reshape(len(rows), -1)
+
+
+def poly_games(tables, orders):
+    """Poly games given as one ``alpha0`` table and move order each, largest
+    first: their ``per_agent`` rows, stacked, and their ``movers``, in which
+    each agent is its row of the stack and -1 fills a shorter game's row."""
+    movers = np.full((len(tables), max(map(len, tables))), -1)
+    start = 0
+    for row, table, order in zip(movers, tables, orders):
+        row[: len(table)] = start + np.asarray(order)
+        start += len(table)
+    return np.concatenate(tables).astype(float), movers
+
+
+def with_shared(width, n_agents, poly_movers):
+    """``movers`` for shared games of ``n_agents`` agents each, then the poly games'."""
+    shared = np.full((len(n_agents), width), -1)
+    for row, n in zip(shared, n_agents):
+        row[:n] = np.arange(n)
+    return np.concatenate((shared, poly_movers))
 
 
 def best_unclaimed_in_move_order(means, order, arms):
@@ -66,8 +87,8 @@ def test_simulate_run_rejects_before_any_draw():
         ({"agent_grid": (2, 5), "n_arms": 5}, "need more arms than agents"),
         ({"n_rounds": 0}, "rounds must be >= 1"),
         ({"n0": -1}, "n0 must be >= 0"),
-        # 4 + 4 agents x n0 + 3 rounds reaches 2**63: the counts overflow int64
-        ({"n0": 2**61 - 1}, "n0 = 2305843009213693951 is too large"),
+        # 4 + 4 agents x n0 + 3 rounds reaches 2**53: a float prior would round
+        ({"n0": 2**51 - 1}, "n0 = 2251799813685247 is too large"),
         ({"n0": 10**20}, "n0 = 100000000000000000000 is too large"),
         # one replicate's arrays would not fit the bound
         ({"n_arms": 10**11}, "game too large: 4 agents, 100000000000 arms and 3 rounds"),
@@ -98,10 +119,11 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
     (shared_alpha, shared_total), (poly_alpha, poly_total) = shared, per_agent
     obs_alpha, obs_total = observer
     assert shared_alpha.shape == (2 * reps, k) and shared_total.shape == (2 * reps, 1)
-    assert poly_alpha.shape == (2 * reps, n, k) and isinstance(poly_total, int)
+    assert poly_alpha.shape == (reps, n, k) and isinstance(poly_total, float)
     assert obs_alpha.shape == (4 * reps, k) and obs_total.shape == (4 * reps, 1)
-    for prior in (shared, per_agent, observer):
-        assert prior[0].dtype == np.int64
+    # float priors: their counts stay below 2**53, so they are exact
+    for array in (*shared, poly_alpha, *observer):
+        assert array.dtype == np.float64
 
     for r in range(reps):
         # replicate r's tensor is drawn from its stream, after its arm means
@@ -110,22 +132,21 @@ def test_init_beliefs_pairs_regimes_on_one_tensor():
         tensor = stream.binomials(n0, np.broadcast_to(means[r], (n, k)))
         pooled = tensor.sum(axis=0)
         # games run mono, ensemble, poly_fixed, poly_random, each over the replicates
-        mono, ensemble, poly_fixed, poly_random = (r + g * reps for g in range(4))
+        mono, ensemble, *poly = (r + g * reps for g in range(4))
         # mono shares the first independent sample row among all agents
         assert np.array_equal(shared_alpha[mono] - 2, tensor[0])
         assert shared_total[mono, 0] == 4 + n0
         # ensemble pools all rows
         assert np.array_equal(shared_alpha[ensemble] - 2, pooled)
         assert shared_total[ensemble, 0] == 4 + n * n0
-        # both poly regimes keep one row per agent, from the same tensor
-        assert np.array_equal(poly_alpha[poly_fixed - 2 * reps] - 2, tensor)
-        assert np.array_equal(poly_alpha[poly_random - 2 * reps] - 2, tensor)
+        # both poly regimes read one row per agent of the same tensor
+        assert np.array_equal(poly_alpha[r] - 2, tensor)
         assert poly_total == 4 + n0
         # the observer counts mono's one set, otherwise the pool: under mono
         # and ensemble it is the agents' own prior
         assert np.array_equal(obs_alpha[mono], shared_alpha[mono])
         assert np.array_equal(obs_alpha[ensemble], shared_alpha[ensemble])
-        for game in (ensemble, poly_fixed, poly_random):
+        for game in (ensemble, *poly):
             assert np.array_equal(obs_alpha[game] - 2, pooled)
             assert obs_total[game, 0] == 4 + n * n0
         assert obs_total[mono, 0] == 4 + n0
@@ -156,65 +177,106 @@ def test_draw_rounds_reads_each_stream_in_the_documented_order():
 
 
 def test_play_round_takes_best_then_next_best():
-    alpha = np.full(10, 2, dtype=np.int64)
+    alpha = np.full(10, 2.0)
     alpha[3] = 50  # clear best arm
     alpha[7] = 20  # clear runner-up
     total = alpha + 2
-    shared = (alpha[None], total[None])
-    per_agent = (np.tile(alpha, (2, 2, 1)), np.tile(total, (2, 2, 1)))
     # one shared game, then two per-agent games moving in either order
-    arms = play_round(shared, per_agent, *no_pulls(3, 10), np.array([[0, 1], [1, 0]]))
+    alpha0, movers = poly_games([np.tile(alpha, (2, 1))] * 2, [[0, 1], [1, 0]])
+    arms = play_round((alpha[None], total[None]), (alpha0, total), *no_pulls(3, 10),
+                      with_shared(2, [2], movers))
     assert arms.tolist() == [[3, 7]] * 3
 
 
 def test_play_round_breaks_ties_toward_lower_arm():
     shared = shared_prior(np.full((1, 5), 2), [4])
-    per_agent = (np.full((1, 3, 5), 2), 4)
+    alpha0, movers = poly_games([np.full((3, 5), 2)], [[2, 0, 1]])
     # agents 2, 0, 1 move in that order and take arms 0, 1, 2
-    arms = play_round(shared, per_agent, *no_pulls(2, 5), np.array([[2, 0, 1]]))
+    arms = play_round(shared, (alpha0, 4.0), *no_pulls(2, 5), with_shared(3, [3], movers))
     assert arms.tolist() == [[0, 1, 2], [0, 1, 2]]
     # a public record that ties two arms again also resolves to the lower one
     heads = np.array([[0, 3, 3, 0]] * 2)
     pulls = np.array([[0, 3, 3, 0]] * 2)
     shared = shared_prior(np.full((1, 4), 2), [4])
-    tied = (np.full((1, 2, 4), 2), 4)
-    arms = play_round(shared, tied, heads, pulls, np.array([[1, 0]]))
+    alpha0, movers = poly_games([np.full((2, 4), 2)], [[1, 0]])
+    arms = play_round(shared, (alpha0, 4.0), heads, pulls, with_shared(2, [2], movers))
     assert arms.tolist() == [[1, 2]] * 2
 
 
 def test_play_round_claims_distinct_arms():
     gen = np.random.default_rng(5)
-    games, n, k = 25, 5, 9
-    alpha = gen.integers(2, 30, size=(games, n, k)).astype(np.int64)
-    beta = gen.integers(2, 30, size=(games, n, k)).astype(np.int64)
-    order = np.array([gen.permutation(n) for _ in range(games)])
-    heads = gen.integers(0, 4, size=(games + 1, k))
-    pulls = heads + gen.integers(0, 4, size=(games + 1, k))
-    shared = shared_prior(alpha[:1, 0], [4])
-    per_agent = (alpha, alpha + beta)
-    arms = play_round(shared, per_agent, heads, pulls, order)
-    assert arms.shape == (games + 1, n)
-    means = posterior_means(per_agent, heads[1:, None], pulls[1:, None])
-    for g in range(games):
-        assert len(set(arms[g + 1].tolist())) == n
-        # arms[g, i] belongs to order[g, i]: agents claim in move order
-        assert best_unclaimed_in_move_order(means[g], order[g], arms[g + 1])
+    counts, k = [5] * 10 + [3] * 10 + [1] * 5, 9
+    tables = [gen.integers(2, 30, size=(n, k)) for n in counts]
+    orders = [gen.permutation(n) for n in counts]
+    heads = gen.integers(0, 4, size=(len(counts) + 1, k))
+    pulls = heads + gen.integers(0, 4, size=(len(counts) + 1, k))
+    shared = shared_prior(tables[0][:1], [60])
+    alpha0, movers = poly_games(tables, orders)
+    arms = play_round(shared, (alpha0, 60.0), heads, pulls, with_shared(5, [5], movers))
+    assert arms.shape == (len(counts) + 1, 5)
+    for g, (table, order) in enumerate(zip(tables, orders), start=1):
+        n, claims = len(order), arms[g]
+        assert len(set(claims[:n].tolist())) == n
+        assert np.all(claims[n:] == -1)  # a shorter game claims nothing past its agents
+        # claims[i] belongs to order[i]: agents claim in move order
+        means = posterior_means((table, 60), heads[g], pulls[g])
+        assert best_unclaimed_in_move_order(means, order, claims)
         # each game plays as it would alone
-        alone = play_round(shared, (alpha[g:g + 1], (alpha + beta)[g:g + 1]),
-                           heads[[0, g + 1]], pulls[[0, g + 1]], order[g:g + 1])
-        assert np.array_equal(alone[1], arms[g + 1])
-        assert np.array_equal(alone[0], arms[0])
+        one_alpha, one_movers = poly_games([table], [order])
+        alone = play_round(shared, (one_alpha, 60.0), heads[[0, g]], pulls[[0, g]],
+                           with_shared(n, [n], one_movers))
+        assert np.array_equal(alone[1], claims[:n])
+        assert np.array_equal(alone[0], arms[0, :n])
+
+
+@st.composite
+def poly_rounds(draw):
+    """1-4 poly games of 1-5 agents each, largest first, and their public
+    records: small counts, so that posterior means tie often."""
+    counts = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)), reverse=True)
+    k = draw(st.integers(counts[0] + 1, counts[0] + 4))
+    row = st.lists(st.integers(2, 5), min_size=k, max_size=k)
+    tables = [np.array([draw(row) for _ in range(n)]) for n in counts]
+    orders = [draw(st.permutations(range(n))) for n in counts]
+    pulls = np.array([draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+                      for _ in counts])
+    heads = np.array([[draw(st.integers(0, p)) for p in row] for row in pulls.tolist()])
+    return tables, orders, heads, pulls
+
+
+@given(poly_rounds())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_play_round_picks_as_take_in_order_on_each_games_own_table(game):
+    # the poly loop forms each mover's row as it moves; a game's claims are
+    # still the one pick rule's on that game's posterior table
+    tables, orders, heads, pulls = game
+    alpha0, movers = poly_games(tables, orders)
+    width, k = movers.shape[1], heads.shape[1]
+    # one shared game in front, and a spare column that is not read
+    records = [np.hstack((np.vstack((np.zeros((1, k), dtype=np.int64), x)),
+                          np.full((len(x) + 1, 1), 99))) for x in (heads, pulls)]
+    shared = shared_prior(np.full((1, k), 2), [4])
+    arms = play_round(shared, (alpha0, 6.0), *records, with_shared(width, [width], movers))
+    assert arms[0].tolist() == list(range(width))
+    for claims, table, order, game_heads, game_pulls in zip(arms[1:], tables, orders,
+                                                          heads, pulls):
+        posterior = posterior_means((table, 6), game_heads, game_pulls)
+        n = len(order)
+        assert claims[:n].tolist() == take_in_order(posterior, order).tolist()
+        assert claims[:n].tolist() == take_in_order_sort_scan(posterior, list(order))
+        assert np.all(claims[n:] == -1)
 
 
 def test_identical_beliefs_claim_same_arm_set_in_any_order():
     gen = np.random.default_rng(6)
-    row_alpha = gen.integers(2, 40, size=8).astype(np.int64)
-    row_beta = gen.integers(2, 40, size=8).astype(np.int64)
+    row_alpha = gen.integers(2, 40, size=8)
+    row_beta = gen.integers(2, 40, size=8)
     orders = np.array([np.arange(4)] + [np.random.default_rng(s).permutation(4)
                                         for s in range(5)])
-    per_agent = (np.tile(row_alpha, (6, 4, 1)), np.tile(row_alpha + row_beta, (6, 4, 1)))
-    shared = (row_alpha[None], (row_alpha + row_beta)[None])
-    arms = play_round(shared, per_agent, *no_pulls(7, 8), orders)
+    alpha0, movers = poly_games([np.tile(row_alpha, (4, 1))] * 6, orders)
+    shared = shared_prior(row_alpha[None], (row_alpha + row_beta)[None])
+    arms = play_round(shared, (alpha0, row_alpha + row_beta), *no_pulls(7, 8),
+                      with_shared(4, [4], movers))
     base = arms[0].tolist()
     assert arms[1].tolist() == base  # the fixed order reproduces the shared ranking
     for game in arms[2:]:
@@ -240,6 +302,12 @@ def test_observe_and_update_is_public_and_keeps_shared_rows_shared():
             assert np.array_equal(row, game[0])
     # the initial counts are left alone
     assert np.all(alpha0 == 4) and prior[1] == 8
+    # an empty claim (-1) lands on the spare last column and on no arm
+    spare_heads, spare_pulls = no_pulls(2, 7)
+    observe_and_update(spare_heads, spare_pulls, np.array([[2, -1], [-1, -1]]),
+                       np.array([[1, 0], [0, 1]]))
+    assert spare_heads[:, :6].tolist() == [[0, 0, 1, 0, 0, 0], [0] * 6]
+    assert spare_pulls[:, :6].tolist() == [[0, 0, 1, 0, 0, 0], [0] * 6]
 
 
 def test_realize_rewards_degenerate_means():
@@ -251,33 +319,50 @@ def test_realize_rewards_degenerate_means():
     means = np.array([[0.5, 0.2]])
     rewards = realize_rewards(np.array([[0, 1]]), means, np.array([[0.4, 0.2]]))
     assert rewards.tolist() == [[1, 0]]
+    # an empty claim reads the spare last column, a mean of 0: it never pays
+    means = np.array([[0.5, 0.2, 0.0]])
+    rewards = realize_rewards(np.array([[0, -1]]), means, np.array([[0.4, 0.0]]))
+    assert rewards.tolist() == [[1, 0]]
 
 
 def test_total_bayesian_regret_zero_when_top_arms_always_claimed():
     means = np.array([[0.9, 0.7, 0.3, 0.1]] * 2)
-    arm_log = np.array([[[0, 1], [0, 1]], [[0, 2], [0, 1]]])
-    regret = total_bayesian_regret(means, arm_log)
+    # two rounds of two agents: the top two arms each round, or arms 0, 2 then 0, 1
+    realized = np.array([0.9 + 0.7 + 0.9 + 0.7, 0.9 + 0.3 + 0.9 + 0.7])
+    regret = total_bayesian_regret(means, realized, 2, 2)
     assert regret[0] == pytest.approx(0.0)
     assert regret[1] == pytest.approx(0.4)
 
 
-def test_total_bayesian_regret_adds_in_pull_order():
-    gen = np.random.default_rng(1)
-    means = gen.random((3, 40))
-    arm_log = gen.integers(0, 40, size=(3, 10, 4))
-    regret = total_bayesian_regret(means, arm_log)
-    for g in range(3):
+def test_total_bayesian_regret_adds_in_pull_order(monkeypatch):
+    # simulate_run keeps one running total per game, onto which each round's
+    # realized means go one at a time in pull order
+    logs, play = [], hiring_bandit.play_round
+
+    def logged(*args):
+        logs.append(play(*args))
+        return logs[-1]
+
+    monkeypatch.setattr(hiring_bandit, "play_round", logged)
+    n_agents, n_arms, n_rounds, reps = 4, 40, 10, 3
+    means = draw_arm_means(n_arms, streams_for(1, reps))
+    regret, _ = simulate_run((n_agents,), n_arms, n_rounds, 2, streams_for(1, reps))
+    assert len(logs) == n_rounds
+    arm_log = np.stack(logs, axis=1)  # (games, rounds, agents)
+    # one agent count's games run mono, ensemble, poly_fixed, poly_random
+    layout = ("mono", "ensemble", "poly_fixed", "poly_random")
+    pairwise = []
+    for g, game_log in enumerate(arm_log):
+        row = means[g % reps]
         realized = 0.0
-        for arm in arm_log[g].ravel().tolist():
-            realized += float(means[g, arm])
-        best = float(np.sort(means[g])[-4:].sum())
-        assert regret[g] == 10 * best - realized
-    # numpy's pairwise sum rounds differently on this log, so it is no substitute
-    assert realized != float(np.sum(means[2][arm_log[2]]))
-    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 round differently
-    means = np.array([[0.1, 0.2, 0.3, 0.0]] * 2)
-    regret = total_bayesian_regret(means, np.array([[[0, 1, 2]], [[2, 1, 0]]]))
-    assert regret[0] == 0.0 and regret[1] != 0.0
+        for arm in game_log.ravel().tolist():
+            realized += float(row[arm])
+        best = float(np.sort(row)[-n_agents:].sum())
+        assert regret[0, REGIMES.index(layout[g // reps]), g % reps] == n_rounds * best - realized
+        pairwise.append(realized == float(np.sum(row[game_log])))
+    # numpy's pairwise sum rounds differently on some of these logs, so it is
+    # no substitute
+    assert not all(pairwise)
 
 
 def test_total_bayesian_regret_best_sum_matches_one_game_at_a_time():
@@ -286,11 +371,11 @@ def test_total_bayesian_regret_best_sum_matches_one_game_at_a_time():
     gen = np.random.default_rng(2)
     for n_agents in (1, 7, 8, 9, 16, 130):
         means = gen.random((5, n_agents + 3))
-        arm_log = np.zeros((5, 1, n_agents), dtype=np.int64)
-        regret = total_bayesian_regret(means, arm_log)
+        realized = gen.random(5)
+        regret = total_bayesian_regret(means, realized, n_agents, 3)
         for g in range(5):
             best = float(np.sort(means[g])[-n_agents:].sum())
-            assert regret[g] == best - float(np.cumsum(means[g, arm_log[g].ravel()])[-1])
+            assert regret[g] == 3 * best - realized[g]
 
 
 def test_regret_nonnegative_on_random_runs():
@@ -345,6 +430,17 @@ def test_single_agent_regimes_coincide():
         assert np.array_equal(mis[0, row], mis[0, 0])
 
 
+def test_each_count_of_an_unsorted_grid_plays_as_it_would_alone():
+    # every count plays in one lockstep: the one-agent games move only at the
+    # first step of a round, and the five-agent games' claims stop at five
+    grid, game = (20, 5, 10, 1), (50, 100, 5)
+    regret, mis = simulate_run(grid, *game, streams_for(43, 3))
+    for i, n_agents in enumerate(grid):
+        alone_regret, alone_mis = simulate_run((n_agents,), *game, streams_for(43, 3))
+        assert np.array_equal(regret[i], alone_regret[0]), n_agents
+        assert np.array_equal(mis[i], alone_mis[0]), n_agents
+
+
 def test_simulate_run_deterministic():
     a = run_for(streams_for(37, 4))
     b = run_for(streams_for(37, 4))
@@ -387,10 +483,10 @@ def test_replicate_bytes_bounds_what_simulate_run_allocates(
     n_agents, n_arms, n_rounds, n_reps
 ):
     # numpy reports its array buffers to tracemalloc; a fixed 64 KiB per call
-    # covers the array headers and Python objects of a small game.  Over a
-    # grid, the bound at its largest agent count holds: the arrays of one
-    # count are let go as the next count's replace them.
-    for agent_grid in ((n_agents,), (n_agents, 1), (1, n_agents)):
+    # covers the array headers and Python objects of a small game.  Every
+    # count of a grid plays at once, so the bound is the grid's.
+    for agent_grid in ((n_agents,), (n_agents, 1), (1, n_agents),
+                       (n_agents, n_agents - 1, 1)):
         streams = streams_for(39, n_reps)
         tracemalloc.start()
         try:
@@ -399,7 +495,7 @@ def test_replicate_bytes_bounds_what_simulate_run_allocates(
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= n_reps * replicate_bytes(n_agents, n_arms, n_rounds) + 64 * 1024
+        assert peak <= n_reps * replicate_bytes(agent_grid, n_arms, n_rounds) + 64 * 1024
 
 
 def test_run_experiment_aggregates():
@@ -424,9 +520,9 @@ def test_run_experiment_aggregates():
 
 
 def test_replicate_blocks_do_not_change_the_values():
-    # 5 MiB or so per replicate: the 16 MiB block budget holds three replicates,
+    # 5 MB or so per replicate: the 16 MiB block budget holds three replicates,
     # so the driver plays eight replicates in ranges [0, 2), [2, 5) and [5, 8)
-    agents, n_arms, n_rounds = (1, 2), 13000, 2
+    agents, n_arms, n_rounds = (1, 2), 6000, 2
     cfg = HiringBanditConfig(n_arms=n_arms, n_rounds=n_rounds, agent_grid=agents, n0=1,
                              n_runs=8, master_seed=40)
     assert experiments._BLOCK_BYTES // cfg.replicate_bytes == 3
