@@ -24,13 +24,14 @@ from a row; ``deferred_acceptance`` takes a table only.  Every matcher
 returns the assignment as an int64 array indexed by candidate: the firm
 that hired the candidate, or ``UNMATCHED``.
 
-Sequential hiring takes its picks from ``take_in_order``, the one pick rule
-that the claim game in ``hiring_bandit`` uses too: movers go in turn and
-each takes its best remaining columns.  The claim game's shared rows take
-their picks from it, and its poly rounds run the same loop.  Deferred acceptance, the one
-simultaneous matcher, takes proposers strongest first and stops at the
-first one no full firm would take.  Tie-breaks are deterministic
-everywhere: when scores are equal, the lowest candidate index wins.
+Sequential hiring takes its picks from ``take_in_order``, the one pick
+rule: movers go in turn and each takes its best remaining columns.  The
+claim game in ``hiring_bandit`` runs the same loop on a game axis in
+``play_round``, and its observer ranks arms with ``take_in_order``.
+Deferred acceptance, the one simultaneous matcher, takes proposers
+strongest first and stops at the first one no full firm would take.
+Tie-breaks are deterministic everywhere: when scores are equal, the
+lowest candidate index wins.
 """
 
 from __future__ import annotations
@@ -137,12 +138,14 @@ def take_in_order(scores: np.ndarray, order, capacity: int = 1) -> np.ndarray:
     capacity``) or a table with one row per mover, read through one copy in
     which every taken column is set to -inf.  Callers check the sizes.
 
-    A leading game axis plays many independent shared-row games at once:
+    A leading game axis ranks many independent shared rows at once:
     ``order`` of shape ``(games, movers)`` with ``scores`` of shape
     ``(games, columns)``, and the result has shape ``(games, movers *
-    capacity)``.  Row ``g`` of it equals the call on game ``g`` alone.  The
-    claim game's poly rounds (``hiring_bandit.play_round``) run the table
-    loop on a game axis themselves, each mover's row formed as it moves.
+    capacity)``.  Row ``g`` of it equals the call on game ``g`` alone.  Its
+    one caller is the claim game's impartial observer
+    (``hiring_bandit.impartial_observer_misclassification``); the claim
+    game's rounds (``hiring_bandit.play_round``) run the table loop on a
+    game axis themselves, each mover's row formed as it moves.
     """
     order = np.asarray(order)
     if scores.ndim == order.ndim:  # one shared row (per game)

@@ -5,17 +5,16 @@ are drawn Beta(2, 2).  Each round the agents move in sequence and take the
 unclaimed arm with the highest posterior mean (Beta-Bernoulli beliefs,
 ties to the lowest arm index); an arm claimed earlier in the round is gone
 for everyone after.  That is sequential hiring's rule with arms for
-candidates, ``hiring.take_in_order``.  Pull results are public: at the end
-of each round all agents update on every pull.  So a belief is a prior
-``(alpha0, total0)`` of initial counts plus the one public
-``heads``/``pulls`` record of its game, and under mono and ensemble, where
-the initial counts are shared, all agents hold one posterior and a round
-is the top-n arms of one ranking, which ``take_in_order`` takes.  Under
-poly each agent holds its own prior, and ``play_round`` runs the pick
-loop itself, forming an agent's posterior row only when it moves.  The
-impartial observer is one more shared prior: it counts every distinct
-initial sample set once and reads the same public record, so under mono
-and ensemble it is the agents' own prior.
+candidates, ``hiring.take_in_order``, and ``play_round`` runs it on a
+leading game axis.  Pull results are public: at the end of each round all
+agents update on every pull.  So a belief is a prior row ``alpha0`` with
+its ``total0``, plus the one public ``heads``/``pulls`` record of its
+game, and an agent is the index of its prior row in one stack.  Under
+mono every agent of a game points at agent 0's row, under ensemble at the
+pooled row, and under poly each at its own.  The impartial observer is
+one more prior row and total per game: it counts every distinct initial
+sample set once, so it reads agent 0's row under mono and the pooled row
+otherwise.
 
 Regimes differ only in the initial n0 samples per arm and the move order:
 
@@ -55,9 +54,6 @@ from .streams import check_count, check_grid, check_replicate_bytes
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
 
-# An agent count's games, regime-major in this order: the shared-row games first.
-_LAYOUT = ("mono", "ensemble", "poly_fixed", "poly_random")
-
 
 def replicate_bytes(agent_grid, n_arms: int, n_rounds: int) -> int:
     """A bound on one replicate's array bytes in ``simulate_run`` over ``agent_grid``.
@@ -67,16 +63,18 @@ def replicate_bytes(agent_grid, n_arms: int, n_rounds: int) -> int:
     the largest count: 3 per agent and round (the uniform block and
     poly_random's uniforms and orders) and 1 more at the largest count (a
     block as the stream returns it); 2 per agent and arm and 2 more at the
-    largest count (the stacked poly priors, and the sample tensor of the
+    largest count (the agents' prior rows, and the sample tensor of the
     count being drawn, as ints, as floats and as the stream returns it);
-    48 per count and arm (the arm means, priors and public records of its
-    four games, and each round's rankings, posteriors and float records)
-    and 40 per count and agent at the largest count (each round's movers,
-    claims, draws, rewards and realized means).
+    40 per count and arm (its pooled prior row and the arm means and public
+    records of its four games; each round's float records, totals and two
+    steps' posteriors, then the observer's rows and posteriors; and the
+    final metrics' sorts and rankings) and 40 per count and agent at the
+    largest count (each round's movers, claims, draws, rewards and
+    realized means).
     """
     total, counts, widest = sum(agent_grid), len(agent_grid), max(agent_grid)
     return 8 * ((3 * total + widest) * n_rounds + 2 * (total + widest) * n_arms
-                + 48 * counts * n_arms + 40 * counts * widest)
+                + 40 * counts * n_arms + 40 * counts * widest)
 
 
 def check_game(agent_grid, n_arms: int, n_rounds: int, n0: int) -> None:
@@ -108,37 +106,23 @@ def draw_arm_means(n_arms: int, streams) -> np.ndarray:
 
 
 def init_beliefs(true_means: np.ndarray, n_agents: int, n0: int, streams):
-    """Draw each replicate's initial sample tensor; return the games' priors.
+    """Draw each replicate's initial sample tensor; return its prior rows ``(agents, pooled)``.
 
-    A prior is a pair ``(alpha0, total0)`` of floats: Beta(2, 2) plus the
-    initial samples, as ``alpha0`` (2 plus the initial successes) and
-    ``total0`` (4 plus the initial pulls per arm).  Counts below 2**53 are
-    exact in a float, so a posterior mean rounds as it would from integers.
-    ``true_means`` is ``(R, n_arms)``, one row per stream; each stream
-    draws its full per-agent tensor (one binomial block, agent-major).
-    Returns three priors over the games of ``_LAYOUT``:
-
-    * ``shared``: mono's and ensemble's 2R games, one row each (mono takes
-      agent 0's samples, ensemble pools all agents'), ``alpha0`` of shape
-      ``(2R, n_arms)`` and ``total0`` of shape ``(2R, 1)``;
-    * ``per_agent``: one row per agent of each replicate, which its
-      poly_fixed and poly_random games share, ``alpha0`` of shape
-      ``(R, n_agents, n_arms)`` and the one ``total0``;
-    * ``observer``: all 4R games, ``(4R, n_arms)`` and ``(4R, 1)``.  It
-      counts the distinct sample sets once: mono's one set, otherwise the
-      pool, so under mono and ensemble it is the agents' prior.
+    A prior row is ``alpha0``, Beta(2, 2)'s 2 plus the initial successes
+    per arm, as floats: counts below 2**53 are exact in a float, so a
+    posterior mean rounds as it would from integers.  ``true_means`` is
+    ``(R, n_arms)``, one row per stream; each stream draws its full
+    per-agent tensor (one binomial block, agent-major).  ``agents`` is
+    ``(R, n_agents, n_arms)``, one row per agent's samples, and ``pooled``
+    is ``(R, n_arms)``, the row of all of a replicate's samples.  A row's
+    ``total0``, 4 plus its initial pulls per arm, is 4 + n0 for an agent's
+    row and 4 + n_agents * n0 for the pooled one.
     """
     n, (reps, k) = n_agents, true_means.shape
     heads = np.empty((reps, n, k), dtype=np.int64)
     for tensor, means, stream in zip(heads, true_means, streams):
         tensor[:] = stream.binomials(n0, np.broadcast_to(means, (n, k)))
-    alpha0 = heads + 2.0
-    mono, pooled = alpha0[:, 0], heads.sum(axis=1) + 2.0
-    # total0 of each game of _LAYOUT: mono's games count one sample set, the rest the pool
-    totals = np.where(np.arange(4 * reps) < reps, 4.0 + n0, 4.0 + n * n0)[:, None]
-    shared = (np.concatenate((mono, pooled)), totals[: 2 * reps])
-    observer = (np.concatenate((mono, pooled, pooled, pooled)), totals)
-    return shared, (alpha0, 4.0 + n0), observer
+    return heads + 2.0, heads.sum(axis=1) + 2.0
 
 
 def draw_rounds(n_agents: int, n_rounds: int, streams) -> tuple[np.ndarray, np.ndarray]:
@@ -170,41 +154,36 @@ def posterior_means(prior: tuple, heads: np.ndarray, pulls: np.ndarray) -> np.nd
     return (alpha0 + heads) / (total0 + pulls)
 
 
-def play_round(shared: tuple, per_agent: tuple, heads, pulls, movers) -> np.ndarray:
+def play_round(alpha0, total0, heads, pulls, movers) -> np.ndarray:
     """Claimed arms of every game for one round, ``movers``' shape, in move order.
 
-    ``movers`` has one row per game, and ``movers[g, i]`` is the agent that
-    moves i-th in game g, or -1 past the game's agent count; the claim
-    there is -1 too.  The first ``s = len(shared[0])`` games hold one
-    shared posterior row each, and their round is the top-n arms of that
-    row (``hiring.take_in_order``), whatever the order.  In the rest, the
-    poly games, an agent is its row of ``per_agent``'s ``alpha0``, and
-    those games are sorted by agent count, largest first, so the games
-    still moving at step i are a prefix.  Each agent takes the unclaimed
-    arm with the highest posterior mean, ties to the lowest arm index, as
-    ``take_in_order`` does on the game's own posterior table; its row is
-    formed only when it moves.  Beliefs are read, not updated: information
-    propagates only between rounds.  ``heads`` and ``pulls`` may carry
-    spare columns past the priors' arms; they are not read.
+    ``alpha0`` is a stack of prior rows, and ``movers[g, i]`` is the row of
+    the agent that moves i-th in game g, or -1 past the game's agent count;
+    the claim there is -1 too.  A mono or ensemble game's movers all point
+    at one row.  ``total0`` is ``(games, 1)``, each game's agents' prior
+    pulls per arm.  The games are sorted by agent count, largest first, so
+    the games still moving at step i are a prefix.  Each agent takes the
+    unclaimed arm with the highest posterior mean, ties to the lowest arm
+    index, as ``take_in_order`` does on the game's own posterior table; its
+    row is formed only when it moves.  Beliefs are read, not updated:
+    information propagates only between rounds.  ``heads`` and ``pulls``
+    may carry spare columns past the priors' arms; they are not read.
     """
-    s, (alpha0, total0) = len(shared[0]), per_agent
-    heads, pulls = heads[:, : alpha0.shape[-1]], pulls[:, : alpha0.shape[-1]]
+    k = alpha0.shape[-1]
     arms = np.full(movers.shape, -1)
-    ranking = take_in_order(posterior_means(shared, heads[:s], pulls[:s]), movers[:s])
-    np.copyto(arms[:s], ranking, where=movers[:s] >= 0)
-    # each poly game's heads as floats, with every arm claimed so far set to
+    # each game's heads as floats, with every arm claimed so far set to
     # -inf: a mover's posterior of a claimed arm is then -inf
-    unclaimed = heads[s:].astype(float)
-    totals = total0 + pulls[s:]
-    cells, starts = unclaimed.reshape(-1), np.arange(0, unclaimed.size, alpha0.shape[-1])
-    steps = movers[s:].T.copy()  # steps[i]: the poly games' i-th movers
+    unclaimed = heads[:, :k].astype(float)
+    totals = total0 + pulls[:, :k]
+    cells, starts = unclaimed.reshape(-1), np.arange(0, unclaimed.size, k)
+    steps = movers.T.copy()  # steps[i]: every game's i-th mover
     for i, n_games in enumerate((steps >= 0).sum(axis=1).tolist()):
         means = alpha0.take(steps[i, :n_games], axis=0)
         means += unclaimed[:n_games]
         means /= totals[:n_games]
         pick = means.argmax(axis=-1)  # the first (lowest) index on ties
         cells[starts[:n_games] + pick] = -np.inf
-        arms[s : s + n_games, i] = pick
+        arms[:n_games, i] = pick
     return arms
 
 
@@ -272,10 +251,10 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
     A game ``check_game`` rejects raises before any draw.  The streams are
     read as the module docstring says, by ``draw_arm_means`` and then, per
     agent count, ``init_beliefs`` and ``draw_rounds``.  Then the 4R games
-    of every count play one lockstep on one public record: the shared-row
-    games of each count, then its poly games, each half with the counts
-    largest first.  The record and the arm means carry one spare last
-    column, on which every empty claim lands with a mean of 0.
+    of every count play one lockstep on one public record, laid out by
+    count, largest first, then by regime and replicate, over one stack of
+    every count's prior rows.  The record and the arm means carry one
+    spare last column, on which every empty claim lands with a mean of 0.
     """
     check_game(agent_grid, n_arms, n_rounds, n0)
     streams = list(streams)
@@ -283,62 +262,65 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
     true_means = draw_arm_means(n_arms, streams)
     after_means = [stream.state() for stream in streams]
     by_size = sorted(range(n_counts), key=lambda i: -agent_grid[i])
-    # game g's place: (half, count by size, regime within the half, replicate)
-    games = np.arange(4 * n_counts * reps).reshape(2, n_counts, 2, reps)
-    n_games, half = games.size, games.size // 2
-    shared = (np.empty((half, n_arms)), np.empty((half, 1)))
-    observer = (np.empty((n_games, n_arms)), np.empty((n_games, 1)))
-    per_agent = np.empty((reps * sum(agent_grid), n_arms))
-    # per_agent's first row of each count's agents, by size
-    first = np.cumsum([0] + [reps * agent_grid[i] for i in by_size])
+    # game g's place: (count by size, regime, replicate)
+    games = np.arange(n_counts * len(REGIMES) * reps).reshape(n_counts, len(REGIMES), reps)
+    n_games = games.size
+    # every count's prior rows, by size: per replicate, its agents' rows, then its pooled row
+    first = np.cumsum([0] + [reps * (agent_grid[i] + 1) for i in by_size])
+    alpha0 = np.empty((first[-1], n_arms))
+    # per game: its agents' total0, and the observer's prior row and total0
+    total0, observer_total = np.empty((2, n_games, 1))
+    observer = np.empty(n_games, dtype=np.int64)
     movers = np.full((n_games, width), -1)
-    blocks = []  # per count: its place by size, agents, uniforms, orders as per_agent rows
+    blocks = []  # per count: its place by size, agents, uniforms, orders as alpha0 rows
     for i, n_agents in enumerate(agent_grid):
         p = by_size.index(i)
         for stream, state in zip(streams, after_means):
             stream.restore(state)
-        count_shared, (alpha0, poly_total), count_observer = init_beliefs(
-            true_means, n_agents, n0, streams)
+        rows = alpha0[first[p] : first[p + 1]].reshape(reps, n_agents + 1, n_arms)
+        rows[:, :n_agents], rows[:, n_agents] = init_beliefs(true_means, n_agents, n0, streams)
         uniforms, orders = draw_rounds(n_agents, n_rounds, streams)
-        own = games[:, p].ravel()  # this count's games, in _LAYOUT order
-        shared[0][own[: 2 * reps]], shared[1][own[: 2 * reps]] = count_shared
-        observer[0][own], observer[1][own] = count_observer
-        per_agent[first[p] : first[p + 1]] = alpha0.reshape(-1, n_arms)
-        rows = first[p] + n_agents * np.arange(reps)[:, None]  # each replicate's agent 0
-        movers[own[: 2 * reps], :n_agents] = np.arange(n_agents)
-        movers[own[2 * reps : 3 * reps], :n_agents] = rows + np.arange(n_agents)
-        orders += rows[:, :, None]
+        agent0 = first[p] + (n_agents + 1) * np.arange(reps)[:, None]  # per replicate
+        pooled, one, pool = agent0 + n_agents, 4.0 + n0, 4.0 + n_agents * n0
+        mono, poly_fixed, _, ensemble = games[p]
+        movers[mono, :n_agents] = agent0
+        movers[poly_fixed, :n_agents] = agent0 + np.arange(n_agents)
+        movers[ensemble, :n_agents] = pooled
+        orders += agent0[:, :, None]
+        total0[games[p]], total0[ensemble] = one, pool
+        # the observer counts mono's one sample set, otherwise the pool
+        observer[games[p]], observer_total[games[p]] = pooled[:, 0], pool
+        observer[mono], observer_total[mono] = agent0[:, 0], one
         blocks.append((p, n_agents, uniforms, orders))
-    per_agent = (per_agent, poly_total)
     game_means = np.zeros((n_games, n_arms + 1))
-    game_means[:, :n_arms] = np.tile(true_means, (len(_LAYOUT) * n_counts, 1))
+    game_means[:, :n_arms] = np.tile(true_means, (n_counts * len(REGIMES), 1))
     heads, pulls = np.zeros((2, n_games, n_arms + 1), dtype=np.int64)  # public records
     draws = np.zeros((n_games, width))
     # each game's realized means, summed in pull order: column 0 holds the total
     realized, each_game = np.zeros((n_games, width + 1)), np.arange(n_games)[:, None]
-    shared_draws = draws[:half].reshape(n_counts, 2, reps, width)
-    poly_draws = draws[half:].reshape(n_counts, 2 * reps, width)
-    random_movers = movers[half:].reshape(n_counts, 2, reps, width)[:, 1]
+    count_draws = draws.reshape(n_counts, len(REGIMES), reps, width)
+    random = REGIMES.index("poly_random")
+    random_movers = movers.reshape(count_draws.shape)[:, random]
     for t in range(n_rounds):
         for p, n_agents, uniforms, orders in blocks:
-            shared_draws[p, :, :, :n_agents] = uniforms[:reps, t]
-            poly_draws[p, :, :n_agents] = uniforms[:, t]
+            count_draws[p, :, :, :n_agents] = uniforms[:reps, t]
+            count_draws[p, random, :, :n_agents] = uniforms[reps:, t]
             random_movers[p, :, :n_agents] = orders[:, t]
-        arms = play_round(shared, per_agent, heads, pulls, movers)
+        arms = play_round(alpha0, total0, heads, pulls, movers)
         rewards = realize_rewards(arms, game_means, draws)
         observe_and_update(heads, pulls, arms, rewards)
         realized[:, 1:] = game_means[each_game, arms]
         np.cumsum(realized, axis=-1, out=realized)
         realized[:, 0] = realized[:, -1]
-    observer_means = posterior_means(observer, heads[:, :n_arms], pulls[:, :n_arms])
-    regret = np.empty((n_counts, len(_LAYOUT), reps))
+    observer_means = posterior_means((alpha0[observer], observer_total),
+                                     heads[:, :n_arms], pulls[:, :n_arms])
+    regret = np.empty((n_counts, len(REGIMES), reps))
     mis = np.empty(regret.shape, dtype=np.int64)
     for i, n_agents in enumerate(agent_grid):
-        own = games[:, by_size.index(i)].ravel()
+        own = games[by_size.index(i)].ravel()
         means = game_means[own, :n_arms]
         regret[i] = total_bayesian_regret(means, realized[own, 0], n_agents,
-                                          n_rounds).reshape(len(_LAYOUT), reps)
+                                          n_rounds).reshape(len(REGIMES), reps)
         mis[i] = impartial_observer_misclassification(means, observer_means[own],
-                                                      n_agents).reshape(len(_LAYOUT), reps)
-    by_regime = [_LAYOUT.index(regime) for regime in REGIMES]
-    return regret[:, by_regime], mis[:, by_regime]
+                                                      n_agents).reshape(len(REGIMES), reps)
+    return regret, mis

@@ -325,37 +325,54 @@ def _error(build) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("agents, arms, rounds, n0", [
-    (2, 2, 5, 1),  # no more arms than agents
-    (3, 2, 5, 1),
-    (2, 8, 0, 1),  # no round
-    (2, 8, -3, 1),
-    (2, 8, 5, -1),  # negative initial sample count
-    (2, 3, 1, 0),  # the smallest playable game
-    (31, 100, 200, 5),
+def _first_draw(*args):
+    raise ValueError("first draw")
+
+
+CLAIM_GAMES = [
+    # (agents, arms, rounds, n0, rejected)
+    (2, 2, 5, 1, True),  # no more arms than agents
+    (3, 2, 5, 1, True),
+    (2, 8, 0, 1, True),  # no round
+    (2, 8, -3, 1, True),
+    (2, 8, 5, -1, True),  # negative initial sample count
+    (2, 3, 1, 0, False),  # the smallest playable game
+    (31, 100, 200, 5, False),
     # an arm's count, 4 + agents x n0 + rounds, must stay below 2**53, where
     # the float priors hold every integer exactly: at 2 agents and 5 rounds
     # the largest n0 is 2**52 - 5
-    (2, 8, 5, 2**62 - 5),
-    (2, 8, 5, 2**62 - 4),
-    (2, 8, 5, 2**52 - 5),
-    (2, 8, 5, 2**52 - 4),
-    (3, 8, 5, 10**20),
+    (2, 8, 5, 2**62 - 5, True),
+    (2, 8, 5, 2**62 - 4, True),
+    (2, 8, 5, 2**52 - 5, False),
+    (2, 8, 5, 2**52 - 4, True),
+    (3, 8, 5, 10**20, True),
     # one replicate's arrays, by hiring_bandit.replicate_bytes, must stay
     # within streams.MAX_REPLICATE_BYTES
-    (2, 10**11, 1, 0),
-    (2, 3, 10**10, 1),
-    (4000, 10000, 1, 1),
-    (32, 100, 3 * 10**6, 5),
-])
-def test_claim_game_config_and_model_reject_the_same_games(agents, arms, rounds, n0):
+    (2, 10**11, 1, 0, True),
+    (2, 3, 10**10, 1, True),
+    (4000, 10000, 1, 1, True),
+    (2000, 10000, 1, 1, False),  # 0.60 of the bound
+    (32, 100, 3 * 10**6, 5, True),
+    (32, 100, 10**6, 5, False),  # 0.98 of the bound
+]
+
+
+@pytest.mark.parametrize("agents, arms, rounds, n0, rejected", CLAIM_GAMES,
+                         ids=["-".join(map(str, game[:4])) for game in CLAIM_GAMES])
+def test_claim_game_config_and_model_reject_the_same_games(
+    agents, arms, rounds, n0, rejected, monkeypatch
+):
+    # A game the model accepts stops at its first draw instead of playing:
+    # near the bound one replicate takes up to 1 GiB.
+    monkeypatch.setattr(hiring_bandit, "draw_arm_means", _first_draw)
     model = _error(lambda: hiring_bandit.simulate_run(
         (1, agents), arms, rounds, n0, [derive_stream(0, 0)]
     ))
     config = _error(lambda: HiringBanditConfig(
         n_arms=arms, n_rounds=rounds, agent_grid=(1, agents), n0=n0
     ))
-    assert model == config
+    assert model == (config or "first draw")
+    assert (config is not None) == rejected
 
 
 HIRING_MARKETS = [
@@ -379,10 +396,6 @@ HIRING_MARKETS = [
     ("sequential", 200, 64, True, 1e307),
     ("sequential", 200, 64, False, 1e305),
 ]
-
-
-def _first_draw(n_candidates, stream):
-    raise ValueError("first draw")
 
 
 # The ids leave out the default noise sd.

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monolab import experiments, hiring_bandit
@@ -44,29 +44,22 @@ def no_pulls(games, k):
     return np.zeros((games, k), dtype=np.int64), np.zeros((games, k), dtype=np.int64)
 
 
-def shared_prior(rows, totals):
-    """A prior of one shared row per game: ``alpha0`` rows and their ``total0``."""
-    return np.asarray(rows, dtype=float), np.asarray(totals, dtype=float).reshape(len(rows), -1)
-
-
-def poly_games(tables, orders):
-    """Poly games given as one ``alpha0`` table and move order each, largest
-    first: their ``per_agent`` rows, stacked, and their ``movers``, in which
-    each agent is its row of the stack and -1 fills a shorter game's row."""
-    movers = np.full((len(tables), max(map(len, tables))), -1)
+def stacked(tables, orders):
+    """Games given as an ``alpha0`` table and a move order of its rows each,
+    largest first: the tables, stacked, and the games' ``movers``, in which
+    each agent is its row of the stack and -1 fills a shorter game's row.
+    A shared-row game is a one-row table whose movers are all 0."""
+    movers = np.full((len(tables), max(map(len, orders))), -1)
     start = 0
     for row, table, order in zip(movers, tables, orders):
-        row[: len(table)] = start + np.asarray(order)
+        row[: len(order)] = start + np.asarray(order)
         start += len(table)
     return np.concatenate(tables).astype(float), movers
 
 
-def with_shared(width, n_agents, poly_movers):
-    """``movers`` for shared games of ``n_agents`` agents each, then the poly games'."""
-    shared = np.full((len(n_agents), width), -1)
-    for row, n in zip(shared, n_agents):
-        row[:n] = np.arange(n)
-    return np.concatenate((shared, poly_movers))
+def totals(games, total):
+    """``total0``: one column of ``total`` prior pulls per arm for ``games`` games."""
+    return np.full((games, 1), float(total))
 
 
 def best_unclaimed_in_move_order(means, order, arms):
@@ -111,53 +104,60 @@ def test_draw_arm_means_range_and_validation():
         draw_arm_means(0, streams_for(31, 1))
 
 
-def test_init_beliefs_pairs_regimes_on_one_tensor():
-    reps, n, k, n0 = 3, 4, 12, 5
+def test_init_beliefs_pairs_regimes_on_one_tensor(monkeypatch):
+    reps, k, n0 = 3, 12, 5
     streams = streams_for(32, reps)
-    means = draw_arm_means(k, streams)
-    shared, per_agent, observer = init_beliefs(means, n, n0, streams)
-    (shared_alpha, shared_total), (poly_alpha, poly_total) = shared, per_agent
-    obs_alpha, obs_total = observer
-    assert shared_alpha.shape == (2 * reps, k) and shared_total.shape == (2 * reps, 1)
-    assert poly_alpha.shape == (reps, n, k) and isinstance(poly_total, float)
-    assert obs_alpha.shape == (4 * reps, k) and obs_total.shape == (4 * reps, 1)
-    # float priors: their counts stay below 2**53, so they are exact
-    for array in (*shared, poly_alpha, *observer):
-        assert array.dtype == np.float64
+    agents, pooled = init_beliefs(draw_arm_means(k, streams), 4, n0, streams)
+    # float rows: their counts stay below 2**53, so they are exact
+    assert agents.shape == (reps, 4, k) and pooled.shape == (reps, k)
+    assert agents.dtype == pooled.dtype == np.float64
+    # the pooled row counts every agent's samples over one Beta(2, 2)
+    assert np.array_equal(pooled, agents.sum(axis=1) - 2 * (4 - 1))
 
-    for r in range(reps):
-        # replicate r's tensor is drawn from its stream, after its arm means
-        stream = derive_stream(32, r)
-        stream.betas(k, 2.0, 2.0)
-        tensor = stream.binomials(n0, np.broadcast_to(means[r], (n, k)))
-        pooled = tensor.sum(axis=0)
-        # games run mono, ensemble, poly_fixed, poly_random, each over the replicates
-        mono, ensemble, *poly = (r + g * reps for g in range(4))
-        # mono shares the first independent sample row among all agents
-        assert np.array_equal(shared_alpha[mono] - 2, tensor[0])
-        assert shared_total[mono, 0] == 4 + n0
-        # ensemble pools all rows
-        assert np.array_equal(shared_alpha[ensemble] - 2, pooled)
-        assert shared_total[ensemble, 0] == 4 + n * n0
-        # both poly regimes read one row per agent of the same tensor
-        assert np.array_equal(poly_alpha[r] - 2, tensor)
-        assert poly_total == 4 + n0
-        # the observer counts mono's one set, otherwise the pool: under mono
-        # and ensemble it is the agents' own prior
-        assert np.array_equal(obs_alpha[mono], shared_alpha[mono])
-        assert np.array_equal(obs_alpha[ensemble], shared_alpha[ensemble])
-        for game in (ensemble, *poly):
-            assert np.array_equal(obs_alpha[game] - 2, pooled)
-            assert obs_total[game, 0] == 4 + n * n0
-        assert obs_total[mono, 0] == 4 + n0
+    # simulate_run points each regime's movers and observer at those rows
+    seen, play, posterior = {}, hiring_bandit.play_round, hiring_bandit.posterior_means
+
+    def first_round(alpha0, total0, heads, pulls, movers):
+        seen.setdefault("round", (alpha0.copy(), total0.copy(), movers.copy()))
+        return play(alpha0, total0, heads, pulls, movers)
+
+    def observed(prior, heads, pulls):
+        seen["observer"] = prior
+        return posterior(prior, heads, pulls)
+
+    monkeypatch.setattr(hiring_bandit, "play_round", first_round)
+    monkeypatch.setattr(hiring_bandit, "posterior_means", observed)
+    simulate_run((2, 4), k, 3, n0, streams_for(32, reps))
+    (alpha0, total0, movers), (observer, observer_total) = seen["round"], seen["observer"]
+    # the games run by agent count, largest first, then by regime and replicate
+    for p, n in enumerate((4, 2)):
+        for r in range(reps):
+            # replicate r's tensor is drawn from its stream, after its arm means,
+            # and round 0's poly_random order after the tensor
+            stream = derive_stream(32, r)
+            tensor = stream.binomials(n0, np.broadcast_to(stream.betas(k, 2.0, 2.0), (n, k)))
+            order = stream.permutation(n)
+            games = [(p * len(REGIMES) + j) * reps + r for j in range(len(REGIMES))]
+            mono, poly_fixed, poly_random, ensemble = games
+            assert np.all(movers[games, n:] == -1)
+            # mono's agents share agent 0's row, ensemble's the pooled row
+            assert np.array_equal(alpha0[movers[mono, :n]] - 2, [tensor[0]] * n)
+            assert np.array_equal(alpha0[movers[poly_fixed, :n]] - 2, tensor)
+            assert np.array_equal(alpha0[movers[poly_random, :n]] - 2, tensor[order])
+            assert np.array_equal(alpha0[movers[ensemble, :n]] - 2, [tensor.sum(axis=0)] * n)
+            assert total0[games, 0].tolist() == [4 + n0, 4 + n0, 4 + n0, 4 + n * n0]
+            # the observer counts mono's one sample set, otherwise the pool
+            assert np.array_equal(observer[mono] - 2, tensor[0])
+            assert observer_total[mono, 0] == 4 + n0
+            for game in (poly_fixed, poly_random, ensemble):
+                assert np.array_equal(observer[game] - 2, tensor.sum(axis=0))
+                assert observer_total[game, 0] == 4 + n * n0
 
 
 def test_init_beliefs_zero_samples():
     means = draw_arm_means(6, streams_for(33, 2))
-    shared, (alpha, total), observer = init_beliefs(means, 2, 0, streams_for(33, 2))
-    assert np.all(alpha == 2) and total == 4
-    for prior_alpha, prior_total in (shared, observer):
-        assert np.all(prior_alpha == 2) and np.all(prior_total == 4)
+    agents, pooled = init_beliefs(means, 2, 0, streams_for(33, 2))
+    assert np.all(agents == 2) and np.all(pooled == 2)
 
 
 def test_draw_rounds_reads_each_stream_in_the_documented_order():
@@ -180,26 +180,23 @@ def test_play_round_takes_best_then_next_best():
     alpha = np.full(10, 2.0)
     alpha[3] = 50  # clear best arm
     alpha[7] = 20  # clear runner-up
-    total = alpha + 2
-    # one shared game, then two per-agent games moving in either order
-    alpha0, movers = poly_games([np.tile(alpha, (2, 1))] * 2, [[0, 1], [1, 0]])
-    arms = play_round((alpha[None], total[None]), (alpha0, total), *no_pulls(3, 10),
-                      with_shared(2, [2], movers))
+    # one shared-row game, then two per-agent games moving in either order
+    alpha0, movers = stacked([alpha[None]] + [np.tile(alpha, (2, 1))] * 2,
+                             [[0, 0], [0, 1], [1, 0]])
+    arms = play_round(alpha0, totals(3, 60), *no_pulls(3, 10), movers)
     assert arms.tolist() == [[3, 7]] * 3
 
 
 def test_play_round_breaks_ties_toward_lower_arm():
-    shared = shared_prior(np.full((1, 5), 2), [4])
-    alpha0, movers = poly_games([np.full((3, 5), 2)], [[2, 0, 1]])
-    # agents 2, 0, 1 move in that order and take arms 0, 1, 2
-    arms = play_round(shared, (alpha0, 4.0), *no_pulls(2, 5), with_shared(3, [3], movers))
+    # a shared row, then agents 2, 0, 1 moving in that order: arms 0, 1, 2
+    alpha0, movers = stacked([np.full((1, 5), 2), np.full((3, 5), 2)], [[0] * 3, [2, 0, 1]])
+    arms = play_round(alpha0, totals(2, 4), *no_pulls(2, 5), movers)
     assert arms.tolist() == [[0, 1, 2], [0, 1, 2]]
     # a public record that ties two arms again also resolves to the lower one
     heads = np.array([[0, 3, 3, 0]] * 2)
     pulls = np.array([[0, 3, 3, 0]] * 2)
-    shared = shared_prior(np.full((1, 4), 2), [4])
-    alpha0, movers = poly_games([np.full((2, 4), 2)], [[1, 0]])
-    arms = play_round(shared, (alpha0, 4.0), heads, pulls, with_shared(2, [2], movers))
+    alpha0, movers = stacked([np.full((1, 4), 2), np.full((2, 4), 2)], [[0, 0], [1, 0]])
+    arms = play_round(alpha0, totals(2, 4), heads, pulls, movers)
     assert arms.tolist() == [[1, 2]] * 2
 
 
@@ -210,9 +207,8 @@ def test_play_round_claims_distinct_arms():
     orders = [gen.permutation(n) for n in counts]
     heads = gen.integers(0, 4, size=(len(counts) + 1, k))
     pulls = heads + gen.integers(0, 4, size=(len(counts) + 1, k))
-    shared = shared_prior(tables[0][:1], [60])
-    alpha0, movers = poly_games(tables, orders)
-    arms = play_round(shared, (alpha0, 60.0), heads, pulls, with_shared(5, [5], movers))
+    alpha0, movers = stacked([tables[0][:1]] + tables, [[0] * 5] + orders)
+    arms = play_round(alpha0, totals(len(counts) + 1, 60), heads, pulls, movers)
     assert arms.shape == (len(counts) + 1, 5)
     for g, (table, order) in enumerate(zip(tables, orders), start=1):
         n, claims = len(order), arms[g]
@@ -222,46 +218,47 @@ def test_play_round_claims_distinct_arms():
         means = posterior_means((table, 60), heads[g], pulls[g])
         assert best_unclaimed_in_move_order(means, order, claims)
         # each game plays as it would alone
-        one_alpha, one_movers = poly_games([table], [order])
-        alone = play_round(shared, (one_alpha, 60.0), heads[[0, g]], pulls[[0, g]],
-                           with_shared(n, [n], one_movers))
+        one_alpha, one_movers = stacked([tables[0][:1], table], [[0] * n, order])
+        alone = play_round(one_alpha, totals(2, 60), heads[[0, g]], pulls[[0, g]], one_movers)
         assert np.array_equal(alone[1], claims[:n])
         assert np.array_equal(alone[0], arms[0, :n])
 
 
 @st.composite
-def poly_rounds(draw):
-    """1-4 poly games of 1-5 agents each, largest first, and their public
-    records: small counts, so that posterior means tie often."""
+def claim_rounds(draw):
+    """1-4 games of 1-5 agents each, largest first, each a poly game or a
+    shared-row one, and their public records: small counts, so that
+    posterior means tie often."""
     counts = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)), reverse=True)
     k = draw(st.integers(counts[0] + 1, counts[0] + 4))
     row = st.lists(st.integers(2, 5), min_size=k, max_size=k)
-    tables = [np.array([draw(row) for _ in range(n)]) for n in counts]
-    orders = [draw(st.permutations(range(n))) for n in counts]
+    shared = [draw(st.booleans()) for _ in counts]
+    tables = [np.array([draw(row) for _ in range(1 if one else n)])
+              for n, one in zip(counts, shared)]
+    orders = [[0] * n if one else draw(st.permutations(range(n)))
+              for n, one in zip(counts, shared)]
     pulls = np.array([draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
                       for _ in counts])
     heads = np.array([[draw(st.integers(0, p)) for p in row] for row in pulls.tolist()])
     return tables, orders, heads, pulls
 
 
-@given(poly_rounds())
+@given(claim_rounds())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_play_round_picks_as_take_in_order_on_each_games_own_table(game):
-    # the poly loop forms each mover's row as it moves; a game's claims are
-    # still the one pick rule's on that game's posterior table
+    # each mover's row is formed as it moves; a game's claims are still the
+    # one pick rule's on that game's posterior table, or on its one shared row
     tables, orders, heads, pulls = game
-    alpha0, movers = poly_games(tables, orders)
-    width, k = movers.shape[1], heads.shape[1]
-    # one shared game in front, and a spare column that is not read
-    records = [np.hstack((np.vstack((np.zeros((1, k), dtype=np.int64), x)),
-                          np.full((len(x) + 1, 1), 99))) for x in (heads, pulls)]
-    shared = shared_prior(np.full((1, k), 2), [4])
-    arms = play_round(shared, (alpha0, 6.0), *records, with_shared(width, [width], movers))
-    assert arms[0].tolist() == list(range(width))
-    for claims, table, order, game_heads, game_pulls in zip(arms[1:], tables, orders,
+    alpha0, movers = stacked(tables, orders)
+    # a spare column that is not read
+    records = [np.hstack((x, np.full((len(x), 1), 99))) for x in (heads, pulls)]
+    arms = play_round(alpha0, totals(len(tables), 6), *records, movers)
+    for claims, table, order, game_heads, game_pulls in zip(arms, tables, orders,
                                                           heads, pulls):
         posterior = posterior_means((table, 6), game_heads, game_pulls)
         n = len(order)
+        if len(table) < n:  # a shared row: take_in_order's row branch
+            posterior, order = posterior[0], list(range(n))
         assert claims[:n].tolist() == take_in_order(posterior, order).tolist()
         assert claims[:n].tolist() == take_in_order_sort_scan(posterior, list(order))
         assert np.all(claims[n:] == -1)
@@ -269,14 +266,11 @@ def test_play_round_picks_as_take_in_order_on_each_games_own_table(game):
 
 def test_identical_beliefs_claim_same_arm_set_in_any_order():
     gen = np.random.default_rng(6)
-    row_alpha = gen.integers(2, 40, size=8)
-    row_beta = gen.integers(2, 40, size=8)
-    orders = np.array([np.arange(4)] + [np.random.default_rng(s).permutation(4)
-                                        for s in range(5)])
-    alpha0, movers = poly_games([np.tile(row_alpha, (4, 1))] * 6, orders)
-    shared = shared_prior(row_alpha[None], (row_alpha + row_beta)[None])
-    arms = play_round(shared, (alpha0, row_alpha + row_beta), *no_pulls(7, 8),
-                      with_shared(4, [4], movers))
+    row = gen.integers(2, 40, size=8)
+    orders = [np.arange(4)] + [np.random.default_rng(s).permutation(4) for s in range(5)]
+    # one shared-row game, then six whose agents hold copies of that row
+    alpha0, movers = stacked([row[None]] + [np.tile(row, (4, 1))] * 6, [[0] * 4] + orders)
+    arms = play_round(alpha0, totals(7, 80), *no_pulls(7, 8), movers)
     base = arms[0].tolist()
     assert arms[1].tolist() == base  # the fixed order reproduces the shared ranking
     for game in arms[2:]:
@@ -348,9 +342,7 @@ def test_total_bayesian_regret_adds_in_pull_order(monkeypatch):
     means = draw_arm_means(n_arms, streams_for(1, reps))
     regret, _ = simulate_run((n_agents,), n_arms, n_rounds, 2, streams_for(1, reps))
     assert len(logs) == n_rounds
-    arm_log = np.stack(logs, axis=1)  # (games, rounds, agents)
-    # one agent count's games run mono, ensemble, poly_fixed, poly_random
-    layout = ("mono", "ensemble", "poly_fixed", "poly_random")
+    arm_log = np.stack(logs, axis=1)  # (games, rounds, agents), regime-major
     pairwise = []
     for g, game_log in enumerate(arm_log):
         row = means[g % reps]
@@ -358,7 +350,7 @@ def test_total_bayesian_regret_adds_in_pull_order(monkeypatch):
         for arm in game_log.ravel().tolist():
             realized += float(row[arm])
         best = float(np.sort(row)[-n_agents:].sum())
-        assert regret[0, REGIMES.index(layout[g // reps]), g % reps] == n_rounds * best - realized
+        assert regret[0, g // reps, g % reps] == n_rounds * best - realized
         pairwise.append(realized == float(np.sum(row[game_log])))
     # numpy's pairwise sum rounds differently on some of these logs, so it is
     # no substitute
@@ -449,7 +441,7 @@ def test_simulate_run_deterministic():
     assert not np.array_equal(a[0], c[0])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     agent_grid=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
     extra_arms=st.integers(1, 12),
@@ -458,10 +450,12 @@ def test_simulate_run_deterministic():
     seed=st.integers(0, 2**32 - 1),
     n_reps=st.integers(1, 4),
 )
+@example(agent_grid=[3, 1, 6], extra_arms=2, n_rounds=8, n0=2, seed=43, n_reps=3)
+@example(agent_grid=[4, 2], extra_arms=1, n_rounds=5, n0=0, seed=44, n_reps=2)
 def test_simulate_run_matches_reference(agent_grid, extra_arms, n_rounds, n0, seed, n_reps):
-    # n0 = 0 starts every agent at Beta(2, 2): round one is all ties.  Each
-    # agent count of the grid, in any order, plays as the reference does on
-    # a fresh stream.
+    # n0 = 0 starts every agent at Beta(2, 2): round one is all ties, also
+    # among the agents of a shared row.  Each agent count of the grid, in any
+    # order, plays as the reference does on a fresh stream.
     game = (max(agent_grid) + extra_arms, n_rounds, n0)
     regret, misclassification = simulate_run(agent_grid, *game, streams_for(seed, n_reps))
     assert regret.shape == misclassification.shape == (len(agent_grid), len(REGIMES), n_reps)
