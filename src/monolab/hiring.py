@@ -24,10 +24,9 @@ from a row; ``deferred_acceptance`` takes a table only.  Every matcher
 returns the assignment as an int64 array indexed by candidate: the firm
 that hired the candidate, or ``UNMATCHED``.
 
-Sequential hiring takes its picks from ``take_in_order``, the one pick
-rule: movers go in turn and each takes its best remaining columns.  The
-claim game in ``hiring_bandit`` runs the same loop on a game axis in
-``play_round``, and its observer ranks arms with ``take_in_order``.
+Sequential hiring runs its own pick loop: firms go in turn and each takes
+its best remaining candidates.  The claim game in ``hiring_bandit`` plays
+the same rule with arms for candidates in its own loop, ``play_round``.
 Deferred acceptance, the one simultaneous matcher, takes proposers
 strongest first and stops at the first one no full firm would take.
 Tie-breaks are deterministic everywhere: when scores are equal, the
@@ -55,7 +54,7 @@ def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
     for the largest firm count, though not all of them are alive at once.
     Per (candidate, firm) cell, sequential hiring makes 4: the poly table,
     the noise it is drawn from, the last firm count's table (alive until
-    the new one is made) and ``take_in_order``'s masked copy.  Simultaneous
+    the new one is made) and ``sequential_hire``'s masked copy.  Simultaneous
     hiring makes 15: the same first three, the preference block as tiled,
     as permuted and the last one, and ``deferred_acceptance``'s list copies
     of the table (4: a float and its pointer) and of the preferences (5: a
@@ -129,40 +128,6 @@ def _check_matcher_input(scores, capacity: int) -> np.ndarray:
     return scores
 
 
-def take_in_order(scores: np.ndarray, order, capacity: int = 1) -> np.ndarray:
-    """Columns taken in move order when each mover takes its best remaining ones.
-
-    Every mover in ``order`` takes the ``capacity`` best columns of its row
-    that no earlier mover took, ties to the lowest index.  ``scores`` is one
-    row every mover shares (then the picks are its top ``len(order) *
-    capacity``) or a table with one row per mover, read through one copy in
-    which every taken column is set to -inf.  Callers check the sizes.
-
-    A leading game axis ranks many independent shared rows at once:
-    ``order`` of shape ``(games, movers)`` with ``scores`` of shape
-    ``(games, columns)``, and the result has shape ``(games, movers *
-    capacity)``.  Row ``g`` of it equals the call on game ``g`` alone.  Its
-    one caller is the claim game's impartial observer
-    (``hiring_bandit.impartial_observer_misclassification``); the claim
-    game's rounds (``hiring_bandit.play_round``) run the table loop on a
-    game axis themselves, each mover's row formed as it moves.
-    """
-    order = np.asarray(order)
-    if scores.ndim == order.ndim:  # one shared row (per game)
-        ranking = np.argsort(-scores, axis=-1, kind="stable")
-        return ranking[..., : order.shape[-1] * capacity]
-    remaining = np.array(scores, dtype=float)
-    columns = remaining.T  # columns[c] is column c in every row
-    picks = []
-    for mover in order.tolist():
-        row = remaining[mover]  # a view: it sees every taken column
-        for _ in range(capacity):
-            pick = row.argmax()  # the first (lowest) index on ties
-            picks.append(pick)
-            columns[pick] = -np.inf
-    return np.array(picks, dtype=np.int64)
-
-
 def sequential_hire(
     scores: np.ndarray,
     firm_order,
@@ -173,8 +138,11 @@ def sequential_hire(
     ``scores`` is a (n_firms, n_candidates) table, or one row of candidate
     scores that every firm shares (the mono and ensemble regimes), in which
     case ``firm_order`` alone fixes the firm count.  With the default
-    capacity of one, every firm hires exactly one candidate.  The picks are
-    ``take_in_order``'s, so score ties go to the lowest candidate index.
+    capacity of one, every firm hires exactly one candidate.  Score ties go
+    to the lowest candidate index.  A shared row's firms hire its stable top
+    n_firms x capacity, the first ``capacity`` to the first mover and so on.
+    A table is read through one copy in which every hired candidate is set
+    to -inf, so each firm's ``argmax`` is its best remaining candidate.
     """
     scores = _check_matcher_input(scores, capacity)
     order = np.asarray(firm_order)  # an integer dtype, unless empty: no float or bool
@@ -192,7 +160,18 @@ def sequential_hire(
             f"with capacity {capacity}"
         )
     assignment = np.full(n_candidates, UNMATCHED, dtype=np.int64)
-    assignment[take_in_order(scores, order, capacity)] = np.repeat(order, capacity)
+    if scores.ndim == 1:  # the k-th firm to move hires row k of the stable top
+        top = np.argsort(-scores, kind="stable")[: n_firms * capacity]
+        assignment[top.reshape(n_firms, capacity)] = order[:, None]
+        return assignment
+    remaining = np.array(scores)
+    columns = remaining.T  # columns[c] is candidate c in every row
+    for firm in order.tolist():
+        row = remaining[firm]  # a view: it sees every hired candidate
+        for _ in range(capacity):
+            pick = row.argmax()  # the first (lowest) index on ties
+            assignment[pick] = firm
+            columns[pick] = -np.inf
     return assignment
 
 

@@ -5,13 +5,13 @@ are drawn Beta(2, 2).  Each round the agents move in sequence and take the
 unclaimed arm with the highest posterior mean (Beta-Bernoulli beliefs,
 ties to the lowest arm index); an arm claimed earlier in the round is gone
 for everyone after.  That is sequential hiring's rule with arms for
-candidates, ``hiring.take_in_order``, and ``play_round`` runs it on a
-leading game axis.  Pull results are public: at the end of each round all
-agents update on every pull.  So a belief is a prior row ``alpha0`` with
-its ``total0``, plus the one public ``heads``/``pulls`` record of its
-game, and an agent is the index of its prior row in one stack.  Under
-mono every agent of a game points at agent 0's row, under ensemble at the
-pooled row, and under poly each at its own.  The impartial observer is
+candidates; ``play_round`` runs its own loop of it on a leading game axis.
+Pull results are public: at the end of each round all agents update on
+every pull.  So a belief is a prior row ``alpha0`` with its ``total0``,
+plus the one public ``heads``/``pulls`` record of its game, and an agent
+is the index of its prior row in one stack.  Under mono every agent of a
+game points at agent 0's row, under ensemble at the pooled row, and under
+poly each at its own.  The impartial observer is
 one more prior row and total per game: it counts every distinct initial
 sample set once, so it reads agent 0's row under mono and the pooled row
 otherwise.
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hiring import take_in_order
 from .streams import check_count, check_grid, check_replicate_bytes
 
 REGIMES = ("mono", "poly_fixed", "poly_random", "ensemble")
@@ -164,9 +163,8 @@ def play_round(alpha0, total0, heads, pulls, movers) -> np.ndarray:
     pulls per arm.  The games are sorted by agent count, largest first, so
     the games still moving at step i are a prefix.  Each agent takes the
     unclaimed arm with the highest posterior mean, ties to the lowest arm
-    index, as ``take_in_order`` does on the game's own posterior table; its
-    row is formed only when it moves.  Beliefs are read, not updated:
-    information propagates only between rounds.  ``heads`` and ``pulls``
+    index; its row is formed only when it moves.  Beliefs are read, not
+    updated: information propagates only between rounds.  ``heads`` and ``pulls``
     may carry spare columns past the priors' arms; they are not read.
     """
     k = alpha0.shape[-1]
@@ -187,27 +185,26 @@ def play_round(alpha0, total0, heads, pulls, movers) -> np.ndarray:
     return arms
 
 
-def realize_rewards(arms: np.ndarray, true_means: np.ndarray, draws) -> np.ndarray:
+def realize_rewards(claimed_means: np.ndarray, draws) -> np.ndarray:
     """Bernoulli reward per claim: its uniform draw below the arm's true mean.
 
-    ``arms`` and ``draws`` are ``(games, n_agents)`` in pull order and
-    ``true_means`` is ``(games, n_arms)``.  An empty claim (-1) reads the
-    last column.
+    ``claimed_means`` and ``draws`` are ``(games, n_agents)`` in pull order:
+    the true mean of each claimed arm and its uniform.
     """
-    games = np.arange(len(arms))[:, None]
-    return (draws < true_means[games, arms]).astype(np.int64)
+    return (draws < claimed_means).astype(np.int64)
 
 
-def observe_and_update(heads: np.ndarray, pulls: np.ndarray, arms, rewards) -> None:
+def observe_and_update(heads: np.ndarray, pulls: np.ndarray, cells, rewards) -> None:
     """Public information: the round's pulls enter each game's record in place.
 
-    The arms of one game's round are distinct, so fancy-index increments
-    are safe; empty claims (-1) all land on the last column, whose count
-    is then not kept.
+    ``cells`` are the claims' flat indices into the C-ordered ``(games,
+    n_arms + 1)`` records: game g's arm a is ``(n_arms + 1) * g + a``, so an
+    empty claim (-1) lands on the spare last column of the previous game
+    (of the last game for game 0), whose count is not kept.  A game's arms
+    in a round are distinct, so fancy-index increments are safe.
     """
-    games = np.arange(len(arms))[:, None]
-    heads[games, arms] += rewards
-    pulls[games, arms] += 1
+    heads.reshape(-1)[cells] += rewards
+    pulls.reshape(-1)[cells] += 1
 
 
 def total_bayesian_regret(true_means: np.ndarray, realized: np.ndarray, n_agents: int,
@@ -235,10 +232,9 @@ def impartial_observer_misclassification(
     public pull.  Arms rank by them with ties to the lower index.
     """
     games = np.arange(len(true_means))[:, None]
-    movers = np.broadcast_to(np.arange(n_agents), (len(true_means), n_agents))
     truly_top = np.zeros(true_means.shape, dtype=bool)
-    truly_top[games, take_in_order(true_means, movers)] = True
-    observed = take_in_order(observer_means, movers)
+    truly_top[games, np.argsort(-true_means, axis=-1, kind="stable")[:, :n_agents]] = True
+    observed = np.argsort(-observer_means, axis=-1, kind="stable")[:, :n_agents]
     return n_agents - truly_top[games, observed].sum(axis=-1)
 
 
@@ -254,7 +250,8 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
     of every count play one lockstep on one public record, laid out by
     count, largest first, then by regime and replicate, over one stack of
     every count's prior rows.  The record and the arm means carry one
-    spare last column, on which every empty claim lands with a mean of 0.
+    spare last column with a mean of 0, on which an empty claim's flat cell
+    lands, as ``observe_and_update`` says.
     """
     check_game(agent_grid, n_arms, n_rounds, n0)
     streams = list(streams)
@@ -273,8 +270,8 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
     observer = np.empty(n_games, dtype=np.int64)
     movers = np.full((n_games, width), -1)
     blocks = []  # per count: its place by size, agents, uniforms, orders as alpha0 rows
-    for i, n_agents in enumerate(agent_grid):
-        p = by_size.index(i)
+    for p, i in enumerate(by_size):
+        n_agents = agent_grid[i]
         for stream, state in zip(streams, after_means):
             stream.restore(state)
         rows = alpha0[first[p] : first[p + 1]].reshape(reps, n_agents + 1, n_arms)
@@ -297,7 +294,8 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
     heads, pulls = np.zeros((2, n_games, n_arms + 1), dtype=np.int64)  # public records
     draws = np.zeros((n_games, width))
     # each game's realized means, summed in pull order: column 0 holds the total
-    realized, each_game = np.zeros((n_games, width + 1)), np.arange(n_games)[:, None]
+    realized = np.zeros((n_games, width + 1))
+    first_cell = (n_arms + 1) * np.arange(n_games)[:, None]  # each game's arm 0
     count_draws = draws.reshape(n_counts, len(REGIMES), reps, width)
     random = REGIMES.index("poly_random")
     random_movers = movers.reshape(count_draws.shape)[:, random]
@@ -306,18 +304,18 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
             count_draws[p, :, :, :n_agents] = uniforms[:reps, t]
             count_draws[p, random, :, :n_agents] = uniforms[reps:, t]
             random_movers[p, :, :n_agents] = orders[:, t]
-        arms = play_round(alpha0, total0, heads, pulls, movers)
-        rewards = realize_rewards(arms, game_means, draws)
-        observe_and_update(heads, pulls, arms, rewards)
-        realized[:, 1:] = game_means[each_game, arms]
+        cells = first_cell + play_round(alpha0, total0, heads, pulls, movers)
+        realized[:, 1:] = game_means.take(cells)
+        rewards = realize_rewards(realized[:, 1:], draws)
+        observe_and_update(heads, pulls, cells, rewards)
         np.cumsum(realized, axis=-1, out=realized)
         realized[:, 0] = realized[:, -1]
     observer_means = posterior_means((alpha0[observer], observer_total),
                                      heads[:, :n_arms], pulls[:, :n_arms])
     regret = np.empty((n_counts, len(REGIMES), reps))
     mis = np.empty(regret.shape, dtype=np.int64)
-    for i, n_agents in enumerate(agent_grid):
-        own = games[by_size.index(i)].ravel()
+    for p, i in enumerate(by_size):
+        n_agents, own = agent_grid[i], games[p].ravel()
         means = game_means[own, :n_arms]
         regret[i] = total_bayesian_regret(means, realized[own, 0], n_agents,
                                           n_rounds).reshape(len(REGIMES), reps)

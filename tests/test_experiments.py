@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import dataclasses
 import functools
@@ -120,6 +121,20 @@ def test_models_take_no_streams():
     assert bandit2.simulate_failures((1, 5), (1, 2, 4), 20, []).shape == (2, 3, 0)
     regret, misclassification = hiring_bandit.simulate_run((2, 3), 6, 3, 1, [])
     assert regret.shape == misclassification.shape == (2, 4, 0)
+
+
+def test_models_import_only_streams_from_the_package():
+    # each model owns its loops: none reaches into another model's module
+    package = os.path.dirname(hiring.__file__)
+    for model in ("bandit2", "exact", "hiring", "hiring_bandit"):
+        with open(os.path.join(package, f"{model}.py"), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "monolab"):
+                assert (node.level, node.module) == (1, "streams"), (model, ast.unparse(node))
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "monolab" for a in node.names), model
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch):

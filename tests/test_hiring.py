@@ -19,7 +19,6 @@ from monolab.hiring import (
     score_regime,
     sequential_hire,
     simulate_run,
-    take_in_order,
 )
 from monolab.streams import derive_stream
 
@@ -217,61 +216,18 @@ def hiring_tables(draw):
 @given(hiring_tables())
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 def test_sequential_hire_matches_mask_scan_reference(market):
+    # a second reference sorts each row once and walks it past hired columns
     scores, order, capacity = market
     before = scores.copy()
     expected = sequential_hire_mask_scan(scores, order, capacity)
-    assert sequential_hire(scores, order, capacity).tolist() == expected
+    shared = bool((scores == scores[0]).all())
+    for ranked in [scores, scores[0]][: 1 + shared]:  # the table, then a row all firms share
+        assert sequential_hire(ranked, order, capacity).tolist() == expected
+        picks = take_in_order_sort_scan(ranked, order, capacity)
+        sort_scan = np.full(scores.shape[1], UNMATCHED)
+        sort_scan[picks] = np.repeat(order, capacity)  # the firm behind each pick
+        assert sort_scan.tolist() == expected
     assert np.array_equal(scores, before)  # the caller's table is not masked
-    if (scores == scores[0]).all():
-        shared = sequential_hire(scores[0], order, capacity)
-        assert shared.tolist() == expected
-
-
-@given(hiring_tables())
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-def test_take_in_order_matches_sort_scan_reference(market):
-    # the reference sorts each row once and walks it past claimed columns
-    scores, order, capacity = market
-    before = scores.copy()
-    expected = take_in_order_sort_scan(scores, order, capacity)
-    assert take_in_order(scores, order, capacity).tolist() == expected
-    assert np.array_equal(scores, before)  # the caller's table is not masked
-    if (scores == scores[0]).all():
-        assert take_in_order(scores[0], order, capacity).tolist() == expected
-        assert take_in_order_sort_scan(scores[0], order, capacity) == expected
-
-
-@st.composite
-def game_rows(draw):
-    """1-5 games of 1-6 movers each, one shared row and move order per game,
-    capacity 1-3, scores on a coarse grid (many ties)."""
-    n_games = draw(st.integers(1, 5))
-    n_movers = draw(st.integers(1, 6))
-    capacity = draw(st.integers(1, 3))
-    n_columns = draw(st.integers(n_movers * capacity, n_movers * capacity + 5))
-    cells = st.integers(-3, 3).map(lambda v: v / 2)
-    rows = np.array([draw(st.lists(cells, min_size=n_columns, max_size=n_columns))
-                     for _ in range(n_games)])
-    orders = np.array([draw(st.permutations(range(n_movers))) for _ in range(n_games)])
-    return rows, orders, capacity
-
-
-@given(game_rows())
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-def test_take_in_order_plays_each_game_of_a_game_axis_alone(games):
-    # a leading game axis of one shared row per game: row g of the picks is
-    # game g's own call.  The claim game's poly rounds, which play one table
-    # per game, are checked against take_in_order in test_hiring_bandit.
-    rows, orders, capacity = games
-    before = rows.copy()
-    shared = take_in_order(rows, orders, capacity)
-    assert shared.shape == (len(rows), orders.shape[1] * capacity)
-    assert shared.dtype == np.int64
-    assert np.array_equal(rows, before)
-    for g, order in enumerate(orders):
-        expected = take_in_order_sort_scan(rows[g], order.tolist(), capacity)
-        assert shared[g].tolist() == take_in_order(rows[g], order, capacity).tolist()
-        assert shared[g].tolist() == expected
 
 
 def test_score_regime_ensemble_averages_a_given_poly_table():

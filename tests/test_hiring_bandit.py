@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from monolab import experiments, hiring_bandit
 from monolab.experiments import HiringBanditConfig
-from monolab.hiring import take_in_order
 from monolab.hiring_bandit import (
     REGIMES,
     draw_arm_means,
@@ -55,6 +54,13 @@ def stacked(tables, orders):
         row[: len(order)] = start + np.asarray(order)
         start += len(table)
     return np.concatenate(tables).astype(float), movers
+
+
+def flat_cells(arms, width):
+    """Each claim's flat index into ``(games, width)`` records; an empty
+    claim (-1) is the cell before its game's first."""
+    arms = np.asarray(arms)
+    return width * np.arange(len(arms))[:, None] + arms
 
 
 def totals(games, total):
@@ -245,9 +251,9 @@ def claim_rounds(draw):
 
 @given(claim_rounds())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-def test_play_round_picks_as_take_in_order_on_each_games_own_table(game):
-    # each mover's row is formed as it moves; a game's claims are still the
-    # one pick rule's on that game's posterior table, or on its one shared row
+def test_play_round_picks_as_the_sort_scan_on_each_games_own_table(game):
+    # each mover's row is formed as it moves; a game's claims are still those
+    # of a sort-scan on that game's posterior table, or on its one shared row
     tables, orders, heads, pulls = game
     alpha0, movers = stacked(tables, orders)
     # a spare column that is not read
@@ -257,9 +263,8 @@ def test_play_round_picks_as_take_in_order_on_each_games_own_table(game):
                                                           heads, pulls):
         posterior = posterior_means((table, 6), game_heads, game_pulls)
         n = len(order)
-        if len(table) < n:  # a shared row: take_in_order's row branch
+        if len(table) < n:  # a shared row, which every mover reads
             posterior, order = posterior[0], list(range(n))
-        assert claims[:n].tolist() == take_in_order(posterior, order).tolist()
         assert claims[:n].tolist() == take_in_order_sort_scan(posterior, list(order))
         assert np.all(claims[n:] == -1)
 
@@ -280,10 +285,11 @@ def test_identical_beliefs_claim_same_arm_set_in_any_order():
 def test_observe_and_update_is_public_and_keeps_shared_rows_shared():
     alpha0 = np.full((2, 3, 6), 4)
     prior = (alpha0, 8)
-    heads, pulls = no_pulls(2, 6)
-    observe_and_update(heads, pulls, np.array([[2, 5, 0], [1, 3, 4]]),
+    records = no_pulls(2, 7)  # six arms and the spare column
+    heads, pulls = (x[:, :6] for x in records)
+    observe_and_update(*records, flat_cells([[2, 5, 0], [1, 3, 4]], 7),
                        np.array([[1, 0, 1], [0, 0, 1]]))
-    observe_and_update(heads, pulls, np.array([[2], [4]]), np.array([[1], [1]]))
+    observe_and_update(*records, flat_cells([[2], [4]], 7), np.array([[1], [1]]))
     # each game's record takes only its own pulls
     assert heads.tolist() == [[1, 0, 2, 0, 0, 0], [0, 0, 0, 0, 2, 0]]
     assert pulls.tolist() == [[1, 0, 2, 0, 0, 1], [0, 1, 0, 1, 2, 0]]
@@ -296,27 +302,35 @@ def test_observe_and_update_is_public_and_keeps_shared_rows_shared():
             assert np.array_equal(row, game[0])
     # the initial counts are left alone
     assert np.all(alpha0 == 4) and prior[1] == 8
-    # an empty claim (-1) lands on the spare last column and on no arm
+    # an empty claim (-1) lands on a spare column, the previous game's or,
+    # for game 0, the last game's, and on no arm
     spare_heads, spare_pulls = no_pulls(2, 7)
-    observe_and_update(spare_heads, spare_pulls, np.array([[2, -1], [-1, -1]]),
+    observe_and_update(spare_heads, spare_pulls, flat_cells([[2, -1], [-1, -1]], 7),
                        np.array([[1, 0], [0, 1]]))
     assert spare_heads[:, :6].tolist() == [[0, 0, 1, 0, 0, 0], [0] * 6]
     assert spare_pulls[:, :6].tolist() == [[0, 0, 1, 0, 0, 0], [0] * 6]
+    assert spare_pulls[:, 6].tolist() == [1, 1]
+
+
+def claimed(means, arms):
+    """The true means of the claimed arms, read through their flat cells."""
+    return means.take(flat_cells(arms, means.shape[1]))
 
 
 def test_realize_rewards_degenerate_means():
     means = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
     draws = derive_stream(34, 0).uniforms((2, 3))
-    rewards = realize_rewards(np.array([[0, 1, 2], [1, 2, 0]]), means, draws)
+    rewards = realize_rewards(claimed(means, [[0, 1, 2], [1, 2, 0]]), draws)
     assert rewards.tolist() == [[1, 0, 1], [0, 1, 1]]
     # a claim pays when its draw is below the claimed arm's mean
     means = np.array([[0.5, 0.2]])
-    rewards = realize_rewards(np.array([[0, 1]]), means, np.array([[0.4, 0.2]]))
+    rewards = realize_rewards(claimed(means, [[0, 1]]), np.array([[0.4, 0.2]]))
     assert rewards.tolist() == [[1, 0]]
-    # an empty claim reads the spare last column, a mean of 0: it never pays
-    means = np.array([[0.5, 0.2, 0.0]])
-    rewards = realize_rewards(np.array([[0, -1]]), means, np.array([[0.4, 0.0]]))
-    assert rewards.tolist() == [[1, 0]]
+    # an empty claim reads a spare column, the previous game's or, for game
+    # 0, the last game's, a mean of 0: it never pays
+    means = np.array([[0.5, 0.2, 0.0], [0.9, 0.8, 0.0]])
+    rewards = realize_rewards(claimed(means, [[0, -1], [-1, -1]]), np.zeros((2, 2)))
+    assert rewards.tolist() == [[1, 0], [0, 0]]
 
 
 def test_total_bayesian_regret_zero_when_top_arms_always_claimed():
@@ -405,6 +419,14 @@ def test_observer_misclassification_hand_cases():
     ])
     misclassified = impartial_observer_misclassification(means, observed, 1)
     assert misclassified.tolist() == [0, 1, 1, 0]
+    # ties among 40 arms, past the 16 numpy sorts by insertion, go to the
+    # lowest arms: a flat observer ranks arms 0..4 on top, and one that ties
+    # arms 20..39 ranks arms 20..24 (numpy's default sort takes 24..27 and 31)
+    means = np.linspace(0.9, 0.1, 40)[None].repeat(3, axis=0)
+    means[1], means[2], means[2, 20:25] = means[1, ::-1], 0.1, 0.9
+    observed = np.full((3, 40), 0.5)
+    observed[2, :20] = 0.4
+    assert impartial_observer_misclassification(means, observed, 5).tolist() == [0, 5, 0]
 
 
 def test_observer_full_slate_never_misclassifies():
