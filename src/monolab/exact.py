@@ -16,6 +16,9 @@ from .streams import check_count
 # (5, 3) has 1.7e6 of them and takes about 2 s.
 MAX_PROFILES = 2_000_000
 
+# Enumeration's regimes: all firms share one ranking, or each firm draws its own.
+REGIMES = ("mono", "poly")
+
 
 def check_enumeration_size(n_candidates: int, n_firms: int) -> None:
     """Reject a market that enumeration cannot fill or cannot finish."""
@@ -71,7 +74,7 @@ def enumerate_sequential_outcomes(
     ``poly`` each firm draws an independent one.  Firms hire sequentially
     in fixed order, one candidate each.
     """
-    if regime not in ("mono", "poly"):
+    if regime not in REGIMES:
         raise ValueError(f"enumeration is defined for 'mono' and 'poly', got {regime!r}")
     check_enumeration_size(n_candidates, n_firms)
 

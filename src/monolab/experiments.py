@@ -12,6 +12,11 @@ grid, to its model (``hiring.simulate_run``, ``hiring_bandit.simulate_run``,
 ``bandit2.simulate_failures``), which reads each stream as its module
 docstring says, so each replicate's stream is derived once per run.
 
+Each command's runner returns its cells in row order, as
+``{(regime, param_value, metric): (value, stderr, n_runs, exact)}``, and
+``run`` alone builds the ``ResultRow``s, with the config's kind and seed.
+An exact cell draws nothing, and holds stderr 0 and n_runs 1.
+
 CSV schema (one metric per row): the fields of ``ResultRow``, in order,
     kind, regime, param_name, param_value, metric, value, stderr, n_runs,
     seed, exact
@@ -339,76 +344,51 @@ def _collect(simulate, cfg) -> dict:
 # experiment entry points
 
 
-def run_enumerate(cfg: EnumerateConfig):
-    rows = []
-    for regime in ("mono", "poly"):
-        probs = exact.enumerate_sequential_outcomes(
-            cfg.n_candidates, cfg.n_firms, regime
-        )
+def run_enumerate(cfg: EnumerateConfig) -> dict:
+    cells = {}
+    for regime in exact.REGIMES:
+        probs = exact.enumerate_sequential_outcomes(cfg.n_candidates, cfg.n_firms, regime)
         for cand, prob in enumerate(probs):
-            rows.append(
-                ResultRow(
-                    cfg.kind, regime, "candidate", float(cand),
-                    "jobless_probability", float(prob), 0.0, 1, cfg.master_seed,
-                    exact=f"{prob.numerator}/{prob.denominator}",
-                )
-            )
-    return rows
+            cells[regime, cand, "jobless_probability"] = (
+                prob, 0.0, 1, f"{prob.numerator}/{prob.denominator}")
+    return cells
 
 
-def run_order_sensitivity(cfg: OrderSensitivityConfig):
+def run_order_sensitivity(cfg: OrderSensitivityConfig) -> dict:
     by_order, sensitive = exact.hiring_order_sensitivity(cfg.rankings)
-    rows = []
+    cells = {}
     for i, (order, unmatched) in enumerate(sorted(by_order.items())):
-        rows.append(
-            ResultRow(
-                cfg.kind,
-                "-".join(str(f) for f in order),
-                "order_index",
-                float(i),
-                "n_unmatched",
-                float(len(unmatched)),
-                0.0,
-                1,
-                cfg.master_seed,
-                exact="+".join(sorted(str(c) for c in unmatched)),
-            )
-        )
-    rows.append(
-        ResultRow(
-            cfg.kind, "all", "order_index", -1.0, "sensitive",
-            float(sensitive), 0.0, 1, cfg.master_seed,
-        )
-    )
-    return rows
+        cells["-".join(str(f) for f in order), i, "n_unmatched"] = (
+            len(unmatched), 0.0, 1, "+".join(sorted(str(c) for c in unmatched)))
+    cells["all", -1, "sensitive"] = (sensitive, 0.0, 1, "")
+    return cells
 
 
-def run_monte_carlo(simulate, param_name: str, stderr, cfg):
-    """One row per ``simulate`` key: the mean of its replicate values and ``stderr``."""
-    return [
-        ResultRow(
-            cfg.kind, regime, param_name, float(param_value), metric,
-            float(vals.mean()), stderr(vals), cfg.n_runs, cfg.master_seed,
-        )
-        for (regime, param_value, metric), vals in _collect(simulate, cfg).items()
-    ]
+def run_monte_carlo(simulate, stderr, cfg) -> dict:
+    """One cell per ``simulate`` key: the mean of its replicate values and ``stderr``."""
+    return {key: (vals.mean(), stderr(vals), cfg.n_runs, "")
+            for key, vals in _collect(simulate, cfg).items()}
 
 
-# config type -> the runner that turns it into result rows
+# config type -> (its param_name column, the runner that returns its cells)
 _RUNNERS = {
-    HiringConfig: partial(run_monte_carlo, _hiring_range, "firms", _sample_se),
-    Bandit2Config: partial(run_monte_carlo, _bandit2_range, "n0", _binomial_se),
-    HiringBanditConfig: partial(run_monte_carlo, _hiring_bandit_range, "agents", _sample_se),
-    EnumerateConfig: run_enumerate,
-    OrderSensitivityConfig: run_order_sensitivity,
+    HiringConfig: ("firms", partial(run_monte_carlo, _hiring_range, _sample_se)),
+    Bandit2Config: ("n0", partial(run_monte_carlo, _bandit2_range, _binomial_se)),
+    HiringBanditConfig: ("agents", partial(run_monte_carlo, _hiring_bandit_range, _sample_se)),
+    EnumerateConfig: ("candidate", run_enumerate),
+    OrderSensitivityConfig: ("order_index", run_order_sensitivity),
 }
 
 
 def run(config):
-    """Run a config's experiment and return its result rows."""
+    """Run a config's experiment and return its result rows, one per cell in order."""
     if type(config) not in _RUNNERS:
         raise TypeError(f"unknown config type {type(config).__name__}")
-    return _RUNNERS[type(config)](config)
+    param_name, runner = _RUNNERS[type(config)]
+    return [ResultRow(config.kind, regime, param_name, float(param_value), metric,
+                      float(value), float(se), n_runs, config.master_seed, text)
+            for (regime, param_value, metric), (value, se, n_runs, text)
+            in runner(config).items()]
 
 
 # ---------------------------------------------------------------------------

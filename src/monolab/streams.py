@@ -45,8 +45,13 @@ def check_count(value, name: str, minimum: int = 1) -> None:
 
 
 def check_grid(grid, name: str) -> None:
-    """Reject an empty grid of sizes, or one with an entry ``check_count`` rejects."""
-    if len(grid) == 0:
+    """Reject a scalar or an empty grid of sizes, or one with an entry ``check_count``
+    rejects."""
+    try:
+        size = len(grid)
+    except TypeError:  # a scalar, such as 4 given for (4,)
+        raise ValueError(f"{name} grid must be a sequence of sizes, got {grid!r}") from None
+    if size == 0:
         raise ValueError(f"{name} grid must not be empty")
     if not all(is_int(v) and v >= 1 for v in grid):
         raise ValueError(f"{name} grid entries must be positive integers, got {grid}")

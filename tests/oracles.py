@@ -74,7 +74,7 @@ def sequential_hire_mask_scan(scores, firm_order, capacity: int = 1):
     return assignment
 
 
-def take_in_order_sort_scan(scores, order, capacity: int = 1):
+def pick_in_order_sort_scan(scores, order, capacity: int = 1):
     """Columns taken in move order, as a list; a shared row serves every mover.
 
     Each mover's row is stably sorted by descending score once, and the

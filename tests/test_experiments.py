@@ -674,9 +674,9 @@ def _range_failing_in_worker(cfg, start, stop):
 
 def test_failed_worker_leaves_no_output(tmp_path, monkeypatch):
     table = dict(experiments._RUNNERS)
-    table[Bandit2Config] = functools.partial(
-        experiments.run_monte_carlo, _range_failing_in_worker, "n0", experiments._binomial_se
-    )
+    table[Bandit2Config] = ("n0", functools.partial(
+        experiments.run_monte_carlo, _range_failing_in_worker, experiments._binomial_se
+    ))
     monkeypatch.setattr(experiments, "_RUNNERS", table)
     out = tmp_path / "bandit2.csv"
     with pytest.raises(RuntimeError, match="failed in a worker"):
@@ -873,6 +873,27 @@ def test_cli_order_sensitivity(capsys):
     printed = capsys.readouterr().out
     assert "sensitive" in printed
     assert ",B" in printed and ",C" in printed
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["enumerate", "--candidates", "3", "--firms", "2", "--seed", "7"],
+     "kind,regime,param_name,param_value,metric,value,stderr,n_runs,seed,exact\n"
+     "enumerate,mono,candidate,0.0,jobless_probability,0.3333333333333333,0.0,1,7,1/3\n"
+     "enumerate,mono,candidate,1.0,jobless_probability,0.3333333333333333,0.0,1,7,1/3\n"
+     "enumerate,mono,candidate,2.0,jobless_probability,0.3333333333333333,0.0,1,7,1/3\n"
+     "enumerate,poly,candidate,0.0,jobless_probability,0.3333333333333333,0.0,1,7,1/3\n"
+     "enumerate,poly,candidate,1.0,jobless_probability,0.3333333333333333,0.0,1,7,1/3\n"
+     "enumerate,poly,candidate,2.0,jobless_probability,0.3333333333333333,0.0,1,7,1/3\n"),
+    (["order-sensitivity", "--rankings", "A>B>C,D;A>C,D>B", "--seed", "7"],
+     "kind,regime,param_name,param_value,metric,value,stderr,n_runs,seed,exact\n"
+     "order-sensitivity,0-1,order_index,0.0,n_unmatched,1.0,0.0,1,7,B\n"
+     'order-sensitivity,1-0,order_index,1.0,n_unmatched,1.0,0.0,1,7,"C,D"\n'
+     "order-sensitivity,all,order_index,-1.0,sensitive,1.0,0.0,1,7,\n"),
+], ids=["enumerate", "order-sensitivity"])
+def test_exact_commands_write_pinned_csv_text(argv, expected, capsys):
+    # exact rows draw nothing, yet carry stderr 0, n_runs 1 and the --seed given
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_order_sensitivity_labels_with_commas_read_back(tmp_path):

@@ -26,10 +26,10 @@ from oracles import (
     brute_force_stable_matchings,
     deferred_acceptance_list_scan,
     is_stable,
+    pick_in_order_sort_scan,
     random_small_instance,
     sequential_hire_mask_scan,
     serial_dictatorship,
-    take_in_order_sort_scan,
 )
 
 
@@ -223,7 +223,7 @@ def test_sequential_hire_matches_mask_scan_reference(market):
     shared = bool((scores == scores[0]).all())
     for ranked in [scores, scores[0]][: 1 + shared]:  # the table, then a row all firms share
         assert sequential_hire(ranked, order, capacity).tolist() == expected
-        picks = take_in_order_sort_scan(ranked, order, capacity)
+        picks = pick_in_order_sort_scan(ranked, order, capacity)
         sort_scan = np.full(scores.shape[1], UNMATCHED)
         sort_scan[picks] = np.repeat(order, capacity)  # the firm behind each pick
         assert sort_scan.tolist() == expected

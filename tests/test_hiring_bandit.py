@@ -27,7 +27,7 @@ from monolab.hiring_bandit import (
 )
 from monolab.streams import derive_stream
 
-from oracles import claim_game_reference, take_in_order_sort_scan
+from oracles import claim_game_reference, pick_in_order_sort_scan
 
 
 def streams_for(seed, n_reps):
@@ -265,7 +265,7 @@ def test_play_round_picks_as_the_sort_scan_on_each_games_own_table(game):
         n = len(order)
         if len(table) < n:  # a shared row, which every mover reads
             posterior, order = posterior[0], list(range(n))
-        assert claims[:n].tolist() == take_in_order_sort_scan(posterior, list(order))
+        assert claims[:n].tolist() == pick_in_order_sort_scan(posterior, list(order))
         assert np.all(claims[n:] == -1)
 
 

@@ -88,6 +88,9 @@ def test_size_rule():
     check_grid((1, np.int64(2)), "k")
     with pytest.raises(ValueError, match="k grid must not be empty"):
         check_grid((), "k")
+    for grid in (4, np.int64(4), np.array(4), None):
+        with pytest.raises(ValueError, match="k grid must be a sequence of sizes, got "):
+            check_grid(grid, "k")
     for grid in ((1, 0), (2.0,), (True,), (1, -3)):
         with pytest.raises(ValueError, match="k grid entries must be positive integers"):
             check_grid(grid, "k")
@@ -114,22 +117,26 @@ SIZES = [
     ("hiring_bandit", "n0", "n0", 0, False),
 ]
 
+# A grid is also refused as a scalar: its good entry given without the tuple.
+BAD_SIZES = [(*size, bad) for size in SIZES
+             for bad in ("fraction", "bool", "below") + (("scalar",) if size[4] else ())]
 
-@pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
-@pytest.mark.parametrize("model, name, flag, minimum, grid", SIZES,
-                         ids=[f"{model}-{flag}" for model, _, flag, _, _ in SIZES])
+
+@pytest.mark.parametrize("model, name, flag, minimum, grid, bad", BAD_SIZES,
+                         ids=[f"{model}-{flag}-{bad}" for model, _, flag, _, _, bad in BAD_SIZES])
 def test_models_refuse_a_bad_size_by_its_flag_before_any_draw(model, name, flag, minimum,
                                                               grid, bad):
     simulate, args = MODELS[model]
     good = args[name][0] if grid else args[name]
-    value = {"fraction": good + 0.5, "bool": True, "below": minimum - 1}[bad]
+    value = {"fraction": good + 0.5, "bool": True, "below": minimum - 1, "scalar": good}[bad]
     streams = [derive_stream(71, r) for r in range(2)]
     before = [stream.state() for stream in streams]
     simulate(**args, streams=streams)  # the arguments as given are accepted
     for stream, state in zip(streams, before):
         stream.restore(state)
     with pytest.raises(ValueError) as err:
-        simulate(**{**args, name: (value,) if grid else value}, streams=streams)
+        simulate(**{**args, name: (value,) if grid and bad != "scalar" else value},
+                 streams=streams)
     assert str(err.value).startswith(f"{flag} "), str(err.value)
     assert [stream.state() for stream in streams] == before
     with pytest.raises(ValueError):
