@@ -1,10 +1,10 @@
 """Hiring-market simulation: score tables, sequential hiring, deferred acceptance.
 
 A market is a vector of objective candidate values.  Firms never see the
-values directly; they see noisy scores.  ``score_regime`` draws one
-firm-by-candidate table of them, with independent noise per (firm,
-candidate) cell, and returns it with its per-candidate mean row.  Every
-regime reads such a draw:
+values directly; they see noisy scores.  ``score_regime`` builds one
+firm-by-candidate table of them from a block of normals, with independent
+noise per (firm, candidate) cell, and returns it with its per-candidate
+mean row.  Every regime reads such a table:
 
 * ``mono``      - the row of a one-firm table, which every firm shares, so
                   all firms agree on the ranking.
@@ -14,15 +14,23 @@ regime reads such a draw:
 
 ``simulate_run`` plays every regime at every firm count over a block of
 replicates, each alone from its own stream, which it reads in a fixed order:
-the market values, mono's one-firm table, then for each firm count, from
-the state after the market, that count's table and poly's firm order or
-preference block.  So the regimes and firm counts of a replicate share its
-market, and at one firm all three regimes read the same table.  On the row
-that mono's or ensemble's firms share, any matcher hires the row's stable
-top n_firms x capacity, and ``sequential_hire`` takes that set directly
-from a row; ``deferred_acceptance`` takes a table only.  Every matcher
-returns the assignment as an int64 array indexed by candidate: the firm
-that hired the candidate, or ``UNMATCHED``.
+the market values, then for each firm count, from the state after the
+market, that count's table and poly's firm order or preference block.  A
+table of f firms is candidate-major noise, the first candidates x f normals
+after the market, so each count's table, and mono's one-firm table, is a
+prefix of the largest count's.  ``simulate_run`` draws that one noise block
+per replicate, in chunks by ascending firm count, and draws each count's
+order or preferences from a snapshot taken after its chunk: every table and
+order is read at the stream position a fresh derive per count reads.  So
+the regimes and firm counts of a replicate share its market, and at one
+firm all three regimes read the same table.  On the row that mono's or
+ensemble's firms share, any matcher hires the row's stable top n_firms x
+capacity, and ``sequential_hire`` takes that set directly from a row: the
+k-th firm to move hires the row's k-th group of ``capacity``, so mono's
+hires at f firms are those by the firms below f at the largest count.
+``deferred_acceptance`` takes a table only.  Every matcher returns the
+assignment as an int64 array indexed by candidate: the firm that hired the
+candidate, or ``UNMATCHED``.
 
 Sequential hiring runs its own pick loop: firms go in turn and each takes
 its best remaining candidates.  The claim game in ``hiring_bandit`` plays
@@ -51,16 +59,18 @@ def replicate_bytes(n_candidates: int, n_firms: int, simultaneous: bool) -> int:
     """A bound on the bytes one hiring replicate's arrays take, at n_firms firms.
 
     Counted in 8-byte words, summed over the arrays ``simulate_run`` makes
-    for the largest firm count, though not all of them are alive at once.
-    Per (candidate, firm) cell, sequential hiring makes 4: the poly table,
-    the noise it is drawn from, the last firm count's table (alive until
-    the new one is made) and ``sequential_hire``'s masked copy.  Simultaneous
-    hiring makes 15: the same first three, the preference block as tiled,
-    as permuted and the last one, and ``deferred_acceptance``'s list copies
-    of the table (4: a float and its pointer) and of the preferences (5: a
-    pointer and, for a firm index above 256, an int).  Both add 32 per
-    candidate: the market, the shared rows, their rankings, and the
-    matcher's per-candidate lists and heaps.
+    for the largest firm count, though not all of them are alive at once;
+    a smaller count's table and preferences are freed before the next
+    count's are made.  Per (candidate, firm) cell, sequential hiring makes
+    4: the noise block, which each replicate of a call refills, the chunk of
+    it being drawn, the poly table and ``sequential_hire``'s masked copy.
+    Simultaneous hiring makes 15: the same first three, the preference
+    block as tiled, as permuted and as sorted by ``deferred_acceptance``'s
+    check, and that matcher's list copies of the table (4: a float and its
+    pointer) and of the preferences (5: a pointer and, for a firm index
+    above 256, an int).  Both add 32 per candidate: the market, the shared
+    rows, their rankings, the assignments, and the matcher's per-candidate
+    lists and heaps.
     """
     per_cell = 15 if simultaneous else 4
     return 8 * (per_cell * n_firms + 32) * n_candidates
@@ -98,23 +108,27 @@ def generate_market(n_candidates: int, stream: RngStream) -> np.ndarray:
     return stream.gaussians(n_candidates, 0.0, 1.0)
 
 
-def score_regime(market: np.ndarray, n_firms: int, noise_sd: float,
-                 stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy scores of ``n_firms`` firms from one draw: the (n_firms,
-    n_candidates) table poly reads and its per-candidate mean row, the row
-    ensemble's firms share.  At one firm the row is the table's one row,
-    mono's shared row.
+def score_regime(market: np.ndarray, n_firms: int,
+                 noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy scores of ``n_firms`` firms: the (n_firms, n_candidates) table
+    poly reads and its per-candidate mean row, the row ensemble's firms
+    share.  At one firm the row is the table's one row, mono's shared row.
 
-    The noise is drawn candidate-major and the table is its transpose, a
-    view.  The mean is summed on that view: numpy sums a C-ordered copy in
-    another order from 8 firms up, which would round some means apart.
+    ``noise`` is a flat block of normals, read candidate-major: the table
+    adds its first n_candidates x n_firms entries to the market, so each
+    firm count's table reads a prefix of one block, the largest count's.
+    The table is the transpose of that (n_candidates, n_firms) sum, a view.
+    The mean is summed on that view: numpy sums a C-ordered copy in another
+    order from 8 firms up, which would round some means apart.  Its sum /
+    n_firms is ``np.mean``'s own arithmetic, without its per-call overhead.
     """
     check_count(n_firms, "firms")
-    if not noise_sd >= 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
-    noise = stream.gaussians((len(market), n_firms), 0.0, noise_sd)  # candidate-major
-    table = (market[:, None] + noise).T
-    return table, table.mean(axis=0)
+    size = len(market) * n_firms
+    if noise.ndim != 1 or len(noise) < size:
+        raise ValueError(f"noise must be a flat block of at least {size} normals, "
+                         f"got shape {noise.shape}")
+    table = (market[:, None] + noise[:size].reshape(len(market), n_firms)).T
+    return table, table.sum(axis=0) / n_firms
 
 
 def _check_matcher_input(scores, capacity: int) -> np.ndarray:
@@ -258,26 +272,35 @@ def deferred_acceptance(
     return np.array(assignment, dtype=np.int64)
 
 
-def normalized_performance(assignment: np.ndarray, market: np.ndarray) -> float:
+def normalized_performance(assignment: np.ndarray, market: np.ndarray):
     """(actual - worst) / (best - worst) over mean objective value of hires.
 
     Best and worst are the highest- and lowest-value groups of the same size
     as the actually hired set, so 1.0 means the hired set was the best
-    possible and 0.0 the worst possible.
+    possible and 0.0 the worst possible.  ``assignment`` is one assignment,
+    which gives a float, or a stack of them, one per row, which gives an
+    array of one value per row; the rows share one sort of the market.
     """
     market = np.asarray(market, dtype=float)
     matched = np.asarray(assignment) >= 0
-    n = int(np.count_nonzero(matched))
-    if n == 0:
-        raise ValueError("no candidate was matched; performance is undefined")
-    # sum / n is np.mean's own arithmetic, without its per-call overhead
-    actual = float(market[matched].sum() / n)
+    if matched.ndim not in (1, 2):
+        raise ValueError(f"assignment must be a row or a stack of rows, got {matched.shape}")
     ordered = np.sort(market)
-    worst = float(ordered[:n].sum() / n)
-    best = float(ordered[-n:].sum() / n)
-    if best == worst:
-        raise ValueError("degenerate market: best and worst groups coincide")
-    return (actual - worst) / (best - worst)
+    values, last_n = [], 0
+    for mask in np.atleast_2d(matched):
+        n = int(np.count_nonzero(mask))
+        if n == 0:
+            raise ValueError("no candidate was matched; performance is undefined")
+        # sum / n is np.mean's own arithmetic, without its per-call overhead
+        if n != last_n:  # rows that hire as many share their best and worst groups
+            worst = float(ordered[:n].sum() / n)
+            best = float(ordered[-n:].sum() / n)
+            if best == worst:
+                raise ValueError("degenerate market: best and worst groups coincide")
+            last_n = n
+        actual = float(market[mask].sum() / n)
+        values.append((actual - worst) / (best - worst))
+    return values[0] if matched.ndim == 1 else np.array(values)
 
 
 def simulate_run(n_candidates: int, firm_grid, noise_sd: float, capacity: int,
@@ -289,25 +312,37 @@ def simulate_run(n_candidates: int, firm_grid, noise_sd: float, capacity: int,
     """
     check_market(n_candidates, firm_grid, noise_sd, capacity, simultaneous)
     streams = list(streams)
+    counts = sorted(set(firm_grid))
+    noise = np.empty(n_candidates * counts[-1])  # each replicate fills all of it
     out = np.empty((len(firm_grid), len(REGIMES), len(streams)))
     for r, stream in enumerate(streams):
         market = generate_market(n_candidates, stream)
-        after_market = stream.state()
-        _, mono = score_regime(market, 1, noise_sd, stream)
-        for i, f in enumerate(firm_grid):
-            stream.restore(after_market)
-            poly, ensemble = score_regime(market, f, noise_sd, stream)
+        values, drawn = {}, 0
+        for f in counts:
+            noise[drawn:n_candidates * f] = stream.gaussians(
+                n_candidates * f - drawn, 0.0, noise_sd)
+            drawn = n_candidates * f
+            after_table = stream.state()
             draw = (generate_prefs(n_candidates, f, stream) if simultaneous
                     else stream.permutation(f))
-            for j, scores in enumerate((mono, poly, ensemble)):
-                # On the row mono and ensemble firms share, either matcher hires
-                # the row's stable top f x capacity, the only set normalized
-                # performance reads; sequential_hire takes it without a match.
-                if scores.ndim == 1:
-                    assignment = sequential_hire(scores, np.arange(f), capacity)
-                elif simultaneous:
-                    assignment = deferred_acceptance(scores, draw, capacity)
-                else:
-                    assignment = sequential_hire(scores, draw, capacity)
-                out[i, j, r] = normalized_performance(assignment, market)
+            stream.restore(after_table)
+            if f == counts[0]:
+                _, mono = score_regime(market, 1, noise)
+                # the k-th firm to move hires the row's k-th group of capacity,
+                # so at f firms mono hires what the firms below f hire here
+                mono_hires = sequential_hire(mono, np.arange(counts[-1]), capacity)
+            poly, ensemble = score_regime(market, f, noise)
+            # On the row mono and ensemble firms share, either matcher hires the
+            # row's stable top f x capacity, the only set normalized performance
+            # reads; sequential_hire takes it without a match.
+            hires = np.array((
+                np.where(mono_hires < f, mono_hires, UNMATCHED),
+                deferred_acceptance(poly, draw, capacity) if simultaneous
+                else sequential_hire(poly, draw, capacity),
+                sequential_hire(ensemble, np.arange(f), capacity),
+            ))
+            values[f] = normalized_performance(hires, market)
+            del poly, draw  # freed before the next count's are made (replicate_bytes)
+        for i, f in enumerate(firm_grid):
+            out[i, :, r] = values[f]
     return out

@@ -15,6 +15,8 @@ across platforms and processes for a fixed NumPy build.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 _U64_MAX = 2**64 - 1
@@ -45,13 +47,16 @@ def check_count(value, name: str, minimum: int = 1) -> None:
 
 
 def check_grid(grid, name: str) -> None:
-    """Reject a scalar or an empty grid of sizes, or one with an entry ``check_count``
-    rejects."""
-    try:
-        size = len(grid)
-    except TypeError:  # a scalar, such as 4 given for (4,)
-        raise ValueError(f"{name} grid must be a sequence of sizes, got {grid!r}") from None
-    if size == 0:
+    """Reject a grid of sizes that is not a sequence or a 1-D array, an empty one, or
+    one with an entry ``check_count`` rejects.
+
+    A scalar, such as 4 given for (4,), is refused, and so is an unordered or
+    one-pass collection (a set, a dict, a generator): each model reads its grid
+    more than once and returns its results in grid order.
+    """
+    if not (isinstance(grid, Sequence) or isinstance(grid, np.ndarray) and grid.ndim == 1):
+        raise ValueError(f"{name} grid must be a sequence of sizes, got {grid!r}")
+    if len(grid) == 0:
         raise ValueError(f"{name} grid must not be empty")
     if not all(is_int(v) and v >= 1 for v in grid):
         raise ValueError(f"{name} grid entries must be positive integers, got {grid}")

@@ -509,6 +509,19 @@ def test_simulate_failures_rejects_before_any_draw():
         assert stream.state() == before
 
 
+@pytest.mark.parametrize("make", [lambda: {1, 5}, lambda: {1: 1, 5: 1},
+                                  lambda: (n for n in (1, 5))],
+                         ids=["set", "dict", "generator"])
+def test_simulate_failures_refuses_an_unordered_or_one_pass_grid(make):
+    # a set once failed with a TypeError that named no flag
+    for n0_grid, k_grid, flag in [(make(), (1,), "n0"), ((1,), make(), "k")]:
+        stream = derive_stream(61, 0)
+        before = stream.state()
+        with pytest.raises(ValueError, match=f"{flag} grid must be a sequence of sizes"):
+            simulate_failures(n0_grid, k_grid, 10, [stream])
+        assert stream.state() == before
+
+
 def test_failure_rate_sweep_shape_and_determinism():
     cfg = Bandit2Config(
         total_agents=20, n0_grid=(1, 5), k_grid=(1, 2), n_runs=200, master_seed=57

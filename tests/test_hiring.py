@@ -46,14 +46,14 @@ def test_market_deterministic_and_standard_normal():
 def test_mono_rows_identical():
     # every mono firm shares the one-firm table's row: one noise draw per candidate
     market = generate_market(40, derive_stream(2, 0))
-    _, mono = score_regime(market, 1, 0.5, derive_stream(2, 1))
+    _, mono = score_regime(market, 1, derive_stream(2, 1).gaussians(40, 0.0, 0.5))
     assert mono.shape == (40,)
     assert np.array_equal(mono, market + derive_stream(2, 1).gaussians(40, 0.0, 0.5))
 
 
 def test_ensemble_is_mean_of_paired_poly_table():
     market = generate_market(30, derive_stream(3, 0))
-    poly, ens = score_regime(market, 8, 0.5, derive_stream(3, 1))
+    poly, ens = score_regime(market, 8, derive_stream(3, 1).gaussians(30 * 8, 0.0, 0.5))
     assert poly.shape == (8, 30)
     assert ens.shape == (30,)  # the one row every firm shares
     assert np.allclose(ens, poly.mean(axis=0), rtol=0, atol=0)
@@ -61,7 +61,7 @@ def test_ensemble_is_mean_of_paired_poly_table():
 
 def test_single_firm_poly_equals_ensemble():
     market = generate_market(20, derive_stream(4, 0))
-    poly, ens = score_regime(market, 1, 0.5, derive_stream(4, 1))
+    poly, ens = score_regime(market, 1, derive_stream(4, 1).gaussians(20, 0.0, 0.5))
     assert poly.shape == (1, 20)
     assert np.array_equal(poly[0], ens)
 
@@ -77,20 +77,23 @@ def test_regimes_share_market_at_same_stream_key():
 
 
 def test_score_regime_validation():
+    # the noise sd is checked where the block is drawn, by check_market (see
+    # test_simulate_run_rejects_before_any_draw)
     market = generate_market(5, derive_stream(6, 0))
+    noise = derive_stream(6, 1).gaussians(10, 0.0, 0.5)
     with pytest.raises(ValueError):
-        score_regime(market, 0, 0.5, derive_stream(6, 1))
-    with pytest.raises(ValueError):
-        score_regime(market, 2, -0.5, derive_stream(6, 1))
-    with pytest.raises(ValueError, match="noise_sd must be >= 0, got nan"):
-        score_regime(market, 2, float("nan"), derive_stream(6, 1))
+        score_regime(market, 0, noise)
+    with pytest.raises(ValueError, match=re.escape("at least 15 normals, got shape (10,)")):
+        score_regime(market, 3, noise)
+    with pytest.raises(ValueError, match=re.escape("at least 10 normals, got shape (5, 2)")):
+        score_regime(market, 2, noise.reshape(5, 2))
 
 
 def test_ensemble_noise_variance_shrinks_with_firm_count():
     # averaging 25 independent sd-0.5 noises leaves variance 0.25/25 = 0.01
     n, firms, sd = 100_000, 25, 0.5
     market = generate_market(n, derive_stream(7, 0))
-    _, ens = score_regime(market, firms, sd, derive_stream(7, 1))
+    _, ens = score_regime(market, firms, derive_stream(7, 1).gaussians(n * firms, 0.0, sd))
     residual_var = (ens - market).var(ddof=1)
     assert abs(residual_var - sd**2 / firms) < 0.05 * (sd**2 / firms)
 
@@ -231,21 +234,21 @@ def test_sequential_hire_matches_mask_scan_reference(market):
 
 
 def test_score_regime_ensemble_averages_a_given_poly_table():
-    # the table and its mean row come from one candidate-major draw: the
-    # stream ends where drawing those normals ends
+    # the table and its mean row read the prefix of a larger block that one
+    # candidate-major draw of the table's own shape gives
     market = generate_market(30, derive_stream(13, 0))
-    stream, fresh = derive_stream(13, 1), derive_stream(13, 1)
-    poly, ens = score_regime(market, 6, 0.5, stream)
-    noise = fresh.gaussians((30, 6), 0.0, 0.5)
-    assert stream.state() == fresh.state()
+    block = derive_stream(13, 1).gaussians(30 * 9, 0.0, 0.5)
+    poly, ens = score_regime(market, 6, block)
+    noise = derive_stream(13, 1).gaussians((30, 6), 0.0, 0.5)
     assert np.array_equal(poly, (market[:, None] + noise).T)
     assert np.array_equal(ens, poly.mean(axis=0))
 
 
 def test_zero_noise_every_regime_hires_the_best():
     market = generate_market(60, derive_stream(8, 0))
-    _, mono = score_regime(market, 1, 0.0, derive_stream(8, 1))
-    for scores in (mono, *score_regime(market, 4, 0.0, derive_stream(8, 1))):
+    noise = derive_stream(8, 1).gaussians(60 * 4, 0.0, 0.0)
+    _, mono = score_regime(market, 1, noise)
+    for scores in (mono, *score_regime(market, 4, noise)):
         out = sequential_hire(scores, derive_stream(8, 2).permutation(4))
         assert abs(normalized_performance(out, market) - 1.0) < 1e-9
         prefs = generate_prefs(60, 4, derive_stream(8, 3))
@@ -438,6 +441,29 @@ def test_normalized_performance_errors():
     one = np.array([0, UNMATCHED, UNMATCHED, UNMATCHED])
     with pytest.raises(ValueError):
         normalized_performance(one, flat)
+    # in a stack, any row raises as it would alone
+    with pytest.raises(ValueError, match="no candidate was matched"):
+        normalized_performance(np.array([[0, UNMATCHED], nobody]), market)
+    with pytest.raises(ValueError, match="degenerate market"):
+        normalized_performance(np.array([one, [0, 1, UNMATCHED, UNMATCHED]]), flat)
+    with pytest.raises(ValueError, match="a row or a stack of rows"):
+        normalized_performance(np.zeros((1, 1, 4), dtype=int), flat)
+
+
+def test_stacked_normalized_performance_equals_its_rows_bit_for_bit():
+    # rows that hire as many share the best and worst groups; rows that hire
+    # fewer or more must read their own
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        market = rng.standard_normal(int(rng.integers(2, 300)))
+        stack = np.where(rng.random((int(rng.integers(1, 6)), len(market)))
+                         < rng.random(), 0, UNMATCHED)
+        stack[:, 0], stack[:, -1] = 0, UNMATCHED  # no row is empty or hires everyone
+        if len(stack) > 1:
+            stack[1] = rng.permutation(stack[0])  # two rows with one hire count
+        values = normalized_performance(stack, market)
+        assert values.shape == (len(stack),)
+        assert values.tolist() == [normalized_performance(row, market) for row in stack]
 
 
 def test_prefs_shape_and_rows_are_permutations():
@@ -446,6 +472,34 @@ def test_prefs_shape_and_rows_are_permutations():
     expected = list(range(6))
     for row in prefs:
         assert sorted(row.tolist()) == expected
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_mono_hires_at_f_firms_are_the_largest_counts_firms_below_f(data):
+    # simulate_run hires mono's row once, at its largest firm count, and reads
+    # each smaller count f as the hires of the firms below f
+    most = data.draw(st.integers(1, 8))
+    capacity = data.draw(st.integers(1, 3))
+    n_candidates = data.draw(st.integers(most * capacity, most * capacity + 6))
+    row = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n_candidates,
+                                      max_size=n_candidates)), dtype=float)  # many ties
+    hires = sequential_hire(row, np.arange(most), capacity)
+    for f in range(1, most + 1):
+        assert np.array_equal(np.where(hires < f, hires, UNMATCHED),
+                              sequential_hire(row, np.arange(f), capacity)), f
+
+
+@pytest.mark.parametrize("make", [lambda: {2, 3}, lambda: {2: 1, 3: 1},
+                                  lambda: (f for f in (2, 3))],
+                         ids=["set", "dict", "generator"])
+def test_simulate_run_refuses_an_unordered_or_one_pass_grid(make):
+    # a set's rows once came back in set order
+    stream = derive_stream(48, 0)
+    before = stream.state()
+    with pytest.raises(ValueError, match="firms grid must be a sequence of sizes"):
+        simulate_run(30, make(), 0.5, 1, False, [stream])
+    assert stream.state() == before
 
 
 @pytest.mark.parametrize("simultaneous", [False, True])
@@ -490,8 +544,9 @@ def test_simultaneous_simulate_run_matches_deferred_acceptance_for_every_regime(
     # simulate_run hires the row mono and ensemble firms share by its top
     # seats, without a match, so deferred acceptance on the tiled table checks
     # it; the tight market (28 seats for 30 candidates at 7 firms) forces long
-    # rejection chains
-    n_candidates, firm_grid, noise_sd, capacity, seed, n_runs = 30, (1, 4, 7), 0.5, 4, 45, 6
+    # rejection chains.  Each expected cell draws its table alone, in its own
+    # shape, not as a prefix of a larger block.
+    n_candidates, firm_grid, noise_sd, capacity, seed, n_runs = 30, (7, 1, 4, 4), 0.5, 4, 45, 6
     values = simulate_run(n_candidates, firm_grid, noise_sd, capacity, True,
                           [derive_stream(seed, r) for r in range(n_runs)])
     for r in range(n_runs):
@@ -499,8 +554,9 @@ def test_simultaneous_simulate_run_matches_deferred_acceptance_for_every_regime(
             for j, regime in enumerate(REGIMES):
                 stream = derive_stream(seed, r)
                 market = generate_market(n_candidates, stream)
-                poly, row = score_regime(market, 1 if regime == "mono" else f,
-                                         noise_sd, stream)
+                n_firms = 1 if regime == "mono" else f
+                noise = stream.gaussians((n_candidates, n_firms), 0.0, noise_sd)
+                poly, row = score_regime(market, n_firms, noise.ravel())
                 # mono's and ensemble's firms share a row
                 scores = poly if regime == "poly" else np.tile(row, (f, 1))
                 prefs = generate_prefs(n_candidates, f, stream)
@@ -510,10 +566,10 @@ def test_simultaneous_simulate_run_matches_deferred_acceptance_for_every_regime(
 
 
 def test_sequential_simulate_run_matches_rederived_cells():
-    # simulate_run draws one market per replicate and restores stream
-    # snapshots; every cell must equal a fresh derivation with the per-seat
-    # mask scan
-    n_candidates, firm_grid, noise_sd, capacity, seed, n_runs = 30, (1, 4, 7), 0.5, 3, 46, 6
+    # simulate_run draws one market and one noise block per replicate and
+    # restores stream snapshots; every cell must equal a fresh derivation, its
+    # table drawn alone in its own shape, with the per-seat mask scan
+    n_candidates, firm_grid, noise_sd, capacity, seed, n_runs = 30, (7, 1, 4, 4), 0.5, 3, 46, 6
     values = simulate_run(n_candidates, firm_grid, noise_sd, capacity, False,
                           [derive_stream(seed, r) for r in range(n_runs)])
     for r in range(n_runs):
@@ -521,8 +577,9 @@ def test_sequential_simulate_run_matches_rederived_cells():
             for j, regime in enumerate(REGIMES):
                 stream = derive_stream(seed, r)
                 market = generate_market(n_candidates, stream)
-                poly, row = score_regime(market, 1 if regime == "mono" else f,
-                                         noise_sd, stream)
+                n_firms = 1 if regime == "mono" else f
+                noise = stream.gaussians((n_candidates, n_firms), 0.0, noise_sd)
+                poly, row = score_regime(market, n_firms, noise.ravel())
                 # mono's and ensemble's firms share a row
                 scores = poly if regime == "poly" else np.tile(row, (f, 1))
                 order = stream.permutation(f)

@@ -100,6 +100,18 @@ def test_simulate_run_rejects_before_any_draw():
         assert [stream.state() for stream in streams] == before, game
 
 
+@pytest.mark.parametrize("make", [lambda: {2, 4}, lambda: {2: 1, 4: 1},
+                                  lambda: (n for n in (2, 4))],
+                         ids=["set", "dict", "generator"])
+def test_simulate_run_refuses_an_unordered_or_one_pass_grid(make):
+    # a set once failed with a TypeError that named no flag
+    streams = streams_for(30, 2)
+    before = [stream.state() for stream in streams]
+    with pytest.raises(ValueError, match="agents grid must be a sequence of sizes"):
+        run_for(streams, agent_grid=make())
+    assert [stream.state() for stream in streams] == before
+
+
 def test_draw_arm_means_range_and_validation():
     means = draw_arm_means(200, streams_for(31, 3))
     assert means.shape == (3, 200)

@@ -88,7 +88,8 @@ def test_size_rule():
     check_grid((1, np.int64(2)), "k")
     with pytest.raises(ValueError, match="k grid must not be empty"):
         check_grid((), "k")
-    for grid in (4, np.int64(4), np.array(4), None):
+    for grid in (4, np.int64(4), np.array(4), None, {1, 2}, {1: 2}, (v for v in (1, 2)),
+                 np.ones((2, 2), dtype=int)):
         with pytest.raises(ValueError, match="k grid must be a sequence of sizes, got "):
             check_grid(grid, "k")
     for grid in ((1, 0), (2.0,), (True,), (1, -3)):
