@@ -56,6 +56,7 @@ def draw_initial_history(
 
 def group_sizes(total_agents: int, k_groups: int) -> list[int]:
     """Split total_agents into k_groups near-equal sizes, remainder first."""
+    check_count(total_agents, "agents")
     check_count(k_groups, "k")
     if total_agents < k_groups:
         raise ValueError(

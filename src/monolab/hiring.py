@@ -117,11 +117,15 @@ def score_regime(market: np.ndarray, n_firms: int,
     ``noise`` is a flat block of normals, read candidate-major: the table
     adds its first n_candidates x n_firms entries to the market, so each
     firm count's table reads a prefix of one block, the largest count's.
-    The table is the transpose of that (n_candidates, n_firms) sum, a view.
+    The market must be a finite row.  The table is the transpose of that
+    (n_candidates, n_firms) sum, a view.
     The mean is summed on that view: numpy sums a C-ordered copy in another
     order from 8 firms up, which would round some means apart.  Its sum /
     n_firms is ``np.mean``'s own arithmetic, without its per-call overhead.
     """
+    market = _market_row(market)
+    if not np.isfinite(market).all():
+        raise ValueError(_NOT_FINITE)
     check_count(n_firms, "firms")
     size = len(market) * n_firms
     if noise.ndim != 1 or len(noise) < size:
@@ -129,6 +133,17 @@ def score_regime(market: np.ndarray, n_firms: int,
                          f"got shape {noise.shape}")
     table = (market[:, None] + noise[:size].reshape(len(market), n_firms)).T
     return table, table.sum(axis=0) / n_firms
+
+
+def _market_row(market) -> np.ndarray:
+    """``market`` as a float row; rejects one that is not 1-D."""
+    market = np.asarray(market, dtype=float)
+    if market.ndim != 1:
+        raise ValueError(f"market must be a row of candidate values, got shape {market.shape}")
+    return market
+
+
+_NOT_FINITE = "market must be finite (no NaN or infinity)"
 
 
 def _check_matcher_input(scores, capacity: int) -> np.ndarray:
@@ -279,13 +294,21 @@ def normalized_performance(assignment: np.ndarray, market: np.ndarray):
     as the actually hired set, so 1.0 means the hired set was the best
     possible and 0.0 the worst possible.  ``assignment`` is one assignment,
     which gives a float, or a stack of them, one per row, which gives an
-    array of one value per row; the rows share one sort of the market.
+    array of one value per row; the rows share one sort of the market.  The
+    market must be a finite row, and an assignment has one entry per
+    candidate in it.
     """
-    market = np.asarray(market, dtype=float)
+    market = _market_row(market)
     matched = np.asarray(assignment) >= 0
     if matched.ndim not in (1, 2):
         raise ValueError(f"assignment must be a row or a stack of rows, got {matched.shape}")
+    if matched.shape[-1] != len(market):
+        raise ValueError(f"assignment must have one entry per candidate, {len(market)}, "
+                         f"got shape {matched.shape}")
     ordered = np.sort(market)
+    # the sort puts NaN last, so a market is finite when both its ends are
+    if len(ordered) and not (-np.inf < ordered[0] and ordered[-1] < np.inf):
+        raise ValueError(_NOT_FINITE)
     values, last_n = [], 0
     for mask in np.atleast_2d(matched):
         n = int(np.count_nonzero(mask))

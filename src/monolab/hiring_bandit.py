@@ -11,10 +11,9 @@ every pull.  So a belief is a prior row ``alpha0`` with its ``total0``,
 plus the one public ``heads``/``pulls`` record of its game, and an agent
 is the index of its prior row in one stack.  Under mono every agent of a
 game points at agent 0's row, under ensemble at the pooled row, and under
-poly each at its own.  The impartial observer is
-one more prior row and total per game: it counts every distinct initial
-sample set once, so it reads agent 0's row under mono and the pooled row
-otherwise.
+poly each at its own.  The impartial observer is one more prior row and
+total per game: it counts every distinct initial sample set once, so it
+reads agent 0's row under mono and the pooled row otherwise.
 
 Regimes differ only in the initial n0 samples per arm and the move order:
 
@@ -30,9 +29,9 @@ replicate, and returns ``(regret, misclassification)`` arrays of shape
 regime, replicate) triple is one game, all games play one lockstep of
 ``n_rounds`` rounds, and every stage function works on a leading game
 axis; a game with fewer agents than the grid's largest count leaves the
-rest of its row of claims empty (-1).  The draws never depend on the
-play, so each replicate takes them all before round 0, from its stream in
-this order: the arm means, once, then per agent count, in grid order,
+rest of its row of claims empty (-1).  The draws never depend on the play,
+so ``init_beliefs`` takes them all before round 0, in one pass over each
+replicate's stream, in this order: the arm means, then per agent count,
 from the snapshot taken after them, the per-agent initial sample tensor
 and one ``(n_rounds, n_agents)`` uniform block for the rewards.  Mono,
 poly_fixed and ensemble share that block: each reads one
@@ -62,14 +61,13 @@ def replicate_bytes(agent_grid, n_arms: int, n_rounds: int) -> int:
     the largest count: 3 per agent and round (the uniform block and
     poly_random's uniforms and orders) and 1 more at the largest count (a
     block as the stream returns it); 2 per agent and arm and 2 more at the
-    largest count (the agents' prior rows, and the sample tensor of the
-    count being drawn, as ints, as floats and as the stream returns it);
-    40 per count and arm (its pooled prior row and the arm means and public
-    records of its four games; each round's float records, totals and two
-    steps' posteriors, then the observer's rows and posteriors; and the
-    final metrics' sorts and rankings) and 40 per count and agent at the
-    largest count (each round's movers, claims, draws, rewards and
-    realized means).
+    largest count (the agents' prior rows, and one replicate's sample
+    tensor as the stream returns it, with room to spare); 40 per count and
+    arm (its pooled prior row and the arm means and public records of its
+    four games; each round's float records, totals and two steps'
+    posteriors, then the observer's rows and posteriors; and the final
+    metrics' sorts and rankings) and 40 per count and agent at the largest
+    count (each round's movers, claims, draws, rewards and realized means).
     """
     total, counts, widest = sum(agent_grid), len(agent_grid), max(agent_grid)
     return 8 * ((3 * total + widest) * n_rounds + 2 * (total + widest) * n_arms
@@ -95,56 +93,43 @@ def check_game(agent_grid, n_arms: int, n_rounds: int, n0: int) -> None:
                           f"{n_agents} agents, {n_arms} arms and {n_rounds} rounds")
 
 
-def draw_arm_means(n_arms: int, streams) -> np.ndarray:
-    """True arm means, i.i.d. Beta(2, 2): one ``(n_arms,)`` row per stream."""
-    check_count(n_arms, "arms")
-    means = np.empty((len(streams), n_arms))
-    for row, stream in zip(means, streams):
-        row[:] = stream.betas(n_arms, 2.0, 2.0)
-    return means
+def init_beliefs(counts, n_arms: int, n_rounds: int, n0: int, streams):
+    """Every draw of each agent count of ``counts``, in one pass over each stream in
+    the module docstring's order; ``(true_means, alpha0, rounds)``.
 
-
-def init_beliefs(true_means: np.ndarray, n_agents: int, n0: int, streams):
-    """Draw each replicate's initial sample tensor; return its prior rows ``(agents, pooled)``.
-
-    A prior row is ``alpha0``, Beta(2, 2)'s 2 plus the initial successes
-    per arm, as floats: counts below 2**53 are exact in a float, so a
-    posterior mean rounds as it would from integers.  ``true_means`` is
-    ``(R, n_arms)``, one row per stream; each stream draws its full
-    per-agent tensor (one binomial block, agent-major).  ``agents`` is
-    ``(R, n_agents, n_arms)``, one row per agent's samples, and ``pooled``
-    is ``(R, n_arms)``, the row of all of a replicate's samples.  A row's
-    ``total0``, 4 plus its initial pulls per arm, is 4 + n0 for an agent's
-    row and 4 + n_agents * n0 for the pooled one.
+    ``true_means`` is ``(R, n_arms)``, one row per stream.  ``alpha0`` stacks
+    the prior rows, per count in ``counts`` order and per replicate: its
+    agents' rows, then its pooled row of all their samples.  A row is 2 plus
+    its initial successes per arm, as floats (exact below 2**53), and its
+    ``total0`` is 4 + n0, or 4 + n_agents * n0 pooled.  ``rounds`` holds one
+    ``(uniforms, orders)`` per count: ``uniforms`` is ``(2R, n_rounds,
+    n_agents)``, stream i's shared block in row i and poly_random's uniforms
+    in row R + i, and ``orders`` is ``(R, n_rounds, n_agents)``, poly_random's
+    permutations.  A game ``check_game`` rejects raises before any draw.
     """
-    n, (reps, k) = n_agents, true_means.shape
-    heads = np.empty((reps, n, k), dtype=np.int64)
-    for tensor, means, stream in zip(heads, true_means, streams):
-        tensor[:] = stream.binomials(n0, np.broadcast_to(means, (n, k)))
-    return heads + 2.0, heads.sum(axis=1) + 2.0
-
-
-def draw_rounds(n_agents: int, n_rounds: int, streams) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's draws, taken after the initial tensor; ``(uniforms, orders)``.
-
-    ``uniforms`` is ``(2R, n_rounds, n_agents)``: row i is stream i's one
-    block, which mono, poly_fixed and ensemble share, and row R + i is
-    poly_random's per-round ``uniforms(n_agents)``, drawn after restoring
-    the snapshot taken before the block, each after that round's order
-    permutation.  ``orders`` is ``(R, n_rounds, n_agents)``, those
-    permutations.
-    """
+    check_game(counts, n_arms, n_rounds, n0)
     reps = len(streams)
-    uniforms = np.empty((2 * reps, n_rounds, n_agents))
-    orders = np.empty((reps, n_rounds, n_agents), dtype=np.int64)
-    for i, stream in enumerate(streams):
-        before = stream.state()
-        uniforms[i] = stream.uniforms((n_rounds, n_agents))
-        stream.restore(before)
-        for order, draws in zip(orders[i], uniforms[reps + i]):
-            order[:] = stream.permutation(n_agents)
-            draws[:] = stream.uniforms(n_agents)
-    return uniforms, orders
+    true_means = np.empty((reps, n_arms))
+    alpha0 = np.empty((reps * (sum(counts) + len(counts)), n_arms))
+    priors = [rows.reshape(reps, n + 1, n_arms) for rows, n in zip(
+        np.split(alpha0, np.cumsum([reps * (n + 1) for n in counts])[:-1]), counts)]
+    rounds = [(np.empty((2 * reps, n_rounds, n)), np.empty((reps, n_rounds, n), dtype=np.int64))
+              for n in counts]
+    for r, stream in enumerate(streams):
+        true_means[r] = stream.betas(n_arms, 2.0, 2.0)
+        snapshot = stream.state()
+        for n, rows, (uniforms, orders) in zip(counts, priors, rounds):
+            stream.restore(snapshot)
+            rows[r, :n] = stream.binomials(n0, np.broadcast_to(true_means[r], (n, n_arms)))
+            rows[r, n] = rows[r, :n].sum(axis=0)
+            before = stream.state()
+            uniforms[r] = stream.uniforms((n_rounds, n))
+            stream.restore(before)
+            for order, draws in zip(orders[r], uniforms[reps + r]):
+                order[:] = stream.permutation(n)
+                draws[:] = stream.uniforms(n)
+    alpha0 += 2.0
+    return true_means, alpha0, rounds
 
 
 def posterior_means(prior: tuple, heads: np.ndarray, pulls: np.ndarray) -> np.ndarray:
@@ -244,11 +229,10 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
     (regret, misclassification), each of shape ``(len(agent_grid),
     len(REGIMES), R)`` for R streams, in ``REGIMES`` order.
 
-    A game ``check_game`` rejects raises before any draw.  The streams are
-    read as the module docstring says, by ``draw_arm_means`` and then, per
-    agent count, ``init_beliefs`` and ``draw_rounds``.  Then the 4R games
-    of every count play one lockstep on one public record, laid out by
-    count, largest first, then by regime and replicate, over one stack of
+    A game ``check_game`` rejects raises before any draw.  ``init_beliefs``
+    takes every draw, for the grid's counts largest first.  Then the 4R
+    games of every count play one lockstep on one public record, laid out by
+    count, largest first, then by regime and replicate, over its stack of
     every count's prior rows.  The record and the arm means carry one
     spare last column with a mean of 0, on which an empty claim's flat cell
     lands, as ``observe_and_update`` says.
@@ -256,28 +240,20 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
     check_game(agent_grid, n_arms, n_rounds, n0)
     streams = list(streams)
     reps, width, n_counts = len(streams), max(agent_grid), len(agent_grid)
-    true_means = draw_arm_means(n_arms, streams)
-    after_means = [stream.state() for stream in streams]
     by_size = sorted(range(n_counts), key=lambda i: -agent_grid[i])
+    sizes = [agent_grid[i] for i in by_size]
+    true_means, alpha0, rounds = init_beliefs(sizes, n_arms, n_rounds, n0, streams)
     # game g's place: (count by size, regime, replicate)
     games = np.arange(n_counts * len(REGIMES) * reps).reshape(n_counts, len(REGIMES), reps)
     n_games = games.size
-    # every count's prior rows, by size: per replicate, its agents' rows, then its pooled row
-    first = np.cumsum([0] + [reps * (agent_grid[i] + 1) for i in by_size])
-    alpha0 = np.empty((first[-1], n_arms))
     # per game: its agents' total0, and the observer's prior row and total0
     total0, observer_total = np.empty((2, n_games, 1))
     observer = np.empty(n_games, dtype=np.int64)
     movers = np.full((n_games, width), -1)
-    blocks = []  # per count: its place by size, agents, uniforms, orders as alpha0 rows
-    for p, i in enumerate(by_size):
-        n_agents = agent_grid[i]
-        for stream, state in zip(streams, after_means):
-            stream.restore(state)
-        rows = alpha0[first[p] : first[p + 1]].reshape(reps, n_agents + 1, n_arms)
-        rows[:, :n_agents], rows[:, n_agents] = init_beliefs(true_means, n_agents, n0, streams)
-        uniforms, orders = draw_rounds(n_agents, n_rounds, streams)
-        agent0 = first[p] + (n_agents + 1) * np.arange(reps)[:, None]  # per replicate
+    first = 0  # each count's first prior row
+    for p, (n_agents, (_, orders)) in enumerate(zip(sizes, rounds)):
+        agent0 = first + (n_agents + 1) * np.arange(reps)[:, None]  # per replicate
+        first += reps * (n_agents + 1)
         pooled, one, pool = agent0 + n_agents, 4.0 + n0, 4.0 + n_agents * n0
         mono, poly_fixed, _, ensemble = games[p]
         movers[mono, :n_agents] = agent0
@@ -288,7 +264,6 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
         # the observer counts mono's one sample set, otherwise the pool
         observer[games[p]], observer_total[games[p]] = pooled[:, 0], pool
         observer[mono], observer_total[mono] = agent0[:, 0], one
-        blocks.append((p, n_agents, uniforms, orders))
     game_means = np.zeros((n_games, n_arms + 1))
     game_means[:, :n_arms] = np.tile(true_means, (n_counts * len(REGIMES), 1))
     heads, pulls = np.zeros((2, n_games, n_arms + 1), dtype=np.int64)  # public records
@@ -300,7 +275,8 @@ def simulate_run(agent_grid, n_arms: int, n_rounds: int, n0: int,
     random = REGIMES.index("poly_random")
     random_movers = movers.reshape(count_draws.shape)[:, random]
     for t in range(n_rounds):
-        for p, n_agents, uniforms, orders in blocks:
+        for p, (uniforms, orders) in enumerate(rounds):
+            n_agents = orders.shape[-1]
             count_draws[p, :, :, :n_agents] = uniforms[:reps, t]
             count_draws[p, random, :, :n_agents] = uniforms[reps:, t]
             random_movers[p, :, :n_agents] = orders[:, t]

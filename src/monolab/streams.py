@@ -77,8 +77,9 @@ class RngStream:
     stream from the same key restarts the identical sequence, and restoring
     a snapshot taken with ``state`` replays the draws that followed it.  Each
     model draws what its grid shares once and restores a snapshot per grid
-    point: ``hiring.simulate_run`` per firm count, ``hiring_bandit.simulate_run``
-    per agent count and ``bandit2.simulate_failures`` per n0.
+    point: ``hiring.simulate_run`` per firm count, ``hiring_bandit.init_beliefs``
+    per agent count, in its one pass over each stream, and
+    ``bandit2.simulate_failures`` per n0.
     """
 
     __slots__ = ("master_seed", "stream_id", "gen")

@@ -182,6 +182,12 @@ def test_group_sizes():
         group_sizes(3, 4)
     with pytest.raises(ValueError):
         group_sizes(3, 0)
+    # the agent count is checked by its flag too: a float once raised a
+    # TypeError, and a bool was read as one agent
+    with pytest.raises(ValueError, match="agents must be an integer, got 10.5"):
+        group_sizes(10.5, 2)
+    with pytest.raises(ValueError, match="agents must be an integer, got True"):
+        group_sizes(True, 1)
 
 
 def test_run_regime_single_group_matches_run_group():

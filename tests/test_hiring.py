@@ -450,6 +450,36 @@ def test_normalized_performance_errors():
         normalized_performance(np.zeros((1, 1, 4), dtype=int), flat)
 
 
+BAD_MARKETS = [
+    # (id, stage call on a bad market, its message)
+    ("short-assignment", lambda: normalized_performance(np.array([0, UNMATCHED, 1]),
+                                                        np.arange(5.0)),
+     re.escape("assignment must have one entry per candidate, 5, got shape (3,)")),
+    ("nan-market", lambda: normalized_performance(np.array([0, UNMATCHED, UNMATCHED]),
+                                                  np.array([0.0, np.nan, 1.0])),
+     re.escape("market must be finite (no NaN or infinity)")),
+    ("column-market", lambda: normalized_performance(np.array([0] + [UNMATCHED] * 4),
+                                                     np.arange(5.0).reshape(5, 1)),
+     re.escape("market must be a row of candidate values, got shape (5, 1)")),
+    ("table-market", lambda: score_regime(np.ones((3, 2)), 2, np.zeros(12)),
+     re.escape("market must be a row of candidate values, got shape (3, 2)")),
+    ("infinite-market", lambda: score_regime(np.array([0.0, np.inf]), 2, np.zeros(4)),
+     re.escape("market must be finite (no NaN or infinity)")),
+    ("minus-infinity-market", lambda: normalized_performance(np.array([0, UNMATCHED]),
+                                                             np.array([1.0, -np.inf])),
+     re.escape("market must be finite (no NaN or infinity)")),
+]
+
+
+@pytest.mark.parametrize("stage, message", [case[1:] for case in BAD_MARKETS],
+                         ids=[case[0] for case in BAD_MARKETS])
+def test_stage_functions_refuse_a_bad_market_by_name(stage, message):
+    # each once failed elsewhere or not at all: an IndexError about a boolean
+    # index, a nan value, "degenerate market", and a 3-D table
+    with pytest.raises(ValueError, match=message):
+        stage()
+
+
 def test_stacked_normalized_performance_equals_its_rows_bit_for_bit():
     # rows that hire as many share the best and worst groups; rows that hire
     # fewer or more must read their own

@@ -13,8 +13,6 @@ from monolab import experiments, hiring_bandit
 from monolab.experiments import HiringBanditConfig
 from monolab.hiring_bandit import (
     REGIMES,
-    draw_arm_means,
-    draw_rounds,
     impartial_observer_misclassification,
     init_beliefs,
     observe_and_update,
@@ -112,20 +110,28 @@ def test_simulate_run_refuses_an_unordered_or_one_pass_grid(make):
     assert [stream.state() for stream in streams] == before
 
 
-def test_draw_arm_means_range_and_validation():
-    means = draw_arm_means(200, streams_for(31, 3))
+def test_init_beliefs_arm_means_range_and_validation():
+    means, _, _ = init_beliefs((1,), 200, 1, 0, streams_for(31, 3))
     assert means.shape == (3, 200)
     assert np.all((means > 0) & (means < 1))
     # row r is stream r's own draw
     assert np.array_equal(means[2], derive_stream(31, 2).betas(200, 2.0, 2.0))
     with pytest.raises(ValueError):
-        draw_arm_means(0, streams_for(31, 1))
+        init_beliefs((1,), 0, 1, 0, streams_for(31, 1))
+    # a negative n0 is refused by name, before the stream moves
+    streams = streams_for(31, 1)
+    before = streams[0].state()
+    with pytest.raises(ValueError, match="n0 must be >= 0, got -1"):
+        init_beliefs((1,), 2, 1, -1, streams)
+    assert streams[0].state() == before
 
 
 def test_init_beliefs_pairs_regimes_on_one_tensor(monkeypatch):
     reps, k, n0 = 3, 12, 5
     streams = streams_for(32, reps)
-    agents, pooled = init_beliefs(draw_arm_means(k, streams), 4, n0, streams)
+    _, alpha0, _ = init_beliefs((4,), k, 1, n0, streams)
+    rows = alpha0.reshape(reps, 4 + 1, k)  # per replicate: its agents' rows, then the pool's
+    agents, pooled = rows[:, :4], rows[:, 4]
     # float rows: their counts stay below 2**53, so they are exact
     assert agents.shape == (reps, 4, k) and pooled.shape == (reps, k)
     assert agents.dtype == pooled.dtype == np.float64
@@ -173,25 +179,36 @@ def test_init_beliefs_pairs_regimes_on_one_tensor(monkeypatch):
 
 
 def test_init_beliefs_zero_samples():
-    means = draw_arm_means(6, streams_for(33, 2))
-    agents, pooled = init_beliefs(means, 2, 0, streams_for(33, 2))
-    assert np.all(agents == 2) and np.all(pooled == 2)
+    _, alpha0, _ = init_beliefs((2,), 6, 1, 0, streams_for(33, 2))
+    assert alpha0.shape == (2 * (2 + 1), 6) and np.all(alpha0 == 2)
 
 
-def test_draw_rounds_reads_each_stream_in_the_documented_order():
-    n, n_rounds, reps = 3, 5, 2
-    uniforms, orders = draw_rounds(n, n_rounds, streams_for(34, reps))
-    assert uniforms.shape == (2 * reps, n_rounds, n)
-    assert orders.shape == (reps, n_rounds, n)
-    for r in range(reps):
-        # the shared block equals one uniforms(n) per round ...
-        stream = derive_stream(34, r)
-        assert np.array_equal(uniforms[r], [stream.uniforms(n) for _ in range(n_rounds)])
-        # ... and poly_random replays from the same state: order, then uniforms
-        stream = derive_stream(34, r)
-        for t in range(n_rounds):
-            assert np.array_equal(orders[r, t], stream.permutation(n))
-            assert np.array_equal(uniforms[reps + r, t], stream.uniforms(n))
+def test_init_beliefs_reads_each_stream_in_the_documented_order():
+    counts, k, n0, n_rounds, reps = (3, 1, 2), 5, 4, 5, 2
+    means, alpha0, rounds = init_beliefs(counts, k, n_rounds, n0, streams_for(34, reps))
+    assert len(rounds) == len(counts)
+    first = 0
+    for n, (uniforms, orders) in zip(counts, rounds):
+        assert uniforms.shape == (2 * reps, n_rounds, n)
+        assert orders.shape == (reps, n_rounds, n)
+        rows = alpha0[first : first + reps * (n + 1)].reshape(reps, n + 1, k)
+        first += reps * (n + 1)
+        for r in range(reps):
+            # the arm means, then, for each count as from a fresh derive, the
+            # sample tensor ...
+            stream = derive_stream(34, r)
+            assert np.array_equal(means[r], stream.betas(k, 2.0, 2.0))
+            tensor = stream.binomials(n0, np.broadcast_to(means[r], (n, k)))
+            assert np.array_equal(rows[r], np.vstack((tensor, tensor.sum(axis=0))) + 2)
+            after_tensor = stream.state()
+            # ... then the shared block, equal to one uniforms(n) per round ...
+            assert np.array_equal(uniforms[r], [stream.uniforms(n) for _ in range(n_rounds)])
+            # ... and poly_random replays from the same state: order, then uniforms
+            stream.restore(after_tensor)
+            for t in range(n_rounds):
+                assert np.array_equal(orders[r, t], stream.permutation(n))
+                assert np.array_equal(uniforms[reps + r, t], stream.uniforms(n))
+    assert first == len(alpha0)
 
 
 def test_play_round_takes_best_then_next_best():
@@ -365,7 +382,7 @@ def test_total_bayesian_regret_adds_in_pull_order(monkeypatch):
 
     monkeypatch.setattr(hiring_bandit, "play_round", logged)
     n_agents, n_arms, n_rounds, reps = 4, 40, 10, 3
-    means = draw_arm_means(n_arms, streams_for(1, reps))
+    means, _, _ = init_beliefs((n_agents,), n_arms, n_rounds, 2, streams_for(1, reps))
     regret, _ = simulate_run((n_agents,), n_arms, n_rounds, 2, streams_for(1, reps))
     assert len(logs) == n_rounds
     arm_log = np.stack(logs, axis=1)  # (games, rounds, agents), regime-major
@@ -477,7 +494,7 @@ def test_simulate_run_deterministic():
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
-    agent_grid=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+    agent_grid=st.lists(st.integers(1, 8), min_size=1, max_size=3),
     extra_arms=st.integers(1, 12),
     n_rounds=st.integers(1, 30),
     n0=st.integers(0, 3),
@@ -486,10 +503,13 @@ def test_simulate_run_deterministic():
 )
 @example(agent_grid=[3, 1, 6], extra_arms=2, n_rounds=8, n0=2, seed=43, n_reps=3)
 @example(agent_grid=[4, 2], extra_arms=1, n_rounds=5, n0=0, seed=44, n_reps=2)
+@example(agent_grid=[3, 1, 3], extra_arms=2, n_rounds=6, n0=1, seed=45, n_reps=2)
+@example(agent_grid=[2, 2], extra_arms=1, n_rounds=4, n0=2, seed=46, n_reps=2)
+@example(agent_grid=[1, 1], extra_arms=1, n_rounds=3, n0=1, seed=47, n_reps=2)
 def test_simulate_run_matches_reference(agent_grid, extra_arms, n_rounds, n0, seed, n_reps):
     # n0 = 0 starts every agent at Beta(2, 2): round one is all ties, also
     # among the agents of a shared row.  Each agent count of the grid, in any
-    # order, plays as the reference does on a fresh stream.
+    # order and repeated or not, plays as the reference does on a fresh stream.
     game = (max(agent_grid) + extra_arms, n_rounds, n0)
     regret, misclassification = simulate_run(agent_grid, *game, streams_for(seed, n_reps))
     assert regret.shape == misclassification.shape == (len(agent_grid), len(REGIMES), n_reps)
