@@ -23,9 +23,10 @@ cross-multiplication, so ties are exact and always go to arm 1.
 n0 and k at once, one replicate per stream its caller derives.  A
 replicate draws its environment once and snapshots the stream; each n0
 restores the snapshot, so it reads the stream as a fresh derive would.
-All groups of all n0 and replicates walk the greedy rule in one lockstep.
-The tests compare it with a scalar reference in ``tests/oracles.py`` that
-walks one group one step at a time.
+All groups of all n0 and replicates walk the greedy rule in one lockstep,
+in int32 counts when the sweep's largest product and code index stay
+below 2**31 and in int64 otherwise.  The tests compare it with a scalar
+reference in ``tests/oracles.py`` that walks one group one step at a time.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ def replicate_bytes(total_agents: int, k_grid: Sequence[int], n0_count: int) -> 
     size arrays.  Per n0, 3 per agent for the codes kept (2, and up to an
     eighth more as their buffer grows), 112 per group for the walk's six
     int64 rows and their temporaries (about 68 under tracemalloc), and 256
-    for the replicate's own numbers.
+    for the replicate's own numbers.  The 112 stays the int64 bound when the
+    walk counts in int32, so the sweeps ``check_sweep`` refuses do not
+    depend on the width.
     """
     groups = sum(k_grid)
     return 22 * total_agents + 256 * groups + n0_count * (3 * total_agents + 112 * groups + 256)
@@ -127,7 +130,11 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     where that prefix shrinks, at each distinct group size; each step makes
     one greedy comparison and one gather of the pulled arm's next code per
     row; pulling arm 2 pays when the code exceeds 1, arm 1 when it exceeds 0.
-    The rows' counts are then pooled per (n0, k, replicate).
+    The walk counts in int32 when (max(n0_grid) + total_agents) *
+    (2 max(n0_grid) + total_agents), which bounds every count and product,
+    and the number of codes, which bounds every code index, are both below
+    2**31; otherwise in int64.  The rows' counts are then pooled per
+    (n0, k, replicate) in int64.
     """
     check_sweep(n0_grid, k_grid, total_agents)
     groups = []  # (size, k row, first uniform) of every group of every k cell
@@ -153,10 +160,13 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
             codes.extend(np.add(u < mu1, u < mu2, dtype=np.uint8))
             del u  # so that the next block is not drawn while this one is alive
     n_cells = len(history)
-    s1, s2 = np.array(history, dtype=np.int64).reshape(-1, 2).T
-    n0 = np.tile(np.array(n0_grid, dtype=np.int64), n_reps)
+    big = max(n0_grid)
+    fits = (big + total_agents) * (2 * big + total_agents) < 2**31 and n_cells * width < 2**31
+    count = np.int32 if fits else np.int64
+    s1, s2 = np.array(history, dtype=count).reshape(-1, 2).T
+    n0 = np.tile(np.array(n0_grid, dtype=count), n_reps)
     codes = np.frombuffer(codes, dtype=np.uint8)
-    size, krow, first = np.array(groups, dtype=np.int64).reshape(-1, 3).T
+    size, krow, first = np.array(groups, dtype=count).reshape(-1, 3).T
 
     # Per row, cell-major within each group slot: successes of arm 1 and of
     # both arms and pulls of arm 1 and of both arms, each with the history
@@ -168,7 +178,7 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     at = np.tile(s1 + s2, n_groups)
     b1 = np.tile(n0, n_groups)
     bt = 2 * b1
-    cell_first = np.arange(n_cells) * width
+    cell_first = np.arange(n_cells, dtype=count) * width
     p1 = (first[:, None] + cell_first).reshape(-1)
     p2 = ((first + size)[:, None] + cell_first).reshape(-1)
     sizes = sorted({m for m, _, _ in groups})

@@ -84,7 +84,7 @@ def _merge_params(args, allowed) -> dict:
     if args.config == "":
         raise ValueError("config must not be empty")
     if args.config is not None:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as err:

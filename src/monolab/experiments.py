@@ -434,7 +434,7 @@ def atomic_write_text(text: str, path: str) -> None:
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -452,7 +452,7 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
 def read_csv(path: str) -> list[ResultRow]:
     """Parse a results CSV, reporting the line number of any malformed row."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -342,6 +342,15 @@ def test_simulate_failures_exact_up_to_its_n0_bound():
             Bandit2Config(total_agents=50, n0_grid=(1, n0), k_grid=(1, 2))
 
 
+# at n0 = 1, 46,339 agents is the largest count whose walk counts in int32
+@pytest.mark.parametrize("agents", [46_339, 46_340])
+def test_simulate_failures_matches_scalar_route_on_each_side_of_the_int32_bound(agents):
+    k_grid = (460, 463)  # walks of about 100 steps
+    vec = simulate_failures((1,), k_grid, agents, _streams(64, 0, 30))
+    assert vec.dtype == np.int64
+    assert np.array_equal(vec[0], _scalar_failures(1, k_grid, agents, 64, 0, 30))
+
+
 @pytest.mark.parametrize("agents, n0_grid, k_grid, too_large", [
     (3 * 10**9, (1,), (1,), True),  # 96 GB, half of it the uniforms
     # 25 bytes per agent would pass, but 368 per group of every k do not
@@ -498,6 +507,53 @@ def test_a_uniform_equal_to_an_arm_mean_pays_nothing_on_that_arm():
                 h0 = (n0, *draw_initial_history(*env, n0, stream))
                 traces = run_regime(env, h0, agents, k, stream)
                 assert vec[i, j, r] == pooled_failure(h0, traces), (n0, k, r)
+
+
+# (n0 + agents) * (2 n0 + agents) just below 2**31, where the walk counts in
+# int32, and just above it, where it counts in int64
+_WIDTH_BOUNDARY = [(1, 46_339), (1, 46_340), (32_693, 100), (32_694, 100)]
+
+
+@pytest.mark.parametrize("n0, agents", _WIDTH_BOUNDARY)
+def test_paying_uniforms_drive_a_group_to_its_largest_counts(n0, agents):
+    # A perfect history and uniforms that pay both arms tie every comparison,
+    # so a group pulls arm 1 to its last step: its comparison then multiplies
+    # counts of n0 + agents - 1 and 2 n0 + agents - 1, next to the bound.
+    def stub():
+        return FixedStream((0.25, 0.75), [0.0])
+
+    k_grid = (1, 2)
+    vec = simulate_failures((n0,), k_grid, agents, [stub()])
+    assert vec.dtype == np.int64
+    for j, k in enumerate(k_grid):
+        stream = stub()
+        env = draw_environment(stream)
+        h0 = (n0, *draw_initial_history(*env, n0, stream))
+        traces = run_regime(env, h0, agents, k, stream)
+        assert sum(t.n1 for t in traces) == agents
+        assert vec[0, j, 0] == pooled_failure(h0, traces)
+
+
+def test_a_product_of_two_to_the_31_still_decides_a_pull():
+    # n0 = 32896 and s1 = s2 = 32640.  Arm 1 fails its first pull, so arm 2
+    # leads, (n0 + 1) * 2 s1 >= 2**31 against s1 * (2 n0 + 1) < 2**31, a
+    # product that int32 would wrap.  Arm 2 then fails too, which ties the
+    # pooled record; a second pull of arm 1, which pays, would rank arm 2 first.
+    # Here (n0 + agents) * (2 n0 + agents) exceeds 2**31 by under 1%.
+    class Stub(FixedStream):
+        def binomials(self, n, p):
+            return 32_640
+
+    def stub():
+        return Stub((0.25, 0.5), [0.9, 0.0, 0.9, 0.9])
+
+    n0, agents = 32_896, 2
+    stream = stub()
+    env = draw_environment(stream)
+    h0 = (n0, *draw_initial_history(*env, n0, stream))
+    traces = run_regime(env, h0, agents, 1, stream)
+    assert [t.n2 for t in traces] == [1] and not pooled_failure(h0, traces)
+    assert simulate_failures((n0,), (1,), agents, [stub()]).tolist() == [[[0]]]
 
 
 def test_simulate_failures_rejects_before_any_draw():

@@ -1263,3 +1263,29 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "jobless_probability" in proc.stdout
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # A UTF-8 config and the CSV it makes must read and write the same bytes
+    # whatever the locale's encoding is.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"rankings": [["B", "C", "é"], ["C", "B", "é"]]},
+                                 ensure_ascii=False), encoding="utf-8")
+    utf8_csv, ascii_csv = tmp_path / "utf8.csv", tmp_path / "ascii.csv"
+    assert cli.main(["order-sensitivity", "--config", str(config), "--out", str(utf8_csv)]) == 0
+    argv = ["order-sensitivity", "--config", str(config), "--out", str(ascii_csv)]
+    script = (
+        "import codecs, locale\n"
+        "from monolab import cli, experiments\n"
+        "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"rows = experiments.read_csv({str(utf8_csv)!r})\n"
+        "assert [row.exact for row in rows] == ['\\xe9', '\\xe9', ''], rows\n"
+    )
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert ascii_csv.read_bytes() == utf8_csv.read_bytes()
+    assert read_csv(str(ascii_csv)) == read_csv(str(utf8_csv))
