@@ -467,22 +467,39 @@ def test_noise_sd_within_the_bound_runs_without_overflow():
     assert all(np.isfinite(row.value) for row in rows)
 
 
-@pytest.mark.parametrize("mode, candidates, firm_grid, capacity", [
-    ("sequential", 2000, (63, 64), 1),
-    ("sequential", 700, (300, 299), 2),
-    ("sequential", 30, (2, 7), 4),
-    ("simultaneous", 2000, (63, 64), 10),
-    ("simultaneous", 700, (300, 299), 2),
-    ("simultaneous", 300, (3,), 99),
+HIRING_RANGES = [
+    # (mode, candidates, firm_grid, capacity, replicates)
+    ("sequential", 2000, (63, 64), 1, 2),
+    ("sequential", 700, (300, 299), 2, 2),
+    ("sequential", 30, (2, 7), 4, 2),
+    ("simultaneous", 2000, (63, 64), 10, 2),
+    ("simultaneous", 700, (300, 299), 2, 2),
+    ("simultaneous", 300, (3,), 99, 2),
+    # batches of 5 and of 13 replicates, the last one ragged
+    ("sequential", 200, (4, 16, 64), 1, 12),
+    ("simultaneous", 300, (2, 8, 16), 10, 27),
+]
+
+
+# The ids leave out the default two replicates.
+@pytest.mark.parametrize("mode, candidates, firm_grid, capacity, n_runs", HIRING_RANGES, ids=[
+    f"{mode}-{candidates}-firm_grid{i}-{capacity}" + (f"-{n_runs}" if n_runs != 2 else "")
+    for i, (mode, candidates, _, capacity, n_runs) in enumerate(HIRING_RANGES)
 ])
 def test_hiring_replicate_bytes_bounds_what_a_replicate_allocates(
-    mode, candidates, firm_grid, capacity
+    mode, candidates, firm_grid, capacity, n_runs
 ):
     # numpy reports its array buffers to tracemalloc; a fixed 64 KiB covers
-    # the array headers and Python objects of a small market.  Replicates
-    # run one after another, so the whole range stays within one replicate.
+    # the array headers and Python objects of a small market.  simulate_run
+    # walks its replicates in batches of B, as many as keep their noise
+    # blocks within hiring._BATCH_BYTES, and a batch's arrays are freed
+    # before the next batch is drawn, so the whole range stays within
+    # min(B, n_runs) replicates.
     cfg = HiringConfig(mode=mode, n_candidates=candidates, firm_grid=firm_grid,
-                       capacity=capacity, n_runs=2)
+                       capacity=capacity, n_runs=n_runs)
+    batch = max(1, hiring._BATCH_BYTES // (8 * candidates * max(firm_grid)))
+    if n_runs > 2:
+        assert 1 < batch < n_runs  # batches of more than one, and more than one batch
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -491,7 +508,7 @@ def test_hiring_replicate_bytes_bounds_what_a_replicate_allocates(
     finally:
         tracemalloc.stop()
     size = hiring.replicate_bytes(candidates, max(firm_grid), mode == "simultaneous")
-    assert peak <= size + 64 * 1024
+    assert peak <= min(batch, n_runs) * size + 64 * 1024
 
 
 def test_bandit2_config_uses_the_model_split_rule():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monolab import hiring
 from monolab.hiring import (
     REGIMES,
     UNMATCHED,
@@ -231,6 +232,99 @@ def test_sequential_hire_matches_mask_scan_reference(market):
         sort_scan[picks] = np.repeat(order, capacity)  # the firm behind each pick
         assert sort_scan.tolist() == expected
     assert np.array_equal(scores, before)  # the caller's table is not masked
+
+
+@st.composite
+def hiring_batches(draw):
+    """A batch of 1-4 tables of one shape on a coarse grid (many ties), 1-8
+    firms, capacity 1-3, each entry with its own firm order."""
+    n_batch = draw(st.integers(1, 4))
+    n_firms = draw(st.integers(1, 8))
+    capacity = draw(st.integers(1, 3))
+    n_candidates = draw(st.integers(n_firms * capacity, n_firms * capacity + 5))
+    row = st.lists(st.integers(-2, 2).map(float), min_size=n_candidates, max_size=n_candidates)
+    tables = np.array([[draw(row) for _ in range(n_firms)] for _ in range(n_batch)])
+    orders = np.array([draw(st.permutations(range(n_firms))) for _ in range(n_batch)])
+    return tables, orders.reshape(n_batch, n_firms), capacity
+
+
+@given(hiring_batches())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_sequential_hire_batches_equal_their_entries(batch):
+    # a batch of tables, in either memory layout, and a batch of shared rows
+    # each equal their entries' calls and the per-seat mask scan; the lockstep
+    # masks a gathered copy, never the caller's scores
+    tables, orders, capacity = batch
+    rows = tables[:, 0]
+    candidate_major = np.ascontiguousarray(tables.swapaxes(1, 2)).swapaxes(1, 2)
+    before = tables.copy(), rows.copy(), candidate_major.copy()
+    by_table = sequential_hire(tables, orders, capacity)
+    assert np.array_equal(sequential_hire(candidate_major, orders, capacity), by_table)
+    by_row = sequential_hire(rows, orders, capacity)
+    for b, order in enumerate(orders):
+        expected = sequential_hire_mask_scan(tables[b], order, capacity)
+        assert by_table[b].tolist() == sequential_hire(tables[b], order, capacity).tolist()
+        assert by_table[b].tolist() == expected
+        shared = np.tile(rows[b], (len(order), 1))
+        assert by_row[b].tolist() == sequential_hire(rows[b], order, capacity).tolist()
+        assert by_row[b].tolist() == sequential_hire_mask_scan(shared, order, capacity)
+    for array, copy in zip((tables, rows, candidate_major), before):
+        assert np.array_equal(array, copy)
+
+
+def test_sequential_hire_refuses_a_batch_that_does_not_fit():
+    tables = np.zeros((2, 3, 5))
+    orders = np.array([[0, 1, 2], [2, 1, 0]])
+    with pytest.raises(ValueError, match=re.escape(
+            "firm_order of shape (3, 3) and scores of shape (2, 3, 5) must have the same "
+            "batch size")):
+        sequential_hire(tables, np.vstack([orders, orders[:1]]))
+    with pytest.raises(ValueError, match=re.escape(
+            "firm_order of shape (2, 3) and scores of shape (3, 5) must have the same "
+            "batch size")):
+        sequential_hire(tables[0], orders)  # a table read as three shared rows
+    for bad in ([[0, 1], [1, 0]],  # two firms for three-firm tables
+                [[0, 1, 2], [0, 0, 2]],  # one entry is not a permutation
+                [[0, 1, 2], [2, True, 0]]):  # a bool among a list's integers
+        with pytest.raises(ValueError, match="firm_order must be an integer permutation"):
+            sequential_hire(tables, bad)
+    for scores, order in ((np.zeros((2, 2, 3)), [0, 1]),
+                          (np.zeros((2, 2, 2, 3)), [[0, 1], [1, 0]]),
+                          (np.zeros(3), [[0]])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"scores must be a row or a table, or a batch of them along firm_order's "
+                f"leading axis, got shape {scores.shape}")):
+            sequential_hire(scores, order)
+
+
+@pytest.mark.parametrize("n_firms", [1, 7, 8, 9, 64])
+def test_score_regime_batch_equals_its_markets_bit_for_bit(n_firms):
+    # numpy sums 8 or more firms pairwise, in an order that a C-ordered copy
+    # would change; the batch must sum each market's mean as its call does
+    markets = derive_stream(51, 0).gaussians((4, 30))
+    noise = derive_stream(51, 1).gaussians((4, 30 * 64 + 3), 0.0, 0.5)
+    tables, rows = score_regime(markets, n_firms, noise)
+    assert tables.shape == (4, n_firms, 30) and rows.shape == (4, 30)
+    for b in range(4):
+        table, row = score_regime(markets[b], n_firms, noise[b])
+        assert tables[b].tobytes() == table.tobytes()
+        assert rows[b].tobytes() == row.tobytes()
+
+
+def test_score_regime_batch_refuses_a_bad_market_or_block():
+    markets, noise = np.zeros((3, 4)), np.zeros((3, 8))
+    for b in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = markets.copy()
+            broken[b, 1] = bad
+            with pytest.raises(ValueError, match=re.escape(
+                    "market must be finite (no NaN or infinity)")):
+                score_regime(broken, 2, noise)
+    for block, firms in ((noise, 3), (noise[:2], 2)):  # a short block, a missing one
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise must be a flat block of at least {4 * firms} normals for each "
+                f"market of a (3, 4) batch, got shape {block.shape}")):
+            score_regime(markets, firms, block)
 
 
 def test_score_regime_ensemble_averages_a_given_poly_table():
@@ -540,6 +634,31 @@ def test_simulate_run_plays_each_replicate_alone(simultaneous):
     for r in range(5):
         alone = simulate_run(*market, [derive_stream(47, r)])
         assert np.array_equal(together[:, :, r], alone[:, :, 0]), r
+
+
+@pytest.mark.parametrize("firm_grid, capacity", [((7, 1, 4, 4), 1), ((7, 1, 4, 4), 3),
+                                                 ((64,), 2)])
+@pytest.mark.parametrize("noise_sd", [0.0, 0.5], ids=["sd0", "sd0.5"])
+@pytest.mark.parametrize("simultaneous", [False, True], ids=["sequential", "simultaneous"])
+def test_simulate_run_does_not_depend_on_the_batch_size(firm_grid, capacity, noise_sd,
+                                                      simultaneous, monkeypatch):
+    # batches of 1, of 2 with a ragged last batch, and one of every replicate;
+    # at noise sd 0 every firm reads the market, so every row ties every other
+    n_runs, n_candidates = 5, max(firm_grid) * capacity + 9
+    counts = len(set(firm_grid))
+    calls = []
+    score = hiring.score_regime
+    monkeypatch.setattr(hiring, "score_regime", lambda *a: calls.append(1) or score(*a))
+    results = []
+    for size in (1, 2, n_runs):
+        monkeypatch.setattr(hiring, "_BATCH_BYTES", size * 8 * n_candidates * max(firm_grid))
+        calls.clear()
+        results.append(simulate_run(n_candidates, firm_grid, noise_sd, capacity, simultaneous,
+                                    [derive_stream(50, r) for r in range(n_runs)]))
+        # one call per batch for mono's rows and one per batch and firm count
+        assert len(calls) == -(-n_runs // size) * (1 + counts), size
+    for values in results[1:]:
+        assert values.tobytes() == results[0].tobytes()
 
 
 def test_simulate_run_rejects_before_any_draw():
