@@ -23,10 +23,14 @@ cross-multiplication, so ties are exact and always go to arm 1.
 n0 and k at once, one replicate per stream its caller derives.  A
 replicate draws its environment once and snapshots the stream; each n0
 restores the snapshot, so it reads the stream as a fresh derive would.
-All groups of all n0 and replicates walk the greedy rule in one lockstep,
-in int32 counts when the sweep's largest product and code index stay
-below 2**31 and in int64 otherwise.  The tests compare it with a scalar
-reference in ``tests/oracles.py`` that walks one group one step at a time.
+The n0 whose histories leave the stream in equal states share one block
+of reward uniforms, as equal states replay equal draws; at small n0 the
+binomial sampler reads the same number of raw draws for every n0, so a
+replicate usually draws one block.  All groups of all n0 and replicates
+walk the greedy rule in one lockstep, in int32 counts when the sweep's
+largest product and code index stay below 2**31 and in int64 otherwise.
+The tests compare it with a scalar reference in ``tests/oracles.py`` that
+walks one group one step at a time.
 """
 
 from __future__ import annotations
@@ -71,15 +75,17 @@ def replicate_bytes(total_agents: int, k_grid: Sequence[int], n0_count: int) -> 
     """A bound on the bytes one replicate's arrays take in ``simulate_failures``
     over ``n0_count`` initial sample counts.
 
-    22 per agent for one n0's ``2 * total_agents`` uniforms (16), the two
+    22 per agent for one block's ``2 * total_agents`` uniforms (16), the two
     comparisons that make their reward codes (2 and 2) and the codes as made
     (2), and 256 per group of every k for the group list, its sort keys and
-    size arrays.  Per n0, 3 per agent for the codes kept (2, and up to an
-    eighth more as their buffer grows), 112 per group for the walk's six
-    int64 rows and their temporaries (about 68 under tracemalloc), and 256
-    for the replicate's own numbers.  The 112 stays the int64 bound when the
-    walk counts in int32, so the sweeps ``check_sweep`` refuses do not
-    depend on the width.
+    size arrays.  Per n0, 3 per agent for a block of codes kept (2, and up
+    to an eighth more as their buffer grows), 112 per group for the walk's
+    six int64 rows, its three flag rows and their temporaries (about 90
+    under tracemalloc), and 256 for the replicate's own numbers.  The codes
+    term is a worst case: n0 whose histories leave equal stream states share
+    one block, so a replicate often keeps a single block.  It and the 112
+    stay the bound whatever the draws share and whichever width the walk
+    counts in, so the sweeps ``check_sweep`` refuses depend on neither.
     """
     groups = sum(k_grid)
     return 22 * total_agents + 256 * groups + n0_count * (3 * total_agents + 112 * groups + 256)
@@ -114,9 +120,12 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     worker processes.  The streams are read one at a time, in order.  A
     sweep that ``check_sweep`` rejects raises before any draw.
 
-    Draws: after its history, each n0 draws one block of ``2 * total_agents``
+    Draws: after its history, each n0 reads one block of ``2 * total_agents``
     uniforms, which serves every k, as the groups read consecutive uniforms
-    whatever k is.  Group g of size m_g starts at
+    whatever k is.  The block is keyed on ``stream.state()`` after the
+    history: it is drawn only when no earlier n0 of the replicate left the
+    stream in an equal state, and otherwise the n0 reads the block drawn
+    from that state, which equal draws would have repeated.  Group g of size m_g starts at
     ``o_g = 2 * sum(sizes[:g])``; its arm-1 schedule is
     ``block[o_g : o_g + m_g] < mu1`` and its arm-2 schedule
     ``block[o_g + m_g : o_g + 2 m_g] < mu2``.  Each uniform u is kept as a
@@ -130,11 +139,15 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     where that prefix shrinks, at each distinct group size; each step makes
     one greedy comparison and one gather of the pulled arm's next code per
     row; pulling arm 2 pays when the code exceeds 1, arm 1 when it exceeds 0.
-    The walk counts in int32 when (max(n0_grid) + total_agents) *
-    (2 max(n0_grid) + total_agents), which bounds every count and product,
-    and the number of codes, which bounds every code index, are both below
-    2**31; otherwise in int64.  The rows' counts are then pooled per
-    (n0, k, replicate) in int64.
+    Each step keeps its pick and reward flags as 0/1 rows of the count
+    dtype and indexes the pulled code as ``P1 + pick2 * (P2 - P1)``, so no
+    operation mixes bool and integer operands.  The walk counts in int32
+    when (max(n0_grid) + total_agents) * (2 max(n0_grid) + total_agents),
+    which bounds every count and product, and the number of codes kept,
+    which bounds every code index, are both below 2**31; otherwise in
+    int64.  The rows' counts are then pooled per (n0, k, replicate) in
+    int64: the groups are sorted by k row, which puts each k cell's groups
+    next to each other, and summed by ``np.add.reduceat``.
     """
     check_sweep(n0_grid, k_grid, total_agents)
     groups = []  # (size, k row, first uniform) of every group of every k cell
@@ -148,20 +161,28 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     width = 2 * total_agents
     # Cells are (replicate, n0) pairs, replicate-major.  Their count is known
     # only once the streams run out, so the codes grow in one buffer, which
-    # the walk then reads without a copy.
-    history, codes, n_reps = [], bytearray(), 0  # history: (s1, s2) per cell
+    # the walk then reads without a copy.  A block is drawn only from a state
+    # no earlier n0 of the replicate left; cell_block[c] is cell c's block.
+    history, cell_block, codes, n_reps = [], [], bytearray(), 0  # history: (s1, s2) per cell
     for n_reps, stream in enumerate(streams, 1):
         mu1, mu2 = draw_environment(stream)
         after_environment = stream.state()
+        blocks = []  # (state after a history, its block) of this replicate
         for n0 in n0_grid:
             stream.restore(after_environment)
             history.append(draw_initial_history(mu1, mu2, n0, stream))
-            u = stream.uniforms(width)
-            codes.extend(np.add(u < mu1, u < mu2, dtype=np.uint8))
-            del u  # so that the next block is not drawn while this one is alive
+            state = stream.state()
+            block = next((b for seen, b in blocks if seen == state), None)
+            if block is None:
+                block = len(codes) // width
+                blocks.append((state, block))
+                u = stream.uniforms(width)
+                codes.extend(np.add(u < mu1, u < mu2, dtype=np.uint8))
+                del u  # so that the next block is not drawn while this one is alive
+            cell_block.append(block)
     n_cells = len(history)
     big = max(n0_grid)
-    fits = (big + total_agents) * (2 * big + total_agents) < 2**31 and n_cells * width < 2**31
+    fits = (big + total_agents) * (2 * big + total_agents) < 2**31 and len(codes) < 2**31
     count = np.int32 if fits else np.int64
     s1, s2 = np.array(history, dtype=count).reshape(-1, 2).T
     n0 = np.tile(np.array(n0_grid, dtype=count), n_reps)
@@ -178,32 +199,37 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     at = np.tile(s1 + s2, n_groups)
     b1 = np.tile(n0, n_groups)
     bt = 2 * b1
-    cell_first = np.arange(n_cells, dtype=count) * width
+    cell_first = np.array(cell_block, dtype=count) * width
     p1 = (first[:, None] + cell_first).reshape(-1)
     p2 = ((first + size)[:, None] + cell_first).reshape(-1)
+    # a step's pick2, pick1 and reward, as 0/1 rows of the count dtype
+    flags = np.empty((3, len(a1)), dtype=count)
     sizes = sorted({m for m, _, _ in groups})
     for start, m in zip([0, *sizes], sizes):
         # Steps start .. m - 1 walk the groups of at least m agents;
         # A1 .. P2 are views of their rows.
         live = np.count_nonzero(size >= m) * n_cells
         A1, AT, B1, BT, P1, P2 = (x[:live] for x in (a1, at, b1, bt, p1, p2))
+        pick2, pick1, reward = flags[:, :live]
         for _ in range(start, m):
-            pick2 = B1 * AT > A1 * BT
-            pick1 = ~pick2
-            reward = codes.take(np.where(pick2, P2, P1)) > pick2
+            np.greater(B1 * AT, A1 * BT, out=pick2)
+            np.subtract(1, pick2, out=pick1)
+            np.greater(codes.take(P1 + pick2 * (P2 - P1)), pick2, out=reward)
             AT += reward
-            A1 += reward & pick1
+            reward *= pick1
+            A1 += reward
             B1 += pick1
             BT += 1
             P1 += pick1
             P2 += pick2
 
-    # Pool each k cell's groups; its arm 2 has the rest of the pulls and wins.
+    # Pool each k cell's groups: sorted by k row, row j's k_grid[j] groups
+    # are consecutive.  Its arm 2 has the rest of the pulls and wins.
     shape = (n_groups, n_cells)
-    n1, z1, z = (np.zeros((len(k_grid), n_cells), dtype=np.int64) for _ in range(3))
-    np.add.at(n1, krow, b1.reshape(shape) - n0)
-    np.add.at(z1, krow, a1.reshape(shape) - s1)
-    np.add.at(z, krow, at.reshape(shape) - (s1 + s2))
+    order = np.argsort(krow, kind="stable")
+    starts = np.cumsum([0, *k_grid[:-1]])
+    n1, z1, z = (np.add.reduceat((x.reshape(shape) - h)[order], starts, dtype=np.int64)
+                 for x, h in ((b1, n0), (a1, s1), (at, s1 + s2)))
     n2 = total_agents - n1
     z2 = z - z1
     failed = (s2 + z2) * (n0 + n1) > (s1 + z1) * (n0 + n2)

@@ -79,7 +79,8 @@ class RngStream:
     model draws what its grid shares once and restores a snapshot per grid
     point: ``hiring.simulate_run`` per firm count, ``hiring_bandit.init_beliefs``
     per agent count, in its one pass over each stream, and
-    ``bandit2.simulate_failures`` per n0.
+    ``bandit2.simulate_failures`` per n0, where the n0 whose histories leave
+    equal states share one block of reward uniforms.
     """
 
     __slots__ = ("master_seed", "stream_id", "gen")
@@ -97,7 +98,15 @@ class RngStream:
     # -- snapshots ---------------------------------------------------------
 
     def state(self) -> dict:
-        """A snapshot of the generator state, for ``restore``."""
+        """A snapshot of the generator state, for ``restore`` and comparison.
+
+        Streams in equal states make equal draws, so two snapshots that
+        compare equal replay the same sequence.  A snapshot includes the
+        32-bit half of a 64-bit PCG64 output that a 32-bit draw (such as a
+        short ``permutation``) may leave buffered for the next one
+        (``has_uint32`` and ``uinteger``): two states that differ only there
+        compare unequal, as their next 32-bit draws differ.
+        """
         return self.gen.bit_generator.state
 
     def restore(self, state: dict) -> None:

@@ -20,7 +20,7 @@ from monolab.bandit2 import (
     simulate_failures,
 )
 from monolab.experiments import Bandit2Config
-from monolab.streams import derive_stream
+from monolab.streams import RngStream, derive_stream
 
 from oracles import (
     BanditTrace,
@@ -441,6 +441,42 @@ def test_simulate_failures_chunk_invariant():
             assert np.array_equal(alone[0, 0], whole[i, j])
 
 
+class CountingStream(RngStream):
+    """A real stream that counts its ``uniforms`` calls."""
+
+    def __init__(self, master_seed, stream_id):
+        super().__init__(master_seed, stream_id)
+        self.uniform_calls = 0
+
+    def uniforms(self, shape):
+        self.uniform_calls += 1
+        return super().uniforms(shape)
+
+
+def test_histories_that_leave_equal_states_share_one_uniform_block():
+    # At these n0 the binomial sampler reads one raw draw per arm whatever n0
+    # is, so all three histories leave the stream in one state and the
+    # replicate draws a single block of reward uniforms for all of them.
+    n0_grid, k_grid = (1, 5, 10), (1, 2, 4, 8)
+    streams = [CountingStream(65, r) for r in range(20)]
+    vec = simulate_failures(n0_grid, k_grid, 1000, streams)
+    assert [stream.uniform_calls for stream in streams] == [1] * 20
+    for row, n0 in enumerate(n0_grid):
+        assert np.array_equal(vec[row], _scalar_failures(n0, k_grid, 1000, 65, 0, 20))
+
+
+# Sorted by size, largest first, the groups of k = (4, 3) at 10 agents read
+# 4 (k = 3), 3, 3 (k = 4), 3, 3 (k = 3), 2, 2 (k = 4), so a k cell's groups
+# need not be consecutive; those of k = (3, 4) and (1, 3, 4) happen to be.
+@pytest.mark.parametrize("k_grid", [(3, 4), (4, 3), (1, 3, 4), (4, 1, 3)],
+                         ids=["3,4", "4,3", "1,3,4", "4,1,3"])
+def test_pooling_when_k_cells_groups_interleave_after_the_size_sort(k_grid):
+    n0_grid = (1, 3)
+    vec = simulate_failures(n0_grid, k_grid, 10, _streams(66, 0, 200))
+    for row, n0 in enumerate(n0_grid):
+        assert np.array_equal(vec[row], _scalar_failures(n0, k_grid, 10, 66, 0, 200))
+
+
 def test_simulate_failures_reads_the_streams_one_at_a_time_in_order():
     # stream r must have been drawn from before stream r + 1 is taken, so a
     # range never holds more than one replicate's uniform block
@@ -504,6 +540,34 @@ def test_a_uniform_equal_to_an_arm_mean_pays_nothing_on_that_arm():
                 stream = stubs(r)
                 env = draw_environment(stream)
                 assert env == (mu1, mu2)
+                h0 = (n0, *draw_initial_history(*env, n0, stream))
+                traces = run_regime(env, h0, agents, k, stream)
+                assert vec[i, j, r] == pooled_failure(h0, traces), (n0, k, r)
+
+
+class DivergingStream(FixedStream):
+    """A ``FixedStream`` whose n samples read the next n uniforms, so that
+    histories of different n0 leave the stream at different positions."""
+
+    def binomials(self, n, p):
+        return int(np.count_nonzero(self.uniforms(n) < p))
+
+
+def test_histories_that_leave_different_states_each_draw_their_own_block():
+    # Each n0's block starts 2 n0 uniforms into the pattern, so a block shared
+    # across n0 would give other schedules than the oracle reads.
+    pattern = list(np.random.default_rng(67).random(17))
+    n0_grid, k_grid, agents = (1, 2, 4), (1, 2, 3, 5, 12), 12
+
+    def stubs(r):
+        return DivergingStream((0.65, 0.2 + r / 40), pattern[r:] + pattern[:r])
+
+    vec = simulate_failures(n0_grid, k_grid, agents, [stubs(r) for r in range(len(pattern))])
+    for i, n0 in enumerate(n0_grid):
+        for j, k in enumerate(k_grid):
+            for r in range(len(pattern)):
+                stream = stubs(r)
+                env = draw_environment(stream)
                 h0 = (n0, *draw_initial_history(*env, n0, stream))
                 traces = run_regime(env, h0, agents, k, stream)
                 assert vec[i, j, r] == pooled_failure(h0, traces), (n0, k, r)

@@ -231,3 +231,20 @@ def test_restored_snapshot_replays_draws_and_final_state():
         assert draws(stream) == first == draws(fresh)
         assert stream.state() == end == fresh.state()
         assert stream.uniforms(3).tolist() == fresh.uniforms(3).tolist()
+
+
+def test_a_snapshot_keeps_the_buffered_half_of_a_word():
+    # permutation(2) takes one 32-bit half of a 64-bit output and buffers the
+    # other, which the next draw of 32 bits reads first
+    stream = derive_stream(19, 0)
+    stream.permutation(2)
+    snapshot = stream.state()
+    assert snapshot["has_uint32"] == 1
+    first = stream.permutation(5).tolist(), stream.uniforms(3).tolist()
+    stream.restore(snapshot)
+    assert (stream.permutation(5).tolist(), stream.uniforms(3).tolist()) == first
+    # without its buffered half the snapshot is another state, with other draws
+    unbuffered = {**snapshot, "has_uint32": 0}
+    assert unbuffered != snapshot
+    stream.restore(unbuffered)
+    assert (stream.permutation(5).tolist(), stream.uniforms(3).tolist()) != first
