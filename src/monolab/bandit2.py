@@ -124,9 +124,9 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     uniforms, which serves every k, as the groups read consecutive uniforms
     whatever k is.  The block is keyed on ``stream.state()`` after the
     history: it is drawn only when no earlier n0 of the replicate left the
-    stream in an equal state, and otherwise the n0 reads the block drawn
-    from that state, which equal draws would have repeated.  Group g of size m_g starts at
-    ``o_g = 2 * sum(sizes[:g])``; its arm-1 schedule is
+    stream in an equal state; otherwise the n0 reads the block drawn from
+    that state, which a fresh draw would repeat.  Group g of size m_g starts
+    at ``o_g = 2 * sum(sizes[:g])``; its arm-1 schedule is
     ``block[o_g : o_g + m_g] < mu1`` and its arm-2 schedule
     ``block[o_g + m_g : o_g + 2 m_g] < mu2``.  Each uniform u is kept as a
     one-byte code, ``(u < mu1) + (u < mu2)``: the number of arms it pays.
@@ -161,8 +161,7 @@ def simulate_failures(n0_grid: Sequence[int], k_grid: Sequence[int], total_agent
     width = 2 * total_agents
     # Cells are (replicate, n0) pairs, replicate-major.  Their count is known
     # only once the streams run out, so the codes grow in one buffer, which
-    # the walk then reads without a copy.  A block is drawn only from a state
-    # no earlier n0 of the replicate left; cell_block[c] is cell c's block.
+    # the walk then reads without a copy; cell_block[c] is cell c's block.
     history, cell_block, codes, n_reps = [], [], bytearray(), 0  # history: (s1, s2) per cell
     for n_reps, stream in enumerate(streams, 1):
         mu1, mu2 = draw_environment(stream)

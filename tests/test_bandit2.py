@@ -454,9 +454,9 @@ class CountingStream(RngStream):
 
 
 def test_histories_that_leave_equal_states_share_one_uniform_block():
-    # At these n0 the binomial sampler reads one raw draw per arm whatever n0
-    # is, so all three histories leave the stream in one state and the
-    # replicate draws a single block of reward uniforms for all of them.
+    # Here the binomial sampler reads one raw draw per arm whatever n0 is, so
+    # all three histories leave the stream in one state and each replicate
+    # draws a single block of reward uniforms for all of them.
     n0_grid, k_grid = (1, 5, 10), (1, 2, 4, 8)
     streams = [CountingStream(65, r) for r in range(20)]
     vec = simulate_failures(n0_grid, k_grid, 1000, streams)
