@@ -7,8 +7,8 @@ dataclass: a field's metadata names its flag (``noise_sd`` is ``--noise-sd``),
 which is also its config-file key, and the field default is the built-in
 default.  The command's action then runs on the built config.
 Parameter precedence: command-line flag, then ``--config`` JSON file, then
-the built-in default.  Exit codes: 0 success, 2 usage or validation error,
-3 I/O failure.
+``$MONOLAB_WORKERS`` (for ``workers`` only), then the built-in default.
+Exit codes: 0 success, 2 usage or validation error, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _merge_params(args, allowed) -> dict:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
                 raise ValueError(f"{args.config}: not valid JSON: {err}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")

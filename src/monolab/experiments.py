@@ -12,6 +12,15 @@ grid, to its model (``hiring.simulate_run``, ``hiring_bandit.simulate_run``,
 ``bandit2.simulate_failures``), which reads each stream as its module
 docstring says, so each replicate's stream is derived once per run.
 
+A config checks itself when it is built: ``check_field`` on each field in
+order (its type, then the ``choices`` and ``minimum`` in its metadata),
+each error naming the field's flag, then the rules that tie its fields
+together.  Those rules belong to the model module, which calls them again
+before any draw: ``hiring.check_market``, ``bandit2.check_sweep``,
+``hiring_bandit.check_game``, ``exact.check_enumeration_size`` and
+``exact.check_rankings``.  A size is checked by ``streams.check_count`` or
+``streams.check_grid``, named by its flag.
+
 Each command's runner returns its cells in row order, as
 ``{(regime, param_value, metric): (value, stderr, n_runs, exact)}``, and
 ``run`` alone builds the ``ResultRow``s, with the config's kind and seed.
@@ -319,7 +328,14 @@ def _split_ranges(n_runs: int, workers: int, block: int) -> list[tuple[int, int]
 
 
 def _collect(simulate, cfg) -> dict:
-    """Run all replicates in bounded ranges, maybe across processes, in order."""
+    """Run all replicates in bounded ranges, maybe across processes, in order.
+
+    A range holds as many replicates as fit ``_BLOCK_BYTES`` by the config's
+    ``replicate_bytes`` (at least one); the run is cut into as few
+    near-equal ranges as that allows, at least one per worker.  A pool of
+    min(workers, ranges, CPUs) processes plays them; when that is 1 they
+    run in order in the calling process.
+    """
     block = max(1, _BLOCK_BYTES // cfg.replicate_bytes)
     ranges = _split_ranges(cfg.n_runs, cfg.workers, block)
     processes = min(cfg.workers, len(ranges), os.cpu_count() or 1)
@@ -450,28 +466,35 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
 
 
 def read_csv(path: str) -> list[ResultRow]:
-    """Parse a results CSV, reporting the line number of any malformed row."""
+    """Parse a results CSV, reporting the line number of any malformed row.
+
+    A float field must be finite, as every float the tool writes is, and a
+    file that is not UTF-8 is refused by its path.
+    """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if tuple(header) != CSV_HEADER:
-            raise ValueError(
-                f"{path}: line 1: bad header {header!r}, expected {list(CSV_HEADER)}"
-            )
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(CSV_HEADER):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(CSV_HEADER)} fields, "
-                    f"got {len(record)}"
-                )
             try:
-                rows.append(ResultRow(*(_PARSE[f.type](t) for f, t in zip(_COLUMNS, record))))
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file, expected a header row") from None
+            if tuple(header) != CSV_HEADER:
+                raise ValueError(
+                    f"{path}: line 1: bad header {header!r}, expected {list(CSV_HEADER)}"
+                )
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) != len(CSV_HEADER):
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected {len(CSV_HEADER)} fields, "
+                        f"got {len(record)}"
+                    )
+                try:
+                    rows.append(ResultRow(*(_PARSE[f.type](t) for f, t in zip(_COLUMNS, record))))
+                except ValueError as err:
+                    raise ValueError(f"{path}: line {lineno}: {err}") from None
+        except UnicodeDecodeError as err:  # the reader decodes as it reads
+            raise ValueError(f"{path}: not UTF-8 text: {err}") from None
     return rows
 
 
@@ -500,8 +523,15 @@ def plot_csv(cfg: PlotConfig) -> None:
     """Render one figure from a results CSV: one series per regime, +/-2 SE bars.
 
     The figure's kind is the file's one ``kind``, which must be one of
-    ``DEFAULT_PLOT_METRIC``; it picks the default metric and is the title.
-    An ``out`` that is the ``csv`` file is refused before either is touched.
+    ``DEFAULT_PLOT_METRIC``; it picks the default metric and is the title,
+    and ``metric`` picks another column of a kind that reports several
+    (``misclassification`` under ``hiring-bandit``).  A file with no rows,
+    with rows of more than one kind or of a kind with no figure
+    (``order-sensitivity``) is refused by a ``ValueError`` that names it, and
+    no SVG is written.  An ``out`` that is the ``csv`` file, by any path, is
+    refused before either is touched.  ``svg.render_line_chart`` draws the
+    figure; ``svg._axis_range`` says which values it draws as one level and
+    which ranges it refuses.
     """
     if os.path.exists(cfg.out) and os.path.samefile(cfg.csv, cfg.out):
         raise ValueError(f"--out {cfg.out} is the --csv file: plot would overwrite its input")

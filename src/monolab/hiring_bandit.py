@@ -6,6 +6,8 @@ unclaimed arm with the highest posterior mean (Beta-Bernoulli beliefs,
 ties to the lowest arm index); an arm claimed earlier in the round is gone
 for everyone after.  That is sequential hiring's rule with arms for
 candidates; ``play_round`` runs its own loop of it on a leading game axis.
+The greedy claim rule follows Bayati et al., "Unreasonable effectiveness
+of greedy algorithms in multi-armed bandit with many arms" (NeurIPS 2020).
 Pull results are public: at the end of each round all agents update on
 every pull.  So a belief is a prior row ``alpha0`` with its ``total0``,
 plus the one public ``heads``/``pulls`` record of its game, and an agent

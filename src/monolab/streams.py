@@ -76,11 +76,8 @@ class RngStream:
     The stream is stateful: every sampling call advances it.  Re-deriving a
     stream from the same key restarts the identical sequence, and restoring
     a snapshot taken with ``state`` replays the draws that followed it.  Each
-    model draws what its grid shares once and restores a snapshot per grid
-    point: ``hiring.simulate_run`` per firm count, ``hiring_bandit.init_beliefs``
-    per agent count, in its one pass over each stream, and
-    ``bandit2.simulate_failures`` per n0, where the n0 whose histories leave
-    equal states share one block of reward uniforms.
+    model's module docstring gives the order in which it reads a stream and
+    what its grid points share.
     """
 
     __slots__ = ("master_seed", "stream_id", "gen")

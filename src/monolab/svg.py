@@ -87,7 +87,8 @@ def render_line_chart(
 
     ``series`` maps each label, in drawing and legend order, to its finite
     ``(x, y, err)`` points in line order; ``err`` is the half-height of the
-    point's error bar, and 0 draws none.
+    point's error bar, and 0 draws none.  A NaN or infinite value is
+    refused by its series' label.
     """
     if not series:
         raise ValueError("nothing to plot: no series")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import concurrent.futures
 import dataclasses
@@ -12,6 +13,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import monolab
 from monolab import bandit2, cli, experiments, hiring, hiring_bandit
 from monolab.experiments import (
     Bandit2Config,
@@ -167,6 +170,50 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     assert names["regret"].shape == names["misclassification"].shape == (2, 4, 10)
     assert names["perf"].shape == (3, 3, 10)
     assert names["arms"].shape == (4, 4)
+
+
+def test_readme_names_flags_and_command_lines_are_current(tmp_path, monkeypatch):
+    # README cites code instead of restating it, so what it cites must exist:
+    # each backticked dotted monolab name, each flag outside the Install block
+    # (pip's flags are not monolab's), and each line of the Command line block
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+
+    def resolves(name):
+        obj = monolab
+        for part in name.removeprefix("monolab.").split("."):
+            try:
+                obj = (getattr(obj, part) if hasattr(obj, part)
+                       else importlib.import_module(f"{obj.__name__}.{part}"))
+            except (AttributeError, ImportError):
+                return False
+        return True
+
+    file_suffixes = {"json", "md", "py", "toml", "yml"}
+    names = {name for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+             if name.rsplit(".", 1)[1] not in file_suffixes}
+    assert names and {name for name in names if not resolves(name)} == set()
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    known = {s for p in commands.values() for a in p._actions for s in a.option_strings}
+    outside_install = re.sub(r"## Install\n.*?(?=\n## )", "", text, flags=re.S)
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", outside_install))
+    assert flags and flags - known == set()
+
+    # each line parses and builds its config; the recorder stands in for the run
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("monolab ")]
+    built = []
+    for command, (config_cls, help_text, _) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, command, (config_cls, help_text, built.append))
+    monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert cli._run_command(parser.parse_args(argv)) == 0
+    assert lines and [type(cfg) for cfg in built] == [cli.COMMANDS[a[0]][0] for a in lines]
 
 
 def test_split_ranges_cover_all_replicates():
@@ -620,6 +667,15 @@ def test_read_csv_reports_line_numbers(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty file"):
         read_csv(str(path))
+
+    # bytes that are not UTF-8, in the header or in a row past the reader's
+    # first decoded chunk, are refused by the file's path
+    for name, data in [("header.csv", b"\xff" + header.encode()),
+                       ("row.csv", (header + "\n" + (good + "\n") * 400).encode() + b"\xff\n")]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")):
+            read_csv(str(path))
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, monkeypatch):
@@ -1115,6 +1171,10 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     config.write_text("{not json")
     assert cli.main(["bandit2", "--config", str(config)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+    config.write_bytes(b"\xff{}")  # not UTF-8: the message names the file
+    assert cli.main(["bandit2", "--config", str(config)]) == 2
+    assert f"{config}: not valid JSON: 'utf-8' codec" in capsys.readouterr().err
 
 
 # Per command: a config file setting every key the command accepts except
